@@ -44,8 +44,9 @@ use lad_graph::{Graph, NodeId};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::convert::Infallible;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Round-complexity statistics of one execution.
@@ -112,8 +113,27 @@ impl RoundStats {
 }
 
 /// Networks smaller than this run sequentially even when threads are
-/// available — spawn overhead would dominate.
+/// available — fan-out overhead would dominate.
 const PAR_MIN_NODES: usize = 512;
+
+/// [`std::thread::available_parallelism`], read once per process (on
+/// Linux every call re-reads the cgroup files).
+pub(crate) fn host_threads() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
+
+/// The `LAD_THREADS` environment variable if it is a positive integer,
+/// read once per process.
+fn env_threads() -> Option<usize> {
+    static ENV: OnceLock<Option<usize>> = OnceLock::new();
+    *ENV.get_or_init(|| {
+        std::env::var("LAD_THREADS")
+            .ok()
+            .and_then(|s| s.parse::<usize>().ok())
+            .filter(|&t| t >= 1)
+    })
+}
 
 /// `0` means "no override".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -133,28 +153,23 @@ fn configured_threads() -> Option<usize> {
     if cfg!(not(feature = "parallel")) {
         return Some(1);
     }
-    let o = THREAD_OVERRIDE.load(Ordering::SeqCst);
-    if o != 0 {
-        return Some(o);
+    match THREAD_OVERRIDE.load(Ordering::SeqCst) {
+        0 => env_threads(),
+        o => Some(o),
     }
-    if let Ok(s) = std::env::var("LAD_THREADS") {
-        if let Ok(t) = s.parse::<usize>() {
-            if t >= 1 {
-                return Some(t);
-            }
-        }
-    }
-    None
 }
 
-/// The number of worker threads [`run_local_par`] would use on an `n`-node
-/// network, resolved in order:
+/// The number of chunks [`run_local_par`] splits an `n`-node network
+/// into, resolved in order:
 ///
 /// 1. `1` when built without the `parallel` feature;
 /// 2. the [`set_thread_override`] value, if set;
 /// 3. the `LAD_THREADS` environment variable, if a positive integer;
-/// 4. `1` when `n` is too small to amortize thread spawns;
+/// 4. `1` when `n` is too small to amortize a fan-out;
 /// 5. [`std::thread::available_parallelism`].
+///
+/// The chunks run on the process-wide worker pool (`host_threads − 1`
+/// workers plus the calling thread), so the count may exceed the pool.
 pub fn effective_parallelism(n: usize) -> usize {
     if let Some(t) = configured_threads() {
         return t;
@@ -162,20 +177,36 @@ pub fn effective_parallelism(n: usize) -> usize {
     if n < PAR_MIN_NODES {
         return 1;
     }
-    std::thread::available_parallelism().map_or(1, |p| p.get())
+    host_threads()
+}
+
+/// Splits `0..n` into `chunks` contiguous ranges of equal length (the
+/// last one shorter) — the fixed chunk boundaries every fan-out uses, so
+/// results never depend on which thread ran which range.
+fn chunk_ranges(n: usize, chunks: usize) -> Vec<Range<usize>> {
+    let len = n.div_ceil(chunks.max(1)).max(1);
+    (0..n).step_by(len).map(|s| s..(s + len).min(n)).collect()
+}
+
+/// Runs `f` on every task on the worker pool, results in task order.
+fn fan_out<T: Send, R: Send>(tasks: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    #[cfg(feature = "parallel")]
+    return crate::pool::map(tasks, f);
+    #[cfg(not(feature = "parallel"))]
+    tasks.into_iter().map(f).collect()
 }
 
 /// Applies `f` to each item across worker threads, returning outputs in
 /// item order — the fan-out primitive the centralized encoders use for
 /// per-trail, per-cluster, and per-network work.
 ///
-/// Items are split into contiguous chunks (one scoped thread each), so a
-/// chunk's items run in index order and outputs land in index-addressed
-/// slots: results never depend on scheduling. Thread count resolves like
-/// [`effective_parallelism`] except there is no minimum item count —
-/// encoder work items are coarse (a whole Euler trail, a whole training
-/// network), unlike per-node decoder calls. Runs sequentially without the
-/// `parallel` feature.
+/// Items are split into contiguous chunks run on the process-wide worker
+/// pool, so a chunk's items run in index order and outputs are
+/// reassembled in chunk order: results never depend on scheduling. The
+/// chunk count resolves like [`effective_parallelism`] except there is no
+/// minimum item count — encoder work items are coarse (a whole Euler
+/// trail, a whole training network), unlike per-node decoder calls. Runs
+/// sequentially without the `parallel` feature.
 pub fn par_map<T, U>(items: &[T], f: impl Fn(usize, &T) -> U + Sync) -> Vec<U>
 where
     T: Sync,
@@ -184,12 +215,12 @@ where
     par_map_with(items, || (), |(), i, t| f(i, t))
 }
 
-/// [`par_map`] with per-worker mutable state: `init` runs once per worker
-/// thread (once in total for a sequential run) and every `f` call on that
-/// worker receives the same `&mut` state. This is how reusable workspaces
+/// [`par_map`] with per-chunk mutable state: `init` runs once per chunk
+/// (once in total for a sequential run) and every `f` call in that chunk
+/// receives the same `&mut` state. This is how reusable workspaces
 /// ([`crate::CanonScratch`], BFS scratch) thread through fan-outs
-/// *explicitly* — scoped worker threads are fresh per call, so
-/// thread-local storage would silently reallocate on every invocation.
+/// *explicitly* — a chunk may run on any pool worker or on the caller, so
+/// thread-local storage would tie a workspace to whichever thread ran it.
 pub fn par_map_with<T, U, S>(
     items: &[T],
     init: impl Fn() -> S + Sync,
@@ -200,40 +231,19 @@ where
     U: Send,
 {
     let n = items.len();
-    let threads = configured_threads()
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
-        .min(n.max(1));
-    if !worth_spawning(n, threads) {
+    let map_range = |range: Range<usize>| -> Vec<U> {
         let mut state = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(&mut state, i, t))
-            .collect();
+        range.map(|i| f(&mut state, i, &items[i])).collect()
+    };
+    let threads = configured_threads()
+        .unwrap_or_else(host_threads)
+        .min(n.max(1));
+    if !worth_fanning_out(n, threads) {
+        return map_range(0..n);
     }
-    let mut outs: Vec<Option<U>> = std::iter::repeat_with(|| None).take(n).collect();
-    let chunk_len = n.div_ceil(threads).max(1);
-    std::thread::scope(|scope| {
-        let mut rest = &mut outs[..];
-        let mut start = 0usize;
-        while !rest.is_empty() {
-            let take = chunk_len.min(rest.len());
-            let (chunk, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let f = &f;
-            let init = &init;
-            scope.spawn(move || {
-                let mut state = init();
-                for (off, slot) in chunk.iter_mut().enumerate() {
-                    let i = start + off;
-                    *slot = Some(f(&mut state, i, &items[i]));
-                }
-            });
-            start += take;
-        }
-    });
-    outs.into_iter()
-        .map(|o| o.expect("every chunk ran to completion"))
+    fan_out(chunk_ranges(n, threads), map_range)
+        .into_iter()
+        .flatten()
         .collect()
 }
 
@@ -289,6 +299,30 @@ pub fn run_local_fallible<In: Clone, Out, E>(
     Ok((outs, RoundStats { per_node }))
 }
 
+/// Runs `algo` at the nodes of `range` in index order, backed by an
+/// optional shared cache, otherwise by a range-local scratch; stops at
+/// the range's first error. Returns the outputs and per-node radii.
+fn run_range<In: Clone, Out, E>(
+    net: &Network<In>,
+    range: Range<usize>,
+    cache: Option<&ViewCache<In>>,
+    algo: &impl Fn(&NodeCtx<In>) -> Result<Out, E>,
+) -> Result<(Vec<Out>, Vec<usize>), E> {
+    let scratch = RefCell::new(Scratch::new(net.graph().n()));
+    let mut outs = Vec::with_capacity(range.len());
+    let mut per_node = Vec::with_capacity(range.len());
+    for i in range {
+        let v = NodeId::from_index(i);
+        let ctx = match cache {
+            Some(c) => NodeCtx::with_cache(net, v, c, &scratch),
+            None => NodeCtx::with_scratch(net, v, &scratch),
+        };
+        outs.push(algo(&ctx)?);
+        per_node.push(ctx.rounds_used());
+    }
+    Ok((outs, per_node))
+}
+
 /// Sequential executor backed by an optional shared cache; otherwise a
 /// worker-local scratch/memo. Single code path for all non-reference
 /// sequential variants.
@@ -297,27 +331,17 @@ fn run_seq_impl<In: Clone, Out, E>(
     cache: Option<&ViewCache<In>>,
     algo: impl Fn(&NodeCtx<In>) -> Result<Out, E>,
 ) -> Result<(Vec<Out>, RoundStats), E> {
-    let n = net.graph().n();
-    let scratch = RefCell::new(Scratch::new(n));
-    let mut outs = Vec::with_capacity(n);
-    let mut per_node = Vec::with_capacity(n);
-    for v in net.graph().nodes() {
-        let ctx = match cache {
-            Some(c) => NodeCtx::with_cache(net, v, c, &scratch),
-            None => NodeCtx::with_scratch(net, v, &scratch),
-        };
-        outs.push(algo(&ctx)?);
-        per_node.push(ctx.rounds_used());
-    }
+    let (outs, per_node) = run_range(net, 0..net.graph().n(), cache, &algo)?;
     Ok((outs, RoundStats { per_node }))
 }
 
 /// Parallel executor: splits nodes into `threads` contiguous chunks, each
-/// processed in index order by one scoped thread with its own BFS scratch.
-/// Outputs and per-node radii are written into index-addressed slots, so
-/// results are position-exact regardless of scheduling. Errors are reduced
-/// to the smallest erroring node index — per-node functions are
-/// independent, so that is exactly the error a sequential run returns.
+/// processed in index order with its own BFS scratch on the worker pool,
+/// and concatenates the chunks in node order, so results are
+/// position-exact regardless of scheduling. Each chunk stops at its first
+/// error and the first erroring chunk wins, so the error is the smallest
+/// erroring node index's — per-node functions are independent, so that
+/// is exactly the error a sequential run returns.
 fn run_par_impl<In, Out, E>(
     net: &Network<In>,
     threads: usize,
@@ -330,60 +354,16 @@ where
     E: Send,
 {
     let n = net.graph().n();
-    let mut outs: Vec<Option<Out>> = std::iter::repeat_with(|| None).take(n).collect();
-    let mut per_node = vec![0usize; n];
-    let chunk_len = n.div_ceil(threads.max(1)).max(1);
-    let first_err: Mutex<Option<(usize, E)>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        let mut out_rest = &mut outs[..];
-        let mut pn_rest = &mut per_node[..];
-        let mut start = 0usize;
-        while !out_rest.is_empty() {
-            let take = chunk_len.min(out_rest.len());
-            let (out_chunk, rest) = out_rest.split_at_mut(take);
-            out_rest = rest;
-            let (pn_chunk, rest) = pn_rest.split_at_mut(take);
-            pn_rest = rest;
-            let first_err = &first_err;
-            scope.spawn(move || {
-                let scratch = RefCell::new(Scratch::new(n));
-                for (off, (out_slot, pn_slot)) in
-                    out_chunk.iter_mut().zip(pn_chunk.iter_mut()).enumerate()
-                {
-                    let v = NodeId::from_index(start + off);
-                    let ctx = match cache {
-                        Some(c) => NodeCtx::with_cache(net, v, c, &scratch),
-                        None => NodeCtx::with_scratch(net, v, &scratch),
-                    };
-                    match algo(&ctx) {
-                        Ok(out) => {
-                            *out_slot = Some(out);
-                            *pn_slot = ctx.rounds_used();
-                        }
-                        Err(e) => {
-                            // Keep the smallest erroring node index; abandon
-                            // the rest of this chunk like a sequential run
-                            // abandons everything after its first error.
-                            let mut fe = first_err.lock().expect("error slot poisoned");
-                            let idx = start + off;
-                            if fe.as_ref().is_none_or(|&(j, _)| idx < j) {
-                                *fe = Some((idx, e));
-                            }
-                            return;
-                        }
-                    }
-                }
-            });
-            start += take;
-        }
+    let chunks = fan_out(chunk_ranges(n, threads), |range| {
+        run_range(net, range, cache, algo)
     });
-    if let Some((_, e)) = first_err.into_inner().expect("error slot poisoned") {
-        return Err(e);
+    let mut outs = Vec::with_capacity(n);
+    let mut per_node = Vec::with_capacity(n);
+    for chunk in chunks {
+        let (chunk_outs, chunk_radii) = chunk?;
+        outs.extend(chunk_outs);
+        per_node.extend(chunk_radii);
     }
-    let outs = outs
-        .into_iter()
-        .map(|o| o.expect("every chunk ran to completion"))
-        .collect();
     Ok((outs, RoundStats { per_node }))
 }
 
@@ -402,7 +382,7 @@ fn unwrap_infallible<T>(r: Result<T, Infallible>) -> T {
 
 /// Whether `threads` workers actually beat a sequential pass over `n`
 /// nodes, given the feature gate.
-fn worth_spawning(n: usize, threads: usize) -> bool {
+fn worth_fanning_out(n: usize, threads: usize) -> bool {
     cfg!(feature = "parallel") && threads > 1 && n > 1
 }
 
@@ -432,10 +412,10 @@ pub fn run_local_fallible_cached<In: Clone, Out, E>(
 }
 
 /// Parallel [`run_local`]: same outputs and [`RoundStats`], bit for bit,
-/// computed by [`effective_parallelism`] worker threads over contiguous
-/// node ranges. Falls back to a sequential pass when built without the
+/// computed over [`effective_parallelism`] contiguous node ranges on the
+/// process-wide worker pool. Falls back to a sequential pass when built without the
 /// `parallel` feature, when only one thread is available, or when the
-/// network is too small to amortize spawns.
+/// network is too small to amortize a fan-out.
 pub fn run_local_par<In, Out>(
     net: &Network<In>,
     algo: impl Fn(&NodeCtx<In>) -> Out + Sync,
@@ -458,7 +438,7 @@ where
     In: Clone + Send + Sync,
     Out: Send,
 {
-    if worth_spawning(net.graph().n(), threads) {
+    if worth_fanning_out(net.graph().n(), threads) {
         unwrap_infallible(run_par_impl(net, threads, None, &infallible(algo)))
     } else {
         unwrap_infallible(run_seq_impl(net, None, infallible(algo)))
@@ -501,7 +481,7 @@ where
     Out: Send,
     E: Send,
 {
-    if worth_spawning(net.graph().n(), threads) {
+    if worth_fanning_out(net.graph().n(), threads) {
         run_par_impl(net, threads, None, &algo)
     } else {
         run_seq_impl(net, None, algo)
@@ -521,7 +501,7 @@ where
     In: Clone + Send + Sync,
     Out: Send,
 {
-    if worth_spawning(net.graph().n(), threads) {
+    if worth_fanning_out(net.graph().n(), threads) {
         unwrap_infallible(run_par_impl(net, threads, Some(cache), &infallible(algo)))
     } else {
         unwrap_infallible(run_seq_impl(net, Some(cache), infallible(algo)))
@@ -545,7 +525,7 @@ where
     Out: Send,
     E: Send,
 {
-    if worth_spawning(net.graph().n(), threads) {
+    if worth_fanning_out(net.graph().n(), threads) {
         run_par_impl(net, threads, Some(cache), &algo)
     } else {
         run_seq_impl(net, Some(cache), algo)
@@ -1236,7 +1216,18 @@ fn run_memo_seq<In: Clone, Out: Clone + PartialEq, E: From<NotOrderInvariant>>(
     Ok((outs, RoundStats { per_node }))
 }
 
-#[allow(clippy::type_complexity)]
+/// What one chunk of [`run_memo_par`] hands back: its class memo and
+/// counters, the nodes whose class failed, its outputs and radii (indexed
+/// from the chunk start), and the conflict that stopped it, if any.
+struct MemoShard<Out> {
+    memo: ClassMemo<Out>,
+    failed: Vec<usize>,
+    stats: MemoStats,
+    conflict: Option<NotOrderInvariant>,
+    outs: Vec<Option<Out>>,
+    per_node: Vec<usize>,
+}
+
 fn run_memo_par<In, Out, E>(
     net: &Network<In>,
     threads: usize,
@@ -1251,87 +1242,61 @@ where
 {
     let g = net.graph();
     let n = g.n();
-    let mut outs: Vec<Option<Out>> = std::iter::repeat_with(|| None).take(n).collect();
-    let mut per_node = vec![0usize; n];
-    let chunk_len = n.div_ceil(threads.max(1)).max(1);
-    let conflict: Mutex<Option<NotOrderInvariant>> = Mutex::new(None);
-    // Per-worker shards, replay-merged after the join: (chunk start, class
-    // memo, failed node indices).
-    let shards: Mutex<Vec<(usize, ClassMemo<Out>, Vec<usize>)>> = Mutex::new(Vec::new());
-    let mut stats = MemoStats::default();
-    let stats_total: Mutex<MemoStats> = Mutex::new(MemoStats::default());
-    std::thread::scope(|scope| {
-        let mut out_rest = &mut outs[..];
-        let mut pn_rest = &mut per_node[..];
-        let mut start = 0usize;
-        while !out_rest.is_empty() {
-            let take = chunk_len.min(out_rest.len());
-            let (out_chunk, rest) = out_rest.split_at_mut(take);
-            out_rest = rest;
-            let (pn_chunk, rest) = pn_rest.split_at_mut(take);
-            pn_rest = rest;
-            let (conflict, shards, stats_total) = (&conflict, &shards, &stats_total);
-            scope.spawn(move || {
-                let mut memo: ClassMemo<Out> = ClassMemo::default();
-                let mut engine = ShellEngine::new(net, input_tag);
-                let mut local = MemoStats::default();
-                let mut failed: Vec<usize> = Vec::new();
-                let mut tile_centers: Vec<NodeId> = Vec::with_capacity(TILE_WIDTH);
-                let mut off = 0usize;
-                while off < take {
-                    let t = TILE_WIDTH.min(take - off);
-                    tile_centers.clear();
-                    tile_centers.extend((0..t).map(|i| NodeId::from_index(start + off + i)));
-                    if let Err(c) = memo_run_tile(
-                        net,
-                        &tile_centers,
-                        start,
-                        initial_radius,
-                        input_tag,
-                        step,
-                        &mut memo,
-                        &mut engine,
-                        &mut local,
-                        &mut failed,
-                        out_chunk,
-                        pn_chunk,
-                        None,
-                    ) {
-                        let mut slot = conflict.lock().expect("conflict slot poisoned");
-                        if slot.is_none() {
-                            *slot = Some(c);
-                        }
-                        break;
-                    }
-                    off += t;
-                }
-                stats_total
-                    .lock()
-                    .expect("stats slot poisoned")
-                    .accumulate(&local);
-                shards
-                    .lock()
-                    .expect("shard slot poisoned")
-                    .push((start, memo, failed));
-            });
-            start += take;
+    // One shard per chunk, replay-merged below in chunk order.
+    let shards = fan_out(chunk_ranges(n, threads), |range| {
+        let mut shard = MemoShard {
+            memo: ClassMemo::default(),
+            failed: Vec::new(),
+            stats: MemoStats::default(),
+            conflict: None,
+            outs: std::iter::repeat_with(|| None).take(range.len()).collect(),
+            per_node: vec![0; range.len()],
+        };
+        let mut engine = ShellEngine::new(net, input_tag);
+        let centers: Vec<NodeId> = range.clone().map(NodeId::from_index).collect();
+        for tile in centers.chunks(TILE_WIDTH) {
+            if let Err(c) = memo_run_tile(
+                net,
+                tile,
+                range.start,
+                initial_radius,
+                input_tag,
+                step,
+                &mut shard.memo,
+                &mut engine,
+                &mut shard.stats,
+                &mut shard.failed,
+                &mut shard.outs,
+                &mut shard.per_node,
+                None,
+            ) {
+                shard.conflict = Some(c);
+                break;
+            }
         }
+        shard
     });
-    stats.accumulate(&stats_total.into_inner().expect("stats slot poisoned"));
+    let mut stats = MemoStats::default();
+    for shard in &shards {
+        stats.accumulate(&shard.stats);
+    }
     flush_memo_stats(&stats);
-    if let Some(c) = conflict.into_inner().expect("conflict slot poisoned") {
+    if let Some(c) = shards.iter().find_map(|s| s.conflict.clone()) {
         return Err(c.into());
     }
     // Replay-merge: fold every shard's class memo into one map, in chunk
     // order. A key two workers resolved differently is exactly a conflict
     // the sequential safety net would have caught — report it instead of
     // returning schedule-dependent outputs.
-    let mut shards = shards.into_inner().expect("shard slot poisoned");
-    shards.sort_by_key(|&(start, _, _)| start);
     let mut merged: KeyHashMap<MemoEntryKind<Out>> = HashMap::default();
     let mut failed: Vec<usize> = Vec::new();
-    for (_, memo, shard_failed) in shards {
-        for (key, entry) in memo.into_entries() {
+    let mut outs: Vec<Option<Out>> = Vec::with_capacity(n);
+    let mut per_node: Vec<usize> = Vec::with_capacity(n);
+    for shard in shards {
+        outs.extend(shard.outs);
+        per_node.extend(shard.per_node);
+        failed.extend(shard.failed);
+        for (key, entry) in shard.memo.into_entries() {
             match merged.entry(key) {
                 std::collections::hash_map::Entry::Vacant(slot) => {
                     slot.insert(entry.kind);
@@ -1344,7 +1309,6 @@ where
                 }
             }
         }
-        failed.extend(shard_failed);
     }
     if let Some(&i) = failed.iter().min() {
         let mut scratch = Scratch::new(n);
@@ -1476,7 +1440,7 @@ where
     Out: Clone + PartialEq + Send,
 {
     let step = |ball: &Ball<In>| Ok(step(ball));
-    if worth_spawning(net.graph().n(), threads) {
+    if worth_fanning_out(net.graph().n(), threads) {
         run_memo_par::<_, _, NotOrderInvariant>(net, threads, initial_radius, &input_tag, &step)
     } else {
         run_memo_seq::<_, _, NotOrderInvariant>(net, initial_radius, input_tag, step)
@@ -1528,7 +1492,7 @@ where
     Out: Clone + PartialEq + Send,
     E: From<NotOrderInvariant> + Send,
 {
-    if worth_spawning(net.graph().n(), threads) {
+    if worth_fanning_out(net.graph().n(), threads) {
         run_memo_par(net, threads, initial_radius, &input_tag, &step)
     } else {
         run_memo_seq(net, initial_radius, input_tag, step)
@@ -1670,7 +1634,13 @@ mod tests {
             if cfg!(feature = "parallel") { 3 } else { 1 }
         );
         set_thread_override(None);
-        assert_eq!(effective_parallelism(4), 1); // below the small-n cutoff
+        // Below the small-n cutoff only an explicit `LAD_THREADS` applies.
+        let env = if cfg!(feature = "parallel") {
+            env_threads()
+        } else {
+            None
+        };
+        assert_eq!(effective_parallelism(4), env.unwrap_or(1));
     }
 
     #[test]

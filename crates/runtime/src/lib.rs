@@ -76,6 +76,8 @@ pub mod lookup;
 pub mod messaging;
 pub mod network;
 pub mod plan;
+#[cfg(feature = "parallel")]
+mod pool;
 pub mod shard;
 pub mod shell;
 pub mod store;

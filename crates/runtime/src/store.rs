@@ -351,6 +351,28 @@ impl<Out: PartialEq> ClassStore<Out> {
         }
     }
 
+    /// The same dictionary with every [`ClassVerdict::Done`] output
+    /// mapped through `f` (identity, radius and classes unchanged).
+    pub fn map_outputs<U: PartialEq>(self, mut f: impl FnMut(Out) -> U) -> ClassStore<U> {
+        let entries = self
+            .entries
+            .into_iter()
+            .map(|(key, verdict)| {
+                let verdict = match verdict {
+                    ClassVerdict::Done(out) => ClassVerdict::Done(f(out)),
+                    ClassVerdict::Expand(r) => ClassVerdict::Expand(r),
+                    ClassVerdict::Failed => ClassVerdict::Failed,
+                };
+                (key, verdict)
+            })
+            .collect();
+        ClassStore {
+            schema: self.schema,
+            radius: self.radius,
+            entries,
+        }
+    }
+
     /// Folds one shard's sealed memo table in, under the same conflict
     /// discipline as the cross-shard merge. Returns how many classes were
     /// new.

@@ -24,28 +24,32 @@
 //! * **Miss fall-through.** Queries whose class is absent are evaluated
 //!   live; with append-back enabled the fresh class is folded into the
 //!   dictionary under the store's conflict discipline.
-//! * **Batching.** [`DecodeServer::handle_batch`] decodes a batch with
-//!   worker threads behind the `parallel` feature (per-worker
-//!   [`CanonScratch`]); without the feature the same entry point runs
-//!   sequentially with identical results.
+//! * **Batching.** [`DecodeServer::handle_batch`] splits a batch into
+//!   contiguous chunks (one [`CanonScratch`] each) and runs them on the
+//!   runtime's process-wide worker pool behind the `parallel` feature.
+//!   The pool's threads are started once per process and the host's
+//!   parallelism is read once, so a batch costs a queue push and a
+//!   wake-up, not a thread spawn per chunk; the calling thread runs
+//!   chunks too and takes back any chunk no worker has claimed yet.
+//!   Without the feature the same entry point runs sequentially with
+//!   identical results.
 
 pub mod protocol;
 
 use lad_core::{ball_from_words, query_key, ServedSchema};
 use lad_runtime::store::{ClassStore, ClassVerdict, SchemaId, StoreError};
-use lad_runtime::{par_map_with, CanonScratch, CanonicalKey, MemoStep};
+use lad_runtime::{par_map_with, CanonScratch, MemoStep, Spillable};
 use protocol::{
     decode_batch_response, push_string, read_frame, read_string, write_frame, BatchResult,
     ERR_BAD_REQUEST, ERR_DECODE, ERR_MALFORMED_QUERY, ERR_STALE_DICTIONARY, MAX_FRAME_WORDS,
     REQ_BATCH, REQ_INFO, REQ_SHUTDOWN, RESP_BATCH, RESP_BYE, RESP_ERROR, RESP_INFO, RES_ERROR,
     RES_NEED_RADIUS, RES_OK,
 };
-use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::RwLock;
 
 /// Why a server could not be constructed or persisted.
 #[derive(Debug)]
@@ -113,15 +117,65 @@ pub struct Stats {
     pub errors: u64,
 }
 
+/// A stored class output plus how often it has been served. The count
+/// lives in the dictionary entry, so counting a hit needs only the
+/// store's read lock; it is not part of the verdict (equality, the
+/// conflict discipline and the on-disk form see the words alone).
+#[derive(Debug)]
+struct Served {
+    words: Vec<u64>,
+    hits: AtomicU64,
+}
+
+impl Served {
+    fn new(words: Vec<u64>) -> Self {
+        Served {
+            words,
+            hits: AtomicU64::new(0),
+        }
+    }
+
+    /// Counts one hit; returns the words and this hit's 1-based number.
+    fn hit(&self) -> (Vec<u64>, u64) {
+        // Each hit gets a distinct number; the count publishes nothing.
+        let count = self.hits.fetch_add(1, Ordering::Relaxed) + 1;
+        (self.words.clone(), count)
+    }
+}
+
+impl Clone for Served {
+    fn clone(&self) -> Self {
+        Served {
+            words: self.words.clone(),
+            hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
+        }
+    }
+}
+
+impl PartialEq for Served {
+    fn eq(&self, other: &Self) -> bool {
+        self.words == other.words
+    }
+}
+
+impl Spillable for Served {
+    fn spill(&self, words: &mut Vec<u64>) {
+        self.words.spill(words);
+    }
+
+    fn unspill(words: &mut std::slice::Iter<'_, u64>) -> Option<Self> {
+        Vec::unspill(words).map(Served::new)
+    }
+}
+
 /// A loaded dictionary plus the schema that can evaluate and bind it.
 ///
 /// The store sits behind a `RwLock` so hit-path reads are concurrent and
-/// append-back writes are exclusive; per-class hit counts drive the
-/// power-of-two verification schedule.
+/// append-back writes are exclusive; each class's hit count sits next to
+/// its verdict and drives the power-of-two verification schedule.
 pub struct DecodeServer {
     schema: Box<dyn ServedSchema>,
-    store: RwLock<ClassStore<Vec<u64>>>,
-    hit_counts: Mutex<HashMap<CanonicalKey, u64>>,
+    store: RwLock<ClassStore<Served>>,
     append_misses: bool,
     counters: Counters,
 }
@@ -150,8 +204,7 @@ impl DecodeServer {
         }
         Ok(DecodeServer {
             schema,
-            store: RwLock::new(store),
-            hit_counts: Mutex::new(HashMap::new()),
+            store: RwLock::new(store.map_outputs(Served::new)),
             append_misses,
             counters: Counters::default(),
         })
@@ -218,17 +271,21 @@ impl DecodeServer {
             Err(e) => return self.err(ERR_MALFORMED_QUERY, e.to_string()),
         };
         let key = query_key(&ball, scratch);
-        // Clone the verdict out so no lock is held across eval/bind.
-        let stored = self.store.read().expect("store lock").get(&key).cloned();
+        // Count a hit and clone the verdict out under the read lock, so no
+        // lock is held across eval/bind.
+        let stored =
+            self.store
+                .read()
+                .expect("store lock")
+                .get(&key)
+                .map(|verdict| match verdict {
+                    ClassVerdict::Done(served) => ClassVerdict::Done(served.hit()),
+                    ClassVerdict::Expand(r) => ClassVerdict::Expand(*r),
+                    ClassVerdict::Failed => ClassVerdict::Failed,
+                });
         match stored {
-            Some(ClassVerdict::Done(words)) => {
+            Some(ClassVerdict::Done((words, count))) => {
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                let count = {
-                    let mut counts = self.hit_counts.lock().expect("hit-count lock");
-                    let slot = counts.entry(key).or_insert(0);
-                    *slot += 1;
-                    *slot
-                };
                 if Self::should_verify(count) {
                     self.counters.verified.fetch_add(1, Ordering::Relaxed);
                     match self.schema.eval(&ball) {
@@ -261,7 +318,7 @@ impl DecodeServer {
                     Err(e) => return self.err(ERR_DECODE, format!("live evaluation failed: {e}")),
                 };
                 let verdict = match &step {
-                    MemoStep::Done(words) => ClassVerdict::Done(words.clone()),
+                    MemoStep::Done(words) => ClassVerdict::Done(Served::new(words.clone())),
                     MemoStep::Expand(r) => ClassVerdict::Expand(*r),
                 };
                 if self.append_misses {
@@ -293,9 +350,10 @@ impl DecodeServer {
         }
     }
 
-    /// Answers a batch. With the `parallel` feature the batch fans out
-    /// across worker threads, one [`CanonScratch`] per worker; without it
-    /// the same call decodes sequentially with identical results.
+    /// Answers a batch. With the `parallel` feature the batch fans out in
+    /// contiguous chunks over the runtime's worker pool, one
+    /// [`CanonScratch`] per chunk; without it the same call decodes
+    /// sequentially with identical results.
     pub fn handle_batch(&self, queries: &[&[u64]]) -> Vec<BatchResult> {
         par_map_with(queries, CanonScratch::new, |scratch, _i, q| {
             self.answer_query(q, scratch)

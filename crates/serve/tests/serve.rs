@@ -9,7 +9,7 @@ use lad_runtime::{Ball, ClassVerdict, MemoStep, Network};
 use lad_serve::protocol::{BatchResult, ERR_MALFORMED_QUERY, ERR_STALE_DICTIONARY};
 use lad_serve::{Client, DecodeServer, ServeError};
 use std::net::TcpListener;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn balanced_net(seed: u64) -> Network {
     let g = generators::random_even_degree(24, 3, 6, seed);
@@ -134,6 +134,29 @@ fn misses_fall_through_to_live_evaluation_and_append_back() {
     assert_eq!(after_second.hits, after_first.hits + queries.len() as u64);
     assert_eq!(after_second.misses, after_first.misses);
     assert_eq!(after_second.appended, after_first.appended);
+}
+
+#[test]
+fn concurrent_hits_of_one_class_verify_on_powers_of_two() {
+    let server = balanced_server(false);
+    // A training-network query: its class is in the dictionary.
+    let query = queries_for(&balanced_net(1), server.radius()).swap_remove(0);
+    let batch: Vec<&[u64]> = vec![query.as_slice(); 16];
+    // 64 hits of the one class, in four batches issued at the same time.
+    let start = Barrier::new(4);
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                start.wait();
+                let results = server.handle_batch(&batch);
+                assert!(results.iter().all(|r| matches!(r, BatchResult::Answer(_))));
+            });
+        }
+    });
+    let stats = server.stats();
+    assert_eq!((stats.hits, stats.misses, stats.errors), (64, 0, 0));
+    // Hits 1, 2, 4, 8, 16, 32 and 64: each count is handed out once.
+    assert_eq!(stats.verified, 7);
 }
 
 #[test]
