@@ -1,7 +1,7 @@
 //! Shard-at-a-time encode/decode for the cluster-coloring schema.
 //!
-//! The sharded runtime ([`lad_runtime::run_sharded_memo_fallible`]) is
-//! schema-agnostic; this module binds it to the paper's Δ-coloring
+//! The sharded driver ([`lad_runtime::run_sharded_stream_memo_fallible`])
+//! is schema-agnostic; this module binds it to the paper's Δ-coloring
 //! pipeline so instances too large for one address space can be encoded
 //! and decoded with a bounded resident set.
 //!
@@ -9,11 +9,13 @@
 //!
 //! [`ClusterColoringSchema::decode_sharded`] runs the exact ladder step of
 //! [`crate::AdviceSchema::decode`] (both call the shared
-//! `ClusterColoringSchema::memo_step`) through the sharded driver, so
-//! outputs, [`RoundStats`], and first-error payloads are bit-identical to
-//! the monolithic path whenever the halo is deep enough, and a ladder that
+//! `ClusterColoringSchema::memo_step`) through the driver's
+//! resident-network provider ([`lad_runtime::run_sharded_memo_fallible`]),
+//! so outputs, [`RoundStats`], and first-error payloads are bit-identical
+//! to the monolithic path whenever the halo is deep enough. A ladder that
 //! outgrows the halo surfaces as a typed [`DecodeError::Inconsistent`]
-//! instead of silently decoding from truncated views.
+//! instead of silently decoding from truncated views, and failed spill
+//! scratch as [`DecodeError::Spill`].
 //!
 //! # Encode
 //!
@@ -58,7 +60,13 @@ impl ClusterColoringSchema {
     /// # Errors
     ///
     /// Everything [`crate::AdviceSchema::decode`] can return, plus the
-    /// halo-depth inconsistency above.
+    /// halo-depth inconsistency above and [`DecodeError::Spill`] when the
+    /// spill scratch fails (`opts.resident` below the shard count).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the partition does not match the graph, or
+    /// `opts.schedule` is not a permutation of the shard ids.
     pub fn decode_sharded(
         &self,
         net: &Network,
@@ -103,9 +111,10 @@ impl ClusterColoringSchema {
     ///
     /// # Panics
     ///
-    /// Panics if the partition does not match the graph or
+    /// Panics if the partition does not match the graph,
     /// `opts.halo_radius < cluster_spacing` (shallower halos cannot prove
-    /// the per-shard assignment exact).
+    /// the per-shard assignment exact), or `opts.schedule` is not a
+    /// permutation of the shard ids ([`ShardOpts::schedule_for`]).
     pub fn encode_sharded(
         &self,
         net: &Network,
@@ -132,15 +141,11 @@ impl ClusterColoringSchema {
         for &c in &centers {
             is_center[c.index()] = true;
         }
-        let schedule: Vec<usize> = match &opts.schedule {
-            Some(s) => s.clone(),
-            None => (0..part.k()).collect(),
-        };
         // Interior sets partition the nodes, so per-shard writes are
         // disjoint and the assignment is schedule-invariant.
         let mut cluster_of: Vec<NodeId> = vec![NodeId::from_index(0); g.n()];
         let mut frontier = BitFrontier::new(g.n());
-        for &s in &schedule {
+        for s in opts.schedule_for(part.k()) {
             let view = ShardView::build(g, part, s, opts.halo_radius, &mut frontier);
             let local_centers: Vec<NodeId> = (0..view.members.len())
                 .map(NodeId::from_index)
@@ -246,6 +251,49 @@ mod tests {
                 .encode_sharded(&net, &part, &opts)
                 .expect("bfs-grown sharded encode");
             assert_eq!(got, want, "bfs-grown, permuted schedule");
+        }
+    }
+
+    #[test]
+    fn encoder_and_decoder_reject_bad_schedules_alike() {
+        let schema = ClusterColoringSchema::default();
+        let net = default_net(generators::cycle(90));
+        let advice = schema.encode(&net).expect("encode");
+        let part = Partition::contiguous(90, 3);
+        // Too short, a repeat, and a single shard three times: each would
+        // leave a shard's nodes unassigned.
+        for schedule in [vec![0, 1], vec![0, 0, 1], vec![2, 2, 2]] {
+            let opts = ShardOpts::new(schema.cluster_spacing).schedule(schedule.clone());
+            let encoded = std::panic::catch_unwind(|| schema.encode_sharded(&net, &part, &opts))
+                .map(|_| ())
+                .expect_err("encode accepted a bad schedule");
+            let decoded =
+                std::panic::catch_unwind(|| schema.decode_sharded(&net, &advice, &part, &opts))
+                    .map(|_| ())
+                    .expect_err("decode accepted a bad schedule");
+            let encode_msg = encoded.downcast_ref::<String>();
+            assert!(encode_msg.is_some(), "{schedule:?}");
+            assert_eq!(encode_msg, decoded.downcast_ref::<String>(), "{schedule:?}");
+        }
+    }
+
+    #[test]
+    fn unusable_spill_scratch_is_a_typed_error() {
+        let schema = ClusterColoringSchema::default();
+        let net = default_net(generators::cycle(120));
+        let advice = schema.encode(&net).expect("encode");
+        let want = schema.decode(&net, &advice).expect("monolithic decode");
+        let file = std::env::temp_dir().join(format!("lad-spill-file-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").expect("write scratch file");
+        let part = Partition::contiguous(120, 4);
+        let opts = ShardOpts::new(want.1.rounds() + 1)
+            .resident(2)
+            .spill_dir(&file);
+        let got = schema.decode_sharded(&net, &advice, &part, &opts);
+        std::fs::remove_file(&file).expect("remove scratch file");
+        match got {
+            Err(DecodeError::Spill(e)) => assert!(e.to_string().contains("spill"), "{e}"),
+            other => panic!("expected a spill error, got {other:?}"),
         }
     }
 

@@ -2,9 +2,11 @@
 //! `rows × cols` wrapped grids **without ever materializing the global
 //! graph, network, or advice map**.
 //!
-//! The sharded drivers bound the *decode* working set but still slice a
-//! resident [`Network`]; at `n = 10⁷` the graph's CSR plus per-node
-//! advice strings alone exceed any sensible budget. This module closes
+//! The sharded driver's resident-network provider
+//! ([`lad_runtime::run_sharded_memo_fallible`]) bounds the *decode*
+//! working set but still slices a resident [`Network`]; at `n = 10⁷` the
+//! graph's CSR plus per-node advice strings alone exceed any sensible
+//! budget. This module closes
 //! the loop for one concrete family — the torus, whose row-banded
 //! contiguous partition has an *exact* halo (a radius-`r` ball reaches
 //! rows at distance ≤ `r`, full stop) — by generating each shard's slice
@@ -16,8 +18,9 @@
 //!   resulting [`TorusAdvice`] is bit-identical (as an [`AdviceMap`]) to
 //!   [`crate::AdviceSchema::encode`] on the materialized torus — pinned by
 //!   tests below.
-//! * **Decode** feeds slices into
-//!   [`lad_runtime::run_sharded_stream_memo_fallible`] through the same
+//! * **Decode** is a provider for the one sharded driver,
+//!   [`lad_runtime::run_sharded_stream_memo_fallible`]: it feeds it
+//!   slices built from the grid geometry and decodes them through the same
 //!   ladder step as the monolithic decoder, then checks properness by
 //!   streaming the edge list, so outputs and [`RoundStats`] match
 //!   [`crate::AdviceSchema::decode`] exactly.
@@ -409,11 +412,13 @@ pub fn torus_stream_encode(
 /// # Errors
 ///
 /// Everything [`crate::AdviceSchema::decode`] can return, plus the
-/// halo-depth inconsistency above.
+/// halo-depth inconsistency above and [`DecodeError::Spill`] when the
+/// spill scratch fails.
 ///
 /// # Panics
 ///
-/// Panics if `k` is not in `1..=rows` or `opts.halo_radius == 0`.
+/// Panics if `k` is not in `1..=rows`, `opts.halo_radius == 0`, or
+/// `opts.schedule` is not a permutation of the shard ids.
 pub fn torus_stream_decode(
     schema: &ClusterColoringSchema,
     advice: &TorusAdvice,

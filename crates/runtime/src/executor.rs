@@ -14,7 +14,7 @@
 //! | [`run_local_par`] | worker-local scratch + memo | contiguous chunks across threads |
 //! | [`run_local_par_cached`] | shared [`ViewCache`] | contiguous chunks across threads |
 //! | [`run_local_memo`] | shared shell sweep per 64-center tile, decode once per canonical class | BFS tile order |
-//! | [`run_local_memo_par`] | per-worker shell engines + class memos, replay-merged | contiguous chunks across threads |
+//! | [`run_local_memo_fallible_par`] | per-worker shell engines + class memos, replay-merged | contiguous chunks across threads |
 //!
 //! (`run_local_fallible*` variants propagate the first per-node error in
 //! node-index order — also independent of the schedule.)
@@ -38,9 +38,11 @@ use crate::canonical::{key_of_members, CanonScratch, CanonicalKey};
 use crate::ctx::NodeCtx;
 use crate::lookup::NotOrderInvariant;
 use crate::network::Network;
+use crate::shard::{MemoMerge, ShardMemo, ShardRun};
 use crate::shell::ShellEngine;
 use lad_graph::frontier::TILE_WIDTH;
 use lad_graph::{Graph, NodeId};
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -1159,6 +1161,112 @@ pub(crate) fn memo_first_error<In: Clone, Out, E: From<NotOrderInvariant>>(
     }
 }
 
+/// What one [`memo_pass`] hands back: its slots, its sealed class memo,
+/// and the conflict that stopped it, if any.
+pub(crate) struct MemoPass<Out> {
+    pub(crate) run: ShardRun<Out>,
+    pub(crate) memo: ShardMemo<Out>,
+    pub(crate) conflict: Option<NotOrderInvariant>,
+}
+
+/// The one memo tile loop every memoized decode runs: the ladders of
+/// `centers`, in order and in tiles of [`TILE_WIDTH`], against a fresh
+/// class memo and shell engine. Output and radius slots cover the node
+/// range `slots` (indexed from its start). The pass stops at the first
+/// conflict, or after the first tile for which `halted` returns true.
+///
+/// A monolithic decode is one pass over every node in BFS order, a
+/// parallel one a pass per contiguous chunk, and a shard one pass over
+/// its interior nodes.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn memo_pass<In: Clone, Out: Clone + PartialEq, E>(
+    net: &Network<In>,
+    centers: &[NodeId],
+    slots: Range<usize>,
+    initial_radius: usize,
+    input_tag: &impl Fn(&In, &mut Vec<u64>),
+    step: &impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E>,
+    halted: impl Fn() -> bool,
+) -> MemoPass<Out> {
+    let mut run = ShardRun {
+        outs: std::iter::repeat_with(|| None).take(slots.len()).collect(),
+        per_node: vec![0; slots.len()],
+        failed: Vec::new(),
+        stats: MemoStats::default(),
+    };
+    let mut memo: ClassMemo<Out> = ClassMemo::default();
+    let mut engine = ShellEngine::new(net, input_tag);
+    let mut conflict = None;
+    for tile in centers.chunks(TILE_WIDTH) {
+        if let Err(c) = memo_run_tile(
+            net,
+            tile,
+            slots.start,
+            initial_radius,
+            input_tag,
+            step,
+            &mut memo,
+            &mut engine,
+            &mut run.stats,
+            &mut run.failed,
+            &mut run.outs,
+            &mut run.per_node,
+            None,
+        ) {
+            conflict = Some(c);
+            break;
+        }
+        if halted() {
+            break;
+        }
+    }
+    MemoPass {
+        run,
+        memo: ShardMemo { memo },
+        conflict,
+    }
+}
+
+/// Ends a memo decode whose slots cover every node: the smallest-index
+/// failed node's own error, replayed on the network `replay_net` returns
+/// ([`memo_first_error`]), or else every node's output.
+pub(crate) fn memo_finish<In, Out, E, N>(
+    run: ShardRun<Out>,
+    replay_net: impl FnOnce() -> N,
+    initial_radius: usize,
+    input_tag: &impl Fn(&In, &mut Vec<u64>),
+    step: &impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E>,
+) -> Result<(Vec<Out>, RoundStats), E>
+where
+    In: Clone,
+    E: From<NotOrderInvariant>,
+    N: Borrow<Network<In>>,
+{
+    let n = run.outs.len();
+    if let Some(&i) = run.failed.iter().min() {
+        let net = replay_net();
+        let net = net.borrow();
+        assert_eq!(net.graph().n(), n, "replay network covers the instance");
+        let mut scratch = Scratch::new(n);
+        let mut cscratch = CanonScratch::new();
+        return Err(memo_first_error(
+            net,
+            NodeId::from_index(i),
+            initial_radius,
+            input_tag,
+            step,
+            &mut scratch,
+            &mut cscratch,
+        ));
+    }
+    let outs = run
+        .outs
+        .into_iter()
+        .map(|o| o.expect("a run without failures fills every node's slot"))
+        .collect();
+    Ok((outs, RoundStats::from_per_node(run.per_node)))
+}
+
 fn run_memo_seq<In: Clone, Out: Clone + PartialEq, E: From<NotOrderInvariant>>(
     net: &Network<In>,
     initial_radius: usize,
@@ -1166,66 +1274,22 @@ fn run_memo_seq<In: Clone, Out: Clone + PartialEq, E: From<NotOrderInvariant>>(
     step: impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E>,
 ) -> Result<(Vec<Out>, RoundStats), E> {
     let g = net.graph();
-    let n = g.n();
-    let mut stats = MemoStats::default();
-    let mut memo: ClassMemo<Out> = ClassMemo::default();
-    let mut engine = ShellEngine::new(net, &input_tag);
-    let mut outs: Vec<Option<Out>> = std::iter::repeat_with(|| None).take(n).collect();
-    let mut per_node = vec![0usize; n];
-    let mut failed: Vec<usize> = Vec::new();
     // BFS visit order keeps consecutive tiles spatially coherent, so one
     // shared frontier sweep covers 64 overlapping balls at once.
-    for tile in bfs_visit_order(g).chunks(TILE_WIDTH) {
-        if let Err(conflict) = memo_run_tile(
-            net,
-            tile,
-            0,
-            initial_radius,
-            &input_tag,
-            &step,
-            &mut memo,
-            &mut engine,
-            &mut stats,
-            &mut failed,
-            &mut outs,
-            &mut per_node,
-            None,
-        ) {
-            flush_memo_stats(&stats);
-            return Err(conflict.into());
-        }
+    let pass = memo_pass(
+        net,
+        &bfs_visit_order(g),
+        0..g.n(),
+        initial_radius,
+        &input_tag,
+        &step,
+        || false,
+    );
+    flush_memo_stats(&pass.run.stats);
+    if let Some(c) = pass.conflict {
+        return Err(c.into());
     }
-    flush_memo_stats(&stats);
-    if let Some(&i) = failed.iter().min() {
-        let mut scratch = Scratch::new(n);
-        let mut cscratch = CanonScratch::new();
-        return Err(memo_first_error(
-            net,
-            NodeId::from_index(i),
-            initial_radius,
-            &input_tag,
-            &step,
-            &mut scratch,
-            &mut cscratch,
-        ));
-    }
-    let outs = outs
-        .into_iter()
-        .map(|o| o.expect("non-failing run fills every node"))
-        .collect();
-    Ok((outs, RoundStats { per_node }))
-}
-
-/// What one chunk of [`run_memo_par`] hands back: its class memo and
-/// counters, the nodes whose class failed, its outputs and radii (indexed
-/// from the chunk start), and the conflict that stopped it, if any.
-struct MemoShard<Out> {
-    memo: ClassMemo<Out>,
-    failed: Vec<usize>,
-    stats: MemoStats,
-    conflict: Option<NotOrderInvariant>,
-    outs: Vec<Option<Out>>,
-    per_node: Vec<usize>,
+    memo_finish(pass.run, || net, initial_radius, &input_tag, &step)
 }
 
 fn run_memo_par<In, Out, E>(
@@ -1240,94 +1304,44 @@ where
     Out: Clone + PartialEq + Send,
     E: From<NotOrderInvariant> + Send,
 {
-    let g = net.graph();
-    let n = g.n();
-    // One shard per chunk, replay-merged below in chunk order.
-    let shards = fan_out(chunk_ranges(n, threads), |range| {
-        let mut shard = MemoShard {
-            memo: ClassMemo::default(),
-            failed: Vec::new(),
-            stats: MemoStats::default(),
-            conflict: None,
-            outs: std::iter::repeat_with(|| None).take(range.len()).collect(),
-            per_node: vec![0; range.len()],
-        };
-        let mut engine = ShellEngine::new(net, input_tag);
+    let n = net.graph().n();
+    // One pass per chunk, replay-merged below in chunk order.
+    let passes = fan_out(chunk_ranges(n, threads), |range| {
         let centers: Vec<NodeId> = range.clone().map(NodeId::from_index).collect();
-        for tile in centers.chunks(TILE_WIDTH) {
-            if let Err(c) = memo_run_tile(
-                net,
-                tile,
-                range.start,
-                initial_radius,
-                input_tag,
-                step,
-                &mut shard.memo,
-                &mut engine,
-                &mut shard.stats,
-                &mut shard.failed,
-                &mut shard.outs,
-                &mut shard.per_node,
-                None,
-            ) {
-                shard.conflict = Some(c);
-                break;
-            }
-        }
-        shard
-    });
-    let mut stats = MemoStats::default();
-    for shard in &shards {
-        stats.accumulate(&shard.stats);
-    }
-    flush_memo_stats(&stats);
-    if let Some(c) = shards.iter().find_map(|s| s.conflict.clone()) {
-        return Err(c.into());
-    }
-    // Replay-merge: fold every shard's class memo into one map, in chunk
-    // order. A key two workers resolved differently is exactly a conflict
-    // the sequential safety net would have caught — report it instead of
-    // returning schedule-dependent outputs.
-    let mut merged: KeyHashMap<MemoEntryKind<Out>> = HashMap::default();
-    let mut failed: Vec<usize> = Vec::new();
-    let mut outs: Vec<Option<Out>> = Vec::with_capacity(n);
-    let mut per_node: Vec<usize> = Vec::with_capacity(n);
-    for shard in shards {
-        outs.extend(shard.outs);
-        per_node.extend(shard.per_node);
-        failed.extend(shard.failed);
-        for (key, entry) in shard.memo.into_entries() {
-            match merged.entry(key) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(entry.kind);
-                }
-                std::collections::hash_map::Entry::Occupied(slot) => {
-                    if !memo_kind_eq(slot.get(), &entry.kind) {
-                        let key = slot.key().clone();
-                        return Err(NotOrderInvariant { key }.into());
-                    }
-                }
-            }
-        }
-    }
-    if let Some(&i) = failed.iter().min() {
-        let mut scratch = Scratch::new(n);
-        let mut cscratch = CanonScratch::new();
-        return Err(memo_first_error(
+        memo_pass(
             net,
-            NodeId::from_index(i),
+            &centers,
+            range,
             initial_radius,
             input_tag,
             step,
-            &mut scratch,
-            &mut cscratch,
-        ));
+            || false,
+        )
+    });
+    let mut run = ShardRun {
+        outs: Vec::with_capacity(n),
+        per_node: Vec::with_capacity(n),
+        failed: Vec::new(),
+        stats: MemoStats::default(),
+    };
+    for pass in &passes {
+        run.stats.accumulate(&pass.run.stats);
     }
-    let outs = outs
-        .into_iter()
-        .map(|o| o.expect("non-failing run fills every node"))
-        .collect();
-    Ok((outs, RoundStats { per_node }))
+    flush_memo_stats(&run.stats);
+    if let Some(c) = passes.iter().find_map(|p| p.conflict.clone()) {
+        return Err(c.into());
+    }
+    // A key two workers resolved differently is exactly a conflict the
+    // sequential safety net would have caught — report it instead of
+    // returning schedule-dependent outputs.
+    let mut merge = MemoMerge::new();
+    for pass in passes {
+        run.outs.extend(pass.run.outs);
+        run.per_node.extend(pass.run.per_node);
+        run.failed.extend(pass.run.failed);
+        merge.absorb(pass.memo)?;
+    }
+    memo_finish(run, || net, initial_radius, input_tag, step)
 }
 
 /// Memoized executor for **order-invariant** adaptive-radius algorithms:
@@ -1390,36 +1404,9 @@ pub fn run_local_memo_fallible<In: Clone, Out: Clone + PartialEq, E: From<NotOrd
     run_memo_seq(net, initial_radius, input_tag, step)
 }
 
-/// Parallel [`run_local_memo`]: contiguous node chunks across
-/// [`effective_parallelism`] workers, one class memo per worker, merged
-/// after the join ([`run_local_memo_par_with`] for details).
-///
-/// # Errors
-///
-/// [`NotOrderInvariant`] if two isomorphic views produced different step
-/// results.
-pub fn run_local_memo_par<In, Out>(
-    net: &Network<In>,
-    initial_radius: usize,
-    input_tag: impl Fn(&In, &mut Vec<u64>) + Sync,
-    step: impl Fn(&Ball<In>) -> MemoStep<Out> + Sync,
-) -> Result<(Vec<Out>, RoundStats), NotOrderInvariant>
-where
-    In: Clone + Send + Sync,
-    Out: Clone + PartialEq + Send,
-{
-    run_local_memo_par_with(
-        net,
-        effective_parallelism(net.graph().n()),
-        initial_radius,
-        input_tag,
-        step,
-    )
-}
-
-/// [`run_local_memo_par`] with an explicit worker count. Workers keep
+/// Parallel [`run_local_memo`] with an explicit worker count. Workers keep
 /// *independent* class memos over contiguous node ranges (no shared-map
-/// contention); after the join the shards are replay-merged and any key
+/// contention); after the join the chunks are replay-merged and any key
 /// two workers resolved differently aborts with [`NotOrderInvariant`].
 /// For an order-invariant step the outputs are bit-identical to the
 /// sequential run for every `threads` value.

@@ -95,8 +95,8 @@ pub use executor::{
     run_local_cached, run_local_fallible, run_local_fallible_cached, run_local_fallible_par,
     run_local_fallible_par_cached, run_local_fallible_par_with, run_local_memo,
     run_local_memo_fallible, run_local_memo_fallible_par, run_local_memo_fallible_par_with,
-    run_local_memo_par, run_local_memo_par_with, run_local_par, run_local_par_cached,
-    run_local_par_with, set_thread_override, MemoStats, MemoStep, RoundStats,
+    run_local_memo_par_with, run_local_par, run_local_par_cached, run_local_par_with,
+    set_thread_override, MemoStats, MemoStep, RoundStats,
 };
 pub use gather::{run_gathered, run_gathered_robust, GatherError, GatherReport, NodeRecord};
 pub use lookup::{LookupTable, NotOrderInvariant};
@@ -109,10 +109,9 @@ pub use plan::{
     forced_path, plan_decode, probe_stride, set_force_path, Calibration, ExecPath, PlanDecision,
 };
 pub use shard::{
-    run_shard_memo_fallible, run_shard_plain_fallible, run_sharded_fallible,
-    run_sharded_memo_fallible, run_sharded_stream_memo_fallible, shard_network, spill_stats,
-    spill_stats_reset, view_spill, view_unspill, HaloExceeded, MemoMerge, ShardMemo, ShardOpts,
-    ShardRun, ShardSlice, ShardTrafficStats, ShardedTransport, SpillKind, SpillStats, SpillStore,
+    run_shard_memo_fallible, run_sharded_memo_fallible, run_sharded_stream_memo_fallible,
+    spill_stats, spill_stats_reset, HaloExceeded, MemoMerge, ShardMemo, ShardOpts, ShardRun,
+    ShardSlice, ShardTrafficStats, ShardedTransport, SpillError, SpillKind, SpillStats, SpillStore,
     Spillable,
 };
 pub use shell::{fold_key_words, shell_class_keys, shell_class_keys_at_radii};

@@ -1,12 +1,21 @@
 //! Shard-at-a-time execution on a bounded resident set.
 //!
 //! Every other executor in this crate assumes the whole instance fits in
-//! one address space. This module removes that assumption: the graph is
-//! cut into `K` shards by a [`Partition`], each shard is materialized as a
-//! [`ShardView`] (its interior nodes plus a radius-`T` halo), and the
-//! driver decodes shards one wave at a time with at most `R` views
-//! resident, spilling evicted state (views and memo-class tables) to a
-//! versioned on-disk scratch format ([`SpillStore`]).
+//! one address space. This module removes that assumption: the nodes are
+//! split into `K` shards, each shard decodes from a [`ShardSlice`] (its
+//! interior nodes plus a radius-`T` halo, as a local network), and one
+//! driver, [`run_sharded_stream_memo_fallible`], decodes the slices one
+//! wave at a time with at most `R` of them alive, spilling sealed
+//! memo-class tables to a versioned on-disk scratch format
+//! ([`SpillStore`]).
+//!
+//! The driver asks a provider closure for each slice, exactly once per
+//! shard and in schedule order. [`run_sharded_memo_fallible`] is the
+//! provider for a resident [`Network`] cut by a [`Partition`]: it builds
+//! each shard's [`ShardView`] when the shard's wave starts, so a shard
+//! outside the current wave costs nothing, in memory or on disk.
+//! Instances too large to hold at all supply slices generated from the
+//! graph family instead (`lad_core::torus_stream`).
 //!
 //! # Why shard-local replay is sound
 //!
@@ -32,9 +41,9 @@
 //!
 //! Each shard decodes with a fresh class memo (fingerprints are engine-
 //! local, so tables cannot be shared while hot). Afterward the tables are
-//! replay-merged in schedule order under the same discipline as the
-//! parallel executor's private-shard merge: two shards resolving one
-//! canonical class differently is exactly a [`NotOrderInvariant`] and
+//! replay-merged in schedule order by [`MemoMerge`], the same merge the
+//! parallel executor runs over its per-chunk memos: two shards resolving
+//! one canonical class differently is exactly a [`NotOrderInvariant`] and
 //! aborts the run instead of returning schedule-dependent outputs.
 //! First-error behavior also matches the single-address-space executors:
 //! failed nodes are collected globally and the smallest-index one replays
@@ -43,11 +52,15 @@
 //!
 //! # Spill format
 //!
-//! One file per spilled section, little-endian `u64` words behind an
-//! 8-byte magic (`LADSPILL`), a format version, a section kind tag, and
-//! the owning shard id. Loads validate all four and fail loudly on
-//! mismatch, so a stale or foreign scratch directory can never be decoded
-//! into wrong answers. This is the first slice of the roadmap's persistent
+//! When `R < K`, every sealed memo table takes a round trip through one
+//! spill file per shard before it merges: little-endian `u64` words
+//! behind an 8-byte magic (`LADSPILL`), a format version, a section kind
+//! tag, and the owning shard id. Loads validate all four and fail loudly
+//! on mismatch, so a stale or foreign scratch directory can never be
+//! decoded into wrong answers. A scratch directory that will not open, a
+//! table that will not save or load, and a loaded table that does not
+//! parse each stop the run with a typed [`SpillError`], never a panic.
+//! This is the first slice of the roadmap's persistent
 //! class store: memo tables round-trip through the same encoding
 //! ([`ShardMemo::into_words`] / [`MemoMerge::absorb_words`]).
 //!
@@ -62,20 +75,18 @@
 //! cannot observe. Fault plans therefore compose unchanged.
 
 use crate::ball::{Ball, BallMembers, Scratch};
-use crate::canonical::{CanonScratch, CanonicalKey};
+use crate::canonical::CanonicalKey;
 use crate::executor::{
-    bfs_visit_order, flush_memo_stats, memo_first_error, memo_kind_eq, memo_run_tile, par_map,
-    ClassMemo, KeyHashMap, MemoEntry, MemoEntryKind, MemoStats, MemoStep, RoundStats,
+    bfs_visit_order, flush_memo_stats, memo_finish, memo_kind_eq, memo_pass, par_map, ClassMemo,
+    KeyHashMap, MemoEntry, MemoEntryKind, MemoStats, MemoStep, RoundStats,
 };
 use crate::lookup::NotOrderInvariant;
 use crate::network::Network;
 use crate::plan::{plan_decode, ExecPath};
-use crate::shell::ShellEngine;
 use crate::transport::{FaultStats, Transport};
-use lad_graph::frontier::TILE_WIDTH;
 use lad_graph::{BitFrontier, Graph, IdAssignment, NodeId, Partition, ShardView};
+use std::borrow::Borrow;
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -118,6 +129,43 @@ impl fmt::Display for HaloExceeded {
 }
 
 impl std::error::Error for HaloExceeded {}
+
+/// The sharded driver could not use its spill scratch: the directory did
+/// not open, a memo table did not save or load, or a loaded table did
+/// not parse. The run stops there; nothing from a failed scratch is ever
+/// decoded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpillError {
+    /// The underlying I/O error's kind (`InvalidData` for a table that
+    /// did not parse).
+    pub kind: io::ErrorKind,
+    /// What the driver was doing, and the underlying error.
+    pub reason: String,
+}
+
+impl SpillError {
+    fn io(doing: String, e: io::Error) -> SpillError {
+        SpillError {
+            kind: e.kind(),
+            reason: format!("{doing}: {e}"),
+        }
+    }
+
+    fn corrupt_table() -> SpillError {
+        SpillError {
+            kind: io::ErrorKind::InvalidData,
+            reason: "spilled memo table does not parse".into(),
+        }
+    }
+}
+
+impl fmt::Display for SpillError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "spill scratch failed: {}", self.reason)
+    }
+}
+
+impl std::error::Error for SpillError {}
 
 // ---------------------------------------------------------------------------
 // Spill accounting
@@ -270,28 +318,20 @@ pub const SPILL_VERSION: u32 = 2;
 /// Which section of shard state a spill file holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpillKind {
-    /// A serialized [`ShardView`] (members, interior flags, local CSR).
-    View,
     /// A shard's memo-class table (canonical keys and verdicts).
     Memo,
-    /// A shard's decoded output section.
-    Outputs,
 }
 
 impl SpillKind {
     fn tag(self) -> u32 {
         match self {
-            SpillKind::View => 1,
             SpillKind::Memo => 2,
-            SpillKind::Outputs => 3,
         }
     }
 
     fn name(self) -> &'static str {
         match self {
-            SpillKind::View => "view",
             SpillKind::Memo => "memo",
-            SpillKind::Outputs => "outs",
         }
     }
 }
@@ -425,93 +465,13 @@ impl Drop for SpillStore {
     }
 }
 
-/// Serializes a [`ShardView`] to spill words (the shard id lives in the
-/// file header, not the payload).
-pub fn view_spill(view: &ShardView) -> Vec<u64> {
-    let nm = view.members.len();
-    let mut words = Vec::with_capacity(3 + nm + nm.div_ceil(64) + view.graph.m());
-    words.push(view.halo_radius as u64);
-    words.push(nm as u64);
-    for &v in &view.members {
-        words.push(v.index() as u64);
-    }
-    let mut packed = vec![0u64; nm.div_ceil(64)];
-    for (i, &int) in view.interior.iter().enumerate() {
-        if int {
-            packed[i / 64] |= 1u64 << (i % 64);
-        }
-    }
-    words.extend_from_slice(&packed);
-    words.push(view.graph.m() as u64);
-    for li in 0..nm {
-        let v = NodeId::from_index(li);
-        for &u in view.graph.neighbors(v) {
-            if u > v {
-                words.push(((li as u64) << 32) | u.index() as u64);
-            }
-        }
-    }
-    words
-}
-
-/// Reconstructs a [`ShardView`] from spill words.
-pub fn view_unspill(shard: usize, words: &[u64]) -> io::Result<ShardView> {
-    fn bad(msg: &str) -> io::Error {
-        io::Error::new(io::ErrorKind::InvalidData, format!("spilled view: {msg}"))
-    }
-    fn next(it: &mut std::iter::Copied<std::slice::Iter<'_, u64>>) -> io::Result<u64> {
-        it.next().ok_or_else(|| bad("truncated"))
-    }
-    let mut it = words.iter().copied();
-    let halo_radius = next(&mut it)? as usize;
-    let nm = next(&mut it)? as usize;
-    if nm > words.len() {
-        return Err(bad("member count exceeds payload"));
-    }
-    let mut members = Vec::with_capacity(nm);
-    for _ in 0..nm {
-        members.push(NodeId::from_index(next(&mut it)? as usize));
-    }
-    let mut interior_words = Vec::with_capacity(nm.div_ceil(64));
-    for _ in 0..nm.div_ceil(64) {
-        interior_words.push(next(&mut it)?);
-    }
-    let interior: Vec<bool> = (0..nm)
-        .map(|i| interior_words[i / 64] >> (i % 64) & 1 == 1)
-        .collect();
-    let m = next(&mut it)? as usize;
-    if m > words.len() {
-        return Err(bad("edge count exceeds payload"));
-    }
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
-        let w = next(&mut it)?;
-        let (a, b) = ((w >> 32) as usize, (w & 0xffff_ffff) as usize);
-        if a >= nm || b >= nm {
-            return Err(bad("edge endpoint out of range"));
-        }
-        edges.push((NodeId::from_index(a), NodeId::from_index(b)));
-    }
-    if it.next().is_some() {
-        return Err(bad("trailing words"));
-    }
-    let graph = lad_graph::builder::from_sorted_edges(nm, edges);
-    Ok(ShardView {
-        shard,
-        halo_radius,
-        members,
-        interior,
-        graph,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Per-shard memo tables and the cross-shard merge
 // ---------------------------------------------------------------------------
 
 /// One shard's sealed memo-class table, ready to merge or spill.
 pub struct ShardMemo<Out> {
-    memo: ClassMemo<Out>,
+    pub(crate) memo: ClassMemo<Out>,
 }
 
 impl<Out> ShardMemo<Out> {
@@ -557,11 +517,11 @@ impl<Out: Spillable> ShardMemo<Out> {
 
 /// Accumulates per-shard memo tables, detecting cross-shard conflicts.
 ///
-/// Same discipline as the parallel executor's private-shard merge: the
-/// first key two shards resolved differently aborts with
-/// [`NotOrderInvariant`] instead of letting outputs depend on the shard
-/// schedule. Which conflict is *reported* follows absorb order, so the
-/// driver absorbs in schedule order deterministically.
+/// The sharded driver and the parallel memo executor (over its per-chunk
+/// memos) both merge through this: the first key two tables resolved
+/// differently aborts with [`NotOrderInvariant`] instead of letting
+/// outputs depend on the shard schedule. Which conflict is *reported*
+/// follows absorb order, so callers absorb in schedule (or chunk) order.
 pub struct MemoMerge<Out> {
     map: KeyHashMap<MemoEntryKind<Out>>,
 }
@@ -614,34 +574,40 @@ impl<Out: Spillable + PartialEq> MemoMerge<Out> {
     /// Folds in a table previously serialized by [`ShardMemo::into_words`]
     /// (typically read back through a [`SpillStore`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on malformed words — the store already validated the file
-    /// header, so a bad payload means scratch corruption, not user error.
-    pub fn absorb_words(&mut self, words: &[u64]) -> Result<(), NotOrderInvariant> {
-        fn corrupt() -> ! {
-            panic!("corrupt spilled memo table")
-        }
+    /// A [`SpillError`] when the words do not parse as a table (the store
+    /// validated the file, so this means scratch corruption; the entries
+    /// before the bad word are already merged), or a [`NotOrderInvariant`]
+    /// conflict with an earlier table.
+    pub fn absorb_words<E>(&mut self, words: &[u64]) -> Result<(), E>
+    where
+        E: From<NotOrderInvariant> + From<SpillError>,
+    {
         let mut it = words.iter();
-        let n = *it.next().unwrap_or_else(|| corrupt()) as usize;
+        let n = *it.next().ok_or_else(SpillError::corrupt_table)? as usize;
         for _ in 0..n {
-            let klen = *it.next().unwrap_or_else(|| corrupt()) as usize;
+            let klen = *it.next().ok_or_else(SpillError::corrupt_table)? as usize;
             let rest = it.as_slice();
             if klen > rest.len() {
-                corrupt();
+                return Err(SpillError::corrupt_table().into());
             }
             let key = CanonicalKey::from_word_slice(&rest[..klen]);
             it = rest[klen..].iter();
-            let kind = match it.next().unwrap_or_else(|| corrupt()) {
-                0 => MemoEntryKind::Done(Out::unspill(&mut it).unwrap_or_else(|| corrupt())),
-                1 => MemoEntryKind::Expand(*it.next().unwrap_or_else(|| corrupt()) as usize),
+            let kind = match it.next().ok_or_else(SpillError::corrupt_table)? {
+                0 => MemoEntryKind::Done(
+                    Out::unspill(&mut it).ok_or_else(SpillError::corrupt_table)?,
+                ),
+                1 => {
+                    MemoEntryKind::Expand(*it.next().ok_or_else(SpillError::corrupt_table)? as usize)
+                }
                 2 => MemoEntryKind::Failed,
-                _ => corrupt(),
+                _ => return Err(SpillError::corrupt_table().into()),
             };
             self.insert(key, kind)?;
         }
         if it.next().is_some() {
-            corrupt();
+            return Err(SpillError::corrupt_table().into());
         }
         Ok(())
     }
@@ -657,7 +623,9 @@ impl<Out: PartialEq> Default for MemoMerge<Out> {
 // Per-shard runners
 // ---------------------------------------------------------------------------
 
-/// What one shard's pass produced, in local ids.
+/// What one shard's pass produced, in local ids. The sharded driver and
+/// the monolithic memo executors collect whole runs in the same shape,
+/// indexed by global node id.
 pub struct ShardRun<Out> {
     /// Per local node: the decoded output (interior nodes only; halo and
     /// failed slots stay `None`).
@@ -709,7 +677,7 @@ where
     }
     // The cap is checked inside the step wrapper so memo hits, misses, and
     // verification all see it; the violation is recorded on the side and
-    // the run aborts after the tile, before this shard's memo can merge.
+    // the pass halts after the tile, before this shard's memo can merge.
     let exceeded: Cell<Option<usize>> = Cell::new(None);
     let capped = |ball: &Ball<In>| -> Result<MemoStep<Out>, E> {
         let res = step(ball);
@@ -721,48 +689,26 @@ where
         }
         res
     };
-    let mut stats = MemoStats::default();
-    let mut memo: ClassMemo<Out> = ClassMemo::default();
-    let mut engine = ShellEngine::new(local_net, input_tag);
-    let mut outs: Vec<Option<Out>> = std::iter::repeat_with(|| None).take(n).collect();
-    let mut per_node = vec![0usize; n];
-    let mut failed: Vec<usize> = Vec::new();
     let order: Vec<NodeId> = bfs_visit_order(g)
         .into_iter()
         .filter(|v| interior[v.index()])
         .collect();
-    for tile in order.chunks(TILE_WIDTH) {
-        let tiled = memo_run_tile(
-            local_net,
-            tile,
-            0,
-            initial_radius,
-            input_tag,
-            &capped,
-            &mut memo,
-            &mut engine,
-            &mut stats,
-            &mut failed,
-            &mut outs,
-            &mut per_node,
-            None,
-        );
-        if let Some(requested) = exceeded.get() {
-            return Err(halo_err(requested).into());
-        }
-        if let Err(conflict) = tiled {
-            return Err(conflict.into());
-        }
+    let pass = memo_pass(
+        local_net,
+        &order,
+        0..n,
+        initial_radius,
+        input_tag,
+        &capped,
+        || exceeded.get().is_some(),
+    );
+    if let Some(requested) = exceeded.get() {
+        return Err(halo_err(requested).into());
     }
-    Ok((
-        ShardRun {
-            outs,
-            per_node,
-            failed,
-            stats,
-        },
-        ShardMemo { memo },
-    ))
+    if let Some(conflict) = pass.conflict {
+        return Err(conflict.into());
+    }
+    Ok((pass.run, pass.memo))
 }
 
 /// Runs the plain (unmemoized) ladder over one shard's local network —
@@ -770,7 +716,7 @@ where
 /// classes to pay for keying. Same cap discipline as
 /// [`run_shard_memo_fallible`], same output/radius semantics, no memo
 /// table.
-pub fn run_shard_plain_fallible<In: Clone, Out, E: From<HaloExceeded>>(
+fn run_shard_plain_fallible<In: Clone, Out, E: From<HaloExceeded>>(
     local_net: &Network<In>,
     interior: &[bool],
     shard: usize,
@@ -833,43 +779,19 @@ pub fn run_shard_plain_fallible<In: Clone, Out, E: From<HaloExceeded>>(
     })
 }
 
-/// Replays one node's plain ladder on the full network to regenerate its
-/// exact error (payloads address the node, so the shard-local error —
-/// phrased in local ids — cannot be returned).
-fn plain_first_error<In: Clone, Out, E>(
-    net: &Network<In>,
-    v: NodeId,
-    initial_radius: usize,
-    step: &impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E>,
-) -> E {
-    let g = net.graph();
-    let mut scratch = Scratch::new(g.n());
-    let mut members = BallMembers::gather(g, v, initial_radius, &mut scratch);
-    loop {
-        let ball = members.build_current(net, &mut scratch);
-        match step(&ball) {
-            Err(e) => return e,
-            Ok(MemoStep::Expand(r)) if r > members.radius() => members.expand(g, r, &mut scratch),
-            Ok(_) => unreachable!(
-                "sharded replay diverged: a node that failed in its shard succeeded on the \
-                 full graph (impure step?)"
-            ),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// The sharded drivers
+// The sharded driver and its resident-network provider
 // ---------------------------------------------------------------------------
 
-/// Configuration for the sharded drivers.
+/// Configuration for the sharded driver.
 #[derive(Debug, Clone)]
 pub struct ShardOpts {
     /// Halo depth `T` the views are built with; the decode ladder may use
     /// radii up to `T − 1` on truncated shards. Must be ≥ 1.
     pub halo_radius: usize,
-    /// Maximum shard views resident at once (`R`); evicted views spill to
-    /// the scratch store. Clamped to ≥ 1. Defaults to "all resident".
+    /// Maximum shard slices alive at once (`R`); while `R < K`, sealed
+    /// memo tables round-trip through the scratch store. Clamped to ≥ 1.
+    /// Defaults to "all resident".
     pub resident: usize,
     /// Shard processing order; `None` means `0..k`. Must be a permutation
     /// of the shard ids — outputs are schedule-invariant either way.
@@ -897,7 +819,7 @@ impl ShardOpts {
         }
     }
 
-    /// Caps the number of resident shard views.
+    /// Caps the number of resident shard slices.
     pub fn resident(mut self, r: usize) -> Self {
         self.resident = r;
         self
@@ -920,6 +842,22 @@ impl ShardOpts {
         self.plan_schema = Some(schema.into());
         self
     }
+
+    /// The order in which `k` shards are processed: the explicit schedule,
+    /// or `0..k`. The sharded driver and `lad_core`'s sharded encoder both
+    /// take their order from here, so both reject a bad schedule alike.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the schedule is not a permutation of `0..k`.
+    pub fn schedule_for(&self, k: usize) -> Vec<usize> {
+        let schedule = match &self.schedule {
+            Some(s) => s.clone(),
+            None => (0..k).collect(),
+        };
+        check_schedule(&schedule, k);
+        schedule
+    }
 }
 
 fn check_schedule(schedule: &[usize], k: usize) {
@@ -932,51 +870,29 @@ fn check_schedule(schedule: &[usize], k: usize) {
     }
 }
 
-/// A truncated view's ladder cap, or `None` for a complete view.
+/// Memoized sharded execution of a resident network: decodes `net`
+/// shard-at-a-time under `part` with at most `opts.resident` shards in
+/// memory.
 ///
-/// With `halo_radius ≥ 1`, a shard whose members are all interior has no
-/// edge leaving the view (any boundary node would have pulled its exterior
-/// neighbor into the halo), so its local graph is a union of whole
-/// components and balls are exact at every radius.
-fn ladder_cap(view: &ShardView) -> Option<usize> {
-    if view.interior.iter().all(|&b| b) {
-        None
-    } else {
-        Some(view.halo_radius - 1)
-    }
-}
-
-/// Builds the local [`Network`] a shard decodes against: the view's
-/// induced subgraph with the members' global uids and cloned inputs.
-pub fn shard_network<In: Clone>(net: &Network<In>, view: &ShardView) -> Network<In> {
-    let uids: Vec<u64> = view.members.iter().map(|&v| net.uid(v)).collect();
-    let inputs: Vec<In> = view.members.iter().map(|&v| net.input(v).clone()).collect();
-    Network::new(view.graph.clone(), IdAssignment::from_uids(uids), inputs)
-}
-
-struct ShardPass<Out> {
-    shard: usize,
-    run: ShardRun<Out>,
-    memo: Option<ShardMemo<Out>>,
-}
-
-/// Memoized sharded execution: decodes `net` shard-at-a-time under
-/// `part`, with at most `opts.resident` shard views in memory and evicted
-/// state spilled to the scratch store.
-///
-/// Outputs, [`RoundStats`], and first-error choice are bit-identical to
+/// This is the resident-network provider for
+/// [`run_sharded_stream_memo_fallible`]: each shard's [`ShardView`] is
+/// built when its wave starts and moved into a [`ShardSlice`], and
+/// first-error replay runs on `net` itself. Outputs, [`RoundStats`], and
+/// first-error choice are bit-identical to
 /// [`run_local_memo_fallible`](crate::run_local_memo_fallible) (and, for
 /// ladder steps, to `run_local`) whenever the halo is deep enough; a
 /// ladder that outgrows the halo aborts with a typed [`HaloExceeded`]
-/// instead of decoding from truncated views. Shards are processed in
-/// waves of `resident` (rayon-parallel within a wave behind the
-/// `parallel` feature, sequential otherwise); outputs are
+/// instead of decoding from truncated views. Outputs are
 /// schedule-invariant.
+///
+/// # Errors
+///
+/// See [`run_sharded_stream_memo_fallible`].
 ///
 /// # Panics
 ///
 /// Panics if the partition does not match the graph, `halo_radius` is 0,
-/// the schedule is not a permutation, or scratch I/O fails.
+/// or the schedule is not a permutation.
 pub fn run_sharded_memo_fallible<In, Out, E>(
     net: &Network<In>,
     part: &Partition,
@@ -988,257 +904,40 @@ pub fn run_sharded_memo_fallible<In, Out, E>(
 where
     In: Clone + Send + Sync,
     Out: Clone + PartialEq + Spillable + Send,
-    E: From<NotOrderInvariant> + From<HaloExceeded> + Send,
-{
-    // With a store active, each shard's sealed table takes the full spill
-    // round-trip (serialize → disk → parse) before merging, so the
-    // resident set never holds more than one sealed table at a time.
-    let spill_absorb =
-        |st: &SpillStore, shard: usize, memo: ShardMemo<Out>, merge: &mut MemoMerge<Out>| {
-            let words = memo.into_words();
-            st.save(SpillKind::Memo, shard, &words)
-                .expect("spill scratch write failed");
-            let back = st
-                .load(SpillKind::Memo, shard)
-                .expect("spill scratch read failed");
-            merge.absorb_words(&back)
-        };
-    run_sharded_impl(
-        net,
-        part,
-        opts,
-        initial_radius,
-        &input_tag,
-        &step,
-        true,
-        spill_absorb,
-    )
-}
-
-/// Plain (unmemoized) sharded execution: the same bounded-residency
-/// drive as [`run_sharded_memo_fallible`] but every interior node
-/// evaluates its own ladder — the sharded analogue of
-/// [`run_local_fallible`](crate::run_local_fallible) for steps that are
-/// not order-invariant. No memo tables exist, so `Out` needs no
-/// [`Spillable`] bound and cross-shard merge is vacuous.
-pub fn run_sharded_fallible<In, Out, E>(
-    net: &Network<In>,
-    part: &Partition,
-    opts: &ShardOpts,
-    initial_radius: usize,
-    step: impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E> + Sync,
-) -> Result<(Vec<Out>, RoundStats), E>
-where
-    In: Clone + Send + Sync,
-    Out: Clone + PartialEq + Send,
-    E: From<NotOrderInvariant> + From<HaloExceeded> + Send,
-{
-    // Plain path never consults the memo machinery; reuse the driver with
-    // planning disabled and the memo leg switched off (so the spill-absorb
-    // strategy is never called and `Out` needs no `Spillable`).
-    let mut plain_opts = opts.clone();
-    plain_opts.plan_schema = None;
-    run_sharded_impl(
-        net,
-        part,
-        &plain_opts,
-        initial_radius,
-        &|_, _| {},
-        &step,
-        false,
-        |_, _, memo, merge| merge.absorb(memo),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_sharded_impl<In, Out, E>(
-    net: &Network<In>,
-    part: &Partition,
-    opts: &ShardOpts,
-    initial_radius: usize,
-    input_tag: &(impl Fn(&In, &mut Vec<u64>) + Sync),
-    step: &(impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E> + Sync),
-    memoize: bool,
-    spill_absorb: impl Fn(
-        &SpillStore,
-        usize,
-        ShardMemo<Out>,
-        &mut MemoMerge<Out>,
-    ) -> Result<(), NotOrderInvariant>,
-) -> Result<(Vec<Out>, RoundStats), E>
-where
-    In: Clone + Send + Sync,
-    Out: Clone + PartialEq + Send,
-    E: From<NotOrderInvariant> + From<HaloExceeded> + Send,
+    E: From<NotOrderInvariant> + From<HaloExceeded> + From<SpillError> + Send,
 {
     let g = net.graph();
-    let n = g.n();
-    assert_eq!(part.n(), n, "partition does not match the network's graph");
-    assert!(opts.halo_radius >= 1, "halo_radius must be at least 1");
-    let k = part.k();
-    let resident = opts.resident.clamp(1, k.max(1));
-    let schedule: Vec<usize> = match &opts.schedule {
-        Some(s) => s.clone(),
-        None => (0..k).collect(),
-    };
-    check_schedule(&schedule, k);
-    let store: Option<SpillStore> = if resident < k {
-        let st = match &opts.spill_dir {
-            Some(dir) => SpillStore::open(dir),
-            None => SpillStore::temp(),
-        };
-        Some(st.expect("spill scratch directory unavailable"))
-    } else {
-        None
-    };
-
-    // Phase 1: build every view, keeping the first `resident` scheduled
-    // shards in memory and spilling the rest.
-    let mut frontier = BitFrontier::new(n);
-    let mut resident_views: HashMap<usize, ShardView> = HashMap::new();
-    for (i, &s) in schedule.iter().enumerate() {
-        let view = ShardView::build(g, part, s, opts.halo_radius, &mut frontier);
-        if i < resident {
-            resident_views.insert(s, view);
-        } else {
-            let st = store.as_ref().expect("resident < k implies a store");
-            st.save(SpillKind::View, s, &view_spill(&view))
-                .expect("spill scratch write failed");
-        }
-    }
-    drop(frontier);
-
-    // Phase 2: decode in waves of `resident`, reloading evicted views.
-    let mut outs: Vec<Option<Out>> = std::iter::repeat_with(|| None).take(n).collect();
-    let mut per_node = vec![0usize; n];
-    let mut failed_global: Vec<usize> = Vec::new();
-    let mut merge: MemoMerge<Out> = MemoMerge::new();
-    let mut stats = MemoStats::default();
-    for wave in schedule.chunks(resident) {
-        let views: Vec<ShardView> = wave
-            .iter()
-            .map(|&s| match resident_views.remove(&s) {
-                Some(view) => view,
-                None => {
-                    let st = store.as_ref().expect("evicted view implies a store");
-                    let words = st
-                        .load(SpillKind::View, s)
-                        .expect("spill scratch read failed");
-                    view_unspill(s, &words).expect("spilled view corrupt")
-                }
-            })
-            .collect();
-        let passes: Vec<Result<ShardPass<Out>, E>> = par_map(&views, |_, view| {
-            let local = shard_network(net, view);
-            let cap = ladder_cap(view);
-            let memo_path = memoize
-                && match &opts.plan_schema {
-                    None => true,
-                    Some(schema) => {
-                        plan_decode(&local, initial_radius, input_tag, schema, None).path
-                            == ExecPath::Memo
-                    }
-                };
-            if memo_path {
-                run_shard_memo_fallible(
-                    &local,
-                    &view.interior,
-                    view.shard,
-                    cap,
-                    initial_radius,
-                    input_tag,
-                    step,
-                )
-                .map(|(run, memo)| ShardPass {
-                    shard: view.shard,
-                    run,
-                    memo: Some(memo),
-                })
-            } else {
-                run_shard_plain_fallible(
-                    &local,
-                    &view.interior,
-                    view.shard,
-                    cap,
-                    initial_radius,
-                    step,
-                )
-                .map(|run| ShardPass {
-                    shard: view.shard,
-                    run,
-                    memo: None,
-                })
-            }
-        });
-        for (view, pass) in views.iter().zip(passes) {
-            let pass = match pass {
-                Ok(p) => p,
-                Err(e) => {
-                    flush_memo_stats(&stats);
-                    return Err(e);
-                }
-            };
-            stats.accumulate(&pass.run.stats);
-            for &lf in &pass.run.failed {
-                failed_global.push(view.members[lf].index());
-            }
-            for (li, out) in pass.run.outs.into_iter().enumerate() {
-                if view.interior[li] {
-                    let gv = view.members[li].index();
-                    per_node[gv] = pass.run.per_node[li];
-                    outs[gv] = out;
-                }
-            }
-            if let Some(memo) = pass.memo {
-                let absorbed = match &store {
-                    Some(st) => spill_absorb(st, pass.shard, memo, &mut merge),
-                    None => merge.absorb(memo),
-                };
-                if let Err(conflict) = absorbed {
-                    flush_memo_stats(&stats);
-                    return Err(conflict.into());
-                }
-            }
-        }
-    }
-    flush_memo_stats(&stats);
-
-    if let Some(&first) = failed_global.iter().min() {
-        let v = NodeId::from_index(first);
-        if memoize {
-            let mut scratch = Scratch::new(n);
-            let mut cscratch = CanonScratch::new();
-            return Err(memo_first_error(
-                net,
-                v,
-                initial_radius,
-                input_tag,
-                step,
-                &mut scratch,
-                &mut cscratch,
-            ));
-        }
-        return Err(plain_first_error(net, v, initial_radius, step));
-    }
-    let outs = outs
-        .into_iter()
-        .map(|o| o.expect("non-failing sharded run fills every interior slot"))
-        .collect();
-    Ok((outs, RoundStats::from_per_node(per_node)))
+    assert_eq!(
+        part.n(),
+        g.n(),
+        "partition does not match the network's graph"
+    );
+    run_sharded_stream_memo_fallible(
+        g.n(),
+        part.k(),
+        opts,
+        initial_radius,
+        |s| {
+            // A fresh frontier per shard is freed with its view's build
+            // instead of staying resident through every wave's decode.
+            let mut frontier = BitFrontier::new(g.n());
+            let view = ShardView::build(g, part, s, opts.halo_radius, &mut frontier);
+            ShardSlice::from_view(net, view)
+        },
+        || net,
+        input_tag,
+        step,
+    )
 }
 
-// ---------------------------------------------------------------------------
-// Streaming (provider-based) sharded execution
-// ---------------------------------------------------------------------------
-
-/// One shard materialized by a streaming provider: the local network plus
+/// One shard materialized by a provider: the local network plus
 /// membership metadata — everything the per-shard runners need, with no
 /// global graph behind it.
 ///
-/// The partition-based drivers slice a resident [`Network`]; for instances
-/// too large to ever hold, [`run_sharded_stream_memo_fallible`] instead
-/// asks a caller-supplied provider for one `ShardSlice` at a time (e.g.
-/// generated directly from a streaming graph family), so peak memory is
+/// [`run_sharded_stream_memo_fallible`] asks its provider for one
+/// `ShardSlice` at a time: cut from a resident [`Network`]
+/// ([`ShardSlice::from_view`], as [`run_sharded_memo_fallible`] does), or
+/// generated directly from a streaming graph family, so peak memory is
 /// the largest wave of slices, not the graph.
 pub struct ShardSlice<In> {
     /// The shard this slice serves.
@@ -1257,31 +956,50 @@ pub struct ShardSlice<In> {
 }
 
 impl<In: Clone> ShardSlice<In> {
-    /// Materializes a slice from a built [`ShardView`] — the bridge from
-    /// the partition-based drivers' world into the provider-based one
-    /// (used by tests to pin the two drivers against each other).
-    pub fn from_view(net: &Network<In>, view: &ShardView) -> ShardSlice<In> {
+    /// Materializes a slice from a [`ShardView`] of `net`: the view's
+    /// induced subgraph with the members' global uids and cloned inputs.
+    ///
+    /// A view with a halo of at least 1 whose members are all interior has
+    /// no edge leaving it (any boundary node would have pulled its
+    /// exterior neighbor into the halo), so its slice is complete.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the view was built with `halo_radius` 0.
+    pub fn from_view(net: &Network<In>, view: ShardView) -> ShardSlice<In> {
+        assert!(view.halo_radius >= 1, "a slice needs a halo of at least 1");
+        let uids: Vec<u64> = view.members.iter().map(|&v| net.uid(v)).collect();
+        let inputs: Vec<In> = view.members.iter().map(|&v| net.input(v).clone()).collect();
         ShardSlice {
             shard: view.shard,
-            members: view.members.clone(),
-            interior: view.interior.clone(),
-            net: shard_network(net, view),
-            complete: ladder_cap(view).is_none(),
+            complete: view.interior.iter().all(|&b| b),
+            net: Network::new(view.graph, IdAssignment::from_uids(uids), inputs),
+            members: view.members,
+            interior: view.interior,
         }
     }
 }
 
-/// Memoized sharded execution over provider-materialized slices: the
-/// bounded-residency drive of [`run_sharded_memo_fallible`] without a
-/// resident global [`Network`].
+/// One decoded slice: its slots, and its sealed memo table when it took
+/// the memo path.
+struct ShardPass<Out> {
+    run: ShardRun<Out>,
+    memo: Option<ShardMemo<Out>>,
+}
+
+/// Memoized sharded execution over provider-materialized slices — the
+/// one sharded driver.
 ///
 /// `slice_of` is called exactly once per shard, in schedule order, and at
-/// most `opts.resident` slices are alive at a time; each wave decodes
-/// through the same per-shard runners as the partition-based driver
-/// (planner consultation, halo caps, memo spill round-trips when
-/// `resident < k` included), so outputs and [`RoundStats`] are
-/// bit-identical to it — and hence to the monolithic executors — whenever
-/// the provider's slices match [`ShardView`]s of some partition.
+/// most `opts.resident` slices are alive at a time. Each wave decodes its
+/// slices in parallel (behind the `parallel` feature, sequentially
+/// otherwise) through the per-shard runners: the planner picks memo or
+/// plain per slice when `opts.plan_schema` is set, and a truncated
+/// slice's ladder is capped at `opts.halo_radius − 1`. Sealed memo tables
+/// merge in schedule order; while `resident < k` each one first takes the
+/// spill round trip. Outputs and [`RoundStats`] are bit-identical to the
+/// monolithic executors whenever the provider's slices match
+/// [`ShardView`]s of some partition.
 ///
 /// `replay_net` is invoked only on the error path: first-error payloads
 /// address exact radii on the full graph, so the one failing node replays
@@ -1289,53 +1007,54 @@ impl<In: Clone> ShardSlice<In> {
 /// network may panic in that closure; they then trade typed first-error
 /// payloads for boundedness.
 ///
+/// # Errors
+///
+/// The first failing node's own error (in node-index order), a
+/// [`NotOrderInvariant`] conflict within or across shards, a
+/// [`HaloExceeded`] ladder, or a [`SpillError`] from the scratch store.
+///
 /// # Panics
 ///
 /// Panics if `opts.halo_radius` is 0, the schedule is not a permutation
-/// of `0..k`, a slice's metadata is inconsistent, the slices' interiors
-/// fail to partition `0..n`, or scratch I/O fails.
+/// of `0..k`, a slice's metadata is inconsistent, or the slices'
+/// interiors fail to partition `0..n`.
 #[allow(clippy::too_many_arguments)]
-pub fn run_sharded_stream_memo_fallible<In, Out, E>(
+pub fn run_sharded_stream_memo_fallible<In, Out, E, N>(
     n: usize,
     k: usize,
     opts: &ShardOpts,
     initial_radius: usize,
     mut slice_of: impl FnMut(usize) -> ShardSlice<In>,
-    replay_net: impl FnOnce() -> Network<In>,
+    replay_net: impl FnOnce() -> N,
     input_tag: impl Fn(&In, &mut Vec<u64>) + Sync,
     step: impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E> + Sync,
 ) -> Result<(Vec<Out>, RoundStats), E>
 where
     In: Clone + Send + Sync,
     Out: Clone + PartialEq + Spillable + Send,
-    E: From<NotOrderInvariant> + From<HaloExceeded> + Send,
+    E: From<NotOrderInvariant> + From<HaloExceeded> + From<SpillError> + Send,
+    N: Borrow<Network<In>>,
 {
     assert!(opts.halo_radius >= 1, "halo_radius must be at least 1");
+    let schedule = opts.schedule_for(k);
     let resident = opts.resident.clamp(1, k.max(1));
-    let schedule: Vec<usize> = match &opts.schedule {
-        Some(s) => s.clone(),
-        None => (0..k).collect(),
-    };
-    check_schedule(&schedule, k);
-    // The store exists purely for memo-table parity with the
-    // partition-based driver: views regenerate from the provider instead
-    // of unspilling, but sealed memo tables still take the full
-    // serialize → disk → parse round-trip before merging.
     let store: Option<SpillStore> = if resident < k {
         let st = match &opts.spill_dir {
             Some(dir) => SpillStore::open(dir),
             None => SpillStore::temp(),
         };
-        Some(st.expect("spill scratch directory unavailable"))
+        Some(st.map_err(|e| SpillError::io("opening the scratch directory".into(), e))?)
     } else {
         None
     };
 
-    let mut outs: Vec<Option<Out>> = std::iter::repeat_with(|| None).take(n).collect();
-    let mut per_node = vec![0usize; n];
-    let mut failed_global: Vec<usize> = Vec::new();
+    let mut run = ShardRun {
+        outs: std::iter::repeat_with(|| None).take(n).collect(),
+        per_node: vec![0; n],
+        failed: Vec::new(),
+        stats: MemoStats::default(),
+    };
     let mut merge: MemoMerge<Out> = MemoMerge::new();
-    let mut stats = MemoStats::default();
     for wave in schedule.chunks(resident) {
         let slices: Vec<ShardSlice<In>> = wave
             .iter()
@@ -1349,20 +1068,13 @@ where
             })
             .collect();
         let passes: Vec<Result<ShardPass<Out>, E>> = par_map(&slices, |_, slice| {
-            let cap = if slice.complete {
-                None
-            } else {
-                Some(opts.halo_radius - 1)
-            };
-            let memo_path = match &opts.plan_schema {
-                None => true,
-                Some(schema) => {
-                    plan_decode(&slice.net, initial_radius, &input_tag, schema, None).path
-                        == ExecPath::Memo
-                }
-            };
+            let cap = (!slice.complete).then(|| opts.halo_radius - 1);
+            let memo_path = opts.plan_schema.as_ref().is_none_or(|schema| {
+                plan_decode(&slice.net, initial_radius, &input_tag, schema, None).path
+                    == ExecPath::Memo
+            });
             if memo_path {
-                run_shard_memo_fallible(
+                let (run, memo) = run_shard_memo_fallible(
                     &slice.net,
                     &slice.interior,
                     slice.shard,
@@ -1370,90 +1082,70 @@ where
                     initial_radius,
                     &input_tag,
                     &step,
-                )
-                .map(|(run, memo)| ShardPass {
-                    shard: slice.shard,
+                )?;
+                Ok(ShardPass {
                     run,
                     memo: Some(memo),
                 })
             } else {
-                run_shard_plain_fallible(
+                let run = run_shard_plain_fallible(
                     &slice.net,
                     &slice.interior,
                     slice.shard,
                     cap,
                     initial_radius,
                     &step,
-                )
-                .map(|run| ShardPass {
-                    shard: slice.shard,
-                    run,
-                    memo: None,
-                })
+                )?;
+                Ok(ShardPass { run, memo: None })
             }
         });
         for (slice, pass) in slices.iter().zip(passes) {
-            let pass = match pass {
-                Ok(p) => p,
-                Err(e) => {
-                    flush_memo_stats(&stats);
-                    return Err(e);
-                }
-            };
-            stats.accumulate(&pass.run.stats);
-            for &lf in &pass.run.failed {
-                failed_global.push(slice.members[lf].index());
-            }
-            for (li, out) in pass.run.outs.into_iter().enumerate() {
-                if slice.interior[li] {
-                    let gv = slice.members[li].index();
-                    per_node[gv] = pass.run.per_node[li];
-                    outs[gv] = out;
-                }
-            }
-            if let Some(memo) = pass.memo {
-                let absorbed = match &store {
-                    Some(st) => {
-                        let words = memo.into_words();
-                        st.save(SpillKind::Memo, pass.shard, &words)
-                            .expect("spill scratch write failed");
-                        let back = st
-                            .load(SpillKind::Memo, pass.shard)
-                            .expect("spill scratch read failed");
-                        merge.absorb_words(&back)
+            let absorbed = pass.and_then(|pass| {
+                run.stats.accumulate(&pass.run.stats);
+                run.failed
+                    .extend(pass.run.failed.iter().map(|&lf| slice.members[lf].index()));
+                for (li, out) in pass.run.outs.into_iter().enumerate() {
+                    if slice.interior[li] {
+                        let gv = slice.members[li].index();
+                        run.per_node[gv] = pass.run.per_node[li];
+                        run.outs[gv] = out;
                     }
-                    None => merge.absorb(memo),
-                };
-                if let Err(conflict) = absorbed {
-                    flush_memo_stats(&stats);
-                    return Err(conflict.into());
                 }
+                match (pass.memo, &store) {
+                    (None, _) => Ok(()),
+                    (Some(memo), None) => Ok(merge.absorb(memo)?),
+                    (Some(memo), Some(st)) => spill_absorb(st, slice.shard, memo, &mut merge),
+                }
+            });
+            if let Err(e) = absorbed {
+                flush_memo_stats(&run.stats);
+                return Err(e);
             }
         }
     }
-    flush_memo_stats(&stats);
+    flush_memo_stats(&run.stats);
+    memo_finish(run, replay_net, initial_radius, &input_tag, &step)
+}
 
-    if let Some(&first) = failed_global.iter().min() {
-        let net = replay_net();
-        assert_eq!(net.graph().n(), n, "replay network covers the instance");
-        let v = NodeId::from_index(first);
-        let mut scratch = Scratch::new(n);
-        let mut cscratch = CanonScratch::new();
-        return Err(memo_first_error(
-            &net,
-            v,
-            initial_radius,
-            &input_tag,
-            &step,
-            &mut scratch,
-            &mut cscratch,
-        ));
-    }
-    let outs = outs
-        .into_iter()
-        .map(|o| o.expect("streaming slices' interiors must partition the nodes"))
-        .collect();
-    Ok((outs, RoundStats::from_per_node(per_node)))
+/// Folds a sealed table in through the full spill round trip (serialize
+/// → disk → parse), so the serialized path runs whenever `R < K` and the
+/// resident set holds one serialized table at a time.
+fn spill_absorb<Out, E>(
+    st: &SpillStore,
+    shard: usize,
+    memo: ShardMemo<Out>,
+    merge: &mut MemoMerge<Out>,
+) -> Result<(), E>
+where
+    Out: Spillable + PartialEq,
+    E: From<NotOrderInvariant> + From<SpillError>,
+{
+    st.save(SpillKind::Memo, shard, &memo.into_words())
+        .map_err(|e| SpillError::io(format!("saving shard {shard}'s memo table"), e))?;
+    let words = st
+        .load(SpillKind::Memo, shard)
+        .map_err(|e| SpillError::io(format!("loading shard {shard}'s memo table"), e))?;
+    merge.absorb_words(&words)
 }
 
 // ---------------------------------------------------------------------------
@@ -1592,11 +1284,12 @@ mod tests {
     use crate::transport::PerfectLink;
     use lad_graph::generators;
 
-    /// Error enum for tests exercising both failure modes.
+    /// Error enum for tests exercising every failure mode.
     #[derive(Debug, PartialEq)]
     enum ShardDecodeError {
         Conflict(NotOrderInvariant),
         Halo(HaloExceeded),
+        Spill(SpillError),
     }
 
     impl From<NotOrderInvariant> for ShardDecodeError {
@@ -1608,6 +1301,12 @@ mod tests {
     impl From<HaloExceeded> for ShardDecodeError {
         fn from(h: HaloExceeded) -> Self {
             ShardDecodeError::Halo(h)
+        }
+    }
+
+    impl From<SpillError> for ShardDecodeError {
+        fn from(e: SpillError) -> Self {
+            ShardDecodeError::Spill(e)
         }
     }
 
@@ -1674,63 +1373,6 @@ mod tests {
     }
 
     #[test]
-    fn plain_sharded_matches_memo_sharded() {
-        let g = generators::cycle(30);
-        let net = net(g);
-        let part = Partition::contiguous(30, 3);
-        let opts = ShardOpts::new(4).resident(1);
-        let memoized = run_sharded_memo_fallible(&net, &part, &opts, 1, tag, ball_stat_step)
-            .expect("memo decodes");
-        let plain =
-            run_sharded_fallible(&net, &part, &opts, 1, ball_stat_step).expect("plain decodes");
-        assert_eq!(memoized, plain);
-    }
-
-    #[test]
-    fn stream_driver_matches_partition_driver() {
-        let g = generators::grid2d(7, 5, false);
-        let network = net(g);
-        let n = network.graph().n();
-        let reference =
-            run_local_memo_fallible(&network, 1, tag, ball_stat_step).expect("reference decodes");
-        for k in [1usize, 2, 4] {
-            for resident in [1usize, 2, usize::MAX] {
-                let part = Partition::contiguous(n, k);
-                let opts = ShardOpts::new(5).resident(resident);
-                let mut frontier = BitFrontier::new(n);
-                let mut slices: Vec<Option<ShardSlice<u32>>> = (0..k)
-                    .map(|s| {
-                        let view = ShardView::build(
-                            network.graph(),
-                            &part,
-                            s,
-                            opts.halo_radius,
-                            &mut frontier,
-                        );
-                        Some(ShardSlice::from_view(&network, &view))
-                    })
-                    .collect();
-                let got = run_sharded_stream_memo_fallible(
-                    n,
-                    k,
-                    &opts,
-                    1,
-                    |s| slices[s].take().expect("each shard requested once"),
-                    || unreachable!("no failures in this instance"),
-                    tag,
-                    ball_stat_step,
-                )
-                .expect("stream decode");
-                assert_eq!(got, reference, "k={k} resident={resident}");
-                let want =
-                    run_sharded_memo_fallible(&network, &part, &opts, 1, tag, ball_stat_step)
-                        .expect("partition decode");
-                assert_eq!(got, want, "k={k} resident={resident}");
-            }
-        }
-    }
-
-    #[test]
     fn stream_driver_halo_cap_still_bites() {
         let g = generators::cycle(24);
         let network = net(g);
@@ -1741,7 +1383,7 @@ mod tests {
         let mut slices: Vec<Option<ShardSlice<u32>>> = (0..4)
             .map(|s| {
                 let view = ShardView::build(network.graph(), &part, s, 2, &mut frontier);
-                Some(ShardSlice::from_view(&network, &view))
+                Some(ShardSlice::from_view(&network, view))
             })
             .collect();
         let got = run_sharded_stream_memo_fallible(
@@ -1750,7 +1392,7 @@ mod tests {
             &opts,
             1,
             |s| slices[s].take().expect("each shard requested once"),
-            || unreachable!("halo errors do not replay"),
+            || -> Network<u32> { unreachable!("halo errors do not replay") },
             tag,
             ball_stat_step,
         );
@@ -1783,36 +1425,26 @@ mod tests {
     }
 
     #[test]
-    fn view_spill_round_trips() {
-        let g = generators::random_tree(33, 0xDECAF);
-        let part = Partition::bfs_grown(&g, 3);
-        let mut frontier = BitFrontier::new(g.n());
-        let view = ShardView::build(&g, &part, 1, 3, &mut frontier);
-        let store = SpillStore::temp().expect("temp store");
-        store
-            .save(SpillKind::View, 1, &view_spill(&view))
-            .expect("save");
-        let words = store.load(SpillKind::View, 1).expect("load");
-        let back = view_unspill(1, &words).expect("unspill");
-        assert_eq!(back.members, view.members);
-        assert_eq!(back.interior, view.interior);
-        assert_eq!(back.halo_radius, view.halo_radius);
-        assert_eq!(back.graph.n(), view.graph.n());
-        for v in view.graph.nodes() {
-            assert_eq!(back.graph.neighbors(v), view.graph.neighbors(v));
-        }
-    }
-
-    #[test]
     fn spill_store_rejects_foreign_files() {
         let store = SpillStore::temp().expect("temp store");
         store.save(SpillKind::Memo, 2, &[1, 2, 3]).expect("save");
-        // Wrong kind and wrong shard are both rejected.
-        assert!(store.load(SpillKind::View, 2).is_err());
+        // A file for another shard is rejected.
         assert!(store.load(SpillKind::Memo, 3).is_err());
-        // A tampered version header is rejected.
+        // A file with a foreign kind tag (and a checksum that matches it)
+        // is rejected.
         let path = store.dir().join("memo-2.lsp");
-        let mut bytes = std::fs::read(&path).expect("read raw");
+        let pristine = std::fs::read(&path).expect("read raw");
+        let mut foreign = pristine.clone();
+        foreign[12..16].copy_from_slice(&3u32.to_le_bytes());
+        let body = foreign.len() - 8;
+        let checksum = crate::store::fold_bytes(&foreign[..body]);
+        foreign[body..].copy_from_slice(&checksum.to_le_bytes());
+        std::fs::write(&path, &foreign).expect("write foreign tag");
+        let err = store.load(SpillKind::Memo, 2).expect_err("foreign kind");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("kind"), "{err}");
+        // A tampered version header is rejected.
+        let mut bytes = pristine;
         bytes[8] ^= 0xFF;
         std::fs::write(&path, bytes).expect("tamper");
         let err = store
@@ -1832,35 +1464,65 @@ mod tests {
         let store = SpillStore::temp().expect("temp store");
         for s in 0..2 {
             let view = ShardView::build(network.graph(), &part, s, 4, &mut frontier);
-            let local = shard_network(&network, &view);
-            let (_, memo) = run_shard_memo_fallible::<_, _, ShardDecodeError>(
-                &local,
-                &view.interior,
-                s,
-                ladder_cap(&view),
-                1,
-                &tag,
-                &ball_stat_step,
-            )
-            .expect("shard decodes");
-            let words = memo.into_words();
+            let slice = ShardSlice::from_view(&network, view);
+            let cap = (!slice.complete).then_some(3);
+            let decode = || {
+                run_shard_memo_fallible::<_, _, ShardDecodeError>(
+                    &slice.net,
+                    &slice.interior,
+                    s,
+                    cap,
+                    1,
+                    &tag,
+                    &ball_stat_step,
+                )
+                .expect("shard decodes")
+                .1
+            };
+            let words = decode().into_words();
             store.save(SpillKind::Memo, s, &words).expect("save");
             via_disk
-                .absorb_words(&store.load(SpillKind::Memo, s).expect("load"))
+                .absorb_words::<ShardDecodeError>(&store.load(SpillKind::Memo, s).expect("load"))
                 .expect("absorb from disk");
-            let (_, memo2) = run_shard_memo_fallible::<_, _, ShardDecodeError>(
-                &local,
-                &view.interior,
-                s,
-                ladder_cap(&view),
-                1,
-                &tag,
-                &ball_stat_step,
-            )
-            .expect("shard decodes again");
-            direct.absorb(memo2).expect("absorb direct");
+            direct.absorb(decode()).expect("absorb direct");
         }
         assert_eq!(direct.class_count(), via_disk.class_count());
+    }
+
+    #[test]
+    fn corrupt_memo_words_are_a_typed_error() {
+        let network = net(generators::cycle(12));
+        let interior = vec![true; 12];
+        let (_, memo) = run_shard_memo_fallible::<_, _, ShardDecodeError>(
+            &network,
+            &interior,
+            0,
+            None,
+            1,
+            &tag,
+            &ball_stat_step,
+        )
+        .expect("decodes");
+        let words = memo.into_words();
+        let mut trailing = words.clone();
+        trailing.push(0);
+        let mut bad_verdict = words.clone();
+        let verdict = 2 + words[1] as usize;
+        bad_verdict[verdict] = 7;
+        for (what, bad) in [
+            ("empty", Vec::new()),
+            ("truncated", words[..words.len() - 1].to_vec()),
+            ("trailing", trailing),
+            ("bad verdict", bad_verdict),
+        ] {
+            let got = MemoMerge::<u64>::new().absorb_words::<ShardDecodeError>(&bad);
+            match got {
+                Err(ShardDecodeError::Spill(e)) => {
+                    assert_eq!(e.kind, io::ErrorKind::InvalidData, "{what}")
+                }
+                other => panic!("{what}: expected a spill error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! Differential harness for the sharded drivers: shard-at-a-time
+//! Differential harness for the sharded driver: shard-at-a-time
 //! execution computes the *same function* as the monolithic executors.
 //!
 //! Coverage:
 //! * the full deterministic generator grid × shard counts {1, 2, 3, 5, 8}
 //!   × partition shapes (contiguous, BFS-grown) × schedules (forward,
 //!   reverse, interleaved) × residency bounds {1, 2, ∞}: outputs and
-//!   [`RoundStats`] must match `run_local_memo_fallible` (and the plain
-//!   sharded driver must match the memoized one) **bit for bit**;
-//! * the provider-based streaming driver against the partition-based one
-//!   on the same grid;
+//!   [`RoundStats`] must match `run_local_memo_fallible` **bit for bit**,
+//!   both with every shard memoized and with the planner forced to route
+//!   every shard down the plain path;
+//! * the provider contract: the driver asks for every slice exactly once,
+//!   in schedule order, and with `R < K` its spill directory holds one
+//!   memo section per memo-path shard and nothing else;
 //! * first-error identity: a failing step reports the same
 //!   first-in-node-order error payload sharded as monolithic, for every
 //!   shard count and schedule;
@@ -19,10 +21,12 @@
 
 use lad_graph::{builder::GraphBuilder, generators, BitFrontier, Graph, Partition, ShardView};
 use lad_runtime::{
-    run_gathered_robust, run_local_memo_fallible, run_sharded_fallible, run_sharded_memo_fallible,
-    run_sharded_stream_memo_fallible, Ball, FaultPlan, HaloExceeded, Network, NodeCtx,
-    NotOrderInvariant, PerfectLink, RoundStats, ShardOpts, ShardSlice, ShardedTransport,
+    run_gathered_robust, run_local_memo_fallible, run_sharded_memo_fallible,
+    run_sharded_stream_memo_fallible, set_force_path, Ball, ExecPath, FaultPlan, HaloExceeded,
+    Network, NodeCtx, NotOrderInvariant, PerfectLink, RoundStats, ShardOpts, ShardSlice,
+    ShardedTransport, SpillError,
 };
+use std::path::{Path, PathBuf};
 
 /// The deterministic generator grid (mirrors `equivalence.rs`).
 fn generator_grid() -> Vec<(&'static str, Graph)> {
@@ -70,6 +74,7 @@ fn network_for(g: &Graph) -> Network<u32> {
 enum TestError {
     Conflict(NotOrderInvariant),
     Halo(HaloExceeded),
+    Spill(SpillError),
     Step(u64),
 }
 
@@ -82,6 +87,12 @@ impl From<NotOrderInvariant> for TestError {
 impl From<HaloExceeded> for TestError {
     fn from(h: HaloExceeded) -> Self {
         TestError::Halo(h)
+    }
+}
+
+impl From<SpillError> for TestError {
+    fn from(e: SpillError) -> Self {
+        TestError::Spill(e)
     }
 }
 
@@ -143,8 +154,35 @@ fn partitions(g: &Graph, k: usize) -> Vec<(&'static str, Partition)> {
     ]
 }
 
+/// A scratch directory private to one test of this process.
+fn scratch_dir(test: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("lad-shard-{test}-{}", std::process::id()))
+}
+
+/// The file names in `dir`, sorted; empty when `dir` does not exist.
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = match std::fs::read_dir(dir) {
+        Ok(entries) => entries
+            .map(|e| {
+                e.expect("readable entry")
+                    .file_name()
+                    .into_string()
+                    .expect("utf-8")
+            })
+            .collect(),
+        Err(_) => Vec::new(),
+    };
+    names.sort();
+    names
+}
+
 #[test]
 fn sharded_matches_monolithic_across_grid() {
+    // The plain leg plans every shard and the planner is forced to the
+    // plain path. No other test in this binary plans, so the
+    // process-wide knob reaches only that leg; it is reset at the end.
+    set_force_path(Some(ExecPath::Plain));
+    let plain_dir = scratch_dir("plain");
     for (name, g) in generator_grid() {
         let net = network_for(&g);
         let reference =
@@ -167,17 +205,29 @@ fn sharded_matches_monolithic_across_grid() {
                             got, reference,
                             "{name} {pname} k={k} sched={schedule:?} resident={resident}"
                         );
-                        let plain = run_sharded_fallible(&net, &part, &opts, 1, adaptive_step)
-                            .expect("plain sharded decodes");
+                        let plain_opts = opts.plan_schema("forced-plain").spill_dir(&plain_dir);
+                        let plain = run_sharded_memo_fallible(
+                            &net,
+                            &part,
+                            &plain_opts,
+                            1,
+                            tag,
+                            adaptive_step,
+                        )
+                        .expect("plain sharded decodes");
                         assert_eq!(
                             plain, reference,
                             "plain: {name} {pname} k={k} sched={schedule:?} resident={resident}"
                         );
+                        // Plain shards seal no memo table, so nothing spills.
+                        assert_eq!(file_names(&plain_dir), Vec::<String>::new());
                     }
                 }
             }
         }
     }
+    set_force_path(None);
+    let _ = std::fs::remove_dir_all(&plain_dir);
 }
 
 #[test]
@@ -187,33 +237,67 @@ fn stream_driver_matches_monolithic_across_grid() {
         let reference =
             run_local_memo_fallible(&net, 1, tag, adaptive_step).expect("reference decodes");
         let halo = reference.1.rounds() + 1;
-        for k in [1usize, 3, 5] {
+        for k in [1usize, 2, 3, 5, 8] {
             let k = k.min(g.n().max(1));
             let part = Partition::contiguous(g.n(), k);
-            for resident in [1usize, usize::MAX] {
-                let opts = ShardOpts::new(halo).resident(resident);
-                let mut frontier = BitFrontier::new(g.n());
-                let mut slices: Vec<Option<ShardSlice<u32>>> = (0..k)
-                    .map(|s| {
-                        let view = ShardView::build(&g, &part, s, halo, &mut frontier);
-                        Some(ShardSlice::from_view(&net, &view))
-                    })
-                    .collect();
-                let got = run_sharded_stream_memo_fallible(
-                    g.n(),
-                    k,
-                    &opts,
-                    1,
-                    |s| slices[s].take().expect("each shard requested once"),
-                    || net.clone(),
-                    tag,
-                    adaptive_step,
-                )
-                .expect("stream decodes");
-                assert_eq!(got, reference, "{name} k={k} resident={resident}");
+            for schedule in schedules(k) {
+                for resident in [1usize, 2, usize::MAX] {
+                    let opts = ShardOpts::new(halo)
+                        .schedule(schedule.clone())
+                        .resident(resident);
+                    let mut frontier = BitFrontier::new(g.n());
+                    let mut slices: Vec<Option<ShardSlice<u32>>> = (0..k)
+                        .map(|s| {
+                            let view = ShardView::build(&g, &part, s, halo, &mut frontier);
+                            Some(ShardSlice::from_view(&net, view))
+                        })
+                        .collect();
+                    let mut requested = Vec::new();
+                    let got = run_sharded_stream_memo_fallible(
+                        g.n(),
+                        k,
+                        &opts,
+                        1,
+                        |s| {
+                            requested.push(s);
+                            slices[s].take().expect("each shard requested once")
+                        },
+                        || &net,
+                        tag,
+                        adaptive_step,
+                    )
+                    .expect("stream decodes");
+                    let at = format!("{name} k={k} sched={schedule:?} resident={resident}");
+                    assert_eq!(got, reference, "{at}");
+                    assert_eq!(requested, schedule, "{at}: one request per shard, in order");
+                }
             }
         }
     }
+}
+
+#[test]
+fn spill_directory_holds_one_memo_section_per_shard() {
+    let g = generators::grid2d(6, 5, false);
+    let net = network_for(&g);
+    let reference =
+        run_local_memo_fallible(&net, 1, tag, adaptive_step).expect("reference decodes");
+    let halo = reference.1.rounds() + 1;
+    let dir = scratch_dir("memo");
+    for k in [2usize, 3, 5] {
+        for resident in 1..k {
+            let _ = std::fs::remove_dir_all(&dir);
+            let part = Partition::bfs_grown(&g, k);
+            let opts = ShardOpts::new(halo).resident(resident).spill_dir(&dir);
+            let got = run_sharded_memo_fallible(&net, &part, &opts, 1, tag, adaptive_step)
+                .expect("sharded decodes");
+            assert_eq!(got, reference, "k={k} resident={resident}");
+            let mut want: Vec<String> = (0..k).map(|s| format!("memo-{s}.lsp")).collect();
+            want.sort();
+            assert_eq!(file_names(&dir), want, "k={k} resident={resident}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
