@@ -93,7 +93,7 @@ impl AdviceSchema for TrivialColoringSchema {
     ) -> Result<(Vec<usize>, RoundStats), DecodeError> {
         let width = self.beta();
         let k = self.k;
-        let advised = net.with_inputs(advice.strings().to_vec());
+        let advised = net.with_inputs(advice.strings());
         let (colors, stats) = run_local_fallible(&advised, |ctx| {
             let bits = ctx.input().clone();
             if bits.len() != width {

@@ -538,7 +538,7 @@ impl AdviceSchema for BalancedOrientationSchema {
                 "advice covers a different node count".into(),
             ));
         }
-        let advised = net.with_inputs(advice.strings().to_vec());
+        let advised = net.with_inputs(advice.strings());
         let radius = self.decode_radius();
         // Sound either way (both paths are pinned to the reference); the
         // planner probes the instance's class structure to pick the
@@ -619,7 +619,7 @@ impl BalancedOrientationSchema {
                 "advice covers a different node count".into(),
             ));
         }
-        let advised = net.with_inputs(advice.strings().to_vec());
+        let advised = net.with_inputs(advice.strings());
         let radius = self.decode_radius();
         let (claims, stats) =
             lad_runtime::run_local_fallible(&advised, |ctx| self.decode_view(&ctx.ball(radius)))?;

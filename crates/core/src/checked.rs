@@ -264,7 +264,7 @@ pub fn decode_gathered(
             "advice covers a different node count".into(),
         )));
     }
-    let advised = net.with_inputs(advice.strings().to_vec());
+    let advised = net.with_inputs(advice.strings());
     let radius = schema.decode_radius();
     // The gathered evaluator is the same order-invariant ladder as the
     // local decoder, so the planner's probe transfers: when it picks the

@@ -190,13 +190,15 @@ impl ClusterColoringSchema {
     /// each center's cluster color into the advice arena. Both encoders
     /// produce the same `(centers, cluster_of)` inputs, so sharing this
     /// tail is what makes their advice bit-identical.
+    ///
+    /// Also hands back the cluster colors, indexed like `centers`.
     pub(crate) fn advice_from_clusters(
         &self,
         g: &Graph,
         uids: &[u64],
         centers: &[NodeId],
         cluster_of: &[NodeId],
-    ) -> Result<AdviceMap, EncodeError> {
+    ) -> Result<(AdviceMap, Vec<usize>), EncodeError> {
         let mut center_index = vec![usize::MAX; g.n()];
         for (i, &c) in centers.iter().enumerate() {
             center_index[c.index()] = i;
@@ -229,7 +231,34 @@ impl ClusterColoringSchema {
             bits.push_uint(cluster_colors[i] as u64, width);
             strings[c.index()] = bits;
         }
-        Ok(AdviceMap::from_strings(strings))
+        Ok((AdviceMap::from_strings(strings), cluster_colors))
+    }
+
+    /// [`AdviceSchema::encode`] together with the stage-1 coloring its
+    /// advice decodes to, computed centrally: greedy over the global order
+    /// `(color of own cluster, UID)`. The decoder replays the same greedy
+    /// locally from the advice alone; the unit test
+    /// `central_coloring_is_the_decoders_oracle` pins that the two agree.
+    /// The Δ encoder uses it in place of running the LOCAL decoder: unlike
+    /// the decoder, an encoder sees the whole graph.
+    pub(crate) fn encode_with_coloring(
+        &self,
+        net: &Network,
+    ) -> Result<(AdviceMap, Vec<usize>), EncodeError> {
+        let g = net.graph();
+        let uids = net.uids();
+        let centers = ruling::ruling_set(g, self.cluster_spacing);
+        let cluster_of = Self::assign_clusters(g, uids, &centers, self.cluster_spacing);
+        let (advice, cluster_colors) = self.advice_from_clusters(g, uids, &centers, &cluster_of)?;
+        let mut center_color = vec![0; g.n()];
+        for (&c, &color) in centers.iter().zip(&cluster_colors) {
+            center_color[c.index()] = color;
+        }
+        let mut order: Vec<NodeId> = g.nodes().collect();
+        order.sort_unstable_by_key(|v| {
+            (center_color[cluster_of[v.index()].index()], uids[v.index()])
+        });
+        Ok((advice, coloring::greedy_coloring(g, &order)))
     }
 }
 
@@ -248,7 +277,7 @@ impl AdviceSchema for ClusterColoringSchema {
         let uids = net.uids();
         let centers = ruling::ruling_set(g, self.cluster_spacing);
         let cluster_of = Self::assign_clusters(g, uids, &centers, self.cluster_spacing);
-        self.advice_from_clusters(g, uids, &centers, &cluster_of)
+        Ok(self.advice_from_clusters(g, uids, &centers, &cluster_of)?.0)
     }
 
     fn decode(
@@ -262,11 +291,7 @@ impl AdviceSchema for ClusterColoringSchema {
                 "advice covers a different node count".into(),
             ));
         }
-        let advised = net.with_inputs(advice.strings().to_vec());
-        let spacing = self.cluster_spacing;
-        let width = self.color_width();
-        let max_colors = self.max_cluster_colors;
-        let max_radius = self.max_radius();
+        let advised = net.with_inputs(advice.strings());
         // `simulate_greedy` is a pure, order-invariant function of the
         // advice-labeled ball, so the memo is *sound* here; whether it is
         // *fast* depends on the instance's class structure, which the
@@ -274,7 +299,7 @@ impl AdviceSchema for ClusterColoringSchema {
         let use_memo = self.decoder_order_invariant() && {
             let plan = lad_runtime::plan_decode(
                 &advised,
-                2 * spacing + 2,
+                self.step_radius(),
                 |bits: &BitString, words: &mut Vec<u64>| bits.push_key_words(words),
                 &self.name(),
                 None,
@@ -291,21 +316,12 @@ impl AdviceSchema for ClusterColoringSchema {
                 |ball| self.memo_step(ball),
             )?
         } else {
-            run_local_fallible_par(&advised, |ctx| {
-                let mut r = 2 * spacing + 2;
+            run_local_fallible_par(&advised, |ctx| -> Result<usize, DecodeError> {
+                let mut r = self.step_radius();
                 loop {
-                    let ball = ctx.ball(r);
-                    match simulate_greedy(&ball, spacing, width, max_colors)? {
-                        Some(color) => return Ok(color),
-                        None => {
-                            if r >= max_radius {
-                                return Err(DecodeError::malformed(
-                                    ball.global_node(ball.center()),
-                                    "greedy color undetermined at the maximum radius",
-                                ));
-                            }
-                            r = (r + 2 * spacing + 2).min(max_radius);
-                        }
+                    match self.memo_step(&ctx.ball(r))? {
+                        MemoStep::Done(color) => return Ok(color),
+                        MemoStep::Expand(next) => r = next,
                     }
                 }
             })?
@@ -347,7 +363,7 @@ impl ClusterColoringSchema {
                 "advice covers a different node count".into(),
             ));
         }
-        let advised = net.with_inputs(advice.strings().to_vec());
+        let advised = net.with_inputs(advice.strings());
         let spacing = self.cluster_spacing;
         let width = self.color_width();
         let max_colors = self.max_cluster_colors;
@@ -602,6 +618,62 @@ mod tests {
         let holder = advice.holders().next().unwrap();
         advice.set(holder, BitString::parse("1"));
         assert!(schema.decode(&net, &advice).is_err());
+    }
+
+    /// The central stage-1 coloring shares no code with `simulate_greedy`
+    /// or the executors, so it is an independent oracle for the decoder.
+    #[test]
+    fn central_coloring_is_the_decoders_oracle() {
+        use lad_graph::{GraphBuilder, IdAssignment};
+        // The generator grid of `tests/encoder_memo.rs`, three ID seeds.
+        let grid = [
+            generators::path(17),
+            generators::cycle(24),
+            generators::star(6),
+            generators::complete(7),
+            generators::balanced_tree(2, 4),
+            generators::caterpillar(8, 2),
+            generators::random_tree(30, 3),
+            generators::grid2d(6, 5, false),
+            generators::grid2d(5, 5, true),
+            generators::hypercube(4),
+            generators::ladder(6),
+            generators::random_regular(24, 3, 5),
+            generators::random_bounded_degree(40, 4, 60, 9),
+            generators::random_torus_patch(8, 8, 0.85, 4),
+            generators::disjoint_union(&[
+                generators::cycle(5),
+                generators::path(4),
+                GraphBuilder::new(2).build(),
+            ]),
+        ];
+        let mut nets = Vec::new();
+        for g in &grid {
+            for seed in [0xC0FFEE, 1, 2] {
+                let ids = IdAssignment::random_permutation(g.n(), seed);
+                nets.push(Network::with_ids(g.clone(), ids));
+            }
+        }
+        // 32×32 tori with the pipelines' two ID kinds: row-major IDs with
+        // every row rotated by one offset, and random permutations.
+        let side = 32;
+        let torus = generators::grid2d(side, side, true);
+        for offset in [0, 5, 19] {
+            let uid = |i: usize| (i / side * side + (i + offset) % side) as u64 + 1;
+            let ids = IdAssignment::from_uids((0..side * side).map(uid).collect());
+            nets.push(Network::with_ids(torus.clone(), ids));
+        }
+        for seed in [3, 4, 5] {
+            let ids = IdAssignment::random_permutation(side * side, seed);
+            nets.push(Network::with_ids(torus.clone(), ids));
+        }
+        let schema = ClusterColoringSchema::default();
+        for (i, net) in nets.iter().enumerate() {
+            let (advice, central) = schema.encode_with_coloring(net).expect("encode");
+            assert_eq!(advice, schema.encode(net).expect("encode"), "network {i}");
+            let (decoded, _) = schema.decode(net, &advice).expect("decode");
+            assert_eq!(decoded, central, "network {i}");
+        }
     }
 
     #[test]

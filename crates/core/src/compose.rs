@@ -161,7 +161,7 @@ impl<O> OracleSchema for ParityOracleSchema<O> {
         advice: &AdviceMap,
         _oracle: &O,
     ) -> Result<(Vec<bool>, RoundStats), DecodeError> {
-        let advised = net.with_inputs(advice.strings().to_vec());
+        let advised = net.with_inputs(advice.strings());
         let spacing = self.spacing;
         run_local_fallible_par(&advised, |ctx| {
             let ball = ctx.ball(spacing);

@@ -4,7 +4,11 @@
 //! The pipeline mirrors the paper's three steps:
 //!
 //! 1. **Cluster coloring** ([`ClusterColoringSchema`]) yields a proper
-//!    `(Δ+1)`-coloring `χ₁` from sparse cluster-center advice.
+//!    `(Δ+1)`-coloring `χ₁` from sparse cluster-center advice. The
+//!    encoder, which sees the whole graph, computes `χ₁` centrally (greedy
+//!    over the global order `(color of own cluster, UID)`); the decoder
+//!    replays that greedy locally from the advice. A unit test in
+//!    `cluster_coloring` pins that the two agree.
 //! 2. **Advice-free local repair**: the color-`Δ` class of `χ₁` is an
 //!    independent set, so every such node may simultaneously grab a free
 //!    color `< Δ` if one exists in its neighborhood — one round, no
@@ -13,10 +17,11 @@
 //!    the few nodes left with a full rainbow neighborhood need global
 //!    recoloring chains. The paper pins those chains with relay advice;
 //!    we use the equivalent *difference encoding*: the encoder computes a
-//!    true Δ-coloring `χ*` by centralized augmenting-region search and
-//!    stores `χ*(v)` at exactly the nodes where `χ*` differs from the
-//!    deterministic outcome of steps 1–2. The decoder replays steps 1–2
-//!    (deterministically identical) and applies the overrides.
+//!    true Δ-coloring `χ*` by centralized augmenting-region search,
+//!    checks it, and stores `χ*(v)` at exactly the nodes where `χ*`
+//!    differs from the deterministic outcome of steps 1–2. The decoder
+//!    replays steps 1–2 (deterministically identical) and applies the
+//!    overrides.
 //!
 //! Step 3's advice is concentrated on the repair regions; its measured
 //! size is reported by experiment E5. This is the one place where we are
@@ -32,7 +37,7 @@ use crate::tracks::{demultiplex, multiplex};
 use lad_graph::{coloring, traversal, Graph, InducedSubgraph, NodeId};
 use lad_lcl::brute::{complete, CompleteError, Region};
 use lad_lcl::problems::ProperColoring;
-use lad_runtime::{par_map, run_local_par, Network, RoundStats};
+use lad_runtime::{par_map, Network, RoundStats};
 
 /// The Δ-coloring schema (Contribution 5).
 ///
@@ -218,8 +223,8 @@ impl DeltaColoringSchema {
     }
 
     /// Centralized augmenting-region repair: turns `chi` (proper, colors
-    /// `≤ Δ`) into a proper Δ-coloring, changing as few nodes as possible
-    /// regionally.
+    /// `≤ Δ`) into a Δ-coloring, changing as few nodes as possible
+    /// regionally. The caller checks that the result is proper.
     ///
     /// Stuck nodes are grouped by connected component and the components
     /// fan out across workers. Every repair move (Kempe chain, augmenting
@@ -299,7 +304,6 @@ impl DeltaColoringSchema {
                 }
             }
         }
-        debug_assert!(coloring::is_proper_k_coloring(g, &merged, delta));
         Ok(merged)
     }
 }
@@ -329,16 +333,24 @@ impl AdviceSchema for DeltaColoringSchema {
         if delta == 0 {
             return Ok(AdviceMap::empty(g.n()));
         }
-        // Stage 1: cluster coloring (and its exact decoder outcome).
-        let cluster_advice = self.cluster.encode(net)?;
-        let (chi1, _) = self
-            .cluster
-            .decode(net, &cluster_advice)
-            .map_err(|e| EncodeError::PlacementFailed(format!("self-decode failed: {e}")))?;
+        // Stage 1: the cluster advice and the coloring χ₁ it decodes to,
+        // computed centrally rather than by running the LOCAL decoder.
+        let (cluster_advice, chi1) = self.cluster.encode_with_coloring(net)?;
+        if !coloring::is_proper_coloring(g, &chi1) {
+            return Err(EncodeError::PlacementFailed(
+                "stage-1 cluster coloring is improper".into(),
+            ));
+        }
         // Stage 2: deterministic local fix.
         let chi2 = Self::local_fix(g, delta, &chi1);
-        // Stage 3: centralized repair and difference encoding.
+        // Stage 3: centralized repair and difference encoding. Both repair
+        // branches (regional and global fallback) end in this one check.
         let chi_star = self.repair_to_delta(g, uids, delta, &chi2)?;
+        if !coloring::is_proper_k_coloring(g, &chi_star, delta) {
+            return Err(EncodeError::PlacementFailed(
+                "repaired coloring is not a proper Δ-coloring".into(),
+            ));
+        }
         let width = bit_width(delta);
         // Packed once via `from_strings`: per-node `set` calls would shift
         // the arena tail on every insertion (quadratic when the global
@@ -363,9 +375,14 @@ impl AdviceSchema for DeltaColoringSchema {
         advice: &AdviceMap,
     ) -> Result<(Vec<usize>, RoundStats), DecodeError> {
         let g = net.graph();
+        if advice.n() != g.n() {
+            return Err(DecodeError::Inconsistent(
+                "advice covers a different node count".into(),
+            ));
+        }
         let delta = g.max_degree();
         if delta == 0 {
-            return Ok((vec![0; g.n()], run_local_par(net, |_| ()).1));
+            return Ok((vec![0; g.n()], RoundStats::zero(g.n())));
         }
         let tracks = demultiplex(advice, 2).ok_or_else(|| {
             DecodeError::Inconsistent("advice does not split into two tracks".into())
@@ -520,6 +537,31 @@ mod tests {
         let stats = override_stats(&schema, &net).expect("encoding succeeds");
         // The difference encoding touches far fewer nodes than n.
         assert!(stats.override_nodes * 4 < n, "{stats:?}");
+    }
+
+    #[test]
+    fn edgeless_decode_checks_the_advice_size() {
+        let schema = DeltaColoringSchema::default();
+        let short = AdviceMap::empty(3);
+        for g in [
+            lad_graph::GraphBuilder::new(5).build(),
+            generators::cycle(6),
+        ] {
+            let net = Network::with_identity_ids(g);
+            assert!(
+                matches!(
+                    schema.decode(&net, &short),
+                    Err(DecodeError::Inconsistent(_))
+                ),
+                "advice for 3 nodes accepted on {} nodes",
+                net.graph().n()
+            );
+        }
+        let net = Network::with_identity_ids(lad_graph::GraphBuilder::new(5).build());
+        let advice = schema.encode(&net).expect("encode");
+        let (colors, stats) = schema.decode(&net, &advice).expect("decode");
+        assert_eq!(colors, vec![0; 5]);
+        assert_eq!(stats, RoundStats::zero(5));
     }
 
     #[test]

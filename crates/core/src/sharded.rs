@@ -166,7 +166,7 @@ impl ClusterColoringSchema {
                 }
             }
         }
-        self.advice_from_clusters(g, uids, &centers, &cluster_of)
+        Ok(self.advice_from_clusters(g, uids, &centers, &cluster_of)?.0)
     }
 }
 

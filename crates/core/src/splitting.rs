@@ -137,7 +137,7 @@ impl AdviceSchema for SplittingSchema {
         })?;
         let (orientation, stats_o) = self.orientation.decode(net, &tracks[0])?;
         // Recover the 2-coloring by parity to the nearest marked node.
-        let advised = net.with_inputs(tracks[1].strings().to_vec());
+        let advised = net.with_inputs(tracks[1].strings());
         let spacing = self.parity_spacing;
         let (colors, stats_p) = run_local_fallible_par(&advised, |ctx| {
             let ball = ctx.ball(spacing);
