@@ -33,7 +33,7 @@ use crate::advice::AdviceMap;
 use crate::bits::BitString;
 use crate::cluster_coloring::ClusterColoringSchema;
 use crate::error::{DecodeError, EncodeError};
-use lad_graph::{coloring, ruling, BitFrontier, Graph, NodeId, Partition, ShardView};
+use lad_graph::{coloring, ruling, Graph, NodeId, Partition, ShardView};
 use lad_runtime::{run_sharded_memo_fallible, Network, RoundStats, ShardOpts};
 
 impl ClusterColoringSchema {
@@ -144,9 +144,8 @@ impl ClusterColoringSchema {
         // Interior sets partition the nodes, so per-shard writes are
         // disjoint and the assignment is schedule-invariant.
         let mut cluster_of: Vec<NodeId> = vec![NodeId::from_index(0); g.n()];
-        let mut frontier = BitFrontier::new(g.n());
         for s in opts.schedule_for(part.k()) {
-            let view = ShardView::build(g, part, s, opts.halo_radius, &mut frontier);
+            let view = ShardView::build(g, part, s, opts.halo_radius);
             let local_centers: Vec<NodeId> = (0..view.members.len())
                 .map(NodeId::from_index)
                 .filter(|li| is_center[view.members[li.index()].index()])
@@ -219,7 +218,7 @@ pub(crate) fn local_voronoi(
 mod tests {
     use super::*;
     use crate::schema::AdviceSchema;
-    use lad_graph::generators;
+    use lad_graph::{generators, IdAssignment};
 
     fn default_net(g: lad_graph::Graph) -> Network {
         Network::with_identity_ids(g)
@@ -251,6 +250,21 @@ mod tests {
                 .encode_sharded(&net, &part, &opts)
                 .expect("bfs-grown sharded encode");
             assert_eq!(got, want, "bfs-grown, permuted schedule");
+        }
+        // The benchmark's shard shape, small: a torus with row-major IDs,
+        // every row rotated by one offset, cut into 8 row bands, up to
+        // the benchmark's halo of 64 (past the torus's diameter).
+        let side = 32;
+        let uid = |i: usize| (i / side * side + (i + 5) % side) as u64 + 1;
+        let ids = IdAssignment::from_uids((0..side * side).map(uid).collect());
+        let net = Network::with_ids(generators::grid2d(side, side, true), ids);
+        let want = schema.encode(&net).expect("monolithic encode");
+        let part = Partition::contiguous(side * side, 8);
+        for halo in [4usize, 12, 64] {
+            let got = schema
+                .encode_sharded(&net, &part, &ShardOpts::new(halo))
+                .expect("sharded encode");
+            assert_eq!(got, want, "row-rotated torus, halo {halo}");
         }
     }
 

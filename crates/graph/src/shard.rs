@@ -38,7 +38,6 @@
 //! never under-approximates the halo.
 
 use crate::builder::from_sorted_edges;
-use crate::frontier::{BitFrontier, TILE_WIDTH};
 use crate::graph::{Graph, NodeId};
 
 /// A disjoint assignment of every node to one of `k` shards.
@@ -174,28 +173,23 @@ pub struct ShardView {
 
 impl ShardView {
     /// Builds the view of `shard` under `part` with a halo of depth
-    /// `halo_radius`, sharing `frontier` across calls (it is reused, not
-    /// consumed). The halo is exactly `N_{≤T}[interior] \ interior`,
-    /// computed by sweeping 64-center [`BitFrontier`] tiles from the
-    /// shard's *boundary* interior nodes (an interior node with a
-    /// non-interior neighbor) — every halo node is within `T` of one of
-    /// those.
+    /// `halo_radius`. The halo is exactly `N_{≤T}[interior] \ interior`,
+    /// grown by one depth-bounded, level-synchronous BFS from the shard's
+    /// *boundary* (interior nodes with a non-interior neighbor) — every
+    /// halo node is within `T` of one of those. The BFS stops after `T`
+    /// levels or at the first level that adds nothing, and expands each
+    /// view member at most once: O(|view|·Δ), plus O(n) scans for the
+    /// partition, the membership flags and the local-id table.
     ///
     /// # Panics
     ///
     /// Panics if `shard ≥ part.k()` or the partition does not match `g`.
-    pub fn build(
-        g: &Graph,
-        part: &Partition,
-        shard: usize,
-        halo_radius: usize,
-        frontier: &mut BitFrontier,
-    ) -> ShardView {
+    pub fn build(g: &Graph, part: &Partition, shard: usize, halo_radius: usize) -> ShardView {
         assert!(shard < part.k(), "shard index out of range");
         assert_eq!(part.n(), g.n(), "partition does not match the graph");
         let n = g.n();
         let mut member = vec![false; n];
-        let mut boundary: Vec<NodeId> = Vec::new();
+        let mut level: Vec<NodeId> = Vec::new();
         for (i, m) in member.iter_mut().enumerate() {
             let v = NodeId::from_index(i);
             if part.owner(v) != shard {
@@ -203,17 +197,26 @@ impl ShardView {
             }
             *m = true;
             if g.neighbors(v).iter().any(|&u| part.owner(u) != shard) {
-                boundary.push(v);
+                level.push(v);
             }
         }
-        if halo_radius > 0 {
-            for tile in boundary.chunks(TILE_WIDTH) {
-                frontier.start(g, tile);
-                frontier.extend(g, halo_radius);
-                for &v in frontier.touched() {
-                    member[v.index()] = true;
+        // `level` holds the members at distance exactly `d` from the
+        // interior; their new neighbors are the halo at distance `d + 1`.
+        let mut next: Vec<NodeId> = Vec::new();
+        for _ in 0..halo_radius {
+            for &v in &level {
+                for &u in g.neighbors(v) {
+                    if !member[u.index()] {
+                        member[u.index()] = true;
+                        next.push(u);
+                    }
                 }
             }
+            if next.is_empty() {
+                break;
+            }
+            level.clear();
+            std::mem::swap(&mut level, &mut next);
         }
         let members: Vec<NodeId> = (0..n)
             .filter(|&i| member[i])
@@ -307,6 +310,7 @@ pub fn halo_masks(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::GraphBuilder;
     use crate::generators;
     use crate::traversal;
 
@@ -341,34 +345,85 @@ mod tests {
         }
     }
 
+    /// Asserts that `view.graph` is the subgraph of `g` induced on the
+    /// view's members, with ports implied by sorted adjacency in both
+    /// graphs.
+    fn assert_induced(g: &Graph, view: &ShardView, at: &str) {
+        let mut m = 0usize;
+        for (li, &v) in view.members.iter().enumerate() {
+            let locals: Vec<NodeId> = g
+                .neighbors(v)
+                .iter()
+                .filter_map(|&u| view.local_of(u).map(NodeId::from_index))
+                .collect();
+            assert_eq!(
+                view.graph.neighbors(NodeId::from_index(li)),
+                &locals[..],
+                "{at}: adjacency of member {v:?}"
+            );
+            m += locals.len();
+        }
+        assert_eq!(view.graph.m() * 2, m, "{at}");
+    }
+
     #[test]
     fn view_members_are_exactly_the_halo_closure() {
-        let g = generators::grid2d(6, 6, true);
-        let part = Partition::contiguous(g.n(), 3);
-        let mut f = BitFrontier::new(g.n());
-        for shard in 0..3 {
-            for t in 0..3usize {
-                let view = ShardView::build(&g, &part, shard, t, &mut f);
-                // Oracle: BFS distance from the interior set.
+        let torus6 = generators::grid2d(6, 6, true);
+        let torus16 = generators::grid2d(16, 16, true);
+        let random = generators::random_bounded_degree(80, 4, 140, 3);
+        let union = generators::disjoint_union(&[
+            generators::cycle(7),
+            generators::path(5),
+            GraphBuilder::new(1).build(), // an isolated node
+            generators::grid2d(3, 3, false),
+        ]);
+        // Shard 1 owns nothing.
+        let owners = (0..union.n()).map(|i| if i % 3 == 0 { 0 } else { 2 });
+        let cases: Vec<(&str, &Graph, Partition)> = vec![
+            ("6x6 torus", &torus6, Partition::contiguous(torus6.n(), 3)),
+            ("16x16 torus", &torus16, Partition::contiguous(256, 1)),
+            ("16x16 torus", &torus16, Partition::contiguous(256, 4)),
+            ("16x16 torus", &torus16, Partition::contiguous(256, 8)),
+            ("16x16 torus", &torus16, Partition::bfs_grown(&torus16, 5)),
+            ("random", &random, Partition::contiguous(random.n(), 3)),
+            ("random", &random, Partition::bfs_grown(&random, 4)),
+            ("union", &union, Partition::contiguous(union.n(), 4)),
+            ("union", &union, Partition::from_owners(owners.collect(), 3)),
+        ];
+        for (name, g, part) in &cases {
+            let k = part.k();
+            for shard in 0..k {
+                // Oracle: BFS distance from every interior node, minimized.
                 let interior: Vec<NodeId> = part.shard_nodes(shard);
-                let mut expect = vec![false; g.n()];
+                let mut near: Vec<Option<usize>> = vec![None; g.n()];
                 for &c in &interior {
-                    let dist = traversal::bfs_distances(&g, c);
-                    for v in g.nodes() {
-                        if dist[v.index()].is_some_and(|d| d <= t) {
-                            expect[v.index()] = true;
-                        }
+                    let dist = traversal::bfs_distances(g, c);
+                    for (best, d) in near.iter_mut().zip(dist) {
+                        *best = match (*best, d) {
+                            (Some(b), Some(d)) => Some(b.min(d)),
+                            (b, d) => b.or(d),
+                        };
                     }
                 }
-                let got: Vec<bool> = {
-                    let mut m = vec![false; g.n()];
-                    for &v in &view.members {
-                        m[v.index()] = true;
-                    }
-                    m
-                };
-                assert_eq!(got, expect, "shard {shard} halo {t}");
-                assert_eq!(view.interior_count(), interior.len());
+                // 64 exceeds every diameter: the view becomes the union of
+                // the components the interior touches.
+                for t in [0usize, 1, 2, 5, 9, 64] {
+                    let at = format!("{name} k={k} shard {shard} halo {t}");
+                    let view = ShardView::build(g, part, shard, t);
+                    let expect: Vec<NodeId> = g
+                        .nodes()
+                        .filter(|v| near[v.index()].is_some_and(|d| d <= t))
+                        .collect();
+                    assert_eq!(view.members, expect, "{at}");
+                    let owned: Vec<bool> = view
+                        .members
+                        .iter()
+                        .map(|&v| part.owner(v) == shard)
+                        .collect();
+                    assert_eq!(view.interior, owned, "{at}");
+                    assert_eq!(view.interior_count(), interior.len(), "{at}");
+                    assert_induced(g, &view, &at);
+                }
             }
         }
     }
@@ -377,26 +432,9 @@ mod tests {
     fn view_graph_is_the_induced_subgraph() {
         let g = generators::random_bounded_degree(60, 4, 100, 9);
         let part = Partition::bfs_grown(&g, 4);
-        let mut f = BitFrontier::new(g.n());
         for shard in 0..4 {
-            let view = ShardView::build(&g, &part, shard, 2, &mut f);
-            // Every induced edge present, with ports implied by sorted
-            // adjacency in both graphs.
-            let mut m = 0usize;
-            for (li, &v) in view.members.iter().enumerate() {
-                let locals: Vec<NodeId> = g
-                    .neighbors(v)
-                    .iter()
-                    .filter_map(|&u| view.local_of(u).map(NodeId::from_index))
-                    .collect();
-                assert_eq!(
-                    view.graph.neighbors(NodeId::from_index(li)),
-                    &locals[..],
-                    "adjacency of member {v:?}"
-                );
-                m += locals.len();
-            }
-            assert_eq!(view.graph.m() * 2, m);
+            let view = ShardView::build(&g, &part, shard, 2);
+            assert_induced(&g, &view, &format!("shard {shard}"));
         }
     }
 
@@ -404,10 +442,9 @@ mod tests {
     fn interior_nodes_cover_the_graph_once() {
         let g = generators::cycle(17);
         let part = Partition::contiguous(g.n(), 5);
-        let mut f = BitFrontier::new(g.n());
         let mut owned = vec![0usize; g.n()];
         for shard in 0..5 {
-            let view = ShardView::build(&g, &part, shard, 3, &mut f);
+            let view = ShardView::build(&g, &part, shard, 3);
             for (li, &v) in view.members.iter().enumerate() {
                 if view.interior[li] {
                     owned[v.index()] += 1;
@@ -427,9 +464,8 @@ mod tests {
                 emit(u, v);
             }
         });
-        let mut f = BitFrontier::new(g.n());
         for shard in 0..4 {
-            let view = ShardView::build(&g, &part, shard, halo, &mut f);
+            let view = ShardView::build(&g, &part, shard, halo);
             for &v in &view.members {
                 assert!(
                     masks[v.index()] & (1 << shard) != 0,
@@ -441,7 +477,7 @@ mod tests {
         for v in g.nodes() {
             for shard in 0..4 {
                 if masks[v.index()] & (1 << shard) == 0 {
-                    let view = ShardView::build(&g, &part, shard, halo, &mut f);
+                    let view = ShardView::build(&g, &part, shard, halo);
                     assert!(view.local_of(v).is_none());
                 }
             }

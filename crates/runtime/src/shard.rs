@@ -84,7 +84,7 @@ use crate::lookup::NotOrderInvariant;
 use crate::network::Network;
 use crate::plan::{plan_decode, ExecPath};
 use crate::transport::{FaultStats, Transport};
-use lad_graph::{BitFrontier, Graph, IdAssignment, NodeId, Partition, ShardView};
+use lad_graph::{Graph, IdAssignment, NodeId, Partition, ShardView};
 use std::borrow::Borrow;
 use std::cell::Cell;
 use std::fmt;
@@ -917,13 +917,7 @@ where
         part.k(),
         opts,
         initial_radius,
-        |s| {
-            // A fresh frontier per shard is freed with its view's build
-            // instead of staying resident through every wave's decode.
-            let mut frontier = BitFrontier::new(g.n());
-            let view = ShardView::build(g, part, s, opts.halo_radius, &mut frontier);
-            ShardSlice::from_view(net, view)
-        },
+        |s| ShardSlice::from_view(net, ShardView::build(g, part, s, opts.halo_radius)),
         || net,
         input_tag,
         step,
@@ -1055,6 +1049,8 @@ where
         stats: MemoStats::default(),
     };
     let mut merge: MemoMerge<Out> = MemoMerge::new();
+    // Which global nodes some slice's interior has claimed so far.
+    let mut claimed = vec![false; n];
     for wave in schedule.chunks(resident) {
         let slices: Vec<ShardSlice<In>> = wave
             .iter()
@@ -1107,6 +1103,12 @@ where
                 for (li, out) in pass.run.outs.into_iter().enumerate() {
                     if slice.interior[li] {
                         let gv = slice.members[li].index();
+                        assert!(
+                            !std::mem::replace(&mut claimed[gv], true),
+                            "slice interiors overlap: shard {} claims node {gv}, which an \
+                             earlier slice already owns",
+                            slice.shard,
+                        );
                         run.per_node[gv] = pass.run.per_node[li];
                         run.outs[gv] = out;
                     }
@@ -1124,6 +1126,9 @@ where
         }
     }
     flush_memo_stats(&run.stats);
+    if let Some(gv) = claimed.iter().position(|&c| !c) {
+        panic!("slice interiors do not cover node {gv}: no shard claims it");
+    }
     memo_finish(run, replay_net, initial_radius, &input_tag, &step)
 }
 
@@ -1379,10 +1384,9 @@ mod tests {
         let part = Partition::contiguous(24, 4);
         // Ladder needs radius 2; halo 2 caps truncated slices at 1.
         let opts = ShardOpts::new(2);
-        let mut frontier = BitFrontier::new(24);
         let mut slices: Vec<Option<ShardSlice<u32>>> = (0..4)
             .map(|s| {
-                let view = ShardView::build(network.graph(), &part, s, 2, &mut frontier);
+                let view = ShardView::build(network.graph(), &part, s, 2);
                 Some(ShardSlice::from_view(&network, view))
             })
             .collect();
@@ -1458,12 +1462,11 @@ mod tests {
         let g = generators::cycle(32);
         let network = net(g);
         let part = Partition::contiguous(32, 2);
-        let mut frontier = BitFrontier::new(32);
         let mut direct: MemoMerge<u64> = MemoMerge::new();
         let mut via_disk: MemoMerge<u64> = MemoMerge::new();
         let store = SpillStore::temp().expect("temp store");
         for s in 0..2 {
-            let view = ShardView::build(network.graph(), &part, s, 4, &mut frontier);
+            let view = ShardView::build(network.graph(), &part, s, 4);
             let slice = ShardSlice::from_view(&network, view);
             let cap = (!slice.complete).then_some(3);
             let decode = || {

@@ -9,8 +9,10 @@
 //!   both with every shard memoized and with the planner forced to route
 //!   every shard down the plain path;
 //! * the provider contract: the driver asks for every slice exactly once,
-//!   in schedule order, and with `R < K` its spill directory holds one
-//!   memo section per memo-path shard and nothing else;
+//!   in schedule order, with `R < K` its spill directory holds one memo
+//!   section per memo-path shard and nothing else, and slices whose
+//!   interiors overlap or leave a node unclaimed stop the run with a
+//!   panic instead of a wrong answer;
 //! * first-error identity: a failing step reports the same
 //!   first-in-node-order error payload sharded as monolithic, for every
 //!   shard count and schedule;
@@ -19,7 +21,7 @@
 //!   outputs through shard mailboxes, and replays are deterministic
 //!   across schedules.
 
-use lad_graph::{builder::GraphBuilder, generators, BitFrontier, Graph, Partition, ShardView};
+use lad_graph::{builder::GraphBuilder, generators, Graph, Partition, ShardView};
 use lad_runtime::{
     run_gathered_robust, run_local_memo_fallible, run_sharded_memo_fallible,
     run_sharded_stream_memo_fallible, set_force_path, Ball, ExecPath, FaultPlan, HaloExceeded,
@@ -245,10 +247,9 @@ fn stream_driver_matches_monolithic_across_grid() {
                     let opts = ShardOpts::new(halo)
                         .schedule(schedule.clone())
                         .resident(resident);
-                    let mut frontier = BitFrontier::new(g.n());
                     let mut slices: Vec<Option<ShardSlice<u32>>> = (0..k)
                         .map(|s| {
-                            let view = ShardView::build(&g, &part, s, halo, &mut frontier);
+                            let view = ShardView::build(&g, &part, s, halo);
                             Some(ShardSlice::from_view(&net, view))
                         })
                         .collect();
@@ -328,6 +329,66 @@ fn first_error_is_identical_to_monolithic() {
         failing_cases >= 3,
         "the failing step must actually fail somewhere ({failing_cases} cases)"
     );
+}
+
+/// Order-invariant step that outputs at radius 3, the deepest a halo of
+/// 4 serves.
+fn radius3_step(ball: &Ball<u32>) -> Result<lad_runtime::MemoStep<u64>, TestError> {
+    if ball.radius() < 3 {
+        return Ok(lad_runtime::MemoStep::Expand(3));
+    }
+    Ok(lad_runtime::MemoStep::Done(ball_stat(ball)))
+}
+
+/// Decodes `path(40)` through the driver from two contiguous halo-4
+/// slices, after `tamper` has edited slice 1's interior flags.
+fn run_tampered_path(
+    tamper: impl Fn(&mut [bool]),
+    step: fn(&Ball<u32>) -> Result<lad_runtime::MemoStep<u64>, TestError>,
+) -> Result<(Vec<u64>, RoundStats), TestError> {
+    let g = generators::path(40);
+    let net = network_for(&g);
+    let part = Partition::contiguous(40, 2);
+    let mut slices: Vec<Option<ShardSlice<u32>>> = (0..2)
+        .map(|s| {
+            Some(ShardSlice::from_view(
+                &net,
+                ShardView::build(&g, &part, s, 4),
+            ))
+        })
+        .collect();
+    tamper(&mut slices[1].as_mut().expect("slice 1").interior);
+    run_sharded_stream_memo_fallible(
+        40,
+        2,
+        &ShardOpts::new(4),
+        1,
+        |s| slices[s].take().expect("each shard requested once"),
+        || &net,
+        tag,
+        step,
+    )
+}
+
+#[test]
+#[should_panic(expected = "slice interiors overlap")]
+fn overlapping_slice_interiors_are_rejected() {
+    // Slice 1 also claims shard 0's halo nodes 16..20, whose radius-3
+    // balls its view truncates; taking them would decode 4 nodes wrong.
+    let _ = run_tampered_path(|interior| interior.fill(true), radius3_step);
+}
+
+#[test]
+#[should_panic(expected = "slice interiors do not cover node 20")]
+fn unclaimed_nodes_are_rejected_even_when_a_node_failed() {
+    // Slice 1 claims nothing, so nodes 20..40 have no output. A failing
+    // node in shard 0 must not turn that into an ordinary first error.
+    let net = network_for(&generators::path(40));
+    let (fails, _) = lad_runtime::run_local(&net, |ctx: &NodeCtx<u32>| {
+        failing_step(&ctx.ball(2)).is_err()
+    });
+    assert!(fails[..20].contains(&true), "a node of shard 0 must fail");
+    let _ = run_tampered_path(|interior| interior.fill(false), failing_step);
 }
 
 // ---------------------------------------------------------------------------
