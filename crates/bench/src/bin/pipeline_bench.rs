@@ -214,21 +214,6 @@ fn calibrate(out_path: &str) {
     });
     let cluster = ClusterColoringSchema::default();
     let advice = cluster.encode(&net).expect("cluster encode");
-    // The sharded prior must come BEFORE the monolithic cluster-coloring
-    // row: `Calibration::embedded` matches by first prefix, and the
-    // monolithic name is a prefix of the sharded one. The workload is the
-    // same torus carved into 8 shards — halo'd slices re-derive boundary
-    // balls, so the sharded per-ball costs are genuinely different priors.
-    {
-        let (_, stats) = cluster.decode(&net, &advice).expect("cluster decode");
-        let part = lad_graph::Partition::contiguous(net.graph().n(), 8);
-        let opts = lad_runtime::ShardOpts::new(stats.rounds() + 1);
-        measure(&cluster.shard_plan_name(), &|| {
-            cluster
-                .decode_sharded(&net, &advice, &part, &opts)
-                .expect("sharded decode");
-        });
-    }
     measure("cluster-coloring", &|| {
         cluster.decode(&net, &advice).expect("cluster decode");
     });

@@ -8,8 +8,7 @@
 //!   [`torus_net`], monolithic [`AdviceSchema::encode`]/`decode`; or
 //! * `shard` — the fully streamed path: [`torus_stream_encode`] and
 //!   [`torus_stream_decode`] over `k` row-band shards with at most
-//!   `resident` slices in memory, memo tables spilling through the
-//!   scratch store whenever `resident < k`.
+//!   `resident` slices in memory.
 //!
 //! **Every row runs in its own subprocess** (the binary re-invokes
 //! itself with `--row`): Linux's `VmHWM` high-water mark is monotone per
@@ -30,7 +29,7 @@ use lad_core::schema::AdviceSchema;
 use lad_core::torus_stream::{torus_net, torus_stream_decode, torus_stream_encode};
 use lad_core::DecodeError;
 use lad_graph::coloring;
-use lad_runtime::{spill_stats, spill_stats_reset, ShardOpts};
+use lad_runtime::ShardOpts;
 use std::fmt::Write as _;
 use std::process::Command;
 use std::time::Instant;
@@ -59,7 +58,6 @@ fn run_row(mode: &str, rows: usize, cols: usize, k: usize, resident: usize, halo
             let advice =
                 torus_stream_encode(&schema, rows, cols, k, SEED).expect("streamed encode");
             let encode_s = t.elapsed().as_secs_f64();
-            spill_stats_reset();
             let opts = ShardOpts::new(halo).resident(resident);
             let t = Instant::now();
             match torus_stream_decode(&schema, &advice, k, &opts) {
@@ -79,7 +77,6 @@ fn run_row(mode: &str, rows: usize, cols: usize, k: usize, resident: usize, halo
         other => panic!("unknown row mode {other}"),
     };
     let total_s = start.elapsed().as_secs_f64();
-    let sp = spill_stats();
     let nodes_per_s = n as f64 / (encode_s + decode_s);
     let rss_json = lad_bench::peak_rss_mb()
         .map(|v| format!(", \"peak_rss_mb\": {v:.1}"))
@@ -89,9 +86,7 @@ fn run_row(mode: &str, rows: usize, cols: usize, k: usize, resident: usize, halo
          \"k\": {k}, \"resident\": {resident}, \"halo\": {halo}, \
          \"encode_s\": {encode_s:.6}, \"decode_s\": {decode_s:.6}, \"total_s\": {total_s:.6}, \
          \"nodes_per_s\": {nodes_per_s:.0}, \"rounds\": {rounds}, \
-         \"spill_bytes_written\": {}, \"spill_files\": {}, \"spill_buffer_peak\": {}, \
          \"verified\": {verified}{halo_note}{rss_json}}}",
-        sp.bytes_written, sp.files, sp.buffer_peak,
     );
     if verified {
         0

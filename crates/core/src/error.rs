@@ -58,11 +58,6 @@ pub enum DecodeError {
     /// wrong. Decoding refuses rather than share outputs across a class
     /// that is not actually uniform.
     NotOrderInvariant(lad_runtime::NotOrderInvariant),
-    /// The sharded decoder's spill scratch failed (it did not open, a
-    /// memo table did not save or load, or a loaded table did not parse).
-    /// The decode stopped without an answer; rerun with a working
-    /// `spill_dir`.
-    Spill(lad_runtime::SpillError),
 }
 
 impl DecodeError {
@@ -84,7 +79,6 @@ impl fmt::Display for DecodeError {
             DecodeError::Inconsistent(m) => write!(f, "inconsistent decoding: {m}"),
             DecodeError::InvalidOutput(m) => write!(f, "decoded output invalid: {m}"),
             DecodeError::NotOrderInvariant(e) => write!(f, "{e}"),
-            DecodeError::Spill(e) => write!(f, "{e}"),
         }
     }
 }
@@ -103,12 +97,6 @@ impl From<lad_runtime::HaloExceeded> for DecodeError {
         // configuration and the decoder's radius demand, not bad advice:
         // the caller should rebuild views with a deeper halo and rerun.
         DecodeError::Inconsistent(e.to_string())
-    }
-}
-
-impl From<lad_runtime::SpillError> for DecodeError {
-    fn from(e: lad_runtime::SpillError) -> Self {
-        DecodeError::Spill(e)
     }
 }
 

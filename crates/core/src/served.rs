@@ -36,8 +36,7 @@ use crate::schema::AdviceSchema;
 use lad_graph::{GraphBuilder, NodeId};
 use lad_runtime::store::{ClassStore, SchemaId, StoreError};
 use lad_runtime::{
-    canonicalize_tagged_with, run_shard_memo_fallible, Ball, CanonScratch, CanonicalKey, MemoStep,
-    Network,
+    canonicalize_tagged_with, Ball, CanonScratch, CanonicalKey, MemoStep, Network, ShardMemo,
 };
 use std::fmt;
 
@@ -216,7 +215,7 @@ impl std::error::Error for TrainError {
 }
 
 /// Trains a class dictionary: encodes advice for each training network,
-/// runs the real sealed-memo runner (every node interior, no halo cap),
+/// runs the real memo tile loop over every node ([`ShardMemo::train`]),
 /// and folds each sealed table into one [`ClassStore`] under the schema's
 /// identity. The resulting store answers queries from *any* network whose
 /// local structure appeared in training.
@@ -233,15 +232,11 @@ pub fn train_store(
     for net in training {
         let advice = schema.encode_advice(net).map_err(TrainError::Encode)?;
         let advised = net.with_inputs(advice.strings());
-        let interior = vec![true; net.graph().n()];
-        let (_, memo) = run_shard_memo_fallible(
+        let memo = ShardMemo::train(
             &advised,
-            &interior,
-            0,
-            None,
             schema.initial_radius(),
-            &|bits: &BitString, words: &mut Vec<u64>| bits.push_key_words(words),
-            &|ball| schema.eval(ball),
+            |bits: &BitString, words: &mut Vec<u64>| bits.push_key_words(words),
+            |ball| schema.eval(ball),
         )
         .map_err(TrainError::Decode)?;
         store.absorb_shard_memo(memo).map_err(TrainError::Store)?;

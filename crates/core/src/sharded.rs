@@ -1,7 +1,7 @@
 //! Shard-at-a-time encode/decode for the cluster-coloring schema.
 //!
-//! The sharded driver ([`lad_runtime::run_sharded_stream_memo_fallible`])
-//! is schema-agnostic; this module binds it to the paper's Δ-coloring
+//! The sharded driver ([`lad_runtime::run_sharded_stream_fallible`]) is
+//! schema-agnostic; this module binds it to the paper's Δ-coloring
 //! pipeline so instances too large for one address space can be encoded
 //! and decoded with a bounded resident set.
 //!
@@ -10,12 +10,13 @@
 //! [`ClusterColoringSchema::decode_sharded`] runs the exact ladder step of
 //! [`crate::AdviceSchema::decode`] (both call the shared
 //! `ClusterColoringSchema::memo_step`) through the driver's
-//! resident-network provider ([`lad_runtime::run_sharded_memo_fallible`]),
-//! so outputs, [`RoundStats`], and first-error payloads are bit-identical
-//! to the monolithic path whenever the halo is deep enough. A ladder that
-//! outgrows the halo surfaces as a typed [`DecodeError::Inconsistent`]
-//! instead of silently decoding from truncated views, and failed spill
-//! scratch as [`DecodeError::Spill`].
+//! resident-network provider ([`lad_runtime::run_sharded_fallible`]), so
+//! outputs, [`RoundStats`], and first-error payloads are bit-identical to
+//! the monolithic path whenever the halo is deep enough. Every shard
+//! climbs its nodes' ladders directly, with no class memo, and nothing is
+//! written to disk. A ladder that outgrows the halo surfaces as a typed
+//! [`DecodeError::Inconsistent`] instead of silently decoding from
+//! truncated views.
 //!
 //! # Encode
 //!
@@ -34,20 +35,9 @@ use crate::bits::BitString;
 use crate::cluster_coloring::ClusterColoringSchema;
 use crate::error::{DecodeError, EncodeError};
 use lad_graph::{coloring, ruling, Graph, NodeId, Partition, ShardView};
-use lad_runtime::{run_sharded_memo_fallible, Network, RoundStats, ShardOpts};
+use lad_runtime::{run_sharded_fallible, Network, RoundStats, ShardOpts};
 
 impl ClusterColoringSchema {
-    /// The planner schema name the sharded decoder consults: per-shard
-    /// instances have different class statistics than whole graphs (halo
-    /// boundaries split classes), so they calibrate under their own
-    /// `cluster-coloring@shard` prior rather than the monolithic one.
-    pub fn shard_plan_name(&self) -> String {
-        format!(
-            "cluster-coloring@shard(spacing={}, colors<={})",
-            self.cluster_spacing, self.max_cluster_colors
-        )
-    }
-
     /// Decodes shard-at-a-time with a bounded resident set.
     ///
     /// Same contract as [`crate::AdviceSchema::decode`], plus: a decode
@@ -60,8 +50,7 @@ impl ClusterColoringSchema {
     /// # Errors
     ///
     /// Everything [`crate::AdviceSchema::decode`] can return, plus the
-    /// halo-depth inconsistency above and [`DecodeError::Spill`] when the
-    /// spill scratch fails (`opts.resident` below the shard count).
+    /// halo-depth inconsistency above.
     ///
     /// # Panics
     ///
@@ -81,14 +70,10 @@ impl ClusterColoringSchema {
             ));
         }
         let advised = net.with_inputs(advice.strings());
-        let mut opts = opts.clone();
-        if opts.plan_schema.is_none() {
-            opts = opts.plan_schema(self.shard_plan_name());
-        }
-        let (colors, stats) = run_sharded_memo_fallible(
+        let (colors, stats) = run_sharded_fallible(
             &advised,
             part,
-            &opts,
+            opts,
             self.step_radius(),
             |bits: &BitString, words: &mut Vec<u64>| bits.push_key_words(words),
             |ball| self.memo_step(ball),
@@ -292,34 +277,31 @@ mod tests {
     }
 
     #[test]
-    fn unusable_spill_scratch_is_a_typed_error() {
-        let schema = ClusterColoringSchema::default();
-        let net = default_net(generators::cycle(120));
-        let advice = schema.encode(&net).expect("encode");
-        let want = schema.decode(&net, &advice).expect("monolithic decode");
-        let file = std::env::temp_dir().join(format!("lad-spill-file-{}", std::process::id()));
-        std::fs::write(&file, b"not a directory").expect("write scratch file");
-        let part = Partition::contiguous(120, 4);
-        let opts = ShardOpts::new(want.1.rounds() + 1)
-            .resident(2)
-            .spill_dir(&file);
-        let got = schema.decode_sharded(&net, &advice, &part, &opts);
-        std::fs::remove_file(&file).expect("remove scratch file");
-        match got {
-            Err(DecodeError::Spill(e)) => assert!(e.to_string().contains("spill"), "{e}"),
-            other => panic!("expected a spill error, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn sharded_decode_matches_monolithic() {
         let schema = ClusterColoringSchema::default();
+        // Every decode names a scratch directory, which the driver must
+        // leave empty.
+        let dir = std::env::temp_dir().join(format!("lad-sharded-decode-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create scratch directory");
+        let check =
+            |net: &Network, advice: &AdviceMap, want: &(Vec<usize>, RoundStats), k, opts| {
+                let part = Partition::contiguous(net.graph().n(), k);
+                let opts = ShardOpts::spill_dir(opts, &dir);
+                let got = schema
+                    .decode_sharded(net, advice, &part, &opts)
+                    .expect("sharded decode");
+                assert_eq!(&got, want, "k={k} {opts:?}");
+                let written: Vec<_> = std::fs::read_dir(&dir)
+                    .expect("scratch directory")
+                    .map(|e| e.expect("readable entry").file_name())
+                    .collect();
+                assert!(written.is_empty(), "k={k} {opts:?}: wrote {written:?}");
+            };
         for g in [
             generators::cycle(120),
             generators::grid2d(10, 9, false),
             generators::random_bounded_degree(110, 4, 200, 9),
         ] {
-            let n = g.n();
             let net = default_net(g);
             let advice = schema.encode(&net).expect("encode");
             let want = schema.decode(&net, &advice).expect("monolithic decode");
@@ -327,15 +309,37 @@ mod tests {
             let halo = want.1.rounds() + 1;
             for k in [1usize, 2, 4] {
                 for resident in [1usize, 2, usize::MAX] {
-                    let part = Partition::contiguous(n, k);
-                    let opts = ShardOpts::new(halo).resident(resident);
-                    let got = schema
-                        .decode_sharded(&net, &advice, &part, &opts)
-                        .expect("sharded decode");
-                    assert_eq!(got, want, "k={k} resident={resident}");
+                    check(
+                        &net,
+                        &advice,
+                        &want,
+                        k,
+                        ShardOpts::new(halo).resident(resident),
+                    );
                 }
             }
         }
+        // The benchmark's shard shape, small: a torus with row-rotated IDs
+        // in 8 row bands, at the reference's depth and at the benchmark's
+        // halo of 64 (past the torus's diameter).
+        let side = 32;
+        let uid = |i: usize| (i / side * side + (i + 5) % side) as u64 + 1;
+        let ids = IdAssignment::from_uids((0..side * side).map(uid).collect());
+        let net = Network::with_ids(generators::grid2d(side, side, true), ids);
+        let advice = schema.encode(&net).expect("encode");
+        let want = schema.decode(&net, &advice).expect("monolithic decode");
+        for halo in [want.1.rounds() + 1, 64] {
+            for resident in [1usize, 2, usize::MAX] {
+                check(
+                    &net,
+                    &advice,
+                    &want,
+                    8,
+                    ShardOpts::new(halo).resident(resident),
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).expect("remove scratch directory");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! graph, network, or advice map**.
 //!
 //! The sharded driver's resident-network provider
-//! ([`lad_runtime::run_sharded_memo_fallible`]) bounds the *decode*
-//! working set but still slices a resident [`Network`]; at `n = 10⁷` the
+//! ([`lad_runtime::run_sharded_fallible`]) bounds the *decode* working
+//! set but still slices a resident [`Network`]; at `n = 10⁷` the
 //! graph's CSR plus per-node advice strings alone exceed any sensible
 //! budget. This module closes
 //! the loop for one concrete family — the torus, whose row-banded
@@ -19,11 +19,11 @@
 //!   [`crate::AdviceSchema::encode`] on the materialized torus — pinned by
 //!   tests below.
 //! * **Decode** is a provider for the one sharded driver,
-//!   [`lad_runtime::run_sharded_stream_memo_fallible`]: it feeds it
-//!   slices built from the grid geometry and decodes them through the same
-//!   ladder step as the monolithic decoder, then checks properness by
-//!   streaming the edge list, so outputs and [`RoundStats`] match
-//!   [`crate::AdviceSchema::decode`] exactly.
+//!   [`lad_runtime::run_sharded_stream_fallible`]: it feeds it slices
+//!   built from the grid geometry, whose nodes climb the same ladder step
+//!   as the monolithic decoder (one ladder per node, no class memo, no
+//!   disk), then checks properness by streaming the edge list, so outputs
+//!   and [`RoundStats`] match [`crate::AdviceSchema::decode`] exactly.
 //!
 //! # Identifiers
 //!
@@ -33,7 +33,10 @@
 //! priorities cut expected chain length to `O(log n)`, so this module
 //! fixes uids to a seeded Feistel permutation of the node indices
 //! ([`torus_uid`]): a stateless bijection each slice evaluates locally,
-//! with no global permutation table.
+//! with no global permutation table. It is a bijection only on `0..n`,
+//! so [`torus_uid`] rejects any other index in every build: an index
+//! past the end would alias an in-range node's uid and break the
+//! unique-identifier premise every LOCAL decoder rests on.
 
 use std::collections::{HashSet, VecDeque};
 
@@ -43,7 +46,7 @@ use crate::cluster_coloring::ClusterColoringSchema;
 use crate::error::{DecodeError, EncodeError};
 use crate::sharded::local_voronoi;
 use lad_graph::{builder, coloring, generators, Graph, IdAssignment, NodeId};
-use lad_runtime::{run_sharded_stream_memo_fallible, Network, RoundStats, ShardOpts, ShardSlice};
+use lad_runtime::{run_sharded_stream_fallible, Network, RoundStats, ShardOpts, ShardSlice};
 
 // ---------------------------------------------------------------------------
 // Seeded uid permutation
@@ -63,8 +66,16 @@ fn mix64(mut x: u64) -> u64 {
 /// Stateless and bijective: any slice can label its members without a
 /// global table, and the whole assignment is a permutation of `1..=n` —
 /// well inside the model's `poly(n)` id space.
+///
+/// # Panics
+///
+/// Panics if `index >= n`: cycle-walking would map it onto the uid of
+/// some node in `0..n`.
 pub fn torus_uid(n: usize, seed: u64, index: usize) -> u64 {
-    debug_assert!(index < n);
+    assert!(
+        index < n,
+        "torus_uid: index {index} is outside the {n}-node torus"
+    );
     let half = (usize::BITS - n.max(2).saturating_sub(1).leading_zeros()).div_ceil(2);
     let mask = (1u64 << half) - 1;
     let mut x = index as u64;
@@ -398,8 +409,8 @@ pub fn torus_stream_encode(
 // ---------------------------------------------------------------------------
 
 /// Decodes streamed torus advice slice-at-a-time through
-/// [`run_sharded_stream_memo_fallible`], never materializing the global
-/// graph or advice, and verifies properness by streaming the edge list.
+/// [`run_sharded_stream_fallible`], never materializing the global graph
+/// or advice, and verifies properness by streaming the edge list.
 ///
 /// Outputs and [`RoundStats`] are bit-identical to
 /// [`crate::AdviceSchema::decode`] on the materialized torus whenever
@@ -412,8 +423,7 @@ pub fn torus_stream_encode(
 /// # Errors
 ///
 /// Everything [`crate::AdviceSchema::decode`] can return, plus the
-/// halo-depth inconsistency above and [`DecodeError::Spill`] when the
-/// spill scratch fails.
+/// halo-depth inconsistency above.
 ///
 /// # Panics
 ///
@@ -428,16 +438,12 @@ pub fn torus_stream_decode(
     let (rows, cols, seed) = (advice.rows, advice.cols, advice.seed);
     let n = advice.n();
     assert!(k >= 1 && k <= rows, "need 1 ≤ k ≤ rows row bands");
-    let mut opts = opts.clone();
-    if opts.plan_schema.is_none() {
-        opts = opts.plan_schema(schema.shard_plan_name());
-    }
     let halo = opts.halo_radius;
     let width = schema.color_width();
-    let (colors, stats) = run_sharded_stream_memo_fallible(
+    let (colors, stats) = run_sharded_stream_fallible(
         n,
         k,
-        &opts,
+        opts,
         schema.step_radius(),
         |s| {
             let ts = build_torus_slice(rows, cols, k, s, halo);
@@ -493,6 +499,13 @@ mod tests {
                 seen[(u - 1) as usize] = true;
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "index 10 is outside the 10-node torus")]
+    fn torus_uid_rejects_an_index_past_the_end() {
+        // Cycle-walking would map index 10 onto index 9's uid.
+        torus_uid(10, 7, 10);
     }
 
     #[test]

@@ -1173,12 +1173,11 @@ pub(crate) struct MemoPass<Out> {
 /// `centers`, in order and in tiles of [`TILE_WIDTH`], against a fresh
 /// class memo and shell engine. Output and radius slots cover the node
 /// range `slots` (indexed from its start). The pass stops at the first
-/// conflict, or after the first tile for which `halted` returns true.
+/// conflict.
 ///
 /// A monolithic decode is one pass over every node in BFS order, a
-/// parallel one a pass per contiguous chunk, and a shard one pass over
-/// its interior nodes.
-#[allow(clippy::too_many_arguments)]
+/// parallel one a pass per contiguous chunk, and training a sealed table
+/// ([`ShardMemo::train`]) one pass over every node.
 pub(crate) fn memo_pass<In: Clone, Out: Clone + PartialEq, E>(
     net: &Network<In>,
     centers: &[NodeId],
@@ -1186,7 +1185,6 @@ pub(crate) fn memo_pass<In: Clone, Out: Clone + PartialEq, E>(
     initial_radius: usize,
     input_tag: &impl Fn(&In, &mut Vec<u64>),
     step: &impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E>,
-    halted: impl Fn() -> bool,
 ) -> MemoPass<Out> {
     let mut run = ShardRun {
         outs: std::iter::repeat_with(|| None).take(slots.len()).collect(),
@@ -1214,9 +1212,6 @@ pub(crate) fn memo_pass<In: Clone, Out: Clone + PartialEq, E>(
             None,
         ) {
             conflict = Some(c);
-            break;
-        }
-        if halted() {
             break;
         }
     }
@@ -1283,7 +1278,6 @@ fn run_memo_seq<In: Clone, Out: Clone + PartialEq, E: From<NotOrderInvariant>>(
         initial_radius,
         &input_tag,
         &step,
-        || false,
     );
     flush_memo_stats(&pass.run.stats);
     if let Some(c) = pass.conflict {
@@ -1308,15 +1302,7 @@ where
     // One pass per chunk, replay-merged below in chunk order.
     let passes = fan_out(chunk_ranges(n, threads), |range| {
         let centers: Vec<NodeId> = range.clone().map(NodeId::from_index).collect();
-        memo_pass(
-            net,
-            &centers,
-            range,
-            initial_radius,
-            input_tag,
-            step,
-            || false,
-        )
+        memo_pass(net, &centers, range, initial_radius, input_tag, step)
     });
     let mut run = ShardRun {
         outs: Vec::with_capacity(n),

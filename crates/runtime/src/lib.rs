@@ -109,10 +109,8 @@ pub use plan::{
     forced_path, plan_decode, probe_stride, set_force_path, Calibration, ExecPath, PlanDecision,
 };
 pub use shard::{
-    run_shard_memo_fallible, run_sharded_memo_fallible, run_sharded_stream_memo_fallible,
-    spill_stats, spill_stats_reset, HaloExceeded, MemoMerge, ShardMemo, ShardOpts, ShardRun,
-    ShardSlice, ShardTrafficStats, ShardedTransport, SpillError, SpillKind, SpillStats, SpillStore,
-    Spillable,
+    run_sharded_fallible, run_sharded_stream_fallible, HaloExceeded, MemoMerge, ShardMemo,
+    ShardOpts, ShardRun, ShardSlice, ShardTrafficStats, ShardedTransport, Spillable,
 };
 pub use shell::{fold_key_words, shell_class_keys, shell_class_keys_at_radii};
 pub use store::{

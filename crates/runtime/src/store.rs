@@ -12,8 +12,7 @@
 //!
 //! Everything is little-endian `u64` words, so the file is 8-byte aligned
 //! throughout and an mmap of it can be read as a `&[u64]` without copying.
-//! The layout extends the `LADSPILL` scratch format (one header, one
-//! payload) with multiple checksummed sections and a footer index:
+//! A header is followed by checksummed sections and a footer index:
 //!
 //! ```text
 //! header   (6 words)  magic "LADSTORE", format version, schema digest,
@@ -54,14 +53,14 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 // ---------------------------------------------------------------------------
-// Shared low-level helpers (also used by the spill scratch format)
+// Low-level helpers
 // ---------------------------------------------------------------------------
 
 /// Multiply–rotate fold over a byte slice, 8 bytes at a time (the tail is
 /// zero-padded). Matches the spirit of the `CanonicalKey` fold: fast,
 /// non-cryptographic, and word-oriented — corruption detection for our own
 /// files, not an integrity MAC against an adversary.
-pub(crate) fn fold_bytes(bytes: &[u8]) -> u64 {
+fn fold_bytes(bytes: &[u8]) -> u64 {
     let mut fold = 0xA076_1D64_78BD_642Fu64 ^ bytes.len() as u64;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
@@ -84,7 +83,7 @@ static ATOMIC_SEQ: AtomicU64 = AtomicU64::new(0);
 /// process-unique temporary sibling first and is renamed into place, so a
 /// crash mid-write leaves either the old file or no file — never a
 /// truncated one masquerading as corruption.
-pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let seq = ATOMIC_SEQ.fetch_add(1, Ordering::Relaxed);
     let mut tmp_name = path
         .file_name()
@@ -373,9 +372,9 @@ impl<Out: PartialEq> ClassStore<Out> {
         }
     }
 
-    /// Folds one shard's sealed memo table in, under the same conflict
-    /// discipline as the cross-shard merge. Returns how many classes were
-    /// new.
+    /// Folds one sealed memo table ([`ShardMemo::train`]) in, under the
+    /// same conflict discipline as [`crate::MemoMerge`]. Returns how many
+    /// classes were new.
     pub fn absorb_shard_memo(&mut self, memo: ShardMemo<Out>) -> Result<usize, StoreError> {
         let mut fresh = 0usize;
         for (key, entry) in memo.into_memo().into_entries() {

@@ -5,14 +5,11 @@
 //! * the full deterministic generator grid × shard counts {1, 2, 3, 5, 8}
 //!   × partition shapes (contiguous, BFS-grown) × schedules (forward,
 //!   reverse, interleaved) × residency bounds {1, 2, ∞}: outputs and
-//!   [`RoundStats`] must match `run_local_memo_fallible` **bit for bit**,
-//!   both with every shard memoized and with the planner forced to route
-//!   every shard down the plain path;
+//!   [`RoundStats`] of the plain per-shard ladders must match
+//!   `run_local_memo_fallible` **bit for bit**;
 //! * the provider contract: the driver asks for every slice exactly once,
-//!   in schedule order, with `R < K` its spill directory holds one memo
-//!   section per memo-path shard and nothing else, and slices whose
-//!   interiors overlap or leave a node unclaimed stop the run with a
-//!   panic instead of a wrong answer;
+//!   in schedule order, and slices whose interiors overlap or leave a
+//!   node unclaimed stop the run with a panic instead of a wrong answer;
 //! * first-error identity: a failing step reports the same
 //!   first-in-node-order error payload sharded as monolithic, for every
 //!   shard count and schedule;
@@ -23,12 +20,10 @@
 
 use lad_graph::{builder::GraphBuilder, generators, Graph, Partition, ShardView};
 use lad_runtime::{
-    run_gathered_robust, run_local_memo_fallible, run_sharded_memo_fallible,
-    run_sharded_stream_memo_fallible, set_force_path, Ball, ExecPath, FaultPlan, HaloExceeded,
-    Network, NodeCtx, NotOrderInvariant, PerfectLink, RoundStats, ShardOpts, ShardSlice,
-    ShardedTransport, SpillError,
+    run_gathered_robust, run_local_memo_fallible, run_sharded_fallible,
+    run_sharded_stream_fallible, Ball, FaultPlan, HaloExceeded, Network, NodeCtx,
+    NotOrderInvariant, PerfectLink, RoundStats, ShardOpts, ShardSlice, ShardedTransport,
 };
-use std::path::{Path, PathBuf};
 
 /// The deterministic generator grid (mirrors `equivalence.rs`).
 fn generator_grid() -> Vec<(&'static str, Graph)> {
@@ -76,7 +71,6 @@ fn network_for(g: &Graph) -> Network<u32> {
 enum TestError {
     Conflict(NotOrderInvariant),
     Halo(HaloExceeded),
-    Spill(SpillError),
     Step(u64),
 }
 
@@ -89,12 +83,6 @@ impl From<NotOrderInvariant> for TestError {
 impl From<HaloExceeded> for TestError {
     fn from(h: HaloExceeded) -> Self {
         TestError::Halo(h)
-    }
-}
-
-impl From<SpillError> for TestError {
-    fn from(e: SpillError) -> Self {
-        TestError::Spill(e)
     }
 }
 
@@ -156,35 +144,8 @@ fn partitions(g: &Graph, k: usize) -> Vec<(&'static str, Partition)> {
     ]
 }
 
-/// A scratch directory private to one test of this process.
-fn scratch_dir(test: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("lad-shard-{test}-{}", std::process::id()))
-}
-
-/// The file names in `dir`, sorted; empty when `dir` does not exist.
-fn file_names(dir: &Path) -> Vec<String> {
-    let mut names: Vec<String> = match std::fs::read_dir(dir) {
-        Ok(entries) => entries
-            .map(|e| {
-                e.expect("readable entry")
-                    .file_name()
-                    .into_string()
-                    .expect("utf-8")
-            })
-            .collect(),
-        Err(_) => Vec::new(),
-    };
-    names.sort();
-    names
-}
-
 #[test]
 fn sharded_matches_monolithic_across_grid() {
-    // The plain leg plans every shard and the planner is forced to the
-    // plain path. No other test in this binary plans, so the
-    // process-wide knob reaches only that leg; it is reset at the end.
-    set_force_path(Some(ExecPath::Plain));
-    let plain_dir = scratch_dir("plain");
     for (name, g) in generator_grid() {
         let net = network_for(&g);
         let reference =
@@ -198,38 +159,19 @@ fn sharded_matches_monolithic_across_grid() {
                         let opts = ShardOpts::new(halo)
                             .schedule(schedule.clone())
                             .resident(resident);
-                        let got =
-                            run_sharded_memo_fallible(&net, &part, &opts, 1, tag, adaptive_step)
-                                .unwrap_or_else(|e| {
-                                    panic!("{name} {pname} k={k} {schedule:?} r={resident}: {e:?}")
-                                });
+                        let got = run_sharded_fallible(&net, &part, &opts, 1, tag, adaptive_step)
+                            .unwrap_or_else(|e| {
+                                panic!("{name} {pname} k={k} {schedule:?} r={resident}: {e:?}")
+                            });
                         assert_eq!(
                             got, reference,
                             "{name} {pname} k={k} sched={schedule:?} resident={resident}"
                         );
-                        let plain_opts = opts.plan_schema("forced-plain").spill_dir(&plain_dir);
-                        let plain = run_sharded_memo_fallible(
-                            &net,
-                            &part,
-                            &plain_opts,
-                            1,
-                            tag,
-                            adaptive_step,
-                        )
-                        .expect("plain sharded decodes");
-                        assert_eq!(
-                            plain, reference,
-                            "plain: {name} {pname} k={k} sched={schedule:?} resident={resident}"
-                        );
-                        // Plain shards seal no memo table, so nothing spills.
-                        assert_eq!(file_names(&plain_dir), Vec::<String>::new());
                     }
                 }
             }
         }
     }
-    set_force_path(None);
-    let _ = std::fs::remove_dir_all(&plain_dir);
 }
 
 #[test]
@@ -254,7 +196,7 @@ fn stream_driver_matches_monolithic_across_grid() {
                         })
                         .collect();
                     let mut requested = Vec::new();
-                    let got = run_sharded_stream_memo_fallible(
+                    let got = run_sharded_stream_fallible(
                         g.n(),
                         k,
                         &opts,
@@ -278,30 +220,6 @@ fn stream_driver_matches_monolithic_across_grid() {
 }
 
 #[test]
-fn spill_directory_holds_one_memo_section_per_shard() {
-    let g = generators::grid2d(6, 5, false);
-    let net = network_for(&g);
-    let reference =
-        run_local_memo_fallible(&net, 1, tag, adaptive_step).expect("reference decodes");
-    let halo = reference.1.rounds() + 1;
-    let dir = scratch_dir("memo");
-    for k in [2usize, 3, 5] {
-        for resident in 1..k {
-            let _ = std::fs::remove_dir_all(&dir);
-            let part = Partition::bfs_grown(&g, k);
-            let opts = ShardOpts::new(halo).resident(resident).spill_dir(&dir);
-            let got = run_sharded_memo_fallible(&net, &part, &opts, 1, tag, adaptive_step)
-                .expect("sharded decodes");
-            assert_eq!(got, reference, "k={k} resident={resident}");
-            let mut want: Vec<String> = (0..k).map(|s| format!("memo-{s}.lsp")).collect();
-            want.sort();
-            assert_eq!(file_names(&dir), want, "k={k} resident={resident}");
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn first_error_is_identical_to_monolithic() {
     let mut failing_cases = 0usize;
     for (name, g) in generator_grid() {
@@ -320,7 +238,7 @@ fn first_error_is_identical_to_monolithic() {
             for schedule in schedules(k) {
                 let part = Partition::contiguous(g.n(), k);
                 let opts = ShardOpts::new(halo).schedule(schedule.clone()).resident(1);
-                let got = run_sharded_memo_fallible(&net, &part, &opts, 1, tag, failing_step);
+                let got = run_sharded_fallible(&net, &part, &opts, 1, tag, failing_step);
                 assert_eq!(got, reference, "{name} k={k} sched={schedule:?}");
             }
         }
@@ -358,7 +276,7 @@ fn run_tampered_path(
         })
         .collect();
     tamper(&mut slices[1].as_mut().expect("slice 1").interior);
-    run_sharded_stream_memo_fallible(
+    run_sharded_stream_fallible(
         40,
         2,
         &ShardOpts::new(4),

@@ -2,15 +2,14 @@
 //!
 //! Three contracts, each enforced differentially:
 //!
-//! * **Round trip.** A store built from a *live* sealed memo table
-//!   (produced by the real sharded memo runner over a generator grid)
+//! * **Round trip.** A store built from *live* sealed memo tables
+//!   (produced by the real memo tile loop over a generator grid)
 //!   answers every query identically after save + reload, and
 //!   re-serializing the reloaded store reproduces the file byte for byte
 //!   (serialization is deterministic: entries are written in canonical
 //!   key order).
 //! * **Corruption.** Every single-byte flip and every truncation of a
-//!   valid store file — and of a valid `LADSPILL` scratch file — yields a
-//!   typed error. Exhaustive sweeps cover every byte position; proptest
+//!   valid store file yields a typed error. Exhaustive sweeps cover every byte position; proptest
 //!   adds random multi-byte corruptions. Nothing panics, nothing is
 //!   silently accepted.
 //! * **Format drift.** A golden store file is committed under
@@ -20,27 +19,17 @@
 
 use lad_graph::{generators, IdAssignment};
 use lad_runtime::store::{ClassStore, ClassVerdict, SchemaId, StoreError};
-use lad_runtime::{
-    run_shard_memo_fallible, Ball, HaloExceeded, MemoStep, Network, NotOrderInvariant, SpillKind,
-    SpillStore,
-};
+use lad_runtime::{Ball, MemoStep, Network, NotOrderInvariant, ShardMemo};
 use proptest::prelude::*;
 
 #[derive(Debug, PartialEq)]
 enum TestError {
     Conflict(NotOrderInvariant),
-    Halo(HaloExceeded),
 }
 
 impl From<NotOrderInvariant> for TestError {
     fn from(c: NotOrderInvariant) -> Self {
         TestError::Conflict(c)
-    }
-}
-
-impl From<HaloExceeded> for TestError {
-    fn from(h: HaloExceeded) -> Self {
-        TestError::Halo(h)
     }
 }
 
@@ -90,9 +79,7 @@ fn train() -> ClassStore<usize> {
         generators::complete(5),
     ] {
         let network = net(g, 0xC0FFEE);
-        let interior = vec![true; network.graph().n()];
-        let (_, memo) = run_shard_memo_fallible(&network, &interior, 0, None, 1, &tag, &step)
-            .expect("live memo run succeeds");
+        let memo = ShardMemo::train(&network, 1, tag, step).expect("live memo run succeeds");
         store
             .absorb_shard_memo(memo)
             .expect("no cross-graph conflicts");
@@ -149,9 +136,7 @@ fn small_store_bytes() -> Vec<u8> {
     let mut store = ClassStore::new(schema(), 1);
     for g in [generators::cycle(12), generators::path(7)] {
         let network = net(g, 0xBEEF);
-        let interior = vec![true; network.graph().n()];
-        let (_, memo) = run_shard_memo_fallible(&network, &interior, 0, None, 1, &tag, &step)
-            .expect("live memo run succeeds");
+        let memo = ShardMemo::train(&network, 1, tag, step).expect("live memo run succeeds");
         store.absorb_shard_memo(memo).expect("no conflicts");
     }
     store.to_bytes()
@@ -183,39 +168,6 @@ fn every_truncation_of_a_store_file_is_rejected() {
             Err(_) => {}
             Ok(_) => panic!("truncation to {len} bytes was silently accepted"),
         }
-    }
-}
-
-/// Same sweep for the `LADSPILL` scratch format: flips and truncations of
-/// every byte position come back as typed `InvalidData` errors, never a
-/// panic — in particular flips of the untrusted count word, which used to
-/// overflow `32 + 8 * count` in release builds.
-#[test]
-fn every_byte_flip_and_truncation_of_a_spill_file_is_rejected() {
-    let spill = SpillStore::temp().expect("temp spill dir");
-    spill
-        .save(SpillKind::Memo, 7, &[3, 9, 1, u64::MAX, 0, 42])
-        .expect("save");
-    let path = spill.dir().join("memo-7.lsp");
-    let bytes = std::fs::read(&path).expect("read raw");
-    spill.load(SpillKind::Memo, 7).expect("pristine file loads");
-    for i in 0..bytes.len() {
-        for flip in [0x01u8, 0x80, 0xFF] {
-            let mut corrupt = bytes.clone();
-            corrupt[i] ^= flip;
-            std::fs::write(&path, &corrupt).expect("write corrupt");
-            let err = spill
-                .load(SpillKind::Memo, 7)
-                .expect_err("corrupt spill file accepted");
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "byte {i}");
-        }
-    }
-    for len in 0..bytes.len() {
-        std::fs::write(&path, &bytes[..len]).expect("write truncated");
-        let err = spill
-            .load(SpillKind::Memo, 7)
-            .expect_err("truncated spill file accepted");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "len {len}");
     }
 }
 
