@@ -190,7 +190,7 @@ pub fn reduce_to_delta_plus_one(
             Some(t) => t.sequential(&stats),
         });
     }
-    let stats = total.unwrap_or_else(|| run_local(net, |_| ()).1);
+    let stats = total.unwrap_or_else(|| RoundStats::zero(g.n()));
     debug_assert!(coloring::is_proper_k_coloring(g, &colors, delta + 1));
     (colors, stats)
 }

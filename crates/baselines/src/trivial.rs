@@ -7,7 +7,7 @@ use lad_core::schema::AdviceSchema;
 use lad_graph::orientation::sorted_incident_by_uid;
 use lad_graph::{EulerPartition, Orientation};
 use lad_lcl::witness::proper_coloring_witness;
-use lad_runtime::{run_local_fallible, Network, RoundStats};
+use lad_runtime::{run_local_fallible, Network, RoundStats, Run, RunReport};
 
 /// The trivial `k`-coloring schema: every node stores its own color in
 /// `⌈log₂ k⌉` bits; decoding reads the node's own advice (0 rounds).
@@ -64,7 +64,7 @@ impl AdviceSchema for TrivialColoringSchema {
         format!("trivial {}-coloring", self.k)
     }
 
-    fn encode(&self, net: &Network) -> Result<AdviceMap, EncodeError> {
+    fn encode_with(&self, net: &Network, _run: &Run) -> Result<AdviceMap, EncodeError> {
         let g = net.graph();
         let colors = proper_coloring_witness(g, net.uids(), self.k, self.witness_cap).map_err(
             |e| match e {
@@ -86,11 +86,12 @@ impl AdviceSchema for TrivialColoringSchema {
         Ok(advice)
     }
 
-    fn decode(
+    fn decode_with(
         &self,
         net: &Network,
         advice: &AdviceMap,
-    ) -> Result<(Vec<usize>, RoundStats), DecodeError> {
+        _run: &Run,
+    ) -> Result<(Vec<usize>, RoundStats, RunReport), DecodeError> {
         let width = self.beta();
         let k = self.k;
         let advised = net.with_inputs(advice.strings());
@@ -105,7 +106,7 @@ impl AdviceSchema for TrivialColoringSchema {
             }
             Ok(c)
         })?;
-        Ok((colors, stats))
+        Ok((colors, stats, RunReport::default()))
     }
 }
 
@@ -182,7 +183,7 @@ impl AdviceSchema for TrivialOrientationSchema {
         "trivial orientation (d bits/node)".into()
     }
 
-    fn encode(&self, net: &Network) -> Result<AdviceMap, EncodeError> {
+    fn encode_with(&self, net: &Network, _run: &Run) -> Result<AdviceMap, EncodeError> {
         let g = net.graph();
         let uids = net.uids();
         let o = EulerPartition::new(g, uids).orient_all_forward(g);
@@ -197,11 +198,12 @@ impl AdviceSchema for TrivialOrientationSchema {
         Ok(advice)
     }
 
-    fn decode(
+    fn decode_with(
         &self,
         net: &Network,
         advice: &AdviceMap,
-    ) -> Result<(Orientation, RoundStats), DecodeError> {
+        _run: &Run,
+    ) -> Result<(Orientation, RoundStats, RunReport), DecodeError> {
         let g = net.graph();
         let uids = net.uids();
         let mut o = Orientation::new(g.m());
@@ -235,8 +237,7 @@ impl AdviceSchema for TrivialOrientationSchema {
             }
         }
         // 0 rounds: nothing was gathered.
-        let (_, stats) = lad_runtime::run_local(net, |_| ());
-        Ok((o, stats))
+        Ok((o, RoundStats::zero(g.n()), RunReport::default()))
     }
 }
 

@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lad_graph::{generators, Graph};
-use lad_runtime::{effective_parallelism, run_local, run_local_par, run_local_par_cached, Network};
+use lad_runtime::{run_local, Network, Run};
 use std::hint::black_box;
 
 fn families(n: usize) -> Vec<(&'static str, Graph)> {
@@ -34,7 +34,7 @@ fn bench_executors(c: &mut Criterion) {
                 b.iter(|| run_local(black_box(&net), algo))
             });
             group.bench_with_input(BenchmarkId::new(format!("par/{family}"), n), &n, |b, _| {
-                b.iter(|| run_local_par(black_box(&net), algo))
+                b.iter(|| Run::default().nodes(black_box(&net), algo))
             });
             group.bench_with_input(
                 BenchmarkId::new(format!("par-cached-cold/{family}"), n),
@@ -42,25 +42,17 @@ fn bench_executors(c: &mut Criterion) {
                 |b, _| {
                     b.iter(|| {
                         let cache = net.view_cache();
-                        run_local_par_cached(
-                            black_box(&net),
-                            &cache,
-                            effective_parallelism(n),
-                            algo,
-                        )
+                        Run::default().cache(&cache).nodes(black_box(&net), algo)
                     })
                 },
             );
             let warm = net.view_cache();
-            run_local_par_cached(&net, &warm, effective_parallelism(n), algo);
+            let warmed = Run::default().cache(&warm);
+            warmed.nodes(&net, algo);
             group.bench_with_input(
                 BenchmarkId::new(format!("par-cached-warm/{family}"), n),
                 &n,
-                |b, _| {
-                    b.iter(|| {
-                        run_local_par_cached(black_box(&net), &warm, effective_parallelism(n), algo)
-                    })
-                },
+                |b, _| b.iter(|| warmed.nodes(black_box(&net), algo)),
             );
         }
     }

@@ -41,7 +41,7 @@ use lad_graph::mutate::{Edit, MutableGraph};
 use lad_graph::{generators, Graph, IdAssignment, NodeId};
 use lad_runtime::{
     run_local, Ball, ChurnLocal, ChurnMemoLocal, MemoStep, Network, NodeCtx, NotOrderInvariant,
-    PlannedChurnLocal,
+    PlannedChurnLocal, Run,
 };
 use std::time::Instant;
 
@@ -302,6 +302,7 @@ fn bench_planned_repair(
         algo,
         tag,
         step,
+        &Run::default(),
     )
     .expect("planned session build");
     eprintln!(

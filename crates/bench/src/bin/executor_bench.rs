@@ -4,9 +4,9 @@
 //! graphs at n ∈ {1e3, 1e4, 1e5} through four paths:
 //!
 //! * `seq` — [`run_local`], the fresh-BFS-per-view reference;
-//! * `par` — [`run_local_par`], scratch-backed, threaded when cores and
-//!   the `parallel` feature allow;
-//! * `cached_cold` — [`run_local_par_cached`] against an empty cache;
+//! * `par` — [`Run::nodes`] under the default spec, scratch-backed,
+//!   threaded when cores and the `parallel` feature allow;
+//! * `cached_cold` — [`Run::nodes`] over an empty [`Run::cache`];
 //! * `cached_warm` — the same cache, second pass (pure hits).
 //!
 //! Usage: `cargo run --release -p lad-bench --bin executor_bench [OUT.json]`
@@ -14,9 +14,7 @@
 //! cell is the minimum of several repetitions.
 
 use lad_graph::{generators, Graph};
-use lad_runtime::{
-    effective_parallelism, run_local, run_local_par, run_local_par_cached, Network, NodeCtx,
-};
+use lad_runtime::{effective_parallelism, run_local, Network, NodeCtx, Run};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -61,16 +59,17 @@ fn main() {
                 seq = seq.min(start.elapsed().as_secs_f64());
 
                 let start = Instant::now();
-                run_local_par(&net, algo);
+                Run::default().nodes(&net, algo);
                 par = par.min(start.elapsed().as_secs_f64());
 
                 let cache = net.view_cache();
+                let cached = Run::default().cache(&cache);
                 let start = Instant::now();
-                run_local_par_cached(&net, &cache, threads, algo);
+                cached.nodes(&net, algo);
                 cached_cold = cached_cold.min(start.elapsed().as_secs_f64());
 
                 let start = Instant::now();
-                run_local_par_cached(&net, &cache, threads, algo);
+                cached.nodes(&net, algo);
                 cached_warm = cached_warm.min(start.elapsed().as_secs_f64());
                 drop(cache);
             }

@@ -35,7 +35,7 @@ use lad_core::cluster_coloring::ClusterColoringSchema;
 use lad_core::delta_coloring::DeltaColoringSchema;
 use lad_core::schema::AdviceSchema;
 use lad_graph::{coloring, generators, Graph};
-use lad_runtime::{memo_stats, memo_stats_reset, MemoStats, Network};
+use lad_runtime::{ExecPath, Network, Run, RunReport};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -111,17 +111,17 @@ fn measure<S: AdviceSchema>(
     // Time decode per rep so the memo attribution (gather vs eval, hit
     // rate) can be taken from exactly the rep that achieved the minimum.
     let mut decode_s = f64::INFINITY;
-    let mut memo = MemoStats::default();
+    let mut report = RunReport::default();
     for _ in 0..reps {
-        memo_stats_reset();
         let start = Instant::now();
-        schema.decode(net, &advice).unwrap();
+        let (_, _, rep) = schema.decode_with(net, &advice, &Run::default()).unwrap();
         let elapsed = start.elapsed().as_secs_f64();
         if elapsed < decode_s {
             decode_s = elapsed;
-            memo = memo_stats();
+            report = rep;
         }
     }
+    let memo = report.memo;
     let gather_s = memo.gather_ns as f64 / 1e9;
     let sweep_s = memo.sweep_ns as f64 / 1e9;
     let key_s = memo.key_ns as f64 / 1e9;
@@ -130,8 +130,12 @@ fn measure<S: AdviceSchema>(
     let fp_reject_rate = memo.fp_reject_rate();
     // The planner's call is part of the decode it planned: report which
     // path it chose and what the instance probe cost.
-    let plan = if memo.plans_memo > 0 { "memo" } else { "plain" };
-    let probe_s = memo.probe_ns as f64 / 1e9;
+    let plan = if report.plans.iter().any(|d| d.path == ExecPath::Memo) {
+        "memo"
+    } else {
+        "plain"
+    };
+    let probe_s = report.plans.iter().map(|d| d.probe_ns).sum::<u64>() as f64 / 1e9;
     let total_s = encode_s + decode_s;
     let a = advice.stats();
     let rounds = stats.rounds();
@@ -180,27 +184,24 @@ fn calibrate(out_path: &str) {
     let g = generators::grid2d(side + side % 2, side + side % 2, true);
     let net = Network::with_identity_ids(g);
     let mut priors: Vec<(String, f64, f64, f64)> = Vec::new();
-    let mut measure = |label: &str, run: &dyn Fn()| {
+    let mut measure = |label: &str, decode: &dyn Fn(&Run) -> RunReport| {
         const REPS: usize = 2;
-        lad_runtime::set_force_path(Some(lad_runtime::ExecPath::Plain));
+        let plain = Run::default().path(ExecPath::Plain);
         let plain_ns = (0..REPS)
             .map(|_| {
                 let t = Instant::now();
-                run();
+                decode(&plain);
                 t.elapsed().as_nanos() as f64 / n as f64
             })
             .fold(f64::INFINITY, f64::min);
-        lad_runtime::set_force_path(Some(lad_runtime::ExecPath::Memo));
+        let memo_run = Run::default().path(ExecPath::Memo);
         let (mut memo_eval_ns, mut key_ns) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..REPS {
-            memo_stats_reset();
-            run();
-            let memo = memo_stats();
+            let memo = decode(&memo_run).memo;
             let evals = memo.lookups.saturating_sub(memo.hits).max(1);
             memo_eval_ns = memo_eval_ns.min(memo.eval_ns as f64 / evals as f64);
             key_ns = key_ns.min((memo.sweep_ns + memo.key_ns) as f64 / n as f64);
         }
-        lad_runtime::set_force_path(None);
         eprintln!(
             "{label:>20}: eval_memo {memo_eval_ns:>9.0} ns/miss  \
              eval_plain {plain_ns:>8.0} ns/ball  key {key_ns:>8.0} ns/ball"
@@ -209,18 +210,27 @@ fn calibrate(out_path: &str) {
     };
     let balanced = BalancedOrientationSchema::default();
     let advice = balanced.encode(&net).expect("balanced encode");
-    measure("balanced-orientation", &|| {
-        balanced.decode(&net, &advice).expect("balanced decode");
+    measure("balanced-orientation", &|run| {
+        balanced
+            .decode_with(&net, &advice, run)
+            .expect("balanced decode")
+            .2
     });
     let cluster = ClusterColoringSchema::default();
     let advice = cluster.encode(&net).expect("cluster encode");
-    measure("cluster-coloring", &|| {
-        cluster.decode(&net, &advice).expect("cluster decode");
+    measure("cluster-coloring", &|run| {
+        cluster
+            .decode_with(&net, &advice, run)
+            .expect("cluster decode")
+            .2
     });
     let delta = DeltaColoringSchema::default();
     let advice = delta.encode(&net).expect("delta encode");
-    measure("delta-coloring", &|| {
-        delta.decode(&net, &advice).expect("delta decode");
+    measure("delta-coloring", &|run| {
+        delta
+            .decode_with(&net, &advice, run)
+            .expect("delta decode")
+            .2
     });
     let mut json = String::new();
     writeln!(

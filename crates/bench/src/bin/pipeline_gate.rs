@@ -149,20 +149,21 @@ fn regret_failures() -> Vec<String> {
     use lad_core::cluster_coloring::ClusterColoringSchema;
     use lad_core::delta_coloring::DeltaColoringSchema;
     use lad_graph::generators;
-    use lad_runtime::{set_force_path, ExecPath, Network};
+    use lad_runtime::{ExecPath, Network, Run, RunReport};
 
     let mut failures = Vec::new();
-    let mut check = |label: &str, net: &Network, schema: &dyn Fn(&Network) -> f64| {
+    let mut check = |label: &str, net: &Network, decode: &dyn Fn(&Network, &Run) -> RunReport| {
+        let timed = |run: &Run| {
+            let mut report = RunReport::default();
+            let secs = time_min(3, || report = decode(net, run));
+            (secs, report)
+        };
         // Forced legs first, then the planner's own run (probe included —
         // the probe is part of the policy's real cost).
-        set_force_path(Some(ExecPath::Plain));
-        let plain_s = schema(net);
-        set_force_path(Some(ExecPath::Memo));
-        let memo_s = schema(net);
-        set_force_path(None);
-        lad_runtime::memo_stats_reset();
-        let auto_s = schema(net);
-        let chosen = if lad_runtime::memo_stats().plans_memo > 0 {
+        let (plain_s, _) = timed(&Run::default().path(ExecPath::Plain));
+        let (memo_s, _) = timed(&Run::default().path(ExecPath::Memo));
+        let (auto_s, report) = timed(&Run::default());
+        let chosen = if report.plans.iter().any(|d| d.path == ExecPath::Memo) {
             "memo"
         } else {
             "plain"
@@ -184,28 +185,31 @@ fn regret_failures() -> Vec<String> {
     let cyc = Network::with_identity_ids(generators::cycle(20_000));
     let schema = BalancedOrientationSchema::default();
     let advice = schema.encode(&cyc).expect("balanced encode");
-    check("balanced/cycle n=20000", &cyc, &|net| {
-        time_min(3, || {
-            schema.decode(net, &advice).expect("balanced decode");
-        })
+    check("balanced/cycle n=20000", &cyc, &|net, run| {
+        schema
+            .decode_with(net, &advice, run)
+            .expect("balanced decode")
+            .2
     });
 
     let torus = Network::with_identity_ids(generators::grid2d(100, 100, true));
     let schema = ClusterColoringSchema::default();
     let advice = schema.encode(&torus).expect("cluster encode");
-    check("cluster/grid n=10000", &torus, &|net| {
-        time_min(3, || {
-            schema.decode(net, &advice).expect("cluster decode");
-        })
+    check("cluster/grid n=10000", &torus, &|net, run| {
+        schema
+            .decode_with(net, &advice, run)
+            .expect("cluster decode")
+            .2
     });
 
     let small = Network::with_identity_ids(generators::grid2d(32, 32, true));
     let schema = DeltaColoringSchema::default();
     let advice = schema.encode(&small).expect("delta encode");
-    check("delta/grid n=1024", &small, &|net| {
-        time_min(3, || {
-            schema.decode(net, &advice).expect("delta decode");
-        })
+    check("delta/grid n=1024", &small, &|net, run| {
+        schema
+            .decode_with(net, &advice, run)
+            .expect("delta decode")
+            .2
     });
     failures
 }

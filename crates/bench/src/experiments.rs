@@ -22,7 +22,7 @@ use lad_core::AdviceMap;
 use lad_graph::{coloring, generators, Graph, IdAssignment, NodeId};
 use lad_lcl::problems::{AlmostBalancedOrientation, Mis, ProperColoring};
 use lad_lcl::{verify, Labeling};
-use lad_runtime::{Ball, LookupTable, Network};
+use lad_runtime::{Ball, LookupTable, Network, Run};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use std::time::Instant;
@@ -452,8 +452,8 @@ pub fn e8_order_invariance() -> Table {
                 )
             })
             .collect();
-        let table =
-            LookupTable::train(radius, &training, |_| 0, local_min).expect("order-invariant");
+        let table = LookupTable::train(radius, &training, |_| 0, local_min, &Run::default())
+            .expect("order-invariant");
         // Agreement on fresh networks.
         let mut agree = 0usize;
         let mut total = 0usize;

@@ -37,9 +37,7 @@ use lad_graph::orientation::{
     pair_partner, slot_edges, slot_of, slot_pairs, sorted_incident_by_uid,
 };
 use lad_graph::{EdgeId, Graph, NodeId, Orientation, Trail};
-use lad_runtime::{
-    par_map, run_local_fallible_par, run_local_memo_fallible_par, MemoStep, Network, RoundStats,
-};
+use lad_runtime::{MemoStep, Network, RoundStats, Run, RunReport};
 
 /// The almost-balanced-orientation schema (Contribution 3).
 ///
@@ -493,7 +491,7 @@ impl AdviceSchema for BalancedOrientationSchema {
         )
     }
 
-    fn encode(&self, net: &Network) -> Result<AdviceMap, EncodeError> {
+    fn encode_with(&self, net: &Network, run: &Run) -> Result<AdviceMap, EncodeError> {
         let g = net.graph();
         let uids = net.uids();
         let ep = lad_graph::EulerPartition::new(g, uids);
@@ -504,7 +502,7 @@ impl AdviceSchema for BalancedOrientationSchema {
         // per-node records are sorted by slot before encoding anyway, with
         // slots unique per node across trails), so the resulting advice is
         // bit-identical to a sequential pass by construction.
-        let per_trail: Vec<Vec<(NodeId, AnchorRecord)>> = par_map(ep.trails(), |_, trail| {
+        let per_trail: Vec<Vec<(NodeId, AnchorRecord)>> = run.map(ep.trails(), |_, trail| {
             trail_records(g, uids, trail, self.short_threshold, self.anchor_spacing)
         });
         let mut records: Vec<Vec<AnchorRecord>> = vec![Vec::new(); g.n()];
@@ -528,69 +526,52 @@ impl AdviceSchema for BalancedOrientationSchema {
         Ok(AdviceMap::from_strings(strings))
     }
 
-    fn decode(
+    fn decode_with(
         &self,
         net: &Network,
         advice: &AdviceMap,
-    ) -> Result<(Orientation, RoundStats), DecodeError> {
+        run: &Run,
+    ) -> Result<(Orientation, RoundStats, RunReport), DecodeError> {
         if advice.n() != net.graph().n() {
             return Err(DecodeError::Inconsistent(
                 "advice covers a different node count".into(),
             ));
         }
         let advised = net.with_inputs(advice.strings());
-        let radius = self.decode_radius();
-        // Sound either way (both paths are pinned to the reference); the
-        // planner probes the instance's class structure to pick the
-        // faster one.
-        let use_memo = self.decoder_order_invariant() && {
-            let plan = lad_runtime::plan_decode(
-                &advised,
-                radius,
-                |bits: &BitString, words: &mut Vec<u64>| bits.push_key_words(words),
-                &self.name(),
-                None,
-            );
-            plan.path == lad_runtime::ExecPath::Memo
-        };
-        let (claims, stats) = if use_memo {
-            // Memoized path: cache the slot-indexed decisions once per
-            // canonical class, then re-bind slots to concrete edges per
-            // node on the real graph (uid claims themselves are *not*
-            // class-shareable — they name specific identifiers).
-            let budget = self.walk_budget();
-            let (dirs, stats) = run_local_memo_fallible_par(
-                &advised,
-                radius,
-                |bits: &BitString, words: &mut Vec<u64>| bits.push_key_words(words),
-                move |ball| slot_directions(ball, budget).map(MemoStep::Done),
-            )?;
-            let g = net.graph();
-            let uids = net.uids();
-            let claims = g
-                .nodes()
-                .map(|c| {
-                    bind_slots(g, uids, c, &dirs[c.index()])
-                        .into_iter()
-                        .map(|(e, out_of_center)| {
-                            let u = g.other_endpoint(e, c);
-                            if out_of_center {
-                                (uids[c.index()], uids[u.index()])
-                            } else {
-                                (uids[u.index()], uids[c.index()])
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            (claims, stats)
-        } else {
-            run_local_fallible_par(&advised, |ctx| self.decode_view(&ctx.ball(radius)))?
-        };
+        // The slot-indexed decisions are class-shareable, so the ladder may
+        // memoize them (sound either way: both paths are pinned to the
+        // reference); uid claims name specific identifiers, so the slots
+        // are re-bound to concrete edges per node on the real graph.
+        let budget = self.walk_budget();
+        let (dirs, stats, report) = run.uncached().ladder(
+            &advised,
+            &self.name(),
+            self.decode_radius(),
+            |bits: &BitString, words: &mut Vec<u64>| bits.push_key_words(words),
+            |ball| slot_directions(ball, budget).map(MemoStep::Done),
+        )?;
+        let g = net.graph();
+        let uids = net.uids();
+        let claims: Vec<Vec<(u64, u64)>> = g
+            .nodes()
+            .map(|c| {
+                bind_slots(g, uids, c, &dirs[c.index()])
+                    .into_iter()
+                    .map(|(e, out_of_center)| {
+                        let u = g.other_endpoint(e, c);
+                        if out_of_center {
+                            (uids[c.index()], uids[u.index()])
+                        } else {
+                            (uids[u.index()], uids[c.index()])
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
         // Cross-check and materialize — the same aggregation the gathered
         // fault-tolerant path uses.
         let orientation = aggregate_claims(net, &claims)?;
-        Ok((orientation, stats))
+        Ok((orientation, stats, report))
     }
 
     fn decoder_order_invariant(&self) -> bool {
@@ -604,7 +585,7 @@ impl AdviceSchema for BalancedOrientationSchema {
 impl BalancedOrientationSchema {
     /// Per-node oracle decode over the *reference* executor
     /// ([`lad_runtime::run_local_fallible`]): the differential baseline the
-    /// memoized [`AdviceSchema::decode`] path is pinned against in tests.
+    /// planned [`AdviceSchema::decode`] ladder is pinned against in tests.
     ///
     /// # Errors
     ///

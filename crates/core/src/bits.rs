@@ -124,7 +124,7 @@ impl BitString {
     /// zero-padded). Two bit strings append the same words iff they are
     /// equal, and the length prefix keeps the stream prefix-free, which is
     /// exactly the `input_tag` contract of the memoized decode executor
-    /// (`lad_runtime::run_local_memo`); a single-word fold would collide
+    /// (`lad_runtime::Run::ladder`); a single-word fold would collide
     /// for advice longer than 64 bits.
     pub fn push_key_words(&self, words: &mut Vec<u64>) {
         words.push(self.bits.len() as u64);

@@ -25,10 +25,7 @@ use crate::bits::{bit_width, BitReader, BitString};
 use crate::error::{DecodeError, EncodeError};
 use crate::schema::AdviceSchema;
 use lad_graph::{coloring, ruling, Graph, NodeId};
-use lad_runtime::{
-    par_map, run_local_fallible_par, run_local_memo_fallible_par, Ball, MemoStep, Network,
-    RoundStats,
-};
+use lad_runtime::{Ball, MemoStep, Network, RoundStats, Run, RunReport};
 
 /// The fused cluster-coloring schema producing a proper `(Δ+1)`-coloring.
 ///
@@ -136,11 +133,11 @@ impl ClusterColoringSchema {
         uids: &[u64],
         centers: &[NodeId],
         spacing: usize,
+        run: &Run,
     ) -> Vec<NodeId> {
-        let threads = lad_runtime::effective_parallelism(g.n()).max(1);
-        let chunk_len = centers.len().div_ceil(threads).max(1);
+        let chunk_len = centers.len().div_ceil(run.thread_count(g.n())).max(1);
         let chunks: Vec<&[NodeId]> = centers.chunks(chunk_len).collect();
-        let claims: Vec<Vec<Option<(usize, u64, NodeId)>>> = par_map(&chunks, |_, chunk| {
+        let claims: Vec<Vec<Option<(usize, u64, NodeId)>>> = run.map(&chunks, |_, chunk| {
             let mut best: Vec<Option<(usize, u64, NodeId)>> = vec![None; g.n()];
             let mut stamp = vec![0u32; g.n()];
             let mut epoch = 0u32;
@@ -244,11 +241,12 @@ impl ClusterColoringSchema {
     pub(crate) fn encode_with_coloring(
         &self,
         net: &Network,
+        run: &Run,
     ) -> Result<(AdviceMap, Vec<usize>), EncodeError> {
         let g = net.graph();
         let uids = net.uids();
         let centers = ruling::ruling_set(g, self.cluster_spacing);
-        let cluster_of = Self::assign_clusters(g, uids, &centers, self.cluster_spacing);
+        let cluster_of = Self::assign_clusters(g, uids, &centers, self.cluster_spacing, run);
         let (advice, cluster_colors) = self.advice_from_clusters(g, uids, &centers, &cluster_of)?;
         let mut center_color = vec![0; g.n()];
         for (&c, &color) in centers.iter().zip(&cluster_colors) {
@@ -272,19 +270,20 @@ impl AdviceSchema for ClusterColoringSchema {
         )
     }
 
-    fn encode(&self, net: &Network) -> Result<AdviceMap, EncodeError> {
+    fn encode_with(&self, net: &Network, run: &Run) -> Result<AdviceMap, EncodeError> {
         let g = net.graph();
         let uids = net.uids();
         let centers = ruling::ruling_set(g, self.cluster_spacing);
-        let cluster_of = Self::assign_clusters(g, uids, &centers, self.cluster_spacing);
+        let cluster_of = Self::assign_clusters(g, uids, &centers, self.cluster_spacing, run);
         Ok(self.advice_from_clusters(g, uids, &centers, &cluster_of)?.0)
     }
 
-    fn decode(
+    fn decode_with(
         &self,
         net: &Network,
         advice: &AdviceMap,
-    ) -> Result<(Vec<usize>, RoundStats), DecodeError> {
+        run: &Run,
+    ) -> Result<(Vec<usize>, RoundStats, RunReport), DecodeError> {
         let g = net.graph();
         if advice.n() != g.n() {
             return Err(DecodeError::Inconsistent(
@@ -295,44 +294,21 @@ impl AdviceSchema for ClusterColoringSchema {
         // `simulate_greedy` is a pure, order-invariant function of the
         // advice-labeled ball, so the memo is *sound* here; whether it is
         // *fast* depends on the instance's class structure, which the
-        // planner probes before committing either way.
-        let use_memo = self.decoder_order_invariant() && {
-            let plan = lad_runtime::plan_decode(
-                &advised,
-                self.step_radius(),
-                |bits: &BitString, words: &mut Vec<u64>| bits.push_key_words(words),
-                &self.name(),
-                None,
-            );
-            plan.path == lad_runtime::ExecPath::Memo
-        };
-        let (colors, stats) = if use_memo {
-            // Memoized path: the ladder runs once per canonical class and
-            // is shared across every node in it.
-            run_local_memo_fallible_par(
-                &advised,
-                self.step_radius(),
-                |bits: &BitString, words: &mut Vec<u64>| bits.push_key_words(words),
-                |ball| self.memo_step(ball),
-            )?
-        } else {
-            run_local_fallible_par(&advised, |ctx| -> Result<usize, DecodeError> {
-                let mut r = self.step_radius();
-                loop {
-                    match self.memo_step(&ctx.ball(r))? {
-                        MemoStep::Done(color) => return Ok(color),
-                        MemoStep::Expand(next) => r = next,
-                    }
-                }
-            })?
-        };
+        // planner probes unless the run fixes the path.
+        let (colors, stats, report) = run.uncached().ladder(
+            &advised,
+            &self.name(),
+            self.step_radius(),
+            |bits: &BitString, words: &mut Vec<u64>| bits.push_key_words(words),
+            |ball| self.memo_step(ball),
+        )?;
         // Validate output properness like a checker would.
         if !coloring::is_proper_coloring(g, &colors) {
             return Err(DecodeError::InvalidOutput(
                 "decoded cluster coloring is improper".into(),
             ));
         }
-        Ok((colors, stats))
+        Ok((colors, stats, report))
     }
 
     fn decoder_order_invariant(&self) -> bool {
@@ -346,8 +322,8 @@ impl AdviceSchema for ClusterColoringSchema {
 impl ClusterColoringSchema {
     /// Per-node oracle decode over the *reference* executor
     /// ([`lad_runtime::run_local_fallible`], fresh un-shared BFS per view
-    /// request): the differential baseline the memoized
-    /// [`AdviceSchema::decode`] path is pinned against in tests.
+    /// request): the differential baseline the planned
+    /// [`AdviceSchema::decode`] ladder is pinned against in tests.
     ///
     /// # Errors
     ///
@@ -669,7 +645,9 @@ mod tests {
         }
         let schema = ClusterColoringSchema::default();
         for (i, net) in nets.iter().enumerate() {
-            let (advice, central) = schema.encode_with_coloring(net).expect("encode");
+            let (advice, central) = schema
+                .encode_with_coloring(net, &Run::default())
+                .expect("encode");
             assert_eq!(advice, schema.encode(net).expect("encode"), "network {i}");
             let (decoded, _) = schema.decode(net, &advice).expect("decode");
             assert_eq!(decoded, central, "network {i}");

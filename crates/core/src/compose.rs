@@ -23,7 +23,7 @@ use crate::error::{DecodeError, EncodeError};
 use crate::schema::AdviceSchema;
 use crate::tracks::{demultiplex, multiplex};
 use lad_graph::{coloring, ruling};
-use lad_runtime::{run_local_fallible_par, Network, RoundStats};
+use lad_runtime::{Network, RoundStats, Run, RunReport};
 
 /// A schema whose decoder consumes the output of another schema (the
 /// "oracle" of the paper's composability definition).
@@ -44,7 +44,8 @@ pub trait OracleSchema {
     /// See [`EncodeError`].
     fn encode_with(&self, net: &Network, oracle: &Self::Oracle) -> Result<AdviceMap, EncodeError>;
 
-    /// Distributed decoding given the oracle output.
+    /// Distributed decoding given the oracle output, fanning out under
+    /// `run`.
     ///
     /// # Errors
     ///
@@ -54,6 +55,7 @@ pub trait OracleSchema {
         net: &Network,
         advice: &AdviceMap,
         oracle: &Self::Oracle,
+        run: &Run,
     ) -> Result<(Self::Output, RoundStats), DecodeError>;
 }
 
@@ -85,27 +87,28 @@ where
         format!("{} ∘ {}", self.over.name(), self.base.name())
     }
 
-    fn encode(&self, net: &Network) -> Result<AdviceMap, EncodeError> {
-        let base_advice = self.base.encode(net)?;
-        let (oracle, _) = self
+    fn encode_with(&self, net: &Network, run: &Run) -> Result<AdviceMap, EncodeError> {
+        let base_advice = self.base.encode_with(net, run)?;
+        let (oracle, _, _) = self
             .base
-            .decode(net, &base_advice)
+            .decode_with(net, &base_advice, run)
             .map_err(|e| EncodeError::PlacementFailed(format!("base self-decode failed: {e}")))?;
-        let over_advice = self.over.encode_with(net, &oracle)?;
+        let over_advice = OracleSchema::encode_with(&self.over, net, &oracle)?;
         Ok(multiplex(&[&base_advice, &over_advice]))
     }
 
-    fn decode(
+    fn decode_with(
         &self,
         net: &Network,
         advice: &AdviceMap,
-    ) -> Result<(Self::Output, RoundStats), DecodeError> {
+        run: &Run,
+    ) -> Result<(Self::Output, RoundStats, RunReport), DecodeError> {
         let tracks = demultiplex(advice, 2).ok_or_else(|| {
             DecodeError::Inconsistent("advice does not split into two tracks".into())
         })?;
-        let (oracle, stats_a) = self.base.decode(net, &tracks[0])?;
-        let (out, stats_b) = self.over.decode_with(net, &tracks[1], &oracle)?;
-        Ok((out, stats_a.sequential(&stats_b)))
+        let (oracle, stats_a, report) = self.base.decode_with(net, &tracks[0], run)?;
+        let (out, stats_b) = OracleSchema::decode_with(&self.over, net, &tracks[1], &oracle, run)?;
+        Ok((out, stats_a.sequential(&stats_b), report))
     }
 }
 
@@ -160,10 +163,11 @@ impl<O> OracleSchema for ParityOracleSchema<O> {
         net: &Network,
         advice: &AdviceMap,
         _oracle: &O,
+        run: &Run,
     ) -> Result<(Vec<bool>, RoundStats), DecodeError> {
         let advised = net.with_inputs(advice.strings());
         let spacing = self.spacing;
-        run_local_fallible_par(&advised, |ctx| {
+        run.uncached().try_nodes(&advised, |ctx| {
             let ball = ctx.ball(spacing);
             let mut nearest: Option<(usize, u64, bool)> = None;
             for w in ball.graph().nodes() {
@@ -217,6 +221,7 @@ impl OracleSchema for SplitFromParts {
         net: &Network,
         advice: &AdviceMap,
         (orientation, colors): &Self::Oracle,
+        _run: &Run,
     ) -> Result<(Vec<usize>, RoundStats), DecodeError> {
         if advice.total_bits() != 0 {
             return Err(DecodeError::Inconsistent(
@@ -229,8 +234,7 @@ impl OracleSchema for SplitFromParts {
             .map(|e| usize::from(colors[orientation.tail(g, e).index()]))
             .collect();
         // Zero extra rounds: each edge's label is determined at its tail.
-        let (_, stats) = lad_runtime::run_local_par(net, |_| ());
-        Ok((labels, stats))
+        Ok((labels, RoundStats::zero(g.n())))
     }
 }
 
@@ -255,27 +259,28 @@ where
         format!("({}, {})", self.first.name(), self.second.name())
     }
 
-    fn encode(&self, net: &Network) -> Result<AdviceMap, EncodeError> {
-        let a = self.first.encode(net)?;
-        let (oracle, _) = self
+    fn encode_with(&self, net: &Network, run: &Run) -> Result<AdviceMap, EncodeError> {
+        let a = self.first.encode_with(net, run)?;
+        let (oracle, _, _) = self
             .first
-            .decode(net, &a)
+            .decode_with(net, &a, run)
             .map_err(|e| EncodeError::PlacementFailed(format!("self-decode failed: {e}")))?;
-        let b = self.second.encode_with(net, &oracle)?;
+        let b = OracleSchema::encode_with(&self.second, net, &oracle)?;
         Ok(multiplex(&[&a, &b]))
     }
 
-    fn decode(
+    fn decode_with(
         &self,
         net: &Network,
         advice: &AdviceMap,
-    ) -> Result<(Self::Output, RoundStats), DecodeError> {
+        run: &Run,
+    ) -> Result<(Self::Output, RoundStats, RunReport), DecodeError> {
         let tracks = demultiplex(advice, 2).ok_or_else(|| {
             DecodeError::Inconsistent("advice does not split into two tracks".into())
         })?;
-        let (a, sa) = self.first.decode(net, &tracks[0])?;
-        let (b, sb) = self.second.decode_with(net, &tracks[1], &a)?;
-        Ok(((a, b), sa.sequential(&sb)))
+        let (a, sa, report) = self.first.decode_with(net, &tracks[0], run)?;
+        let (b, sb) = OracleSchema::decode_with(&self.second, net, &tracks[1], &a, run)?;
+        Ok(((a, b), sa.sequential(&sb), report))
     }
 }
 

@@ -25,7 +25,7 @@ use crate::error::{DecodeError, EncodeError};
 use crate::schema::AdviceSchema;
 use lad_graph::orientation::sorted_incident_by_uid;
 use lad_graph::Orientation;
-use lad_runtime::{run_local_par, Network, RoundStats};
+use lad_runtime::{Network, RoundStats, Run};
 
 /// The edge-subset compressor/decompressor (Contribution 4).
 ///
@@ -81,14 +81,32 @@ impl EdgeSubsetCodec {
     ///
     /// Panics if `subset.len()` differs from the edge count.
     pub fn compress(&self, net: &Network, subset: &[bool]) -> Result<AdviceMap, EncodeError> {
+        self.compress_with(net, subset, &Run::default())
+    }
+
+    /// [`EdgeSubsetCodec::compress`], fanning out under `run`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates orientation-encoding failures.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `subset.len()` differs from the edge count.
+    pub fn compress_with(
+        &self,
+        net: &Network,
+        subset: &[bool],
+        run: &Run,
+    ) -> Result<AdviceMap, EncodeError> {
         let g = net.graph();
         assert_eq!(subset.len(), g.m(), "one membership bit per edge");
-        let orient_advice = self.orientation.encode(net)?;
+        let orient_advice = self.orientation.encode_with(net, run)?;
         // The orientation the decoder will reconstruct (decoding centrally
         // is exact — encoder and decoder share all the code).
-        let (orientation, _) = self
+        let (orientation, _, _) = self
             .orientation
-            .decode(net, &orient_advice)
+            .decode_with(net, &orient_advice, run)
             .map_err(|e| EncodeError::PlacementFailed(format!("self-decode failed: {e}")))?;
         let uids = net.uids();
         let mut advice = AdviceMap::empty(g.n());
@@ -151,6 +169,20 @@ impl EdgeSubsetCodec {
         net: &Network,
         advice: &AdviceMap,
     ) -> Result<(Vec<bool>, RoundStats), DecodeError> {
+        self.decompress_with(net, advice, &Run::default())
+    }
+
+    /// [`EdgeSubsetCodec::decompress`], decoding under `run`.
+    ///
+    /// # Errors
+    ///
+    /// See [`EdgeSubsetCodec::decompress`].
+    pub fn decompress_with(
+        &self,
+        net: &Network,
+        advice: &AdviceMap,
+        run: &Run,
+    ) -> Result<(Vec<bool>, RoundStats), DecodeError> {
         let g = net.graph();
         if advice.n() != g.n() {
             return Err(DecodeError::Inconsistent(
@@ -159,7 +191,7 @@ impl EdgeSubsetCodec {
         }
         // Splitting is a 0-round per-node operation.
         let (orient_track, membership) = self.split(net, advice)?;
-        let (orientation, stats) = self.orientation.decode(net, &orient_track)?;
+        let (orientation, stats, _) = self.orientation.decode_with(net, &orient_track, run)?;
         // Each tail assigns its outgoing membership bits; heads learn them
         // in one extra round.
         let uids = net.uids();
@@ -184,10 +216,9 @@ impl EdgeSubsetCodec {
                 out[e.index()] = bits.get(i);
             }
         }
-        // Account the extra round in which heads learn their incoming bits.
-        let (_, one_round) = run_local_par(net, |ctx| {
-            ctx.ball(1);
-        });
+        // Account the extra round in which heads learn their incoming bits:
+        // every node reads exactly its radius-1 view.
+        let one_round = RoundStats::from_per_node(vec![1; g.n()]);
         Ok((out, stats.sequential(&one_round)))
     }
 
@@ -202,8 +233,22 @@ impl EdgeSubsetCodec {
         net: &Network,
         subset: &[bool],
     ) -> Result<(Vec<bool>, AdviceMap, RoundStats), Box<dyn std::error::Error>> {
-        let advice = self.compress(net, subset)?;
-        let (decoded, stats) = self.decompress(net, &advice)?;
+        self.round_trip_with(net, subset, &Run::default())
+    }
+
+    /// [`EdgeSubsetCodec::round_trip`] with both directions under `run`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates compression and decompression failures (boxed).
+    pub fn round_trip_with(
+        &self,
+        net: &Network,
+        subset: &[bool],
+        run: &Run,
+    ) -> Result<(Vec<bool>, AdviceMap, RoundStats), Box<dyn std::error::Error>> {
+        let advice = self.compress_with(net, subset, run)?;
+        let (decoded, stats) = self.decompress_with(net, &advice, run)?;
         Ok((decoded, advice, stats))
     }
 

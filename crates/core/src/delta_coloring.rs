@@ -37,7 +37,7 @@ use crate::tracks::{demultiplex, multiplex};
 use lad_graph::{coloring, traversal, Graph, InducedSubgraph, NodeId};
 use lad_lcl::brute::{complete, CompleteError, Region};
 use lad_lcl::problems::ProperColoring;
-use lad_runtime::{par_map, Network, RoundStats};
+use lad_runtime::{Network, RoundStats, Run, RunReport};
 
 /// The Δ-coloring schema (Contribution 5).
 ///
@@ -241,6 +241,7 @@ impl DeltaColoringSchema {
         uids: &[u64],
         delta: usize,
         chi: &[usize],
+        run: &Run,
     ) -> Result<Vec<usize>, EncodeError> {
         let stuck: Vec<NodeId> = g.nodes().filter(|&v| chi[v.index()] >= delta).collect();
         if stuck.is_empty() {
@@ -253,7 +254,7 @@ impl DeltaColoringSchema {
             groups[comp_of[u.index()]].push(u);
         }
         groups.retain(|grp| !grp.is_empty());
-        let results: Vec<(Vec<usize>, ComponentOutcome)> = par_map(&groups, |_, grp| {
+        let results: Vec<(Vec<usize>, ComponentOutcome)> = run.map(&groups, |_, grp| {
             let mut local = chi.to_vec();
             let outcome = self.repair_component(g, uids, delta, &mut local, grp);
             (local, outcome)
@@ -326,7 +327,7 @@ impl AdviceSchema for DeltaColoringSchema {
         format!("delta-coloring({})", self.cluster.name())
     }
 
-    fn encode(&self, net: &Network) -> Result<AdviceMap, EncodeError> {
+    fn encode_with(&self, net: &Network, run: &Run) -> Result<AdviceMap, EncodeError> {
         let g = net.graph();
         let uids = net.uids();
         let delta = g.max_degree();
@@ -335,7 +336,7 @@ impl AdviceSchema for DeltaColoringSchema {
         }
         // Stage 1: the cluster advice and the coloring χ₁ it decodes to,
         // computed centrally rather than by running the LOCAL decoder.
-        let (cluster_advice, chi1) = self.cluster.encode_with_coloring(net)?;
+        let (cluster_advice, chi1) = self.cluster.encode_with_coloring(net, run)?;
         if !coloring::is_proper_coloring(g, &chi1) {
             return Err(EncodeError::PlacementFailed(
                 "stage-1 cluster coloring is improper".into(),
@@ -345,7 +346,7 @@ impl AdviceSchema for DeltaColoringSchema {
         let chi2 = Self::local_fix(g, delta, &chi1);
         // Stage 3: centralized repair and difference encoding. Both repair
         // branches (regional and global fallback) end in this one check.
-        let chi_star = self.repair_to_delta(g, uids, delta, &chi2)?;
+        let chi_star = self.repair_to_delta(g, uids, delta, &chi2, run)?;
         if !coloring::is_proper_k_coloring(g, &chi_star, delta) {
             return Err(EncodeError::PlacementFailed(
                 "repaired coloring is not a proper Δ-coloring".into(),
@@ -369,11 +370,12 @@ impl AdviceSchema for DeltaColoringSchema {
         Ok(multiplex(&[&cluster_advice, &overrides]))
     }
 
-    fn decode(
+    fn decode_with(
         &self,
         net: &Network,
         advice: &AdviceMap,
-    ) -> Result<(Vec<usize>, RoundStats), DecodeError> {
+        run: &Run,
+    ) -> Result<(Vec<usize>, RoundStats, RunReport), DecodeError> {
         let g = net.graph();
         if advice.n() != g.n() {
             return Err(DecodeError::Inconsistent(
@@ -382,12 +384,16 @@ impl AdviceSchema for DeltaColoringSchema {
         }
         let delta = g.max_degree();
         if delta == 0 {
-            return Ok((vec![0; g.n()], RoundStats::zero(g.n())));
+            return Ok((
+                vec![0; g.n()],
+                RoundStats::zero(g.n()),
+                RunReport::default(),
+            ));
         }
         let tracks = demultiplex(advice, 2).ok_or_else(|| {
             DecodeError::Inconsistent("advice does not split into two tracks".into())
         })?;
-        let (chi1, stats1) = self.cluster.decode(net, &tracks[0])?;
+        let (chi1, stats1, report) = self.cluster.decode_with(net, &tracks[0], run)?;
         // Step 2 costs one round (each node reads its neighbors' χ₁).
         // Every node requests exactly radius 1 unconditionally, so the
         // stats are a constant — materializing n balls just to record
@@ -417,7 +423,7 @@ impl AdviceSchema for DeltaColoringSchema {
                 "decoded Δ-coloring is improper".into(),
             ));
         }
-        Ok((colors, stats1.sequential(&one_round)))
+        Ok((colors, stats1.sequential(&one_round), report))
     }
 
     fn decoder_order_invariant(&self) -> bool {

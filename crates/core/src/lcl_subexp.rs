@@ -38,7 +38,7 @@ use crate::schema::AdviceSchema;
 use lad_graph::{ruling, Graph, InducedSubgraph, NodeId};
 use lad_lcl::brute::{complete, solve, CompleteError, Region};
 use lad_lcl::Lcl;
-use lad_runtime::{run_local_fallible_par, Ball, Network, RoundStats};
+use lad_runtime::{Ball, Network, RoundStats, Run, RunReport};
 use std::collections::VecDeque;
 
 /// Length of the center-marker code (empty payload).
@@ -235,7 +235,7 @@ impl AdviceSchema for LclSubexpSchema<'_> {
         )
     }
 
-    fn encode(&self, net: &Network) -> Result<AdviceMap, EncodeError> {
+    fn encode_with(&self, net: &Network, run: &Run) -> Result<AdviceMap, EncodeError> {
         let g = net.graph();
         let uids = net.uids();
         // Witness solution: the fast solver if provided and valid, else
@@ -303,8 +303,8 @@ impl AdviceSchema for LclSubexpSchema<'_> {
         }
         let advice = AdviceMap::from_one_bit(&bits);
         // Certification: the decoder must reproduce a valid solution.
-        let (labels, _) = self
-            .decode(net, &advice)
+        let (labels, _, _) = self
+            .decode_with(net, &advice, run)
             .map_err(|e| EncodeError::PlacementFailed(format!("self-decode failed: {e}")))?;
         let labeling = lad_lcl::Labeling::from_node_labels(labels, g.m());
         if !lad_lcl::verify::verify_centralized(net, self.lcl, &labeling).is_empty() {
@@ -315,11 +315,12 @@ impl AdviceSchema for LclSubexpSchema<'_> {
         Ok(advice)
     }
 
-    fn decode(
+    fn decode_with(
         &self,
         net: &Network,
         advice: &AdviceMap,
-    ) -> Result<(Vec<usize>, RoundStats), DecodeError> {
+        run: &Run,
+    ) -> Result<(Vec<usize>, RoundStats, RunReport), DecodeError> {
         let g = net.graph();
         if advice.n() != g.n() {
             return Err(DecodeError::Inconsistent(
@@ -336,7 +337,7 @@ impl AdviceSchema for LclSubexpSchema<'_> {
         }
         let advised = net.with_inputs(bits);
         let radius = self.decode_radius();
-        let (labels, stats) = run_local_fallible_par(&advised, |ctx| {
+        let (labels, stats) = run.uncached().try_nodes(&advised, |ctx| {
             decode_at(
                 &ctx.ball(radius),
                 self.lcl,
@@ -345,7 +346,7 @@ impl AdviceSchema for LclSubexpSchema<'_> {
                 self.completion_cap,
             )
         })?;
-        Ok((labels, stats))
+        Ok((labels, stats, RunReport::default()))
     }
 }
 

@@ -26,7 +26,7 @@ use crate::bits::{decode_path_code, encode_path_code, path_code_len, BitString};
 use crate::error::{DecodeError, EncodeError};
 use crate::schema::AdviceSchema;
 use lad_graph::{Graph, NodeId};
-use lad_runtime::{run_local_par, Ball, Network, RoundStats};
+use lad_runtime::{Ball, Network, RoundStats, Run, RunReport};
 
 /// A fixed 64-bit mixer (SplitMix64 finalizer) — shared by encoder and
 /// decoder to pick walk steps pseudo-randomly but deterministically.
@@ -243,16 +243,16 @@ fn detect_holder_local(ball: &Ball<bool>, code_len: usize) -> Option<BitString> 
 
 /// Reconstructs the variable-length advice from uniform 1-bit advice: each
 /// node determines whether it is a holder and, if so, its payload. Runs in
-/// `code_len + 1` rounds.
+/// `code_len + 1` rounds, fanning out under `run`.
 ///
 /// This direction cannot fail (detection simply yields no holders on
 /// garbage input); downstream schema decoders are responsible for
 /// rejecting wrong payloads.
-pub fn from_one_bit(net: &Network, one_bit: &OneBitAdvice) -> (AdviceMap, RoundStats) {
+pub fn from_one_bit(net: &Network, one_bit: &OneBitAdvice, run: &Run) -> (AdviceMap, RoundStats) {
     let g = net.graph();
     let advised = net.with_inputs(one_bit.bits.clone());
     let radius = one_bit.code_len + 1;
-    let (payloads, stats) = run_local_par(&advised, |ctx| {
+    let (payloads, stats) = run.uncached().nodes(&advised, |ctx| {
         let ball = ctx.ball(radius);
         detect_holder_local(&ball, one_bit.code_len)
     });
@@ -300,17 +300,18 @@ impl<S: AdviceSchema> AdviceSchema for OneBitSchema<S> {
         format!("one-bit({})", self.base.name())
     }
 
-    fn encode(&self, net: &Network) -> Result<AdviceMap, EncodeError> {
-        let var = self.base.encode(net)?;
+    fn encode_with(&self, net: &Network, run: &Run) -> Result<AdviceMap, EncodeError> {
+        let var = self.base.encode_with(net, run)?;
         let one = to_one_bit(net, &var, self.max_payload_bits)?;
         Ok(one.as_advice_map())
     }
 
-    fn decode(
+    fn decode_with(
         &self,
         net: &Network,
         advice: &AdviceMap,
-    ) -> Result<(Self::Output, RoundStats), DecodeError> {
+        run: &Run,
+    ) -> Result<(Self::Output, RoundStats, RunReport), DecodeError> {
         let n = net.graph().n();
         if advice.n() != n {
             return Err(DecodeError::Inconsistent(
@@ -329,9 +330,9 @@ impl<S: AdviceSchema> AdviceSchema for OneBitSchema<S> {
             bits,
             code_len: self.code_len(),
         };
-        let (var, stats1) = from_one_bit(net, &one);
-        let (out, stats2) = self.base.decode(net, &var)?;
-        Ok((out, stats1.sequential(&stats2)))
+        let (var, stats1) = from_one_bit(net, &one, run);
+        let (out, stats2, report) = self.base.decode_with(net, &var, run)?;
+        Ok((out, stats1.sequential(&stats2), report))
     }
 }
 
@@ -381,7 +382,7 @@ mod tests {
         let mut advice = AdviceMap::empty(80);
         advice.set(NodeId(30), BitString::parse("10110"));
         let one = to_one_bit(&net, &advice, 6).unwrap();
-        let (recovered, stats) = from_one_bit(&net, &one);
+        let (recovered, stats) = from_one_bit(&net, &one, &Run::default());
         assert_eq!(recovered, advice);
         assert_eq!(stats.rounds(), one.code_len + 1);
     }
@@ -397,7 +398,7 @@ mod tests {
         advice.set(NodeId(80), BitString::parse("0011"));
         advice.set(NodeId(160), BitString::parse("11"));
         let one = to_one_bit(&net, &advice, 4).unwrap();
-        let (recovered, _) = from_one_bit(&net, &one);
+        let (recovered, _) = from_one_bit(&net, &one, &Run::default());
         assert_eq!(recovered, advice);
         assert!(one.ones_ratio() < 0.2);
     }
@@ -410,7 +411,7 @@ mod tests {
         advice.set(NodeId(0), BitString::parse("1")); // corner (0,0)
         advice.set(NodeId(399), BitString::parse("0")); // corner (19,19)
         let one = to_one_bit(&net, &advice, 1).unwrap();
-        let (recovered, _) = from_one_bit(&net, &one);
+        let (recovered, _) = from_one_bit(&net, &one, &Run::default());
         assert_eq!(recovered, advice);
     }
 
@@ -472,7 +473,7 @@ mod tests {
         let advice = AdviceMap::empty(30);
         let one = to_one_bit(&net, &advice, 4).unwrap();
         assert_eq!(one.ones_ratio(), 0.0);
-        let (recovered, _) = from_one_bit(&net, &one);
+        let (recovered, _) = from_one_bit(&net, &one, &Run::default());
         assert_eq!(recovered, advice);
     }
 }

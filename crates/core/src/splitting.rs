@@ -30,7 +30,7 @@ use crate::error::{DecodeError, EncodeError};
 use crate::schema::AdviceSchema;
 use crate::tracks::{demultiplex, multiplex};
 use lad_graph::{coloring, ruling, Graph, GraphBuilder, NodeId};
-use lad_runtime::{run_local_fallible_par, Network, RoundStats};
+use lad_runtime::{Network, RoundStats, Run, RunReport};
 
 /// The splitting schema: balanced red/blue edge coloring of a bipartite
 /// graph with all degrees even.
@@ -114,10 +114,10 @@ impl AdviceSchema for SplittingSchema {
         )
     }
 
-    fn encode(&self, net: &Network) -> Result<AdviceMap, EncodeError> {
+    fn encode_with(&self, net: &Network, run: &Run) -> Result<AdviceMap, EncodeError> {
         let g = net.graph();
         let chi = Self::bipartition_of(g)?;
-        let orient_track = self.orientation.encode(net)?;
+        let orient_track = self.orientation.encode_with(net, run)?;
         // Parity track: mark a ruling set with its bipartition color.
         let mut parity_track = AdviceMap::empty(g.n());
         for r in ruling::ruling_set(g, self.parity_spacing) {
@@ -126,20 +126,21 @@ impl AdviceSchema for SplittingSchema {
         Ok(multiplex(&[&orient_track, &parity_track]))
     }
 
-    fn decode(
+    fn decode_with(
         &self,
         net: &Network,
         advice: &AdviceMap,
-    ) -> Result<(Vec<usize>, RoundStats), DecodeError> {
+        run: &Run,
+    ) -> Result<(Vec<usize>, RoundStats, RunReport), DecodeError> {
         let g = net.graph();
         let tracks = demultiplex(advice, 2).ok_or_else(|| {
             DecodeError::Inconsistent("advice does not split into two tracks".into())
         })?;
-        let (orientation, stats_o) = self.orientation.decode(net, &tracks[0])?;
+        let (orientation, stats_o, report) = self.orientation.decode_with(net, &tracks[0], run)?;
         // Recover the 2-coloring by parity to the nearest marked node.
         let advised = net.with_inputs(tracks[1].strings());
         let spacing = self.parity_spacing;
-        let (colors, stats_p) = run_local_fallible_par(&advised, |ctx| {
+        let (colors, stats_p) = run.uncached().try_nodes(&advised, |ctx| {
             let ball = ctx.ball(spacing);
             let mut nearest: Option<(usize, u64, bool)> = None;
             for w in ball.graph().nodes() {
@@ -176,7 +177,7 @@ impl AdviceSchema for SplittingSchema {
                 usize::from(colors[tail.index()])
             })
             .collect();
-        Ok((labels, stats_o.sequential(&stats_p)))
+        Ok((labels, stats_o.sequential(&stats_p), report))
     }
 }
 
@@ -269,7 +270,7 @@ impl AdviceSchema for EdgeColoringSchema {
         format!("delta-edge-coloring({})", self.splitting.name())
     }
 
-    fn encode(&self, net: &Network) -> Result<AdviceMap, EncodeError> {
+    fn encode_with(&self, net: &Network, run: &Run) -> Result<AdviceMap, EncodeError> {
         let g = net.graph();
         let delta = Self::check(g)?;
         let n = g.n();
@@ -288,12 +289,12 @@ impl AdviceSchema for EdgeColoringSchema {
                 continue;
             }
             let sub_net = Network::new(inst.graph.clone(), net.ids().clone(), vec![(); n]);
-            let advice = self.splitting.encode(&sub_net)?;
+            let advice = self.splitting.encode_with(&sub_net, run)?;
             // Decode centrally to build the children exactly as the
             // decoder will.
-            let (labels, _) = self
+            let (labels, _, _) = self
                 .splitting
-                .decode(&sub_net, &advice)
+                .decode_with(&sub_net, &advice, run)
                 .map_err(|e| EncodeError::PlacementFailed(format!("self-decode failed: {e}")))?;
             tracks.push(advice);
             for color in [0usize, 1] {
@@ -311,11 +312,12 @@ impl AdviceSchema for EdgeColoringSchema {
         Ok(multiplex(&refs))
     }
 
-    fn decode(
+    fn decode_with(
         &self,
         net: &Network,
         advice: &AdviceMap,
-    ) -> Result<(Vec<usize>, RoundStats), DecodeError> {
+        run: &Run,
+    ) -> Result<(Vec<usize>, RoundStats, RunReport), DecodeError> {
         let g = net.graph();
         let delta =
             Self::check(g).map_err(|e| DecodeError::Inconsistent(format!("precondition: {e}")))?;
@@ -334,6 +336,7 @@ impl AdviceSchema for EdgeColoringSchema {
         let mut queue = vec![root];
         let mut track_iter = tracks.iter();
         let mut total_stats: Option<RoundStats> = None;
+        let mut report = RunReport::default();
         while let Some(inst) = queue.pop() {
             if inst.graph.max_degree() <= 1 {
                 continue;
@@ -342,7 +345,8 @@ impl AdviceSchema for EdgeColoringSchema {
             let track = track_iter
                 .next()
                 .ok_or_else(|| DecodeError::Inconsistent("missing advice track".into()))?;
-            let (labels, stats) = self.splitting.decode(&sub_net, track)?;
+            let (labels, stats, split_report) = self.splitting.decode_with(&sub_net, track, run)?;
+            report.absorb(split_report);
             total_stats = Some(match total_stats {
                 None => stats,
                 Some(t) => t.sequential(&stats),
@@ -363,7 +367,7 @@ impl AdviceSchema for EdgeColoringSchema {
         }
         let stats =
             total_stats.ok_or_else(|| DecodeError::Inconsistent("degenerate recursion".into()))?;
-        Ok((colors, stats))
+        Ok((colors, stats, report))
     }
 }
 

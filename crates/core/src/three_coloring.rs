@@ -41,7 +41,7 @@ use crate::lll::{moser_tardos, ConstraintSystem};
 use crate::schema::AdviceSchema;
 use lad_graph::{coloring, ruling, Graph, InducedSubgraph, NodeId};
 use lad_lcl::witness::proper_coloring_witness;
-use lad_runtime::{run_local_fallible_par, Ball, Network, RoundStats};
+use lad_runtime::{Ball, Network, RoundStats, Run, RunReport};
 use std::collections::VecDeque;
 
 /// The 1-bit 3-coloring schema (Contribution 6).
@@ -422,7 +422,7 @@ impl AdviceSchema for ThreeColoringSchema {
         )
     }
 
-    fn encode(&self, net: &Network) -> Result<AdviceMap, EncodeError> {
+    fn encode_with(&self, net: &Network, run: &Run) -> Result<AdviceMap, EncodeError> {
         let g = net.graph();
         let uids = net.uids();
         let delta = g.max_degree();
@@ -537,8 +537,8 @@ impl AdviceSchema for ThreeColoringSchema {
         }
         let advice = AdviceMap::from_one_bit(&bits);
         // 5. Certificate: the decoder must reproduce a proper 3-coloring.
-        let (colors, _) = self
-            .decode(net, &advice)
+        let (colors, _, _) = self
+            .decode_with(net, &advice, run)
             .map_err(|e| EncodeError::PlacementFailed(format!("self-decode failed: {e}")))?;
         if !coloring::is_proper_k_coloring(g, &colors, 3) {
             return Err(EncodeError::PlacementFailed(
@@ -548,11 +548,12 @@ impl AdviceSchema for ThreeColoringSchema {
         Ok(advice)
     }
 
-    fn decode(
+    fn decode_with(
         &self,
         net: &Network,
         advice: &AdviceMap,
-    ) -> Result<(Vec<usize>, RoundStats), DecodeError> {
+        run: &Run,
+    ) -> Result<(Vec<usize>, RoundStats, RunReport), DecodeError> {
         let g = net.graph();
         if advice.n() != g.n() {
             return Err(DecodeError::Inconsistent(
@@ -572,10 +573,10 @@ impl AdviceSchema for ThreeColoringSchema {
         let small_limit = self.effective_small(delta);
         let extent = self.group_extent;
         let advised = net.with_inputs(bits);
-        let (colors, stats) = run_local_fallible_par(&advised, |ctx| {
+        let (colors, stats) = run.uncached().try_nodes(&advised, |ctx| {
             decode_color(&ctx.ball(radius), small_limit, extent)
         })?;
-        Ok((colors, stats))
+        Ok((colors, stats, RunReport::default()))
     }
 }
 

@@ -22,20 +22,22 @@ use lad_core::cluster_coloring::ClusterColoringSchema;
 use lad_core::delta_coloring::DeltaColoringSchema;
 use lad_core::schema::AdviceSchema;
 use lad_graph::{generators, Graph, GraphBuilder, IdAssignment, NodeId};
-use lad_runtime::{set_force_path, set_thread_override, ExecPath, Network};
+use lad_runtime::{ExecPath, Network, Run};
 use proptest::prelude::*;
 
 const THREAD_GRID: [usize; 4] = [1, 2, 3, 8];
 const FORCE_GRID: [Option<ExecPath>; 3] = [None, Some(ExecPath::Plain), Some(ExecPath::Memo)];
 
-/// Restores process-wide overrides even if an assertion unwinds, so one
-/// failing case can't contaminate the rest of the binary.
-struct Restore;
-impl Drop for Restore {
-    fn drop(&mut self) {
-        set_force_path(None);
-        set_thread_override(None);
-    }
+/// The spec for one grid point: `threads` chunks, and the forced path if
+/// any (planned otherwise).
+fn run_at(threads: usize, force: Option<ExecPath>) -> Run<'static> {
+    let run = Run::default().threads(threads);
+    force.map_or(run, |path| run.path(path))
+}
+
+/// The planned spec on the automatic thread count, or one forced path.
+fn forced(force: Option<ExecPath>) -> Run<'static> {
+    force.map_or(Run::default(), |path| Run::default().path(path))
 }
 
 fn generator_grid() -> Vec<(&'static str, Graph)> {
@@ -93,19 +95,24 @@ fn advice_digest(a: &AdviceMap) -> u64 {
     h
 }
 
-fn encode_fingerprint<S: AdviceSchema>(schema: &S, net: &Network) -> String {
-    match schema.encode(net) {
+fn encode_fingerprint<S: AdviceSchema>(schema: &S, net: &Network, run: &Run) -> String {
+    match schema.encode_with(net, run) {
         Ok(a) => format!("ok:{:016x}", advice_digest(&a)),
         Err(e) => format!("err:{e}"),
     }
 }
 
-fn decode_fingerprint<S: AdviceSchema>(schema: &S, net: &Network, advice: &AdviceMap) -> String
+fn decode_fingerprint<S: AdviceSchema>(
+    schema: &S,
+    net: &Network,
+    advice: &AdviceMap,
+    run: &Run,
+) -> String
 where
     S::Output: std::fmt::Debug,
 {
-    match schema.decode(net, advice) {
-        Ok((out, stats)) => format!("ok:{out:?}|{stats:?}"),
+    match schema.decode_with(net, advice, run) {
+        Ok((out, stats, _)) => format!("ok:{out:?}|{stats:?}"),
         Err(e) => format!("err:{e}"),
     }
 }
@@ -127,9 +134,15 @@ fn encoders_match_frozen_seed_oracles() {
     for (name, g) in generator_grid() {
         let net = network_for(&g);
         for (schema_name, fp) in [
-            ("balanced", encode_fingerprint(&balanced, &net)),
-            ("cluster", encode_fingerprint(&cluster, &net)),
-            ("delta", encode_fingerprint(&delta, &net)),
+            (
+                "balanced",
+                encode_fingerprint(&balanced, &net, &Run::default()),
+            ),
+            (
+                "cluster",
+                encode_fingerprint(&cluster, &net, &Run::default()),
+            ),
+            ("delta", encode_fingerprint(&delta, &net, &Run::default())),
         ] {
             let golden = SEED_ENCODER_FINGERPRINTS
                 .iter()
@@ -146,42 +159,33 @@ fn encoders_match_frozen_seed_oracles() {
 
 #[test]
 fn encode_is_invariant_under_threads_and_forced_paths() {
-    let _restore = Restore;
     let balanced = BalancedOrientationSchema::default();
     let cluster = ClusterColoringSchema::default();
     let delta = DeltaColoringSchema::default();
     for (name, g) in generator_grid() {
         let net = network_for(&g);
-        set_thread_override(Some(1));
-        set_force_path(None);
-        let base = [
-            encode_fingerprint(&balanced, &net),
-            encode_fingerprint(&cluster, &net),
-            encode_fingerprint(&delta, &net),
-        ];
+        let fingerprints = |run: &Run| {
+            [
+                encode_fingerprint(&balanced, &net, run),
+                encode_fingerprint(&cluster, &net, run),
+                encode_fingerprint(&delta, &net, run),
+            ]
+        };
+        let base = fingerprints(&run_at(1, None));
         for threads in THREAD_GRID {
             for force in FORCE_GRID {
-                set_thread_override(Some(threads));
-                set_force_path(force);
-                let got = [
-                    encode_fingerprint(&balanced, &net),
-                    encode_fingerprint(&cluster, &net),
-                    encode_fingerprint(&delta, &net),
-                ];
                 assert_eq!(
-                    got, base,
+                    fingerprints(&run_at(threads, force)),
+                    base,
                     "encode drifted on {name} at threads={threads} force={force:?}"
                 );
             }
         }
-        set_force_path(None);
-        set_thread_override(None);
     }
 }
 
 #[test]
 fn decode_matches_reference_and_is_path_invariant() {
-    let _restore = Restore;
     let balanced = BalancedOrientationSchema::default();
     let cluster = ClusterColoringSchema::default();
     let delta = DeltaColoringSchema::default();
@@ -197,10 +201,8 @@ fn decode_matches_reference_and_is_path_invariant() {
             };
             for threads in THREAD_GRID {
                 for force in FORCE_GRID {
-                    set_thread_override(Some(threads));
-                    set_force_path(force);
                     assert_eq!(
-                        decode_fingerprint(&balanced, &net, &advice),
+                        decode_fingerprint(&balanced, &net, &advice, &run_at(threads, force)),
                         reference,
                         "balanced decode diverged on {name} \
                          threads={threads} force={force:?}"
@@ -215,10 +217,8 @@ fn decode_matches_reference_and_is_path_invariant() {
             };
             for threads in THREAD_GRID {
                 for force in FORCE_GRID {
-                    set_thread_override(Some(threads));
-                    set_force_path(force);
                     assert_eq!(
-                        decode_fingerprint(&cluster, &net, &advice),
+                        decode_fingerprint(&cluster, &net, &advice, &run_at(threads, force)),
                         reference,
                         "cluster decode diverged on {name} \
                          threads={threads} force={force:?}"
@@ -229,15 +229,11 @@ fn decode_matches_reference_and_is_path_invariant() {
         // Delta has no standalone reference decoder; pin the full
         // thread × path grid against the sequential unforced decode.
         if let Ok(advice) = delta.encode(&net) {
-            set_thread_override(Some(1));
-            set_force_path(None);
-            let base = decode_fingerprint(&delta, &net, &advice);
+            let base = decode_fingerprint(&delta, &net, &advice, &run_at(1, None));
             for threads in THREAD_GRID {
                 for force in FORCE_GRID {
-                    set_thread_override(Some(threads));
-                    set_force_path(force);
                     assert_eq!(
-                        decode_fingerprint(&delta, &net, &advice),
+                        decode_fingerprint(&delta, &net, &advice, &run_at(threads, force)),
                         base,
                         "delta decode diverged on {name} \
                          threads={threads} force={force:?}"
@@ -245,8 +241,6 @@ fn decode_matches_reference_and_is_path_invariant() {
                 }
             }
         }
-        set_force_path(None);
-        set_thread_override(None);
     }
 }
 
@@ -310,38 +304,28 @@ proptest! {
     /// results on arbitrary graphs, not just the curated grid.
     #[test]
     fn planner_choice_never_changes_outputs(net in arb_network()) {
-        let _restore = Restore;
         let balanced = BalancedOrientationSchema::default();
         let cluster = ClusterColoringSchema::default();
         let delta = DeltaColoringSchema::default();
-        set_force_path(None);
-        let base = encode_fingerprint(&balanced, &net);
+        let base = encode_fingerprint(&balanced, &net, &forced(None));
         for force in FORCE_GRID {
-            set_force_path(force);
             prop_assert_eq!(
-                encode_fingerprint(&balanced, &net),
+                encode_fingerprint(&balanced, &net, &forced(force)),
                 base.clone(),
                 "balanced encode changed under force={:?}", force
             );
         }
-        set_force_path(None);
         if let Ok(advice) = cluster.encode(&net) {
-            set_force_path(Some(ExecPath::Plain));
-            let plain = decode_fingerprint(&cluster, &net, &advice);
-            set_force_path(Some(ExecPath::Memo));
-            let memo = decode_fingerprint(&cluster, &net, &advice);
-            set_force_path(None);
-            let auto = decode_fingerprint(&cluster, &net, &advice);
+            let plain = decode_fingerprint(&cluster, &net, &advice, &forced(Some(ExecPath::Plain)));
+            let memo = decode_fingerprint(&cluster, &net, &advice, &forced(Some(ExecPath::Memo)));
+            let auto = decode_fingerprint(&cluster, &net, &advice, &forced(None));
             prop_assert_eq!(&plain, &memo, "cluster plain != memo");
             prop_assert_eq!(&plain, &auto, "cluster plain != auto");
         }
         if let Ok(advice) = delta.encode(&net) {
-            set_force_path(Some(ExecPath::Plain));
-            let plain = decode_fingerprint(&delta, &net, &advice);
-            set_force_path(Some(ExecPath::Memo));
-            let memo = decode_fingerprint(&delta, &net, &advice);
-            set_force_path(None);
-            let auto = decode_fingerprint(&delta, &net, &advice);
+            let plain = decode_fingerprint(&delta, &net, &advice, &forced(Some(ExecPath::Plain)));
+            let memo = decode_fingerprint(&delta, &net, &advice, &forced(Some(ExecPath::Memo)));
+            let auto = decode_fingerprint(&delta, &net, &advice, &forced(None));
             prop_assert_eq!(&plain, &memo, "delta plain != memo");
             prop_assert_eq!(&plain, &auto, "delta plain != auto");
         }

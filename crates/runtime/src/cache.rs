@@ -103,10 +103,8 @@ impl CacheStats {
 
 /// A shared, thread-safe ball/view cache for one network.
 ///
-/// Create one per [`Network`] (sizes must match) and pass it to the cached
-/// executor entry points ([`crate::run_local_cached`],
-/// [`crate::run_local_par_cached`], …) or query it directly with
-/// [`ViewCache::ball`].
+/// Create one per [`Network`] (sizes must match) and hand it to a run
+/// ([`crate::Run::cache`]) or query it directly with [`ViewCache::ball`].
 ///
 /// Memory grows with the number of distinct `(node, radius)` balls
 /// materialized; call [`ViewCache::clear`] between phases if that matters

@@ -30,7 +30,7 @@
 //! Both sessions are pinned by the churn differential harness
 //! (`crates/runtime/tests/churn.rs`): after every batch, their outputs
 //! must be **bit-identical** to a from-scratch [`run_local`] /
-//! [`run_local_memo`] on the mutated graph.
+//! memoized [`Run::ladder`] on the mutated graph.
 //!
 //! One scoping caveat: the contract covers outputs determined by the
 //! LOCAL-model view — structure, distances, identifiers, inputs, global
@@ -45,15 +45,15 @@
 //! [`EdgeId`]: lad_graph::EdgeId
 //!
 //! [`run_local`]: crate::run_local
-//! [`run_local_memo`]: crate::run_local_memo
+//! [`Run::ladder`]: crate::Run::ladder
 
 use crate::ball::Scratch;
 use crate::cache::{CacheStats, ViewCache};
 use crate::canonical::CanonScratch;
 use crate::ctx::NodeCtx;
 use crate::executor::{
-    bfs_visit_order, flush_memo_stats, memo_first_error, memo_run_tile, ClassMemo, ClassRef,
-    MemoStats, MemoStep, RoundStats,
+    bfs_visit_order, memo_first_error, memo_run_tile, ClassMemo, ClassRef, MemoStats, MemoStep,
+    RoundStats, Run,
 };
 use crate::lookup::NotOrderInvariant;
 use crate::network::Network;
@@ -96,9 +96,9 @@ pub struct ChurnLocal<In, Out, A> {
 }
 
 impl<In: Clone, Out: PartialEq, A: Fn(&NodeCtx<In>) -> Out> ChurnLocal<In, Out, A> {
-    /// Runs `algo` at every node of `net` (exactly like
-    /// [`crate::run_local_cached`] over a fresh cache) and opens a churn
-    /// session over the result.
+    /// Runs `algo` at every node of `net` (exactly like a sequential
+    /// [`Run::nodes`] over a fresh cache) and opens a churn session over
+    /// the result.
     ///
     /// # Panics
     ///
@@ -197,10 +197,10 @@ impl<In: Clone, Out: PartialEq, A: Fn(&NodeCtx<In>) -> Out> ChurnLocal<In, Out, 
 /// Incremental memoized session: like [`ChurnLocal`] but decoding once
 /// per canonical class, with the class store kept alive across batches.
 ///
-/// `initial_radius`/`step` follow the [`crate::run_local_memo`] ladder
-/// contract ([`MemoStep::Done`] / [`MemoStep::Expand`]); `max_radius`
-/// bounds every rung the ladder may reach and doubles as the invalidation
-/// radius. Errors follow [`crate::run_local_memo_fallible`]: the
+/// `initial_radius`/`step` follow the [`Run::ladder`] contract
+/// ([`MemoStep::Done`] / [`MemoStep::Expand`]); `max_radius` bounds every
+/// rung the ladder may reach and doubles as the invalidation radius.
+/// Errors follow the memoized ladder's: the
 /// first-in-node-order per-node error, or [`NotOrderInvariant`] if the
 /// step is not class-determined. Only dirty nodes can *start* failing
 /// after a batch, so the smallest-index dirty failure is the global
@@ -298,7 +298,6 @@ where
                 break;
             }
         }
-        flush_memo_stats(&stats);
         if let Some(c) = conflict {
             self.poisoned = true;
             return Err(c.into());
@@ -418,8 +417,9 @@ where
     }
 }
 
-/// A churn session whose executor family is chosen by the adaptive
-/// planner ([`crate::plan_decode`]) at open time.
+/// A churn session whose executor family is chosen at open time: by the
+/// run's spec when it fixes the path, else by the adaptive planner
+/// ([`crate::plan_decode`]).
 ///
 /// The caller supplies *both* formulations of the same algorithm — the
 /// per-node closure the plain session runs and the
@@ -444,10 +444,12 @@ where
     A: Fn(&NodeCtx<In>) -> Out,
     Tag: Fn(&In, &mut Vec<u64>),
 {
-    /// Probes `net` and opens the session the planner picked, returning
-    /// it together with the decision (probe evidence included). `algo`
-    /// and the `input_tag`/`step` ladder must compute the same per-node
-    /// output; `schema` selects the planner's calibration prior.
+    /// Opens the session `run`'s path names — or, when the spec leaves it
+    /// open, probes `net` and opens the one the planner picked — and
+    /// returns it together with the decision (probe evidence included).
+    /// `algo` and the `input_tag`/`step` ladder must compute the same
+    /// per-node output; `schema` selects the planner's calibration prior.
+    /// Sessions repair sequentially, so the spec's thread count is unused.
     ///
     /// # Errors
     ///
@@ -458,6 +460,7 @@ where
     ///
     /// Panics if `initial_radius > max_radius`, or (plain leg) if a node
     /// requests a view beyond `max_radius`.
+    #[allow(clippy::too_many_arguments)]
     pub fn open<E>(
         net: Network<In>,
         initial_radius: usize,
@@ -466,13 +469,14 @@ where
         algo: A,
         input_tag: Tag,
         step: Step,
+        run: &Run,
     ) -> Result<(Self, crate::plan::PlanDecision), E>
     where
         E: From<NotOrderInvariant>,
         Step: Fn(&crate::Ball<In>) -> Result<MemoStep<Out>, E>,
     {
         assert!(initial_radius <= max_radius);
-        let plan = crate::plan::plan_decode(&net, initial_radius, &input_tag, schema, None);
+        let plan = run.decide(&net, initial_radius, &input_tag, schema);
         let session = match plan.path {
             crate::plan::ExecPath::Plain => {
                 PlannedChurnLocal::Plain(ChurnLocal::new(net, max_radius, algo))

@@ -2,35 +2,36 @@
 //!
 //! # Entry points
 //!
-//! All executors run the same per-node function against [`NodeCtx`] handles
-//! and produce *identical* outputs and [`RoundStats`] — a LOCAL algorithm is
-//! a pure function of each node's view, so scheduling cannot change results.
-//! They differ only in wall-clock cost:
+//! Every run but the reference oracle goes through one spec, [`Run`]. Its
+//! methods sit on one fallible per-node core and produce *identical*
+//! outputs and [`RoundStats`] whatever the spec says — a LOCAL algorithm
+//! is a pure function of each node's view, so scheduling cannot change
+//! results. The spec only changes wall-clock cost:
 //!
-//! | function | views | schedule |
+//! | call | runs | views |
 //! |---|---|---|
-//! | [`run_local`] | fresh BFS per request | sequential (reference) |
-//! | [`run_local_cached`] | shared [`ViewCache`] | sequential |
-//! | [`run_local_par`] | worker-local scratch + memo | contiguous chunks across threads |
-//! | [`run_local_par_cached`] | shared [`ViewCache`] | contiguous chunks across threads |
-//! | [`run_local_memo`] | shared shell sweep per 64-center tile, decode once per canonical class | BFS tile order |
-//! | [`run_local_memo_fallible_par`] | per-worker shell engines + class memos, replay-merged | contiguous chunks across threads |
+//! | [`run_local`], [`run_local_fallible`] | a [`NodeCtx`] algorithm, sequentially (the reference) | fresh BFS per request |
+//! | [`Run::nodes`], [`Run::try_nodes`] | a [`NodeCtx`] algorithm over contiguous chunks across threads | chunk scratch, or the spec's [`ViewCache`] |
+//! | [`Run::ladder`] | a [`MemoStep`] ladder, plain or memoized as [`Run::path`] says (planned when unset) | memo: shared shell sweep per 64-center tile, one evaluation per canonical class |
+//! | [`Run::map`], [`Run::map_with`] | a closure per item, over contiguous chunks | — |
 //!
-//! (`run_local_fallible*` variants propagate the first per-node error in
-//! node-index order — also independent of the schedule.)
+//! Fallible runs propagate the first per-node error in node-index order —
+//! also independent of the schedule. A ladder returns a [`RunReport`]: its
+//! [`MemoStats`] and the [`PlanDecision`] it made. Nothing is recorded
+//! process-wide, so two runs at once never see each other's counts.
 //!
-//! The `run_local_memo*` family is restricted to *order-invariant* steps
-//! (a step whose output depends only on the canonical form of its view)
-//! and turns the paper's order-invariance theorem into a hot path: on
+//! The memoized ladder is restricted to *order-invariant* steps (a step
+//! whose output depends only on the canonical form of its view) and turns
+//! the paper's order-invariance theorem into a hot path: on
 //! bounded-growth graphs almost all balls are pairwise isomorphic, so one
 //! evaluation per [`CanonicalKey`] replaces one evaluation per node.
 //!
 //! Parallelism is gated behind the `parallel` cargo feature (on by
-//! default); with the feature off every entry point runs sequentially but
-//! keeps its signature. Thread count resolution is described at
-//! [`effective_parallelism`]. The differential harness in
-//! `crates/runtime/tests/equivalence.rs` pins down the equivalence of all
-//! paths bit for bit.
+//! default); with the feature off every run is sequential but keeps its
+//! signature. Thread count resolution is described at
+//! [`effective_parallelism`]. The differential harnesses in
+//! `crates/runtime/tests/` (`equivalence.rs`, `memo.rs`) pin down the
+//! equivalence of all paths bit for bit.
 
 use crate::ball::{Ball, BallMembers, Scratch};
 use crate::cache::ViewCache;
@@ -38,6 +39,7 @@ use crate::canonical::{key_of_members, CanonScratch, CanonicalKey};
 use crate::ctx::NodeCtx;
 use crate::lookup::NotOrderInvariant;
 use crate::network::Network;
+use crate::plan::{plan_decode, ExecPath, PlanDecision};
 use crate::shard::{MemoMerge, ShardMemo, ShardRun};
 use crate::shell::ShellEngine;
 use lad_graph::frontier::TILE_WIDTH;
@@ -46,8 +48,8 @@ use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::convert::Infallible;
+use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -114,8 +116,8 @@ impl RoundStats {
     }
 }
 
-/// Networks smaller than this run sequentially even when threads are
-/// available — fan-out overhead would dominate.
+/// Networks smaller than this run sequentially when the run does not fix
+/// a thread count — fan-out overhead would dominate.
 const PAR_MIN_NODES: usize = 512;
 
 /// [`std::thread::available_parallelism`], read once per process (on
@@ -137,43 +139,22 @@ fn env_threads() -> Option<usize> {
     })
 }
 
-/// `0` means "no override".
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide thread-count override for the `*_par` entry points, taking
-/// precedence over the `LAD_THREADS` environment variable and the detected
-/// parallelism. `Some(1)` forces sequential execution; `None` restores
-/// automatic selection. Intended for tests and benchmarks that compare
-/// schedules within one process.
-pub fn set_thread_override(threads: Option<usize>) {
-    THREAD_OVERRIDE.store(threads.map_or(0, |t| t.max(1)), Ordering::SeqCst);
-}
-
-/// The explicitly configured worker count (feature gate, override,
-/// `LAD_THREADS`), or `None` when selection should be automatic.
-fn configured_threads() -> Option<usize> {
-    if cfg!(not(feature = "parallel")) {
-        return Some(1);
-    }
-    match THREAD_OVERRIDE.load(Ordering::SeqCst) {
-        0 => env_threads(),
-        o => Some(o),
-    }
-}
-
-/// The number of chunks [`run_local_par`] splits an `n`-node network
-/// into, resolved in order:
+/// The number of chunks a [`Run`] that sets no thread count splits an
+/// `n`-node network into, resolved in order:
 ///
 /// 1. `1` when built without the `parallel` feature;
-/// 2. the [`set_thread_override`] value, if set;
-/// 3. the `LAD_THREADS` environment variable, if a positive integer;
-/// 4. `1` when `n` is too small to amortize a fan-out;
-/// 5. [`std::thread::available_parallelism`].
+/// 2. the `LAD_THREADS` environment variable, if a positive integer;
+/// 3. `1` when `n` is too small to amortize a fan-out;
+/// 4. [`std::thread::available_parallelism`].
 ///
-/// The chunks run on the process-wide worker pool (`host_threads − 1`
-/// workers plus the calling thread), so the count may exceed the pool.
+/// [`Run::threads`] replaces steps 2–4. The chunks run on the
+/// process-wide worker pool (`host_threads − 1` workers plus the calling
+/// thread), so the count may exceed the pool.
 pub fn effective_parallelism(n: usize) -> usize {
-    if let Some(t) = configured_threads() {
+    if cfg!(not(feature = "parallel")) {
+        return 1;
+    }
+    if let Some(t) = env_threads() {
         return t;
     }
     if n < PAR_MIN_NODES {
@@ -198,63 +179,329 @@ fn fan_out<T: Send, R: Send>(tasks: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R>
     tasks.into_iter().map(f).collect()
 }
 
-/// Applies `f` to each item across worker threads, returning outputs in
-/// item order — the fan-out primitive the centralized encoders use for
-/// per-trail, per-cluster, and per-network work.
-///
-/// Items are split into contiguous chunks run on the process-wide worker
-/// pool, so a chunk's items run in index order and outputs are
-/// reassembled in chunk order: results never depend on scheduling. The
-/// chunk count resolves like [`effective_parallelism`] except there is no
-/// minimum item count — encoder work items are coarse (a whole Euler
-/// trail, a whole training network), unlike per-node decoder calls. Runs
-/// sequentially without the `parallel` feature.
-pub fn par_map<T, U>(items: &[T], f: impl Fn(usize, &T) -> U + Sync) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-{
-    par_map_with(items, || (), |(), i, t| f(i, t))
+/// Whether `threads` workers actually beat a sequential pass over `n`
+/// nodes, given the feature gate.
+fn worth_fanning_out(n: usize, threads: usize) -> bool {
+    cfg!(feature = "parallel") && threads > 1 && n > 1
 }
 
-/// [`par_map`] with per-chunk mutable state: `init` runs once per chunk
-/// (once in total for a sequential run) and every `f` call in that chunk
-/// receives the same `&mut` state. This is how reusable workspaces
-/// ([`crate::CanonScratch`], BFS scratch) thread through fan-outs
-/// *explicitly* — a chunk may run on any pool worker or on the caller, so
-/// thread-local storage would tie a workspace to whichever thread ran it.
-pub fn par_map_with<T, U, S>(
-    items: &[T],
-    init: impl Fn() -> S + Sync,
-    f: impl Fn(&mut S, usize, &T) -> U + Sync,
-) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-{
-    let n = items.len();
-    let map_range = |range: Range<usize>| -> Vec<U> {
-        let mut state = init();
-        range.map(|i| f(&mut state, i, &items[i])).collect()
-    };
-    let threads = configured_threads()
-        .unwrap_or_else(host_threads)
-        .min(n.max(1));
-    if !worth_fanning_out(n, threads) {
-        return map_range(0..n);
+/// How to run a LOCAL algorithm: a per-call spec, and the one way to run
+/// anything but the [`run_local`] reference.
+///
+/// Every setting is optional:
+///
+/// * [`Run::threads`] — the chunk count. Unset, per-node runs resolve it
+///   as [`effective_parallelism`] and [`Run::map`] from `LAD_THREADS` or
+///   the host.
+/// * [`Run::path`] — how [`Run::ladder`] runs: [`ExecPath::Plain`],
+///   [`ExecPath::Memo`], or, unset, whatever [`plan_decode`] picks.
+///   Per-node runs and fan-outs have no path to pick.
+/// * [`Run::cache`] — a shared [`ViewCache`] the per-node views come
+///   from; unset, each chunk gathers through its own scratch.
+///
+/// No setting changes a result, only its cost, and none is global: runs
+/// in one process at once keep their own settings and report their own
+/// counts.
+///
+/// # Example
+///
+/// ```
+/// use lad_graph::generators;
+/// use lad_runtime::{run_local, Network, Run};
+///
+/// let net = Network::with_identity_ids(generators::cycle(10));
+/// let sizes = |ctx: &lad_runtime::NodeCtx| ctx.ball(2).n();
+/// assert_eq!(Run::default().threads(3).nodes(&net, sizes), run_local(&net, sizes));
+/// ```
+pub struct Run<'c, In = ()> {
+    threads: Option<usize>,
+    path: Option<ExecPath>,
+    cache: Option<&'c ViewCache<In>>,
+}
+
+impl<In> Default for Run<'_, In> {
+    fn default() -> Self {
+        Run {
+            threads: None,
+            path: None,
+            cache: None,
+        }
     }
-    fan_out(chunk_ranges(n, threads), map_range)
-        .into_iter()
-        .flatten()
-        .collect()
+}
+
+impl<In> Clone for Run<'_, In> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<In> Copy for Run<'_, In> {}
+
+impl<In> fmt::Debug for Run<'_, In> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Run")
+            .field("threads", &self.threads)
+            .field("path", &self.path)
+            .field("cached", &self.cache.is_some())
+            .finish()
+    }
+}
+
+impl<'c, In> Run<'c, In> {
+    /// Splits every run into `threads` chunks (`0` counts as 1; one chunk
+    /// is a sequential pass). Without the `parallel` feature every run is
+    /// sequential.
+    pub fn threads(mut self, threads: usize) -> Self {
+        self.threads = Some(threads.max(1));
+        self
+    }
+
+    /// Fixes the path [`Run::ladder`] takes, skipping the planner's probe.
+    pub fn path(mut self, path: ExecPath) -> Self {
+        self.path = Some(path);
+        self
+    }
+
+    /// Serves per-node views from `cache`, which must have been built for
+    /// the network the run executes on. Memoized ladders gather through
+    /// their own shell sweep and do not read it.
+    pub fn cache(mut self, cache: &'c ViewCache<In>) -> Self {
+        self.cache = Some(cache);
+        self
+    }
+
+    /// This spec without its cache, for a run over another network (a
+    /// schema's advised network, say): a cache serves only the network it
+    /// was built for.
+    pub fn uncached<J>(&self) -> Run<'static, J> {
+        Run {
+            threads: self.threads,
+            path: self.path,
+            cache: None,
+        }
+    }
+
+    /// The number of chunks a per-node run over `n` nodes splits into.
+    pub fn thread_count(&self, n: usize) -> usize {
+        self.threads
+            .filter(|_| cfg!(feature = "parallel"))
+            .unwrap_or_else(|| effective_parallelism(n))
+    }
+
+    /// Applies `f` to each item across worker threads, returning outputs
+    /// in item order — the fan-out the centralized encoders use for
+    /// per-trail, per-cluster and per-network work.
+    ///
+    /// Items are split into contiguous chunks run on the process-wide
+    /// worker pool, so a chunk's items run in index order and outputs are
+    /// reassembled in chunk order: results never depend on scheduling.
+    /// There is no minimum item count, unlike per-node runs — encoder work
+    /// items are coarse (a whole Euler trail, a whole training network).
+    pub fn map<T, U>(&self, items: &[T], f: impl Fn(usize, &T) -> U + Sync) -> Vec<U>
+    where
+        T: Sync,
+        U: Send,
+    {
+        self.map_with(items, || (), |(), i, t| f(i, t))
+    }
+
+    /// [`Run::map`] with per-chunk mutable state: `init` runs once per
+    /// chunk and every `f` call in that chunk receives the same `&mut`
+    /// state. This is how reusable workspaces ([`crate::CanonScratch`],
+    /// BFS scratch) thread through fan-outs *explicitly* — a chunk may run
+    /// on any pool worker or on the caller, so thread-local storage would
+    /// tie a workspace to whichever thread ran it.
+    pub fn map_with<T, U, S>(
+        &self,
+        items: &[T],
+        init: impl Fn() -> S + Sync,
+        f: impl Fn(&mut S, usize, &T) -> U + Sync,
+    ) -> Vec<U>
+    where
+        T: Sync,
+        U: Send,
+    {
+        let n = items.len();
+        let map_range = |range: Range<usize>| -> Vec<U> {
+            let mut state = init();
+            range.map(|i| f(&mut state, i, &items[i])).collect()
+        };
+        let threads = self
+            .threads
+            .or_else(env_threads)
+            .unwrap_or_else(host_threads)
+            .min(n.max(1));
+        if !worth_fanning_out(n, threads) {
+            return map_range(0..n);
+        }
+        fan_out(chunk_ranges(n, threads), map_range)
+            .into_iter()
+            .flatten()
+            .collect()
+    }
+
+    /// The path a ladder over `net` takes: the spec's, or the planner's
+    /// pick when the spec leaves it open.
+    pub(crate) fn decide<J: Clone>(
+        &self,
+        net: &Network<J>,
+        radius: usize,
+        input_tag: impl Fn(&J, &mut Vec<u64>),
+        schema: &str,
+    ) -> PlanDecision {
+        match self.path {
+            Some(path) => PlanDecision::forced(path),
+            None => plan_decode(net, radius, input_tag, schema, None),
+        }
+    }
+}
+
+impl<In: Clone + Send + Sync> Run<'_, In> {
+    /// Runs `algo` at every node: the same outputs and [`RoundStats`] as
+    /// [`run_local`], bit for bit, over [`Run::thread_count`] contiguous
+    /// node ranges on the worker pool.
+    pub fn nodes<Out: Send>(
+        &self,
+        net: &Network<In>,
+        algo: impl Fn(&NodeCtx<In>) -> Out + Sync,
+    ) -> (Vec<Out>, RoundStats) {
+        match self.try_nodes(net, |ctx| Ok::<_, Infallible>(algo(ctx))) {
+            Ok(ran) => ran,
+            Err(never) => match never {},
+        }
+    }
+
+    /// [`Run::nodes`] for fallible algorithms: the same success results
+    /// and first-error choice as [`run_local_fallible`].
+    ///
+    /// Each chunk stops at its first error and the first erroring chunk
+    /// wins, so the error is the smallest erroring node index's — per-node
+    /// functions are independent, so that is exactly the error a
+    /// sequential pass returns.
+    ///
+    /// # Errors
+    ///
+    /// The first per-node error in node-index order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec's cache was built for a network of another size.
+    pub fn try_nodes<Out: Send, E: Send>(
+        &self,
+        net: &Network<In>,
+        algo: impl Fn(&NodeCtx<In>) -> Result<Out, E> + Sync,
+    ) -> Result<(Vec<Out>, RoundStats), E> {
+        let n = net.graph().n();
+        if let Some(cache) = self.cache {
+            assert_eq!(cache.n(), n, "the run's view cache serves another network");
+        }
+        let threads = self.thread_count(n);
+        if !worth_fanning_out(n, threads) {
+            let (outs, per_node) = run_range(net, 0..n, self.cache, &algo)?;
+            return Ok((outs, RoundStats { per_node }));
+        }
+        let chunks = fan_out(chunk_ranges(n, threads), |range| {
+            run_range(net, range, self.cache, &algo)
+        });
+        let mut outs = Vec::with_capacity(n);
+        let mut per_node = Vec::with_capacity(n);
+        for chunk in chunks {
+            let (chunk_outs, chunk_radii) = chunk?;
+            outs.extend(chunk_outs);
+            per_node.extend(chunk_radii);
+        }
+        Ok((outs, RoundStats { per_node }))
+    }
+
+    /// Climbs an adaptive-radius ladder at every node — `step` sees the
+    /// ball at `initial_radius` and either finishes ([`MemoStep::Done`])
+    /// or asks for a strictly larger view ([`MemoStep::Expand`]) — on the
+    /// path the spec fixes, or the one [`plan_decode`] picks for `schema`
+    /// (the name selecting its calibration prior).
+    ///
+    /// The plain path runs the ladder per node like [`Run::try_nodes`].
+    /// The memoized path runs `step` once per distinct canonical class of
+    /// input-labeled balls and shares the result across the class. Nodes
+    /// go in BFS order (per contiguous chunk when threaded), in tiles of
+    /// up to 64 centers that share a *single* shell-indexed frontier
+    /// sweep, and each center's [`CanonicalKey`] — inputs folded in
+    /// through `input_tag`, which must be prefix-free (fixed arity or
+    /// self-delimiting) — is serialized shell by shell, so an `Expand`
+    /// re-keys only the new shells.
+    ///
+    /// Outputs, per-node radii and error choice equal those of the same
+    /// ladder climbed under [`run_local_fallible`] on either path,
+    /// provided `step` is order-invariant. The memoized path *checks* that
+    /// premise: entries are re-evaluated against fresh balls on a
+    /// geometric schedule of their reuses (the 1st, 2nd, 4th, … hit),
+    /// per-chunk memos are merged with a conflict check, and a failed
+    /// class replays its smallest-index node without the memo to
+    /// regenerate that node's own error.
+    ///
+    /// The [`RunReport`] holds the decision and the memo counters (zero on
+    /// the plain path).
+    ///
+    /// # Errors
+    ///
+    /// The first per-node error in node-index order, or
+    /// [`NotOrderInvariant`] (through `E: From<NotOrderInvariant>`) if two
+    /// isomorphic views produced different step results.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step` requests [`MemoStep::Expand`] to a radius that
+    /// does not strictly increase.
+    pub fn ladder<Out, E>(
+        &self,
+        net: &Network<In>,
+        schema: &str,
+        initial_radius: usize,
+        input_tag: impl Fn(&In, &mut Vec<u64>) + Sync,
+        step: impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E> + Sync,
+    ) -> Result<(Vec<Out>, RoundStats, RunReport), E>
+    where
+        Out: Clone + PartialEq + Send,
+        E: From<NotOrderInvariant> + Send,
+    {
+        let decision = self.decide(net, initial_radius, &input_tag, schema);
+        let mut report = RunReport {
+            memo: MemoStats::default(),
+            plans: vec![decision],
+        };
+        let (outs, stats) = match decision.path {
+            ExecPath::Plain => self.try_nodes(net, |ctx| -> Result<Out, E> {
+                let mut r = initial_radius;
+                loop {
+                    match step(&ctx.ball(r))? {
+                        MemoStep::Done(out) => return Ok(out),
+                        MemoStep::Expand(next) => {
+                            assert!(
+                                next > r,
+                                "MemoStep::Expand must strictly increase the radius"
+                            );
+                            r = next;
+                        }
+                    }
+                }
+            })?,
+            ExecPath::Memo => {
+                let threads = self.thread_count(net.graph().n());
+                let (outs, stats, memo) =
+                    run_memo(net, threads, initial_radius, &input_tag, &step)?;
+                report.memo = memo;
+                (outs, stats)
+            }
+        };
+        Ok((outs, stats, report))
+    }
 }
 
 /// Runs `algo` independently at every node, returning per-node outputs and
 /// the measured locality.
 ///
 /// This is the *reference* executor: one fresh BFS per view request, no
-/// sharing, no threads. [`run_local_par`] and the cached variants are
-/// drop-in replacements with identical results.
+/// sharing, no threads. [`Run::nodes`] is the drop-in replacement with
+/// identical results.
 ///
 /// # Example
 ///
@@ -325,220 +572,11 @@ fn run_range<In: Clone, Out, E>(
     Ok((outs, per_node))
 }
 
-/// Sequential executor backed by an optional shared cache; otherwise a
-/// worker-local scratch/memo. Single code path for all non-reference
-/// sequential variants.
-fn run_seq_impl<In: Clone, Out, E>(
-    net: &Network<In>,
-    cache: Option<&ViewCache<In>>,
-    algo: impl Fn(&NodeCtx<In>) -> Result<Out, E>,
-) -> Result<(Vec<Out>, RoundStats), E> {
-    let (outs, per_node) = run_range(net, 0..net.graph().n(), cache, &algo)?;
-    Ok((outs, RoundStats { per_node }))
-}
-
-/// Parallel executor: splits nodes into `threads` contiguous chunks, each
-/// processed in index order with its own BFS scratch on the worker pool,
-/// and concatenates the chunks in node order, so results are
-/// position-exact regardless of scheduling. Each chunk stops at its first
-/// error and the first erroring chunk wins, so the error is the smallest
-/// erroring node index's — per-node functions are independent, so that
-/// is exactly the error a sequential run returns.
-fn run_par_impl<In, Out, E>(
-    net: &Network<In>,
-    threads: usize,
-    cache: Option<&ViewCache<In>>,
-    algo: &(impl Fn(&NodeCtx<In>) -> Result<Out, E> + Sync),
-) -> Result<(Vec<Out>, RoundStats), E>
-where
-    In: Clone + Send + Sync,
-    Out: Send,
-    E: Send,
-{
-    let n = net.graph().n();
-    let chunks = fan_out(chunk_ranges(n, threads), |range| {
-        run_range(net, range, cache, algo)
-    });
-    let mut outs = Vec::with_capacity(n);
-    let mut per_node = Vec::with_capacity(n);
-    for chunk in chunks {
-        let (chunk_outs, chunk_radii) = chunk?;
-        outs.extend(chunk_outs);
-        per_node.extend(chunk_radii);
-    }
-    Ok((outs, RoundStats { per_node }))
-}
-
-fn infallible<In, Out>(
-    algo: impl Fn(&NodeCtx<In>) -> Out,
-) -> impl Fn(&NodeCtx<In>) -> Result<Out, Infallible> {
-    move |ctx| Ok(algo(ctx))
-}
-
-fn unwrap_infallible<T>(r: Result<T, Infallible>) -> T {
-    match r {
-        Ok(t) => t,
-        Err(e) => match e {},
-    }
-}
-
-/// Whether `threads` workers actually beat a sequential pass over `n`
-/// nodes, given the feature gate.
-fn worth_fanning_out(n: usize, threads: usize) -> bool {
-    cfg!(feature = "parallel") && threads > 1 && n > 1
-}
-
-/// [`run_local`] over a shared [`ViewCache`]: identical results, but view
-/// requests hit the cache. A second execution over the same cache (another
-/// phase of a composed algorithm, a lookup-table training pass, …) reuses
-/// every ball the first one gathered.
-pub fn run_local_cached<In: Clone, Out>(
-    net: &Network<In>,
-    cache: &ViewCache<In>,
-    algo: impl Fn(&NodeCtx<In>) -> Out,
-) -> (Vec<Out>, RoundStats) {
-    unwrap_infallible(run_seq_impl(net, Some(cache), infallible(algo)))
-}
-
-/// Fallible [`run_local_cached`].
-///
-/// # Errors
-///
-/// Propagates the first per-node error in node-index order.
-pub fn run_local_fallible_cached<In: Clone, Out, E>(
-    net: &Network<In>,
-    cache: &ViewCache<In>,
-    algo: impl Fn(&NodeCtx<In>) -> Result<Out, E>,
-) -> Result<(Vec<Out>, RoundStats), E> {
-    run_seq_impl(net, Some(cache), algo)
-}
-
-/// Parallel [`run_local`]: same outputs and [`RoundStats`], bit for bit,
-/// computed over [`effective_parallelism`] contiguous node ranges on the
-/// process-wide worker pool. Falls back to a sequential pass when built without the
-/// `parallel` feature, when only one thread is available, or when the
-/// network is too small to amortize a fan-out.
-pub fn run_local_par<In, Out>(
-    net: &Network<In>,
-    algo: impl Fn(&NodeCtx<In>) -> Out + Sync,
-) -> (Vec<Out>, RoundStats)
-where
-    In: Clone + Send + Sync,
-    Out: Send,
-{
-    run_local_par_with(net, effective_parallelism(net.graph().n()), algo)
-}
-
-/// [`run_local_par`] with an explicit worker-thread count (`<= 1` runs
-/// sequentially). Results do not depend on `threads`.
-pub fn run_local_par_with<In, Out>(
-    net: &Network<In>,
-    threads: usize,
-    algo: impl Fn(&NodeCtx<In>) -> Out + Sync,
-) -> (Vec<Out>, RoundStats)
-where
-    In: Clone + Send + Sync,
-    Out: Send,
-{
-    if worth_fanning_out(net.graph().n(), threads) {
-        unwrap_infallible(run_par_impl(net, threads, None, &infallible(algo)))
-    } else {
-        unwrap_infallible(run_seq_impl(net, None, infallible(algo)))
-    }
-}
-
-/// Parallel [`run_local_fallible`]: same success results and the same
-/// first-error-in-node-index-order semantics as the sequential run.
-///
-/// # Errors
-///
-/// Propagates the error of the smallest-index erroring node — per-node
-/// functions are independent, so this is exactly the error a sequential
-/// pass returns.
-pub fn run_local_fallible_par<In, Out, E>(
-    net: &Network<In>,
-    algo: impl Fn(&NodeCtx<In>) -> Result<Out, E> + Sync,
-) -> Result<(Vec<Out>, RoundStats), E>
-where
-    In: Clone + Send + Sync,
-    Out: Send,
-    E: Send,
-{
-    run_local_fallible_par_with(net, effective_parallelism(net.graph().n()), algo)
-}
-
-/// [`run_local_fallible_par`] with an explicit worker-thread count.
-///
-/// # Errors
-///
-/// Propagates the first per-node error in node-index order, independent of
-/// `threads`.
-pub fn run_local_fallible_par_with<In, Out, E>(
-    net: &Network<In>,
-    threads: usize,
-    algo: impl Fn(&NodeCtx<In>) -> Result<Out, E> + Sync,
-) -> Result<(Vec<Out>, RoundStats), E>
-where
-    In: Clone + Send + Sync,
-    Out: Send,
-    E: Send,
-{
-    if worth_fanning_out(net.graph().n(), threads) {
-        run_par_impl(net, threads, None, &algo)
-    } else {
-        run_seq_impl(net, None, algo)
-    }
-}
-
-/// Parallel execution over a shared [`ViewCache`]: overlapping balls are
-/// gathered once (by whichever worker asks first) and reused by every
-/// other worker and by later executions over the same cache.
-pub fn run_local_par_cached<In, Out>(
-    net: &Network<In>,
-    cache: &ViewCache<In>,
-    threads: usize,
-    algo: impl Fn(&NodeCtx<In>) -> Out + Sync,
-) -> (Vec<Out>, RoundStats)
-where
-    In: Clone + Send + Sync,
-    Out: Send,
-{
-    if worth_fanning_out(net.graph().n(), threads) {
-        unwrap_infallible(run_par_impl(net, threads, Some(cache), &infallible(algo)))
-    } else {
-        unwrap_infallible(run_seq_impl(net, Some(cache), infallible(algo)))
-    }
-}
-
-/// Fallible [`run_local_par_cached`].
-///
-/// # Errors
-///
-/// Propagates the first per-node error in node-index order, independent of
-/// `threads`.
-pub fn run_local_fallible_par_cached<In, Out, E>(
-    net: &Network<In>,
-    cache: &ViewCache<In>,
-    threads: usize,
-    algo: impl Fn(&NodeCtx<In>) -> Result<Out, E> + Sync,
-) -> Result<(Vec<Out>, RoundStats), E>
-where
-    In: Clone + Send + Sync,
-    Out: Send,
-    E: Send,
-{
-    if worth_fanning_out(net.graph().n(), threads) {
-        run_par_impl(net, threads, Some(cache), &algo)
-    } else {
-        run_seq_impl(net, Some(cache), algo)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Memoized decode executor: decode once per canonical isomorphism class.
 // ---------------------------------------------------------------------------
 
-/// One rung of a memoized decode ladder (see [`run_local_memo`]).
+/// One rung of a decode ladder (see [`Run::ladder`]).
 ///
 /// The step function inspects a ball and either finishes or asks for a
 /// strictly larger view — the same contract as an adaptive-radius
@@ -553,7 +591,7 @@ pub enum MemoStep<Out> {
     Expand(usize),
 }
 
-/// Counters describing one or more `run_local_memo*` executions.
+/// Counters describing one or more memoized ladder runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// Canonical-key lookups: one per ladder rung per node.
@@ -579,13 +617,6 @@ pub struct MemoStats {
     pub key_ns: u64,
     /// Nanoseconds spent materializing balls and evaluating the step.
     pub eval_ns: u64,
-    /// Planner decisions that selected the plain parallel path.
-    pub plans_plain: u64,
-    /// Planner decisions that selected the memoized (shell-tiled) path.
-    pub plans_memo: u64,
-    /// Nanoseconds spent in planner instance probes (sampled keying and
-    /// step evaluation).
-    pub probe_ns: u64,
 }
 
 impl MemoStats {
@@ -620,92 +651,27 @@ impl MemoStats {
         self.sweep_ns += other.sweep_ns;
         self.key_ns += other.key_ns;
         self.eval_ns += other.eval_ns;
-        self.plans_plain += other.plans_plain;
-        self.plans_memo += other.plans_memo;
-        self.probe_ns += other.probe_ns;
     }
 }
 
-static MEMO_LOOKUPS: AtomicU64 = AtomicU64::new(0);
-static MEMO_CLASSES: AtomicU64 = AtomicU64::new(0);
-static MEMO_HITS: AtomicU64 = AtomicU64::new(0);
-static MEMO_VERIFICATIONS: AtomicU64 = AtomicU64::new(0);
-static MEMO_FP_REJECTS: AtomicU64 = AtomicU64::new(0);
-static MEMO_GATHER_NS: AtomicU64 = AtomicU64::new(0);
-static MEMO_SWEEP_NS: AtomicU64 = AtomicU64::new(0);
-static MEMO_KEY_NS: AtomicU64 = AtomicU64::new(0);
-static MEMO_EVAL_NS: AtomicU64 = AtomicU64::new(0);
-static MEMO_PLANS_PLAIN: AtomicU64 = AtomicU64::new(0);
-static MEMO_PLANS_MEMO: AtomicU64 = AtomicU64::new(0);
-static MEMO_PROBE_NS: AtomicU64 = AtomicU64::new(0);
-
-pub(crate) fn flush_memo_stats(s: &MemoStats) {
-    MEMO_LOOKUPS.fetch_add(s.lookups, Ordering::Relaxed);
-    MEMO_CLASSES.fetch_add(s.classes, Ordering::Relaxed);
-    MEMO_HITS.fetch_add(s.hits, Ordering::Relaxed);
-    MEMO_VERIFICATIONS.fetch_add(s.verifications, Ordering::Relaxed);
-    MEMO_FP_REJECTS.fetch_add(s.fp_rejects, Ordering::Relaxed);
-    MEMO_GATHER_NS.fetch_add(s.gather_ns, Ordering::Relaxed);
-    MEMO_SWEEP_NS.fetch_add(s.sweep_ns, Ordering::Relaxed);
-    MEMO_KEY_NS.fetch_add(s.key_ns, Ordering::Relaxed);
-    MEMO_EVAL_NS.fetch_add(s.eval_ns, Ordering::Relaxed);
-    MEMO_PLANS_PLAIN.fetch_add(s.plans_plain, Ordering::Relaxed);
-    MEMO_PLANS_MEMO.fetch_add(s.plans_memo, Ordering::Relaxed);
-    MEMO_PROBE_NS.fetch_add(s.probe_ns, Ordering::Relaxed);
+/// What one run did, returned by the call that ran it: the memo counters
+/// of its memoized ladders and every path decision it made.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunReport {
+    /// Memo counters summed over the run's memoized ladders (all zero when
+    /// every ladder ran plain).
+    pub memo: MemoStats,
+    /// One decision per ladder, in the order the ladders ran: the
+    /// planner's, or a forced one when the spec fixed the path.
+    pub plans: Vec<PlanDecision>,
 }
 
-/// Records one planner decision (and its probe cost) into the
-/// process-wide counters — called by [`crate::plan`] so every planner
-/// choice is visible to the same `memo_stats` snapshot benchmarks read.
-pub(crate) fn record_plan(memo_chosen: bool, probe_ns: u64) {
-    if memo_chosen {
-        MEMO_PLANS_MEMO.fetch_add(1, Ordering::Relaxed);
-    } else {
-        MEMO_PLANS_PLAIN.fetch_add(1, Ordering::Relaxed);
-    }
-    MEMO_PROBE_NS.fetch_add(probe_ns, Ordering::Relaxed);
-}
-
-/// Resets the process-wide [`memo_stats`] counters. Benchmarks bracket a
-/// decode with reset/read to attribute gather vs. evaluation time and the
-/// memo hit rate; the counters flow through schema `decode` signatures
-/// unchanged.
-pub fn memo_stats_reset() {
-    for c in [
-        &MEMO_LOOKUPS,
-        &MEMO_CLASSES,
-        &MEMO_HITS,
-        &MEMO_VERIFICATIONS,
-        &MEMO_FP_REJECTS,
-        &MEMO_GATHER_NS,
-        &MEMO_SWEEP_NS,
-        &MEMO_KEY_NS,
-        &MEMO_EVAL_NS,
-        &MEMO_PLANS_PLAIN,
-        &MEMO_PLANS_MEMO,
-        &MEMO_PROBE_NS,
-    ] {
-        c.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Snapshot of the process-wide memo executor counters accumulated since
-/// the last [`memo_stats_reset`] (across every `run_local_memo*` call in
-/// the process, all threads).
-pub fn memo_stats() -> MemoStats {
-    MemoStats {
-        lookups: MEMO_LOOKUPS.load(Ordering::Relaxed),
-        classes: MEMO_CLASSES.load(Ordering::Relaxed),
-        hits: MEMO_HITS.load(Ordering::Relaxed),
-        verifications: MEMO_VERIFICATIONS.load(Ordering::Relaxed),
-        fp_rejects: MEMO_FP_REJECTS.load(Ordering::Relaxed),
-        gather_ns: MEMO_GATHER_NS.load(Ordering::Relaxed),
-        sweep_ns: MEMO_SWEEP_NS.load(Ordering::Relaxed),
-        key_ns: MEMO_KEY_NS.load(Ordering::Relaxed),
-        eval_ns: MEMO_EVAL_NS.load(Ordering::Relaxed),
-        plans_plain: MEMO_PLANS_PLAIN.load(Ordering::Relaxed),
-        plans_memo: MEMO_PLANS_MEMO.load(Ordering::Relaxed),
-        probe_ns: MEMO_PROBE_NS.load(Ordering::Relaxed),
+impl RunReport {
+    /// Folds a later stage's report into this one — a composed decode
+    /// reports every stage it ran.
+    pub fn absorb(&mut self, later: RunReport) {
+        self.memo.accumulate(&later.memo);
+        self.plans.extend(later.plans);
     }
 }
 
@@ -1262,214 +1228,71 @@ where
     Ok((outs, RoundStats::from_per_node(run.per_node)))
 }
 
-fn run_memo_seq<In: Clone, Out: Clone + PartialEq, E: From<NotOrderInvariant>>(
-    net: &Network<In>,
-    initial_radius: usize,
-    input_tag: impl Fn(&In, &mut Vec<u64>),
-    step: impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E>,
-) -> Result<(Vec<Out>, RoundStats), E> {
-    let g = net.graph();
-    // BFS visit order keeps consecutive tiles spatially coherent, so one
-    // shared frontier sweep covers 64 overlapping balls at once.
-    let pass = memo_pass(
-        net,
-        &bfs_visit_order(g),
-        0..g.n(),
-        initial_radius,
-        &input_tag,
-        &step,
-    );
-    flush_memo_stats(&pass.run.stats);
-    if let Some(c) = pass.conflict {
-        return Err(c.into());
-    }
-    memo_finish(pass.run, || net, initial_radius, &input_tag, &step)
-}
-
-fn run_memo_par<In, Out, E>(
+/// The memoized leg of [`Run::ladder`]: on one thread, one pass over every
+/// node in BFS order; otherwise one pass per contiguous chunk, merged in
+/// chunk order. Returns the outputs with the passes' summed counters.
+fn run_memo<In, Out, E>(
     net: &Network<In>,
     threads: usize,
     initial_radius: usize,
     input_tag: &(impl Fn(&In, &mut Vec<u64>) + Sync),
     step: &(impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E> + Sync),
-) -> Result<(Vec<Out>, RoundStats), E>
+) -> Result<(Vec<Out>, RoundStats, MemoStats), E>
 where
     In: Clone + Send + Sync,
     Out: Clone + PartialEq + Send,
     E: From<NotOrderInvariant> + Send,
 {
-    let n = net.graph().n();
-    // One pass per chunk, replay-merged below in chunk order.
-    let passes = fan_out(chunk_ranges(n, threads), |range| {
-        let centers: Vec<NodeId> = range.clone().map(NodeId::from_index).collect();
-        memo_pass(net, &centers, range, initial_radius, input_tag, step)
-    });
-    let mut run = ShardRun {
-        outs: Vec::with_capacity(n),
-        per_node: Vec::with_capacity(n),
-        failed: Vec::new(),
-        stats: MemoStats::default(),
+    let g = net.graph();
+    let n = g.n();
+    let mut passes = if worth_fanning_out(n, threads) {
+        fan_out(chunk_ranges(n, threads), |range| {
+            let centers: Vec<NodeId> = range.clone().map(NodeId::from_index).collect();
+            memo_pass(net, &centers, range, initial_radius, input_tag, step)
+        })
+    } else {
+        // BFS visit order keeps consecutive tiles spatially coherent, so
+        // one shared frontier sweep covers 64 overlapping balls at once.
+        let order = bfs_visit_order(g);
+        vec![memo_pass(
+            net,
+            &order,
+            0..n,
+            initial_radius,
+            input_tag,
+            step,
+        )]
     };
+    let mut stats = MemoStats::default();
     for pass in &passes {
-        run.stats.accumulate(&pass.run.stats);
+        stats.accumulate(&pass.run.stats);
     }
-    flush_memo_stats(&run.stats);
     if let Some(c) = passes.iter().find_map(|p| p.conflict.clone()) {
         return Err(c.into());
     }
-    // A key two workers resolved differently is exactly a conflict the
-    // sequential safety net would have caught — report it instead of
-    // returning schedule-dependent outputs.
-    let mut merge = MemoMerge::new();
-    for pass in passes {
-        run.outs.extend(pass.run.outs);
-        run.per_node.extend(pass.run.per_node);
-        run.failed.extend(pass.run.failed);
-        merge.absorb(pass.memo)?;
-    }
-    memo_finish(run, || net, initial_radius, input_tag, step)
-}
-
-/// Memoized executor for **order-invariant** adaptive-radius algorithms:
-/// runs `step` once per distinct canonical class of advice-labeled balls
-/// and shares the output across every node in the class.
-///
-/// Nodes are processed in BFS order, in tiles of up to 64 centers that
-/// share a *single* shell-indexed frontier sweep: one bitset BFS stamps
-/// per-center distance shells for the whole tile at once, and each
-/// center's [`CanonicalKey`] (inputs folded in through `input_tag`, which
-/// must be prefix-free — fixed arity or self-delimiting) is serialized
-/// incrementally shell by shell. A commutative pre-fingerprint of the key
-/// buckets the memo, so most misses are rejected before any exact word
-/// comparison. The ladder `step` prescribes: [`MemoStep::Done`] finishes
-/// the node, [`MemoStep::Expand`] extends that center's sweep and re-keys
-/// only the new shells.
-///
-/// Outputs, per-node radii, and error choice are identical to running the
-/// equivalent `ctx.ball(r)` ladder under [`run_local`] — provided `step`
-/// is order-invariant. That premise is *checked*, not trusted: memo
-/// entries are re-evaluated against fresh balls on a geometric schedule
-/// of their reuses, and any disagreement (including cross-shard
-/// disagreement in the parallel variants) aborts with
-/// [`NotOrderInvariant`] instead of returning wrong answers.
-///
-/// # Errors
-///
-/// [`NotOrderInvariant`] if two isomorphic views produced different step
-/// results.
-///
-/// # Panics
-///
-/// Panics if `step` requests [`MemoStep::Expand`] to a radius that does
-/// not strictly increase.
-pub fn run_local_memo<In: Clone, Out: Clone + PartialEq>(
-    net: &Network<In>,
-    initial_radius: usize,
-    input_tag: impl Fn(&In, &mut Vec<u64>),
-    step: impl Fn(&Ball<In>) -> MemoStep<Out>,
-) -> Result<(Vec<Out>, RoundStats), NotOrderInvariant> {
-    run_memo_seq::<_, _, NotOrderInvariant>(net, initial_radius, input_tag, |ball| Ok(step(ball)))
-}
-
-/// [`run_local_memo`] for fallible steps. Failures are memoized as facts
-/// ("this class fails") and the concrete error of the smallest-index
-/// failing node is regenerated by replaying that node without the memo,
-/// so node-addressed payloads match [`run_local_fallible`] exactly.
-///
-/// # Errors
-///
-/// The first per-node error in node-index order, or
-/// [`NotOrderInvariant`] (through `E: From<NotOrderInvariant>`) if the
-/// step is not order-invariant.
-pub fn run_local_memo_fallible<In: Clone, Out: Clone + PartialEq, E: From<NotOrderInvariant>>(
-    net: &Network<In>,
-    initial_radius: usize,
-    input_tag: impl Fn(&In, &mut Vec<u64>),
-    step: impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E>,
-) -> Result<(Vec<Out>, RoundStats), E> {
-    run_memo_seq(net, initial_radius, input_tag, step)
-}
-
-/// Parallel [`run_local_memo`] with an explicit worker count. Workers keep
-/// *independent* class memos over contiguous node ranges (no shared-map
-/// contention); after the join the chunks are replay-merged and any key
-/// two workers resolved differently aborts with [`NotOrderInvariant`].
-/// For an order-invariant step the outputs are bit-identical to the
-/// sequential run for every `threads` value.
-///
-/// # Errors
-///
-/// [`NotOrderInvariant`] if two isomorphic views produced different step
-/// results.
-pub fn run_local_memo_par_with<In, Out>(
-    net: &Network<In>,
-    threads: usize,
-    initial_radius: usize,
-    input_tag: impl Fn(&In, &mut Vec<u64>) + Sync,
-    step: impl Fn(&Ball<In>) -> MemoStep<Out> + Sync,
-) -> Result<(Vec<Out>, RoundStats), NotOrderInvariant>
-where
-    In: Clone + Send + Sync,
-    Out: Clone + PartialEq + Send,
-{
-    let step = |ball: &Ball<In>| Ok(step(ball));
-    if worth_fanning_out(net.graph().n(), threads) {
-        run_memo_par::<_, _, NotOrderInvariant>(net, threads, initial_radius, &input_tag, &step)
+    let run = if passes.len() == 1 {
+        passes.pop().expect("one pass").run
     } else {
-        run_memo_seq::<_, _, NotOrderInvariant>(net, initial_radius, input_tag, step)
-    }
-}
-
-/// Parallel [`run_local_memo_fallible`] with automatic worker count.
-///
-/// # Errors
-///
-/// The first per-node error in node-index order, or
-/// [`NotOrderInvariant`] through `E: From<NotOrderInvariant>`.
-pub fn run_local_memo_fallible_par<In, Out, E>(
-    net: &Network<In>,
-    initial_radius: usize,
-    input_tag: impl Fn(&In, &mut Vec<u64>) + Sync,
-    step: impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E> + Sync,
-) -> Result<(Vec<Out>, RoundStats), E>
-where
-    In: Clone + Send + Sync,
-    Out: Clone + PartialEq + Send,
-    E: From<NotOrderInvariant> + Send,
-{
-    run_local_memo_fallible_par_with(
-        net,
-        effective_parallelism(net.graph().n()),
-        initial_radius,
-        input_tag,
-        step,
-    )
-}
-
-/// [`run_local_memo_fallible_par`] with an explicit worker count; see
-/// [`run_local_memo_par_with`] for the sharding and merge contract.
-///
-/// # Errors
-///
-/// The first per-node error in node-index order, or
-/// [`NotOrderInvariant`] through `E: From<NotOrderInvariant>`.
-pub fn run_local_memo_fallible_par_with<In, Out, E>(
-    net: &Network<In>,
-    threads: usize,
-    initial_radius: usize,
-    input_tag: impl Fn(&In, &mut Vec<u64>) + Sync,
-    step: impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E> + Sync,
-) -> Result<(Vec<Out>, RoundStats), E>
-where
-    In: Clone + Send + Sync,
-    Out: Clone + PartialEq + Send,
-    E: From<NotOrderInvariant> + Send,
-{
-    if worth_fanning_out(net.graph().n(), threads) {
-        run_memo_par(net, threads, initial_radius, &input_tag, &step)
-    } else {
-        run_memo_seq(net, initial_radius, input_tag, step)
-    }
+        // A key two workers resolved differently is exactly a conflict the
+        // sequential safety net would have caught — report it instead of
+        // returning schedule-dependent outputs.
+        let mut run = ShardRun {
+            outs: Vec::with_capacity(n),
+            per_node: Vec::with_capacity(n),
+            failed: Vec::new(),
+            stats: MemoStats::default(),
+        };
+        let mut merge = MemoMerge::new();
+        for pass in passes {
+            run.outs.extend(pass.run.outs);
+            run.per_node.extend(pass.run.per_node);
+            run.failed.extend(pass.run.failed);
+            merge.absorb(pass.memo)?;
+        }
+        run
+    };
+    let (outs, rounds) = memo_finish(run, || net, initial_radius, input_tag, step)?;
+    Ok((outs, rounds, stats))
 }
 
 #[cfg(test)]
@@ -1567,11 +1390,12 @@ mod tests {
         };
         let seq = run_local(&net, algo);
         for threads in [1, 2, 5] {
-            assert_eq!(run_local_par_with(&net, threads, algo), seq);
+            assert_eq!(Run::default().threads(threads).nodes(&net, algo), seq);
         }
         let cache = ViewCache::for_network(&net);
-        assert_eq!(run_local_cached(&net, &cache, algo), seq);
-        assert_eq!(run_local_par_cached(&net, &cache, 3, algo), seq);
+        let cached = Run::default().cache(&cache);
+        assert_eq!(cached.threads(1).nodes(&net, algo), seq);
+        assert_eq!(cached.threads(3).nodes(&net, algo), seq);
         assert!(cache.stats().hits > 0, "second run should hit the cache");
     }
 
@@ -1592,7 +1416,10 @@ mod tests {
         assert_eq!(seq_err, "node 3 failed");
         for threads in [1, 2, 4, 8, 40] {
             assert_eq!(
-                run_local_fallible_par_with(&net, threads, algo).unwrap_err(),
+                Run::default()
+                    .threads(threads)
+                    .try_nodes(&net, algo)
+                    .unwrap_err(),
                 seq_err,
                 "threads = {threads}"
             );
@@ -1600,68 +1427,74 @@ mod tests {
     }
 
     #[test]
-    fn thread_override_takes_precedence() {
-        set_thread_override(Some(3));
+    fn explicit_threads_take_precedence() {
+        let run: Run = Run::default().threads(3);
         assert_eq!(
-            effective_parallelism(1_000_000),
+            run.thread_count(1_000_000),
             if cfg!(feature = "parallel") { 3 } else { 1 }
         );
-        set_thread_override(None);
         // Below the small-n cutoff only an explicit `LAD_THREADS` applies.
         let env = if cfg!(feature = "parallel") {
             env_threads()
         } else {
             None
         };
+        assert_eq!(Run::<()>::default().thread_count(4), env.unwrap_or(1));
         assert_eq!(effective_parallelism(4), env.unwrap_or(1));
     }
 
     #[test]
-    fn par_map_preserves_item_order() {
+    fn map_preserves_item_order() {
         let items: Vec<usize> = (0..97).collect();
         let expect: Vec<usize> = items.iter().map(|&x| x * x).collect();
+        let run: Run = Run::default();
         assert_eq!(
-            par_map(&items, |i, &x| {
+            run.map(&items, |i, &x| {
                 assert_eq!(i, x);
                 x * x
             }),
             expect
         );
         for threads in [1, 2, 3, 8] {
-            set_thread_override(Some(threads));
-            assert_eq!(par_map(&items, |_, &x| x * x), expect, "threads {threads}");
+            let run: Run = Run::default().threads(threads);
+            assert_eq!(run.map(&items, |_, &x| x * x), expect, "threads {threads}");
         }
-        set_thread_override(None);
         let empty: Vec<usize> = Vec::new();
-        assert_eq!(par_map(&empty, |_, &x: &usize| x), empty);
+        assert_eq!(run.map(&empty, |_, &x: &usize| x), empty);
     }
 
     #[test]
     fn memo_stats_reconcile() {
-        // The only lib test touching the process-wide memo counters, so the
-        // snapshot below observes exactly this run. Ladder: everyone expands
-        // 1 -> 2 and then reports the ball size, giving both Expand and Done
-        // rungs, plenty of hits, and (on a torus) very few classes.
-        memo_stats_reset();
+        // Ladder: everyone expands 1 -> 2 and then reports the ball size,
+        // giving both Expand and Done rungs, plenty of hits, and (on a
+        // torus) very few classes. The counters come from this run's own
+        // report.
         let net = Network::with_identity_ids(generators::grid2d(8, 8, true));
-        let (outs, _) = run_local_memo(
-            &net,
-            1,
-            |_, _| {},
-            |ball| {
-                if ball.radius() < 2 {
-                    MemoStep::Expand(2)
-                } else {
-                    MemoStep::Done(ball.n())
-                }
-            },
-        )
-        .expect("order-invariant step");
+        let (outs, _, report) = Run::default()
+            .threads(1)
+            .path(ExecPath::Memo)
+            .ladder(
+                &net,
+                "test",
+                1,
+                |_, _| {},
+                |ball| {
+                    Ok::<_, NotOrderInvariant>(if ball.radius() < 2 {
+                        MemoStep::Expand(2)
+                    } else {
+                        MemoStep::Done(ball.n())
+                    })
+                },
+            )
+            .expect("order-invariant step");
         assert!(outs.iter().all(|&k| k == 13));
-        let s = memo_stats();
+        assert_eq!(report.plans.len(), 1);
+        assert!(report.plans[0].forced);
+        let s = report.memo;
         // Every probe is either a hit or a new class — a fingerprint-
         // rejected miss is *not* double-counted as both.
         assert_eq!(s.lookups, s.hits + s.classes);
+        assert_eq!(s.lookups, 2 * 64, "one lookup per rung per node");
         assert!(s.fp_rejects <= s.classes, "rejects are a subset of misses");
         assert!(s.classes >= 1 && s.hits > 0);
         // The two gather phases partition the gather total exactly.
@@ -1673,7 +1506,7 @@ mod tests {
     fn empty_network_runs_everywhere() {
         let net: Network<()> =
             Network::with_identity_ids(lad_graph::builder::GraphBuilder::new(0).build());
-        let (outs, stats) = run_local_par_with(&net, 4, |ctx| ctx.uid());
+        let (outs, stats) = Run::default().threads(4).nodes(&net, |ctx| ctx.uid());
         assert!(outs.is_empty());
         assert_eq!(stats, RoundStats::zero(0));
     }

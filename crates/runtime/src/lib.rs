@@ -39,20 +39,24 @@
 
 //! # Execution paths
 //!
-//! [`run_local`] is the sequential reference executor. [`run_local_par`]
-//! (and the `*_cached` variants over a shared [`ViewCache`]) computes the
-//! same outputs and [`RoundStats`] bit for bit — LOCAL algorithms are pure
-//! per-node functions of their views, so scheduling cannot change results,
-//! and `crates/runtime/tests/equivalence.rs` enforces this differentially.
+//! [`run_local`] is the sequential reference executor. Every other run
+//! goes through one per-call spec, [`Run`] — its thread count, its path and
+//! an optional shared [`ViewCache`] — and computes the same outputs and
+//! [`RoundStats`] bit for bit: LOCAL algorithms are pure per-node
+//! functions of their views, so scheduling cannot change results, and
+//! `crates/runtime/tests/equivalence.rs` enforces this differentially.
 //! Threading sits behind the `parallel` cargo feature (default-on); see
-//! [`executor::effective_parallelism`] for how worker counts resolve.
+//! [`executor::effective_parallelism`] for how worker counts resolve when
+//! the spec sets none.
 //!
-//! For *order-invariant* algorithms, [`run_local_memo`] (and its
-//! fallible/parallel variants) additionally decodes once per canonical
-//! isomorphism class of advice-labeled balls instead of once per node,
-//! with a built-in [`NotOrderInvariant`] safety net; on bounded-growth
-//! graphs this is the difference between O(n) and O(#classes) step
-//! evaluations.
+//! For *order-invariant* algorithms, [`Run::ladder`] can additionally
+//! decode once per canonical isomorphism class of advice-labeled balls
+//! instead of once per node, with a built-in [`NotOrderInvariant`] safety
+//! net; on bounded-growth graphs this is the difference between O(n) and
+//! O(#classes) step evaluations. Whether a ladder memoizes is the spec's
+//! [`Run::path`] or, left open, the planner's ([`plan_decode`]) call, and
+//! the [`RunReport`] the ladder returns says which and what it counted.
+//! No knob or counter is process-wide.
 
 //! # Fault injection
 //!
@@ -91,12 +95,8 @@ pub use canonical::{
 pub use churn::{ChurnLocal, ChurnMemoLocal, PlannedChurnLocal, RepairReport};
 pub use ctx::NodeCtx;
 pub use executor::{
-    effective_parallelism, memo_stats, memo_stats_reset, par_map, par_map_with, run_local,
-    run_local_cached, run_local_fallible, run_local_fallible_cached, run_local_fallible_par,
-    run_local_fallible_par_cached, run_local_fallible_par_with, run_local_memo,
-    run_local_memo_fallible, run_local_memo_fallible_par, run_local_memo_fallible_par_with,
-    run_local_memo_par_with, run_local_par, run_local_par_cached, run_local_par_with,
-    set_thread_override, MemoStats, MemoStep, RoundStats,
+    effective_parallelism, run_local, run_local_fallible, MemoStats, MemoStep, RoundStats, Run,
+    RunReport,
 };
 pub use gather::{run_gathered, run_gathered_robust, GatherError, GatherReport, NodeRecord};
 pub use lookup::{LookupTable, NotOrderInvariant};
@@ -105,9 +105,7 @@ pub use messaging::{
     RoundOutcome, Strict,
 };
 pub use network::Network;
-pub use plan::{
-    forced_path, plan_decode, probe_stride, set_force_path, Calibration, ExecPath, PlanDecision,
-};
+pub use plan::{plan_decode, probe_stride, Calibration, ExecPath, PlanDecision};
 pub use shard::{
     run_sharded_fallible, run_sharded_stream_fallible, HaloExceeded, MemoMerge, ShardMemo,
     ShardOpts, ShardRun, ShardSlice, ShardTrafficStats, ShardedTransport, Spillable,

@@ -13,7 +13,7 @@
 
 use crate::ball::Ball;
 use crate::canonical::{canonicalize, canonicalize_with, CanonScratch, CanonicalKey};
-use crate::executor::{effective_parallelism, par_map_with};
+use crate::executor::Run;
 use crate::network::Network;
 use lad_graph::NodeId;
 use std::collections::HashMap;
@@ -112,7 +112,7 @@ impl<Out: Clone + PartialEq> LookupTable<Out> {
 
     /// Trains a table by running `algo` (restricted to radius-`radius`
     /// views) on each training network. Observation gathering fans out
-    /// *across networks* via [`crate::par_map_with`] (training sets are
+    /// under `run` *across networks* ([`Run::map_with`]; training sets are
     /// many small witness networks), or across contiguous node ranges for
     /// a single large network; each worker keys every view through one
     /// explicit [`CanonScratch`], reused across its whole chunk.
@@ -137,6 +137,7 @@ impl<Out: Clone + PartialEq> LookupTable<Out> {
         training: &[Network<In>],
         input_tag: impl Fn(&In) -> u64 + Copy + Sync,
         algo: impl Fn(&Ball<In>) -> Out + Sync,
+        run: &Run,
     ) -> Result<Self, NotOrderInvariant>
     where
         Out: Send,
@@ -173,18 +174,18 @@ impl<Out: Clone + PartialEq> LookupTable<Out> {
                 .collect()
         };
         let per_chunk: Vec<Vec<(CanonicalKey, Out)>> = if training.len() > 1 {
-            par_map_with(training, CanonScratch::new, |scratch, _, net| {
+            run.map_with(training, CanonScratch::new, |scratch, _, net| {
                 observe(scratch, net, 0..net.graph().n())
             })
         } else if let Some(net) = training.first() {
             // One network: fan out across contiguous node ranges instead.
             let n = net.graph().n();
-            let chunk = n.div_ceil(effective_parallelism(n).max(1)).max(1);
+            let chunk = n.div_ceil(run.thread_count(n)).max(1);
             let ranges: Vec<std::ops::Range<usize>> = (0..n)
                 .step_by(chunk)
                 .map(|s| s..(s + chunk).min(n))
                 .collect();
-            par_map_with(&ranges, CanonScratch::new, |scratch, _, range| {
+            run.map_with(&ranges, CanonScratch::new, |scratch, _, range| {
                 observe(scratch, net, range.clone())
             })
         } else {
@@ -246,7 +247,7 @@ mod tests {
     #[test]
     fn train_and_eval_order_invariant_algo() {
         let training = nets(1, 10);
-        let table = LookupTable::train(1, &training, |_| 0, local_min).unwrap();
+        let table = LookupTable::train(1, &training, |_| 0, local_min, &Run::default()).unwrap();
         assert!(!table.is_empty());
         // Evaluate on a fresh network: table must agree with the algorithm
         // wherever it answers.
@@ -274,6 +275,7 @@ mod tests {
             &training,
             |_| 0,
             |ball: &Ball| ball.uid(ball.center()) % 2 == 0,
+            &Run::default(),
         );
         assert!(res.is_err());
     }
@@ -284,7 +286,7 @@ mod tests {
         // center rank among 3 uids (3 orderings of distinct ranks with the
         // center in any position) -> at most 3.
         let training = nets(100, 30);
-        let table = LookupTable::train(1, &training, |_| 0, local_min).unwrap();
+        let table = LookupTable::train(1, &training, |_| 0, local_min, &Run::default()).unwrap();
         assert!(table.len() <= 3, "got {}", table.len());
     }
 
@@ -373,7 +375,7 @@ impl<Out: Clone + PartialEq> LookupTable<Out> {
                 ));
             }
         }
-        Self::train(radius, &training, |_| 0, algo)
+        Self::train(radius, &training, |_| 0, algo, &Run::default())
     }
 }
 

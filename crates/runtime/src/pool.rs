@@ -1,6 +1,6 @@
 //! The process-wide worker pool behind every parallel fan-out.
 //!
-//! The executors, [`crate::par_map_with`] and everything built on them
+//! The executors, [`crate::Run::map_with`] and everything built on them
 //! split their work into contiguous chunks and hand the chunks to [`map`].
 //! The pool starts `host_threads() − 1` workers the first time it is used
 //! and keeps them for the life of the process, so a fan-out costs a queue

@@ -46,7 +46,7 @@
 //! class sharing needs. First-error behavior matches them too: failed
 //! nodes are collected globally and the smallest-index one replays its
 //! ladder on the **full** network (`memo_first_error`'s discipline), so
-//! error payloads are bit-identical to `run_local_memo_fallible`.
+//! error payloads are bit-identical to the monolithic ladder's.
 //!
 //! # Messaging
 //!
@@ -61,8 +61,8 @@
 use crate::ball::{Ball, BallMembers, Scratch};
 use crate::canonical::CanonicalKey;
 use crate::executor::{
-    bfs_visit_order, memo_finish, memo_kind_eq, memo_pass, par_map, ClassMemo, KeyHashMap,
-    MemoEntryKind, MemoStats, MemoStep, RoundStats,
+    bfs_visit_order, memo_finish, memo_kind_eq, memo_pass, ClassMemo, KeyHashMap, MemoEntryKind,
+    MemoStats, MemoStep, RoundStats, Run,
 };
 use crate::lookup::NotOrderInvariant;
 use crate::network::Network;
@@ -492,8 +492,8 @@ fn check_schedule(schedule: &[usize], k: usize) {
 /// when its wave starts and moved into a [`ShardSlice`], and first-error
 /// replay runs on `net` itself. Outputs, [`RoundStats`], and first-error
 /// choice are bit-identical to
-/// [`run_local_memo_fallible`](crate::run_local_memo_fallible) (and, for
-/// ladder steps, to `run_local`) whenever the halo is deep enough; a
+/// the monolithic ladder ([`Run::ladder`], and so to the same ladder
+/// under `run_local`) whenever the halo is deep enough; a
 /// ladder that outgrows the halo aborts with a typed [`HaloExceeded`]
 /// instead of decoding from truncated views. Outputs are
 /// schedule-invariant.
@@ -657,7 +657,7 @@ where
                 slice
             })
             .collect();
-        let shard_runs = par_map(&slices, |_, slice| {
+        let shard_runs = Run::<In>::default().map(&slices, |_, slice| {
             let cap = (!slice.complete).then(|| opts.halo_radius - 1);
             run_shard_plain_fallible(
                 &slice.net,
@@ -825,7 +825,8 @@ impl<Msg: Clone, T: Transport<Msg>> Transport<Msg> for ShardedTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{run_local_memo_fallible, MemoStep};
+    use crate::executor::MemoStep;
+    use crate::plan::ExecPath;
     use crate::transport::PerfectLink;
     use lad_graph::generators;
 
@@ -883,8 +884,12 @@ mod tests {
     fn sharded_matches_unsharded_memo() {
         let g = generators::cycle(40);
         let net = net(g);
-        let reference =
-            run_local_memo_fallible(&net, 1, tag, ball_stat_step).expect("reference decodes");
+        let (outs, rounds, _) = Run::default()
+            .threads(1)
+            .path(ExecPath::Memo)
+            .ladder(&net, "test", 1, tag, ball_stat_step)
+            .expect("reference decodes");
+        let reference = (outs, rounds);
         for k in [1usize, 2, 3, 5] {
             for resident in [1usize, 2, usize::MAX] {
                 let part = Partition::contiguous(40, k);

@@ -853,6 +853,7 @@ mod tests {
                 let me = ball.uid(ball.center());
                 ball.graph().nodes().all(|v| ball.uid(v) >= me)
             },
+            &crate::Run::default(),
         )
         .expect("order-invariant");
         let store = ClassStore::from_lookup_table(SchemaId::new("local-min", 0), &table);

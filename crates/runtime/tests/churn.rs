@@ -26,8 +26,8 @@
 use lad_graph::mutate::{Edit, MutableGraph};
 use lad_graph::{builder::GraphBuilder, generators, Graph, NodeId};
 use lad_runtime::{
-    run_local, run_local_fallible, run_local_par_with, set_force_path, Ball, ChurnLocal,
-    ChurnMemoLocal, ExecPath, MemoStep, Network, NodeCtx, NotOrderInvariant, PlannedChurnLocal,
+    run_local, run_local_fallible, Ball, ChurnLocal, ChurnMemoLocal, ExecPath, MemoStep, Network,
+    NodeCtx, NotOrderInvariant, PlannedChurnLocal, Run,
 };
 use proptest::prelude::*;
 
@@ -181,7 +181,9 @@ fn churn_local_matches_scratch_on_generator_grid() {
                 );
                 for threads in THREAD_GRID {
                     assert_eq!(
-                        run_local_par_with(session.network(), threads, algo),
+                        Run::default()
+                            .threads(threads)
+                            .nodes(session.network(), algo),
                         expected,
                         "{tag_}/r{radius}/batch{b}: par reference, {threads} threads"
                     );
@@ -348,7 +350,7 @@ fn churn_memo_first_error_after_churn_matches_scratch() {
 #[test]
 fn planned_churn_matches_scratch_under_every_forced_path() {
     // The planner picks the session family per instance; whichever leg it
-    // (or the operator, via `set_force_path`) lands on, every batch must
+    // (or the run's spec, via `Run::path`) lands on, every batch must
     // leave outputs and round stats bit-identical to a from-scratch run,
     // and the three legs must agree with each other.
     type LadderOut = (usize, (usize, usize, u64, usize));
@@ -374,11 +376,18 @@ fn planned_churn_matches_scratch_under_every_forced_path() {
         let n = g.n();
         let mut final_outputs: Vec<Vec<LadderOut>> = Vec::new();
         for force in [None, Some(ExecPath::Plain), Some(ExecPath::Memo)] {
-            set_force_path(force);
-            let opened =
-                PlannedChurnLocal::open(network_for(&g), 0, 3, "delta-coloring", algo, tag, step);
-            set_force_path(None);
-            let (mut session, plan) = opened.unwrap();
+            let run = force.map_or(Run::default(), |path| Run::default().path(path));
+            let (mut session, plan) = PlannedChurnLocal::open(
+                network_for(&g),
+                0,
+                3,
+                "delta-coloring",
+                algo,
+                tag,
+                step,
+                &run,
+            )
+            .unwrap();
             assert_eq!(
                 session.path(),
                 plan.path,

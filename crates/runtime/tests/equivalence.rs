@@ -1,7 +1,8 @@
 //! Differential harness: every executor path computes the *same function*.
 //!
-//! The sequential reference [`run_local`] defines the LOCAL semantics. The
-//! parallel, cached, and parallel-cached entry points must reproduce its
+//! The sequential reference [`run_local`] defines the LOCAL semantics.
+//! [`Run::nodes`] and [`Run::try_nodes`] — threaded, cached, or both — must
+//! reproduce its
 //! outputs and [`RoundStats`] **bit for bit** on every graph family and
 //! every thread count — algorithms here return entire [`Ball`] values so
 //! the comparison covers view subgraphs, identifier/input/degree tables,
@@ -18,11 +19,7 @@
 //!   which must report the same first-in-node-order error everywhere.
 
 use lad_graph::{builder::GraphBuilder, generators, Graph};
-use lad_runtime::{
-    run_local, run_local_cached, run_local_fallible, run_local_fallible_cached,
-    run_local_fallible_par_cached, run_local_fallible_par_with, run_local_par_cached,
-    run_local_par_with, Ball, Network, NodeCtx,
-};
+use lad_runtime::{run_local, run_local_fallible, Ball, Network, NodeCtx, Run};
 use proptest::prelude::*;
 
 const THREAD_GRID: [usize; 4] = [1, 2, 3, 8];
@@ -85,31 +82,37 @@ fn assert_all_paths_equal<Out>(
     let reference = run_local(net, &algo);
     for threads in THREAD_GRID {
         assert_eq!(
-            run_local_par_with(net, threads, &algo),
+            Run::default().threads(threads).nodes(net, &algo),
             reference,
             "{tag}: par, {threads} threads"
         );
         let cold = net.view_cache();
         assert_eq!(
-            run_local_par_cached(net, &cold, threads, &algo),
+            Run::default()
+                .threads(threads)
+                .cache(&cold)
+                .nodes(net, &algo),
             reference,
             "{tag}: par cold cache, {threads} threads"
         );
         // Warm pass over the same cache: answered from hits, still equal.
         assert_eq!(
-            run_local_par_cached(net, &cold, threads, &algo),
+            Run::default()
+                .threads(threads)
+                .cache(&cold)
+                .nodes(net, &algo),
             reference,
             "{tag}: par warm cache, {threads} threads"
         );
     }
     let cache = net.view_cache();
     assert_eq!(
-        run_local_cached(net, &cache, &algo),
+        Run::default().threads(1).cache(&cache).nodes(net, &algo),
         reference,
         "{tag}: seq cache"
     );
     assert_eq!(
-        run_local_cached(net, &cache, &algo),
+        Run::default().threads(1).cache(&cache).nodes(net, &algo),
         reference,
         "{tag}: seq warm cache"
     );
@@ -194,20 +197,26 @@ fn fallible_success_and_failure_identical_everywhere() {
         let reference = run_local_fallible(&net, algo);
         for threads in THREAD_GRID {
             assert_eq!(
-                run_local_fallible_par_with(&net, threads, algo),
+                Run::default().threads(threads).try_nodes(&net, algo),
                 reference,
                 "{tag}: fallible par, {threads} threads"
             );
             let cache = net.view_cache();
             assert_eq!(
-                run_local_fallible_par_cached(&net, &cache, threads, algo),
+                Run::default()
+                    .threads(threads)
+                    .cache(&cache)
+                    .try_nodes(&net, algo),
                 reference,
                 "{tag}: fallible par cached, {threads} threads"
             );
         }
         let cache = net.view_cache();
         assert_eq!(
-            run_local_fallible_cached(&net, &cache, algo),
+            Run::default()
+                .threads(1)
+                .cache(&cache)
+                .try_nodes(&net, algo),
             reference,
             "{tag}: fallible seq cached"
         );
@@ -233,13 +242,20 @@ fn simultaneous_failures_report_first_in_node_order() {
     assert_eq!(run_local_fallible(&net, algo).unwrap_err(), expected);
     for threads in [1, 2, 3, 4, 8, 16, 64] {
         assert_eq!(
-            run_local_fallible_par_with(&net, threads, algo).unwrap_err(),
+            Run::default()
+                .threads(threads)
+                .try_nodes(&net, algo)
+                .unwrap_err(),
             expected,
             "threads = {threads}"
         );
         let cache = net.view_cache();
         assert_eq!(
-            run_local_fallible_par_cached(&net, &cache, threads, algo).unwrap_err(),
+            Run::default()
+                .threads(threads)
+                .cache(&cache)
+                .try_nodes(&net, algo)
+                .unwrap_err(),
             expected,
             "cached, threads = {threads}"
         );
@@ -288,10 +304,10 @@ proptest! {
         let net = network_for(&arb_family(family, n, seed));
         let algo = |ctx: &NodeCtx<u32>| ctx.ball(radius);
         let reference = run_local(&net, algo);
-        prop_assert_eq!(&run_local_par_with(&net, threads, algo), &reference);
+        prop_assert_eq!(&Run::default().threads(threads).nodes(&net, algo), &reference);
         let cache = net.view_cache();
-        prop_assert_eq!(&run_local_par_cached(&net, &cache, threads, algo), &reference);
-        prop_assert_eq!(&run_local_cached(&net, &cache, algo), &reference);
+        prop_assert_eq!(&Run::default().threads(threads).cache(&cache).nodes(&net, algo), &reference);
+        prop_assert_eq!(&Run::default().threads(1).cache(&cache).nodes(&net, algo), &reference);
     }
 
     #[test]
@@ -311,6 +327,6 @@ proptest! {
             }
         };
         let reference = run_local_fallible(&net, algo);
-        prop_assert_eq!(run_local_fallible_par_with(&net, threads, algo), reference);
+        prop_assert_eq!(Run::default().threads(threads).try_nodes(&net, algo), reference);
     }
 }

@@ -1,5 +1,5 @@
-//! Differential harness for the memoized executor: `run_local_memo*` must
-//! compute the *same function* as [`run_local`] whenever the step is
+//! Differential harness for the memoized executor: [`Run::ladder`] on the
+//! memo path must compute the *same function* as [`run_local`] whenever the step is
 //! order-invariant, and must *refuse* (never silently mis-share) when it
 //! is not.
 //!
@@ -8,21 +8,20 @@
 //!   adaptive Expand ladders, fallible with order-invariant failure sets)
 //!   × thread counts {1, 2, 3, 8};
 //! * proptest-driven random shapes, radii, and thread counts;
-//! * deliberately order-*sensitive* steps, which every memo entry point
-//!   must reject with [`NotOrderInvariant`] instead of returning answers;
+//! * deliberately order-*sensitive* steps, which the memo path must
+//!   reject at every thread count with [`NotOrderInvariant`] instead of returning answers;
 //! * first-error choice on fallible steps, which must match
 //!   [`run_local_fallible`]'s smallest-failing-node-index semantics, with
 //!   the error value regenerated exactly (node-specific payloads included).
 //!
 //! Everything here runs under both feature configurations: with
-//! `--no-default-features` the `*_par*` entry points degrade to the
-//! sequential path, and the assertions are unchanged.
+//! `--no-default-features` every thread count degrades to the sequential
+//! pass, and the assertions are unchanged.
 
 use lad_graph::{builder::GraphBuilder, generators, Graph};
 use lad_runtime::{
-    run_local, run_local_fallible, run_local_memo, run_local_memo_fallible,
-    run_local_memo_fallible_par_with, run_local_memo_par_with, Ball, MemoStep, Network, NodeCtx,
-    NotOrderInvariant, RoundStats,
+    run_local, run_local_fallible, Ball, ExecPath, MemoStep, Network, NodeCtx, NotOrderInvariant,
+    RoundStats, Run,
 };
 use proptest::prelude::*;
 
@@ -76,6 +75,35 @@ fn tag(input: &u32, words: &mut Vec<u64>) {
     words.push(u64::from(*input));
 }
 
+/// The memoized ladder on `threads` chunks (one chunk is the single
+/// BFS-ordered pass), without its report.
+fn memo_ladder<Out, E>(
+    net: &Network<u32>,
+    threads: usize,
+    initial_radius: usize,
+    step: impl Fn(&Ball<u32>) -> Result<MemoStep<Out>, E> + Sync,
+) -> Result<(Vec<Out>, RoundStats), E>
+where
+    Out: Clone + PartialEq + Send,
+    E: From<NotOrderInvariant> + Send,
+{
+    Run::default()
+        .threads(threads)
+        .path(ExecPath::Memo)
+        .ladder(net, "test", initial_radius, tag, step)
+        .map(|(outs, rounds, _)| (outs, rounds))
+}
+
+/// [`memo_ladder`] for an infallible step.
+fn memo<Out: Clone + PartialEq + Send>(
+    net: &Network<u32>,
+    threads: usize,
+    initial_radius: usize,
+    step: impl Fn(&Ball<u32>) -> MemoStep<Out> + Sync,
+) -> Result<(Vec<Out>, RoundStats), NotOrderInvariant> {
+    memo_ladder(net, threads, initial_radius, |ball| Ok(step(ball)))
+}
+
 /// An order-invariant digest of a ball: structure, inputs, distances, and
 /// the center's *rank* among ball uids (order information is fine — the
 /// numerical uid values are not).
@@ -103,11 +131,11 @@ fn assert_memo_equals_reference<Out>(
     Out: Clone + PartialEq + std::fmt::Debug + Send,
 {
     let expected: (Vec<Out>, RoundStats) = run_local(net, &reference);
-    let seq = run_local_memo(net, initial_radius, tag, &step)
+    let seq = memo(net, 1, initial_radius, &step)
         .unwrap_or_else(|e| panic!("{tag_}: memo refused an order-invariant step: {e}"));
     assert_eq!(seq, expected, "{tag_}: memo seq");
     for threads in THREAD_GRID {
-        let par = run_local_memo_par_with(net, threads, initial_radius, tag, &step)
+        let par = memo(net, threads, initial_radius, &step)
             .unwrap_or_else(|e| panic!("{tag_}: memo par refused ({threads} threads): {e}"));
         assert_eq!(par, expected, "{tag_}: memo par, {threads} threads");
     }
@@ -206,10 +234,10 @@ fn fallible_first_error_choice_matches_sequential() {
                     Ok(oi_digest(&ball))
                 }
             });
-            let seq = run_local_memo_fallible(&net, radius, tag, step);
+            let seq = memo_ladder(&net, 1, radius, step);
             assert_eq!(seq, reference, "{tag_}/r{radius}: fallible memo seq");
             for threads in THREAD_GRID {
-                let par = run_local_memo_fallible_par_with(&net, threads, radius, tag, step);
+                let par = memo_ladder(&net, threads, radius, step);
                 assert_eq!(
                     par, reference,
                     "{tag_}/r{radius}: fallible memo par, {threads} threads"
@@ -233,12 +261,12 @@ fn order_sensitive_step_is_refused_not_mis_shared() {
     .with_inputs(vec![0u32; 24]);
     let step = |ball: &Ball<u32>| MemoStep::Done(ball.uid(ball.center()));
     assert!(
-        run_local_memo(&net, 1, tag, step).is_err(),
+        memo(&net, 1, 1, step).is_err(),
         "sequential memo accepted an order-sensitive step"
     );
     for threads in THREAD_GRID {
         assert!(
-            run_local_memo_par_with(&net, threads, 1, tag, step).is_err(),
+            memo(&net, threads, 1, step).is_err(),
             "parallel memo ({threads} threads) accepted an order-sensitive step"
         );
     }
@@ -246,12 +274,12 @@ fn order_sensitive_step_is_refused_not_mis_shared() {
         Ok(MemoStep::Done(ball.uid(ball.center())))
     };
     assert!(matches!(
-        run_local_memo_fallible(&net, 1, tag, fallible),
+        memo_ladder(&net, 1, 1, fallible),
         Err(TestErr::Oi(_))
     ));
     for threads in THREAD_GRID {
         assert!(matches!(
-            run_local_memo_fallible_par_with(&net, threads, 1, tag, fallible),
+            memo_ladder(&net, threads, 1, fallible),
             Err(TestErr::Oi(_))
         ));
     }
@@ -275,7 +303,7 @@ fn order_sensitive_expand_ladder_is_refused() {
         }
     };
     assert!(
-        run_local_memo(&net, 0, tag, step).is_err(),
+        memo(&net, 1, 0, step).is_err(),
         "memo accepted a uid-dependent expansion ladder"
     );
 }
@@ -324,11 +352,11 @@ proptest! {
         let expected = run_local(&net, |ctx: &NodeCtx<u32>| oi_digest(&ctx.ball(radius)));
         let step = |ball: &Ball<u32>| MemoStep::Done(oi_digest(ball));
         prop_assert_eq!(
-            run_local_memo(&net, radius, tag, step).expect("order-invariant"),
+            memo(&net, 1, radius, step).expect("order-invariant"),
             expected.clone()
         );
         prop_assert_eq!(
-            run_local_memo_par_with(&net, threads, radius, tag, step).expect("order-invariant"),
+            memo(&net, threads, radius, step).expect("order-invariant"),
             expected
         );
     }
@@ -358,9 +386,9 @@ proptest! {
                 Ok(MemoStep::Done(oi_digest(ball)))
             }
         };
-        prop_assert_eq!(run_local_memo_fallible(&net, 1, tag, step), reference.clone());
+        prop_assert_eq!(memo_ladder(&net, 1, 1, step), reference.clone());
         prop_assert_eq!(
-            run_local_memo_fallible_par_with(&net, threads, 1, tag, step),
+            memo_ladder(&net, threads, 1, step),
             reference
         );
     }

@@ -2,54 +2,28 @@
 //! public entry points against sequential runs for chunk counts
 //! {1, 2, 3, 8}:
 //!
-//! * nested fan-outs (a `par_map` inside a `par_map`, a parallel memo
-//!   decode inside a `par_map`) complete and match sequential — a chunk
-//!   that fans out again must never wait on work that is merely queued;
+//! * nested fan-outs (a [`Run::map`] inside a [`Run::map`], a parallel
+//!   memo decode inside a [`Run::map`]) complete and match sequential — a
+//!   chunk that fans out again must never wait on work that is merely
+//!   queued;
 //! * a panicking chunk reaches the caller with its original payload, and
 //!   the pool serves the next call normally;
 //! * two OS threads fanning out at the same time each get their own
-//!   results.
+//!   results, and two memoized runs at the same time each get their own
+//!   report.
 //!
-//! Without the `parallel` feature every entry point runs sequentially and
-//! the assertions are unchanged.
+//! Every case passes its thread count in its own [`Run`], so the tests
+//! share no state and run in parallel. Without the `parallel` feature
+//! every entry point runs sequentially and the assertions are unchanged.
 
 use lad_graph::{generators, Graph};
 use lad_runtime::{
-    par_map, par_map_with, run_local_memo_fallible, run_local_memo_fallible_par,
-    set_thread_override, Ball, MemoStep, Network, NotOrderInvariant,
+    Ball, ExecPath, MemoStep, Network, NotOrderInvariant, PlanDecision, RoundStats, Run, RunReport,
 };
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Barrier, Mutex, MutexGuard};
+use std::sync::Barrier;
 
 const THREAD_GRID: [usize; 4] = [1, 2, 3, 8];
-
-/// Serializes the tests of this binary: they set the process-wide thread
-/// override, and each must see its own value.
-static OVERRIDE: Mutex<()> = Mutex::new(());
-
-/// Holds the override lock and resets the override on drop, even when an
-/// assertion unwinds.
-struct Threads {
-    _serial: MutexGuard<'static, ()>,
-}
-
-impl Threads {
-    fn lock() -> Self {
-        Threads {
-            _serial: OVERRIDE.lock().unwrap_or_else(|e| e.into_inner()),
-        }
-    }
-
-    fn set(&self, threads: usize) {
-        set_thread_override(Some(threads));
-    }
-}
-
-impl Drop for Threads {
-    fn drop(&mut self) {
-        set_thread_override(None);
-    }
-}
 
 /// An order-invariant two-rung ladder: expand to radius 2, then report
 /// the ball size.
@@ -71,21 +45,29 @@ fn networks() -> Vec<Graph> {
 }
 
 #[test]
-fn nested_par_map_matches_sequential() {
+fn nested_map_matches_sequential() {
     let outer: Vec<usize> = (0..13).collect();
     let inner_of = |i: usize| -> Vec<u64> { (0..17 + 3 * i as u64).collect() };
     let expect: Vec<Vec<u64>> = outer
         .iter()
         .map(|&i| inner_of(i).iter().map(|&x| x * x + i as u64).collect())
         .collect();
-    let threads = Threads::lock();
     for t in THREAD_GRID {
-        threads.set(t);
-        let got = par_map(&outer, |_, &i| {
-            par_map(&inner_of(i), |_, &x| x * x + i as u64)
+        let run: Run = Run::default().threads(t);
+        let got = run.map(&outer, |_, &i| {
+            run.map(&inner_of(i), |_, &x| x * x + i as u64)
         });
         assert_eq!(got, expect, "threads {t}");
     }
+}
+
+/// The memoized ladder of [`ladder`] on `net`, on `threads` chunks.
+fn memo_run(net: &Network<()>, threads: usize) -> (Vec<usize>, RoundStats, RunReport) {
+    Run::default()
+        .threads(threads)
+        .path(ExecPath::Memo)
+        .ladder(net, "test", 1, |_, _| {}, ladder)
+        .expect("order-invariant")
 }
 
 #[test]
@@ -94,16 +76,14 @@ fn nested_memo_decode_matches_sequential() {
         .into_iter()
         .map(Network::with_identity_ids)
         .collect();
-    let expect: Vec<_> = nets
-        .iter()
-        .map(|net| run_local_memo_fallible(net, 1, |_, _| {}, ladder).expect("order-invariant"))
-        .collect();
-    let threads = Threads::lock();
+    let decoded = |net: &Network<()>, threads: usize| {
+        let (outs, rounds, _) = memo_run(net, threads);
+        (outs, rounds)
+    };
+    let expect: Vec<_> = nets.iter().map(|net| decoded(net, 1)).collect();
     for t in THREAD_GRID {
-        threads.set(t);
-        let got = par_map(&nets, |_, net| {
-            run_local_memo_fallible_par(net, 1, |_, _| {}, ladder).expect("order-invariant")
-        });
+        let run: Run = Run::default().threads(t);
+        let got = run.map(&nets, |_, net| decoded(net, t));
         assert_eq!(got, expect, "threads {t}");
     }
 }
@@ -117,11 +97,10 @@ struct ChunkFailed(usize);
 fn chunk_panic_reaches_the_caller_and_the_pool_recovers() {
     let items: Vec<usize> = (0..40).collect();
     let expect: Vec<usize> = items.iter().map(|&x| x + 1).collect();
-    let threads = Threads::lock();
     for t in THREAD_GRID {
-        threads.set(t);
+        let run: Run = Run::default().threads(t);
         let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-            par_map(&items, |_, &x| {
+            run.map(&items, |_, &x| {
                 if x == 29 {
                     panic::panic_any(ChunkFailed(x));
                 }
@@ -135,7 +114,7 @@ fn chunk_panic_reaches_the_caller_and_the_pool_recovers() {
             "threads {t}: the original payload"
         );
         assert_eq!(
-            par_map(&items, |_, &x| x + 1),
+            run.map(&items, |_, &x| x + 1),
             expect,
             "threads {t}: next call"
         );
@@ -145,9 +124,8 @@ fn chunk_panic_reaches_the_caller_and_the_pool_recovers() {
 #[test]
 fn concurrent_callers_get_their_own_results() {
     const ROUNDS: usize = 50;
-    let threads = Threads::lock();
     for t in THREAD_GRID {
-        threads.set(t);
+        let run: Run = Run::default().threads(t);
         let start = Barrier::new(2);
         // Each caller counts its wrong rounds instead of asserting, so a
         // failure cannot leave the other caller stuck at the barrier.
@@ -155,12 +133,13 @@ fn concurrent_callers_get_their_own_results() {
             let callers: Vec<_> = (0..2u64)
                 .map(|caller| {
                     let start = &start;
+                    let run = &run;
                     s.spawn(move || {
                         let items: Vec<u64> = (0..64 + 7 * caller).collect();
                         (0..ROUNDS as u64)
                             .filter(|&round| {
                                 start.wait();
-                                let got = par_map_with(
+                                let got = run.map_with(
                                     &items,
                                     || caller * 1000 + round,
                                     |base, i, &x| *base + x + i as u64,
@@ -181,5 +160,83 @@ fn concurrent_callers_get_their_own_results() {
                 .collect()
         });
         assert_eq!(wrong, vec![0, 0], "threads {t}: wrong rounds per caller");
+    }
+}
+
+/// The parts of a plan decision that do not depend on timing: path,
+/// forced, sampled, distinct, and the bits of the class estimate and the
+/// predicted hit rate.
+type PlanFacts = (ExecPath, bool, usize, usize, u64, u64);
+
+fn plan_facts(d: &PlanDecision) -> PlanFacts {
+    (
+        d.path,
+        d.forced,
+        d.sampled,
+        d.distinct,
+        d.est_classes.to_bits(),
+        d.predicted_hit_rate.to_bits(),
+    )
+}
+
+/// The exact counters and decisions of a report: everything but time.
+fn report_facts(r: &RunReport) -> ([u64; 5], Vec<PlanFacts>) {
+    let m = &r.memo;
+    (
+        [m.lookups, m.classes, m.hits, m.verifications, m.fp_rejects],
+        r.plans.iter().map(plan_facts).collect(),
+    )
+}
+
+#[test]
+fn concurrent_runs_get_independent_reports() {
+    const ROUNDS: usize = 20;
+    // Unlabeled cycle and torus balls collapse into a few classes, so the
+    // planner memoizes both: each report carries a real decision and
+    // nonzero counters that a shared tally would mix.
+    let nets = [
+        Network::with_identity_ids(generators::cycle(600)),
+        Network::with_identity_ids(generators::grid2d(24, 24, true)),
+    ];
+    for t in [1, 2] {
+        let planned = |net: &Network<()>| {
+            Run::default()
+                .threads(t)
+                .ladder(net, "test", 1, |_, _| {}, ladder)
+                .expect("order-invariant")
+        };
+        let alone: Vec<_> = nets.iter().map(&planned).collect();
+        for (_, _, report) in &alone {
+            assert_eq!(report.plans.len(), 1);
+            assert_eq!(report.plans[0].path, ExecPath::Memo, "{report:?}");
+            assert!(report.memo.lookups > 0);
+        }
+        let start = Barrier::new(2);
+        // Each thread counts its mismatched rounds instead of asserting, so
+        // a failure cannot leave the other thread stuck at the barrier.
+        let wrong: Vec<usize> = std::thread::scope(|s| {
+            let runners: Vec<_> = nets
+                .iter()
+                .zip(&alone)
+                .map(|(net, (outs, rounds, report))| {
+                    let start = &start;
+                    let planned = &planned;
+                    s.spawn(move || {
+                        (0..ROUNDS)
+                            .filter(|_| {
+                                start.wait();
+                                let (o, r, rep) = planned(net);
+                                (&o, &r, report_facts(&rep)) != (outs, rounds, report_facts(report))
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            runners
+                .into_iter()
+                .map(|r| r.join().expect("runner thread"))
+                .collect()
+        });
+        assert_eq!(wrong, vec![0, 0], "threads {t}: mismatched rounds per run");
     }
 }

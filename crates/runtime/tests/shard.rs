@@ -5,8 +5,8 @@
 //! * the full deterministic generator grid × shard counts {1, 2, 3, 5, 8}
 //!   × partition shapes (contiguous, BFS-grown) × schedules (forward,
 //!   reverse, interleaved) × residency bounds {1, 2, ∞}: outputs and
-//!   [`RoundStats`] of the plain per-shard ladders must match
-//!   `run_local_memo_fallible` **bit for bit**;
+//!   [`RoundStats`] of the plain per-shard ladders must match the
+//!   monolithic memoized [`Run::ladder`] **bit for bit**;
 //! * the provider contract: the driver asks for every slice exactly once,
 //!   in schedule order, and slices whose interiors overlap or leave a
 //!   node unclaimed stop the run with a panic instead of a wrong answer;
@@ -20,9 +20,9 @@
 
 use lad_graph::{builder::GraphBuilder, generators, Graph, Partition, ShardView};
 use lad_runtime::{
-    run_gathered_robust, run_local_memo_fallible, run_sharded_fallible,
-    run_sharded_stream_fallible, Ball, FaultPlan, HaloExceeded, Network, NodeCtx,
-    NotOrderInvariant, PerfectLink, RoundStats, ShardOpts, ShardSlice, ShardedTransport,
+    run_gathered_robust, run_sharded_fallible, run_sharded_stream_fallible, Ball, ExecPath,
+    FaultPlan, HaloExceeded, MemoStep, Network, NodeCtx, NotOrderInvariant, PerfectLink,
+    RoundStats, Run, ShardOpts, ShardSlice, ShardedTransport,
 };
 
 /// The deterministic generator grid (mirrors `equivalence.rs`).
@@ -90,6 +90,19 @@ fn tag(x: &u32, words: &mut Vec<u64>) {
     words.push(u64::from(*x));
 }
 
+/// The monolithic reference: the memoized ladder in one BFS-ordered pass,
+/// without its report.
+fn monolithic<E: From<NotOrderInvariant> + Send>(
+    net: &Network<u32>,
+    step: impl Fn(&Ball<u32>) -> Result<MemoStep<u64>, E> + Sync,
+) -> Result<(Vec<u64>, RoundStats), E> {
+    Run::default()
+        .threads(1)
+        .path(ExecPath::Memo)
+        .ladder(net, "test", 1, tag, step)
+        .map(|(outs, rounds, _)| (outs, rounds))
+}
+
 /// An order-invariant statistic of the ball's canonical content: sizes,
 /// degrees, and inputs weighted by distance from the center.
 fn ball_stat(ball: &Ball<u32>) -> u64 {
@@ -148,8 +161,7 @@ fn partitions(g: &Graph, k: usize) -> Vec<(&'static str, Partition)> {
 fn sharded_matches_monolithic_across_grid() {
     for (name, g) in generator_grid() {
         let net = network_for(&g);
-        let reference =
-            run_local_memo_fallible(&net, 1, tag, adaptive_step).expect("reference decodes");
+        let reference = monolithic(&net, adaptive_step).expect("reference decodes");
         let halo = reference.1.rounds() + 1;
         for k in [1usize, 2, 3, 5, 8] {
             let k = k.min(g.n().max(1));
@@ -178,8 +190,7 @@ fn sharded_matches_monolithic_across_grid() {
 fn stream_driver_matches_monolithic_across_grid() {
     for (name, g) in generator_grid() {
         let net = network_for(&g);
-        let reference =
-            run_local_memo_fallible(&net, 1, tag, adaptive_step).expect("reference decodes");
+        let reference = monolithic(&net, adaptive_step).expect("reference decodes");
         let halo = reference.1.rounds() + 1;
         for k in [1usize, 2, 3, 5, 8] {
             let k = k.min(g.n().max(1));
@@ -224,7 +235,7 @@ fn first_error_is_identical_to_monolithic() {
     let mut failing_cases = 0usize;
     for (name, g) in generator_grid() {
         let net = network_for(&g);
-        let reference = run_local_memo_fallible(&net, 1, tag, failing_step);
+        let reference = monolithic(&net, failing_step);
         let halo = match &reference {
             Ok((_, stats)) => stats.rounds() + 1,
             // Deep enough for the deepest rung the failing ladder can reach.

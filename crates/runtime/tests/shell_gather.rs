@@ -9,7 +9,7 @@
 //! * `shell_class_keys` versus [`canonicalize_tagged_with`] on a
 //!   materialized [`Ball::collect`], across the full deterministic
 //!   generator grid × radii × scrambled identifiers;
-//! * `run_local_memo*` (which ride the shell path) versus [`run_local`]
+//! * memoized [`Run::ladder`] runs (which ride the shell path) versus [`run_local`]
 //!   outputs, [`RoundStats`], and first-error choice, across the thread
 //!   grid — under both feature configurations;
 //! * proptests: the class pre-fingerprint is *sound* (equal keys ⇒ equal
@@ -19,10 +19,9 @@
 
 use lad_graph::{builder::GraphBuilder, generators, Graph, NodeId};
 use lad_runtime::{
-    canonicalize_tagged_with, run_local, run_local_fallible, run_local_memo,
-    run_local_memo_fallible, run_local_memo_fallible_par_with, run_local_memo_par_with,
-    shell_class_keys, shell_class_keys_at_radii, Ball, CanonScratch, MemoStep, Network, NodeCtx,
-    NotOrderInvariant, RoundStats,
+    canonicalize_tagged_with, run_local, run_local_fallible, shell_class_keys,
+    shell_class_keys_at_radii, Ball, CanonScratch, ExecPath, MemoStep, Network, NodeCtx,
+    NotOrderInvariant, RoundStats, Run,
 };
 use proptest::prelude::*;
 
@@ -74,6 +73,35 @@ fn network_for(g: &Graph) -> Network<u32> {
 
 fn tag(input: &u32, words: &mut Vec<u64>) {
     words.push(u64::from(*input));
+}
+
+/// The memoized ladder on `threads` chunks (one chunk is the single
+/// BFS-ordered pass), without its report.
+fn memo_ladder<Out, E>(
+    net: &Network<u32>,
+    threads: usize,
+    initial_radius: usize,
+    step: impl Fn(&Ball<u32>) -> Result<MemoStep<Out>, E> + Sync,
+) -> Result<(Vec<Out>, RoundStats), E>
+where
+    Out: Clone + PartialEq + Send,
+    E: From<NotOrderInvariant> + Send,
+{
+    Run::default()
+        .threads(threads)
+        .path(ExecPath::Memo)
+        .ladder(net, "test", initial_radius, tag, step)
+        .map(|(outs, rounds, _)| (outs, rounds))
+}
+
+/// [`memo_ladder`] for an infallible step.
+fn memo<Out: Clone + PartialEq + Send>(
+    net: &Network<u32>,
+    threads: usize,
+    initial_radius: usize,
+    step: impl Fn(&Ball<u32>) -> MemoStep<Out> + Sync,
+) -> Result<(Vec<Out>, RoundStats), NotOrderInvariant> {
+    memo_ladder(net, threads, initial_radius, |ball| Ok(step(ball)))
 }
 
 /// Fallible-step error able to absorb the memo's refusal (as in `memo.rs`).
@@ -147,11 +175,11 @@ fn memo_over_shell_gather_equals_run_local() {
             oi_digest(&ctx.ball(3))
         };
         let expected: (Vec<_>, RoundStats) = run_local(&net, reference);
-        let seq = run_local_memo(&net, 0, tag, step)
+        let seq = memo(&net, 1, 0, step)
             .unwrap_or_else(|e| panic!("{tag_}: refused order-invariant step: {e}"));
         assert_eq!(seq, expected, "{tag_}: memo seq vs run_local");
         for threads in THREAD_GRID {
-            let par = run_local_memo_par_with(&net, threads, 0, tag, step)
+            let par = memo(&net, threads, 0, step)
                 .unwrap_or_else(|e| panic!("{tag_}: refused ({threads} threads): {e}"));
             assert_eq!(par, expected, "{tag_}: memo par, {threads} threads");
         }
@@ -181,13 +209,13 @@ fn memo_first_error_choice_survives_shell_gather() {
             }
         };
         assert_eq!(
-            run_local_memo_fallible(&net, 1, tag, step),
+            memo_ladder(&net, 1, 1, step),
             reference,
             "{tag_}: seq first error"
         );
         for threads in THREAD_GRID {
             assert_eq!(
-                run_local_memo_fallible_par_with(&net, threads, 1, tag, step),
+                memo_ladder(&net, threads, 1, step),
                 reference,
                 "{tag_}: par first error, {threads} threads"
             );
@@ -208,13 +236,13 @@ fn order_sensitive_step_still_refused() {
     .with_inputs(vec![0u32; 24]);
     // Raw uid values are not order-invariant.
     let step = |ball: &Ball<u32>| MemoStep::Done(ball.uid(ball.center()));
-    let err = run_local_memo(&net, 1, tag, step);
+    let err = memo(&net, 1, 1, step);
     assert!(
         matches!(err, Err(NotOrderInvariant { .. })),
         "uid-leaking step must be refused"
     );
     for threads in THREAD_GRID {
-        let err = run_local_memo_par_with(&net, threads, 1, tag, step);
+        let err = memo(&net, threads, 1, step);
         assert!(
             matches!(err, Err(NotOrderInvariant { .. })),
             "uid-leaking step must be refused at {threads} threads"

@@ -38,7 +38,7 @@ pub mod protocol;
 
 use lad_core::{ball_from_words, query_key, ServedSchema};
 use lad_runtime::store::{ClassStore, ClassVerdict, SchemaId, StoreError};
-use lad_runtime::{par_map_with, CanonScratch, MemoStep, Spillable};
+use lad_runtime::{CanonScratch, MemoStep, Run, Spillable};
 use protocol::{
     decode_batch_response, push_string, read_frame, read_string, write_frame, BatchResult,
     ERR_BAD_REQUEST, ERR_DECODE, ERR_MALFORMED_QUERY, ERR_STALE_DICTIONARY, MAX_FRAME_WORDS,
@@ -351,11 +351,11 @@ impl DecodeServer {
     }
 
     /// Answers a batch. With the `parallel` feature the batch fans out in
-    /// contiguous chunks over the runtime's worker pool, one
-    /// [`CanonScratch`] per chunk; without it the same call decodes
-    /// sequentially with identical results.
+    /// contiguous chunks over the runtime's worker pool ([`Run::map_with`]
+    /// under the default spec), one [`CanonScratch`] per chunk; without it
+    /// the same call decodes sequentially with identical results.
     pub fn handle_batch(&self, queries: &[&[u64]]) -> Vec<BatchResult> {
-        par_map_with(queries, CanonScratch::new, |scratch, _i, q| {
+        Run::<()>::default().map_with(queries, CanonScratch::new, |scratch, _i, q| {
             self.answer_query(q, scratch)
         })
     }

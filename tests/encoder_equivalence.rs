@@ -15,18 +15,16 @@
 //!    reversal. Any algorithmic drift in the shipped encoders — trail
 //!    merge order, rotation indexing, the bounded-BFS cluster
 //!    assignment — shows up as a bit difference.
-//! 2. **Thread-count invariance** — encoding under overrides {1, 2, 5,
-//!    auto} must produce identical [`AdviceMap`]s and [`AdviceStats`];
+//! 2. **Thread-count invariance** — encoding under runs of {1, 2, 5,
+//!    auto} threads must produce identical [`AdviceMap`]s and [`AdviceStats`];
 //!    one worker *is* the sequential composition, so invariance extends
 //!    the seed proof to every thread count.
 //!
 //! The suite runs under both feature configurations in CI (`parallel` on
-//! and off); with the feature off the overrides are inert and the tests
-//! degenerate to seed-equality, which must still hold.
-//!
-//! `set_thread_override` is process-global, so tests serialize on a mutex.
-
-use std::sync::{Mutex, MutexGuard, OnceLock};
+//! and off); with the feature off the thread counts are inert and the
+//! tests degenerate to seed-equality, which must still hold. Each encode
+//! carries its thread count in its own [`Run`], so the tests share no
+//! state.
 
 use local_advice::core::advice::AdviceMap;
 use local_advice::core::balanced::{
@@ -42,14 +40,11 @@ use local_advice::graph::{
     coloring, generators, ruling, traversal, EdgeId, EulerPartition, Graph, GraphBuilder,
     IdAssignment, NodeId,
 };
-use local_advice::runtime::{set_thread_override, Ball, LookupTable, Network};
+use local_advice::runtime::{Ball, LookupTable, Network, Run};
 
-/// Serializes tests that mutate the process-global thread override.
-fn override_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
+/// A run on exactly `threads` chunks, or on the automatic count.
+fn run_on(threads: Option<usize>) -> Run<'static> {
+    threads.map_or(Run::default(), |t| Run::default().threads(t))
 }
 
 fn sparse_ids(g: Graph, seed: u64) -> Network {
@@ -239,7 +234,7 @@ fn seed_cluster_encode(schema: &ClusterColoringSchema, net: &Network) -> AdviceM
     advice
 }
 
-/// Encodes `schema` under every thread override and asserts each result —
+/// Encodes `schema` under every thread count and asserts each result —
 /// map and stats — is bit-identical to `reference`.
 fn assert_encode_matches<S: AdviceSchema>(
     schema: &S,
@@ -248,9 +243,8 @@ fn assert_encode_matches<S: AdviceSchema>(
     label: &str,
 ) {
     for threads in THREAD_GRID {
-        set_thread_override(threads);
         let got = schema
-            .encode(net)
+            .encode_with(net, &run_on(threads))
             .unwrap_or_else(|e| panic!("{label}: encode failed ({threads:?} threads): {e}"));
         assert_eq!(
             &got, reference,
@@ -262,7 +256,6 @@ fn assert_encode_matches<S: AdviceSchema>(
             "{label}: stats differ from reference at {threads:?} threads"
         );
     }
-    set_thread_override(None);
 }
 
 // ---------------------------------------------------------------------------
@@ -271,7 +264,6 @@ fn assert_encode_matches<S: AdviceSchema>(
 
 #[test]
 fn balanced_encoder_matches_frozen_seed_across_grid() {
-    let _guard = override_lock();
     let schema = BalancedOrientationSchema::default();
     for seed in SEEDS {
         for (name, net) in grid_of_networks(seed) {
@@ -288,7 +280,6 @@ fn balanced_encoder_matches_frozen_seed_across_grid() {
 
 #[test]
 fn balanced_encoder_matches_seed_on_nondefault_parameters() {
-    let _guard = override_lock();
     // Tight spacing exercises multi-anchor trails; threshold 1 anchors
     // even short trails.
     let schema = BalancedOrientationSchema::new(1, 3);
@@ -300,7 +291,6 @@ fn balanced_encoder_matches_seed_on_nondefault_parameters() {
 
 #[test]
 fn cluster_encoder_matches_frozen_seed_across_grid() {
-    let _guard = override_lock();
     let schema = ClusterColoringSchema::default();
     for seed in SEEDS {
         for (name, net) in grid_of_networks(seed) {
@@ -312,7 +302,6 @@ fn cluster_encoder_matches_frozen_seed_across_grid() {
 
 #[test]
 fn cluster_encoder_matches_seed_on_nondefault_spacing() {
-    let _guard = override_lock();
     for spacing in [2usize, 3, 6] {
         let schema = ClusterColoringSchema::new(spacing, 64);
         for (name, net) in grid_of_networks(5) {
@@ -329,15 +318,13 @@ fn cluster_encoder_matches_seed_on_nondefault_spacing() {
 
 #[test]
 fn delta_encoder_is_thread_invariant_and_decodes_properly() {
-    let _guard = override_lock();
     let schema = DeltaColoringSchema::default();
     for seed in SEEDS {
         for (name, net) in grid_of_networks(seed) {
             // Δ-colorability: skip Brooks exceptions the repair search
             // correctly rejects (none in this grid, but keep the guard
             // honest if the grid grows).
-            set_thread_override(Some(1));
-            let reference = match schema.encode(&net) {
+            let reference = match schema.encode_with(&net, &run_on(Some(1))) {
                 Ok(a) => a,
                 Err(e) => panic!("delta/{name}/{seed}: encode failed sequentially: {e}"),
             };
@@ -356,7 +343,6 @@ fn delta_encoder_is_thread_invariant_and_decodes_properly() {
 
 #[test]
 fn lookup_training_is_thread_invariant() {
-    let _guard = override_lock();
     let radius = 1usize;
     let training: Vec<Network> = vec![
         sparse_ids(generators::cycle(24), 1),
@@ -367,9 +353,9 @@ fn lookup_training_is_thread_invariant() {
     let probe = sparse_ids(generators::cycle(36), 9);
     let mut reference: Option<(usize, Vec<Option<usize>>)> = None;
     for threads in THREAD_GRID {
-        set_thread_override(threads);
         let table: LookupTable<usize> =
-            LookupTable::train(radius, &training, |_| 0, algo).expect("order-invariant algo");
+            LookupTable::train(radius, &training, |_| 0, algo, &run_on(threads))
+                .expect("order-invariant algo");
         let evals: Vec<Option<usize>> = probe
             .graph()
             .nodes()
@@ -384,5 +370,4 @@ fn lookup_training_is_thread_invariant() {
             ),
         }
     }
-    set_thread_override(None);
 }

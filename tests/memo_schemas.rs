@@ -1,18 +1,14 @@
 //! Schema-level differential tests for the memoized decode path.
 //!
-//! The runtime-level harness (`crates/runtime/tests/memo.rs`) proves
-//! `run_local_memo*` ≡ `run_local` on arbitrary order-invariant steps;
+//! The runtime-level harness (`crates/runtime/tests/memo.rs`) proves the
+//! memoized `Run::ladder` ≡ `run_local` on arbitrary order-invariant steps;
 //! these tests close the loop at the public schema API: for every schema
 //! that declares [`AdviceSchema::decoder_order_invariant`], the production
 //! `decode` (which memoizes) must match the schema's `decode_reference`
 //! oracle (which runs the unshared per-node reference executor) — outputs
 //! *and* round statistics, on honest advice and on tampered advice (same
-//! rejection, same node), under every thread override.
-//!
-//! `set_thread_override` is process-global, so tests that use it serialize
-//! on one mutex.
-
-use std::sync::{Mutex, MutexGuard, OnceLock};
+//! rejection, same node), under every thread count. Each decode carries its
+//! thread count in its own [`Run`], so the tests share no state.
 
 use local_advice::core::balanced::BalancedOrientationSchema;
 use local_advice::core::bits::BitString;
@@ -21,14 +17,11 @@ use local_advice::core::decompress::EdgeSubsetCodec;
 use local_advice::core::delta_coloring::DeltaColoringSchema;
 use local_advice::core::schema::AdviceSchema;
 use local_advice::graph::{generators, Graph, IdAssignment};
-use local_advice::runtime::{set_thread_override, Network};
+use local_advice::runtime::{Network, Run};
 
-/// Serializes tests that mutate the process-global thread override.
-fn override_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
+/// A run on exactly `threads` chunks, or on the automatic count.
+fn run_on(threads: Option<usize>) -> Run<'static> {
+    threads.map_or(Run::default(), |t| Run::default().threads(t))
 }
 
 fn sparse_ids(g: Graph, seed: u64) -> Network {
@@ -59,33 +52,31 @@ fn schemas_declare_order_invariance() {
 
 #[test]
 fn cluster_memo_decode_matches_reference_oracle() {
-    let _guard = override_lock();
     let schema = ClusterColoringSchema::default();
     for net in family_grid() {
         let advice = schema.encode(&net).expect("encode");
         let expected = schema.decode_reference(&net, &advice).expect("reference");
         for threads in [Some(1), Some(2), Some(5), None] {
-            set_thread_override(threads);
-            let got = schema.decode(&net, &advice).expect("memo decode");
-            assert_eq!(got, expected, "thread override {threads:?}");
+            let (output, stats, _) = schema
+                .decode_with(&net, &advice, &run_on(threads))
+                .expect("memo decode");
+            assert_eq!((output, stats), expected, "{threads:?} threads");
         }
-        set_thread_override(None);
     }
 }
 
 #[test]
 fn balanced_memo_decode_matches_reference_oracle() {
-    let _guard = override_lock();
     let schema = BalancedOrientationSchema::default();
     for net in family_grid() {
         let advice = schema.encode(&net).expect("encode");
         let expected = schema.decode_reference(&net, &advice).expect("reference");
         for threads in [Some(1), Some(2), Some(5), None] {
-            set_thread_override(threads);
-            let got = schema.decode(&net, &advice).expect("memo decode");
-            assert_eq!(got, expected, "thread override {threads:?}");
+            let (output, stats, _) = schema
+                .decode_with(&net, &advice, &run_on(threads))
+                .expect("memo decode");
+            assert_eq!((output, stats), expected, "{threads:?} threads");
         }
-        set_thread_override(None);
     }
 }
 

@@ -5,14 +5,11 @@
 //! The runtime-level differential harness
 //! (`crates/runtime/tests/equivalence.rs`) proves the executors equivalent
 //! on arbitrary algorithms; these tests close the loop at the public API:
-//! encode once, decode under thread overrides {1, 2, 5, auto}, and compare
-//! outputs and stats bitwise.
-//!
-//! `set_thread_override` is process-global, so every test serializes on one
-//! mutex.
+//! encode once, decode under runs of {1, 2, 5, auto} threads, and compare
+//! outputs and stats bitwise. Each decode carries its thread count in its
+//! own [`Run`], so the tests share no state.
 
 use std::fmt::Debug;
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use local_advice::core::balanced::BalancedOrientationSchema;
 use local_advice::core::cluster_coloring::ClusterColoringSchema;
@@ -25,14 +22,11 @@ use local_advice::core::splitting::{EdgeColoringSchema, SplittingSchema};
 use local_advice::core::three_coloring::ThreeColoringSchema;
 use local_advice::graph::{generators, IdAssignment};
 use local_advice::lcl::problems::ProperColoring;
-use local_advice::runtime::{set_thread_override, Network, RoundStats};
+use local_advice::runtime::{Network, RoundStats, Run};
 
-/// Serializes tests that mutate the process-global thread override.
-fn override_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
+/// A run on exactly `threads` chunks, or on the automatic count.
+fn run_on(threads: Option<usize>) -> Run<'static> {
+    threads.map_or(Run::default(), |t| Run::default().threads(t))
 }
 
 fn sparse_ids(g: local_advice::graph::Graph, seed: u64) -> Network {
@@ -41,8 +35,8 @@ fn sparse_ids(g: local_advice::graph::Graph, seed: u64) -> Network {
     Network::with_ids(g, IdAssignment::random_sparse(n, space, seed))
 }
 
-/// Decodes `schema` on `net` under each thread override and asserts the
-/// results are bitwise identical. The caller must hold [`override_lock`].
+/// Decodes `schema` on `net` under each thread count and asserts the
+/// results are bitwise identical.
 fn assert_decode_thread_invariant<S>(schema: &S, net: &Network)
 where
     S: AdviceSchema,
@@ -53,29 +47,29 @@ where
         .unwrap_or_else(|e| panic!("{}: encode failed: {e}", schema.name()));
     let mut reference: Option<(S::Output, RoundStats)> = None;
     for threads in [Some(1), Some(2), Some(5), None] {
-        set_thread_override(threads);
-        let got = schema.decode(net, &advice).unwrap_or_else(|e| {
-            panic!(
-                "{}: decode failed ({threads:?} threads): {e}",
-                schema.name()
-            )
-        });
+        let (output, stats, _) = schema
+            .decode_with(net, &advice, &run_on(threads))
+            .unwrap_or_else(|e| {
+                panic!(
+                    "{}: decode failed ({threads:?} threads): {e}",
+                    schema.name()
+                )
+            });
+        let got = (output, stats);
         match &reference {
             None => reference = Some(got),
             Some(want) => assert_eq!(
                 &got,
                 want,
-                "{}: decode differs with thread override {threads:?}",
+                "{}: decode differs with {threads:?} threads",
                 schema.name()
             ),
         }
     }
-    set_thread_override(None);
 }
 
 #[test]
 fn balanced_orientation_decode_is_thread_invariant() {
-    let _guard = override_lock();
     let schema = BalancedOrientationSchema::default();
     for (i, g) in [
         generators::cycle(150),
@@ -91,14 +85,12 @@ fn balanced_orientation_decode_is_thread_invariant() {
 
 #[test]
 fn one_bit_decode_is_thread_invariant() {
-    let _guard = override_lock();
     let schema = OneBitSchema::new(BalancedOrientationSchema::new(16, 90), 2);
     assert_decode_thread_invariant(&schema, &sparse_ids(generators::cycle(360), 5));
 }
 
 #[test]
 fn coloring_decoders_are_thread_invariant() {
-    let _guard = override_lock();
     let (g, _) = generators::random_tripartite([30, 30, 30], 5, 170, 12);
     let net = sparse_ids(g, 8);
     assert_decode_thread_invariant(&ClusterColoringSchema::default(), &net);
@@ -108,7 +100,6 @@ fn coloring_decoders_are_thread_invariant() {
 
 #[test]
 fn splitting_and_edge_coloring_decoders_are_thread_invariant() {
-    let _guard = override_lock();
     let net = sparse_ids(generators::random_bipartite_regular(20, 4, 31), 10);
     assert_decode_thread_invariant(&SplittingSchema::default(), &net);
     assert_decode_thread_invariant(&EdgeColoringSchema::default(), &net);
@@ -116,7 +107,6 @@ fn splitting_and_edge_coloring_decoders_are_thread_invariant() {
 
 #[test]
 fn lcl_subexp_decode_is_thread_invariant() {
-    let _guard = override_lock();
     let lcl = ProperColoring::new(3);
     let schema = LclSubexpSchema::new(&lcl, 25, 50_000_000);
     assert_decode_thread_invariant(&schema, &sparse_ids(generators::cycle(200), 77));
@@ -124,7 +114,6 @@ fn lcl_subexp_decode_is_thread_invariant() {
 
 #[test]
 fn decompression_round_trip_is_thread_invariant() {
-    let _guard = override_lock();
     let g = generators::random_bounded_degree(150, 7, 350, 9);
     let m = g.m();
     let net = sparse_ids(g, 6);
@@ -132,12 +121,12 @@ fn decompression_round_trip_is_thread_invariant() {
     let codec = EdgeSubsetCodec::default();
     let mut reference = None;
     for threads in [Some(1), Some(3), None] {
-        set_thread_override(threads);
-        let got = codec.round_trip(&net, &subset).expect("round trip");
+        let got = codec
+            .round_trip_with(&net, &subset, &run_on(threads))
+            .expect("round trip");
         match &reference {
             None => reference = Some(got),
-            Some(want) => assert_eq!(&got, want, "thread override {threads:?}"),
+            Some(want) => assert_eq!(&got, want, "{threads:?} threads"),
         }
     }
-    set_thread_override(None);
 }
