@@ -7,7 +7,7 @@ use lad_core::schema::AdviceSchema;
 use lad_graph::orientation::sorted_incident_by_uid;
 use lad_graph::{EulerPartition, Orientation};
 use lad_lcl::witness::proper_coloring_witness;
-use lad_runtime::{run_local_fallible, Network, RoundStats, Run, RunReport};
+use lad_runtime::{run_local_fallible, Network, RoundStats, Run};
 
 /// The trivial `k`-coloring schema: every node stores its own color in
 /// `⌈log₂ k⌉` bits; decoding reads the node's own advice (0 rounds).
@@ -91,7 +91,7 @@ impl AdviceSchema for TrivialColoringSchema {
         net: &Network,
         advice: &AdviceMap,
         _run: &Run,
-    ) -> Result<(Vec<usize>, RoundStats, RunReport), DecodeError> {
+    ) -> Result<(Vec<usize>, RoundStats), DecodeError> {
         let width = self.beta();
         let k = self.k;
         let advised = net.with_inputs(advice.strings());
@@ -106,7 +106,7 @@ impl AdviceSchema for TrivialColoringSchema {
             }
             Ok(c)
         })?;
-        Ok((colors, stats, RunReport::default()))
+        Ok((colors, stats))
     }
 }
 
@@ -203,7 +203,7 @@ impl AdviceSchema for TrivialOrientationSchema {
         net: &Network,
         advice: &AdviceMap,
         _run: &Run,
-    ) -> Result<(Orientation, RoundStats, RunReport), DecodeError> {
+    ) -> Result<(Orientation, RoundStats), DecodeError> {
         let g = net.graph();
         let uids = net.uids();
         let mut o = Orientation::new(g.m());
@@ -237,7 +237,7 @@ impl AdviceSchema for TrivialOrientationSchema {
             }
         }
         // 0 rounds: nothing was gathered.
-        Ok((o, RoundStats::zero(g.n()), RunReport::default()))
+        Ok((o, RoundStats::zero(g.n())))
     }
 }
 

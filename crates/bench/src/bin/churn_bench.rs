@@ -41,7 +41,7 @@ use lad_graph::mutate::{Edit, MutableGraph};
 use lad_graph::{generators, Graph, IdAssignment, NodeId};
 use lad_runtime::{
     run_local, Ball, ChurnLocal, ChurnMemoLocal, MemoStep, Network, NodeCtx, NotOrderInvariant,
-    PlannedChurnLocal, Run,
+    PlannedChurnLocal,
 };
 use std::time::Instant;
 
@@ -298,11 +298,9 @@ fn bench_planned_repair(
         net,
         DIGEST_RADIUS,
         DIGEST_RADIUS,
-        "view-digest",
         algo,
         tag,
         step,
-        &Run::default(),
     )
     .expect("planned session build");
     eprintln!(

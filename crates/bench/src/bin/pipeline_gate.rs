@@ -26,27 +26,15 @@
 //! total throughput hides behind encode time.
 //!
 //! The 3× default absorbs CI-runner noise and debug-vs-bare-metal skew
-//! while still catching order-of-magnitude cliffs like an accidentally
-//! disabled memo path.
+//! while still catching order-of-magnitude cliffs.
 //!
 //! Parsing is deliberately hand-rolled: the workspace has no JSON
 //! dependency, and `pipeline_bench` writes one row object per line.
 //!
-//! With `--regret`, the gate additionally runs a live **policy-regret**
-//! spot check on three reference cells (one per schema, covering both
-//! planner outcomes): each cell decodes with the plain path forced, the
-//! memo path forced, and the planner free, and the gate fails when the
-//! planner's run is more than 1.5× slower than the best forced
-//! alternative. This is the check that keeps the adaptive planner honest:
-//! a miscalibrated cost model shows up as regret here long before it
-//! shows up as a 3× throughput cliff above.
-//!
 //! Usage:
-//! `pipeline_gate <fresh.json> <committed.json> [--max-ratio R] [--regret]`
+//! `pipeline_gate <fresh.json> <committed.json> [--max-ratio R]`
 
-use lad_core::schema::AdviceSchema;
 use std::process::ExitCode;
-use std::time::Instant;
 
 #[derive(Debug, Clone, PartialEq)]
 struct Row {
@@ -125,99 +113,9 @@ fn baseline_for<'a>(fresh: &Row, committed: &'a [Row]) -> Option<&'a Row> {
         })
 }
 
-/// How much slower the planner's chosen path may run than the best
-/// forced alternative before the policy is considered broken.
-const MAX_REGRET: f64 = 1.5;
-
-fn time_min(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// Live policy-regret spot check: three (schema, instance) cells chosen to
-/// cover both planner outcomes — a class-collapsing cycle (memo should
-/// win), a mid-size torus (either, by measured costs), and a small torus
-/// whose distinct classes must trigger the plain bypass. Returns failure
-/// descriptions; empty means the policy held.
-fn regret_failures() -> Vec<String> {
-    use lad_core::balanced::BalancedOrientationSchema;
-    use lad_core::cluster_coloring::ClusterColoringSchema;
-    use lad_core::delta_coloring::DeltaColoringSchema;
-    use lad_graph::generators;
-    use lad_runtime::{ExecPath, Network, Run, RunReport};
-
-    let mut failures = Vec::new();
-    let mut check = |label: &str, net: &Network, decode: &dyn Fn(&Network, &Run) -> RunReport| {
-        let timed = |run: &Run| {
-            let mut report = RunReport::default();
-            let secs = time_min(3, || report = decode(net, run));
-            (secs, report)
-        };
-        // Forced legs first, then the planner's own run (probe included —
-        // the probe is part of the policy's real cost).
-        let (plain_s, _) = timed(&Run::default().path(ExecPath::Plain));
-        let (memo_s, _) = timed(&Run::default().path(ExecPath::Memo));
-        let (auto_s, report) = timed(&Run::default());
-        let chosen = if report.plans.iter().any(|d| d.path == ExecPath::Memo) {
-            "memo"
-        } else {
-            "plain"
-        };
-        let best = plain_s.min(memo_s);
-        let regret = auto_s / best.max(f64::MIN_POSITIVE);
-        eprintln!(
-            "{label:>28}: plain {plain_s:.4}s  memo {memo_s:.4}s  \
-             planner({chosen}) {auto_s:.4}s  regret {regret:.2}x"
-        );
-        if regret > MAX_REGRET {
-            failures.push(format!(
-                "{label}: planner chose {chosen} at {auto_s:.4}s, best alternative {best:.4}s \
-                 ({regret:.2}x > {MAX_REGRET}x)"
-            ));
-        }
-    };
-
-    let cyc = Network::with_identity_ids(generators::cycle(20_000));
-    let schema = BalancedOrientationSchema::default();
-    let advice = schema.encode(&cyc).expect("balanced encode");
-    check("balanced/cycle n=20000", &cyc, &|net, run| {
-        schema
-            .decode_with(net, &advice, run)
-            .expect("balanced decode")
-            .2
-    });
-
-    let torus = Network::with_identity_ids(generators::grid2d(100, 100, true));
-    let schema = ClusterColoringSchema::default();
-    let advice = schema.encode(&torus).expect("cluster encode");
-    check("cluster/grid n=10000", &torus, &|net, run| {
-        schema
-            .decode_with(net, &advice, run)
-            .expect("cluster decode")
-            .2
-    });
-
-    let small = Network::with_identity_ids(generators::grid2d(32, 32, true));
-    let schema = DeltaColoringSchema::default();
-    let advice = schema.encode(&small).expect("delta encode");
-    check("delta/grid n=1024", &small, &|net, run| {
-        schema
-            .decode_with(net, &advice, run)
-            .expect("delta decode")
-            .2
-    });
-    failures
-}
-
 fn main() -> ExitCode {
     let mut paths: Vec<String> = Vec::new();
     let mut max_ratio = 3.0f64;
-    let mut regret = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--max-ratio" {
@@ -225,8 +123,6 @@ fn main() -> ExitCode {
                 .next()
                 .and_then(|v| v.parse().ok())
                 .expect("--max-ratio needs a number");
-        } else if arg == "--regret" {
-            regret = true;
         } else {
             paths.push(arg);
         }
@@ -301,10 +197,6 @@ fn main() -> ExitCode {
     if compared == 0 {
         eprintln!("error: no (schema, family) pair matched between the two files");
         return ExitCode::FAILURE;
-    }
-    if regret {
-        eprintln!("policy-regret spot check (chosen path vs best forced alternative):");
-        failures.extend(regret_failures());
     }
     if failures.is_empty() {
         eprintln!(

@@ -13,8 +13,7 @@
 //!    smoke-scale rows and skip the 10⁶/10⁷ entries). The gate fails
 //!    when committed `nodes_per_s` exceeds fresh by more than the
 //!    allowed ratio (default 3× — wide enough for CI-runner noise,
-//!    tight enough to catch an accidentally serialized wave or a decode
-//!    that fell off the memo path).
+//!    tight enough to catch an accidentally serialized wave).
 //! 3. **Peak RSS ceiling.** For the same matched pairs, fresh
 //!    `peak_rss_mb` must stay within `--max-rss-ratio` (default 1.5×) of
 //!    the committed value, per shard count. This is the bounded-memory

@@ -37,7 +37,7 @@ use lad_graph::orientation::{
     pair_partner, slot_edges, slot_of, slot_pairs, sorted_incident_by_uid,
 };
 use lad_graph::{EdgeId, Graph, NodeId, Orientation, Trail};
-use lad_runtime::{MemoStep, Network, RoundStats, Run, RunReport};
+use lad_runtime::{MemoStep, Network, RoundStats, Run};
 
 /// The almost-balanced-orientation schema (Contribution 3).
 ///
@@ -531,25 +531,22 @@ impl AdviceSchema for BalancedOrientationSchema {
         net: &Network,
         advice: &AdviceMap,
         run: &Run,
-    ) -> Result<(Orientation, RoundStats, RunReport), DecodeError> {
+    ) -> Result<(Orientation, RoundStats), DecodeError> {
         if advice.n() != net.graph().n() {
             return Err(DecodeError::Inconsistent(
                 "advice covers a different node count".into(),
             ));
         }
         let advised = net.with_inputs(advice.strings());
-        // The slot-indexed decisions are class-shareable, so the ladder may
-        // memoize them (sound either way: both paths are pinned to the
-        // reference); uid claims name specific identifiers, so the slots
-        // are re-bound to concrete edges per node on the real graph.
+        // Each node decides its slot-indexed directions from its ball; uid
+        // claims name specific identifiers, so the slots are re-bound to
+        // concrete edges per node on the real graph.
         let budget = self.walk_budget();
-        let (dirs, stats, report) = run.uncached().ladder(
-            &advised,
-            &self.name(),
-            self.decode_radius(),
-            |bits: &BitString, words: &mut Vec<u64>| bits.push_key_words(words),
-            |ball| slot_directions(ball, budget).map(MemoStep::Done),
-        )?;
+        let (dirs, stats) = run
+            .uncached()
+            .ladder(&advised, self.decode_radius(), |ball| {
+                slot_directions(ball, budget).map(MemoStep::Done)
+            })?;
         let g = net.graph();
         let uids = net.uids();
         let claims: Vec<Vec<(u64, u64)>> = g
@@ -571,14 +568,7 @@ impl AdviceSchema for BalancedOrientationSchema {
         // Cross-check and materialize — the same aggregation the gathered
         // fault-tolerant path uses.
         let orientation = aggregate_claims(net, &claims)?;
-        Ok((orientation, stats, report))
-    }
-
-    fn decoder_order_invariant(&self) -> bool {
-        // Walks, anchor lookups, and the canonical direction rules consume
-        // identifiers only through order comparisons (slot sorting, Booth's
-        // least rotation, lexicographic trail comparison).
-        true
+        Ok((orientation, stats))
     }
 }
 

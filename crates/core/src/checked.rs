@@ -265,77 +265,13 @@ pub fn decode_gathered(
         )));
     }
     let advised = net.with_inputs(advice.strings());
-    let radius = schema.decode_radius();
-    // The gathered evaluator is the same order-invariant ladder as the
-    // local decoder, so the planner's probe transfers: when it picks the
-    // memo, the class-shareable half (`slot_directions`) is cached per
-    // canonical view and only the uid binding runs per ball. Both legs
-    // are bit-identical to `decode_view`, so the choice is pure speed.
-    let plan = lad_runtime::plan_decode(
+    let (per_node, report) = lad_runtime::run_gathered_robust(
         &advised,
-        radius,
-        |bits: &BitString, words: &mut Vec<u64>| bits.push_key_words(words),
-        &schema.name(),
-        None,
-    );
-    let (per_node, report) = if plan.path == lad_runtime::ExecPath::Memo {
-        use lad_runtime::{canonicalize_tagged_with, CanonScratch, CanonicalKey};
-        use std::cell::RefCell;
-        use std::collections::HashMap;
-        let walk_budget = schema.walk_budget();
-        type Cache = (
-            HashMap<CanonicalKey, (crate::balanced::SlotDirections, u64)>,
-            CanonScratch,
-        );
-        let memo: RefCell<Cache> = RefCell::new((HashMap::new(), CanonScratch::default()));
-        lad_runtime::run_gathered_robust(&advised, radius, budget, transport, |ball| {
-            let (cache, scratch) = &mut *memo.borrow_mut();
-            let key = canonicalize_tagged_with(
-                ball,
-                |bits: &BitString, words: &mut Vec<u64>| bits.push_key_words(words),
-                scratch,
-            );
-            let dirs = match cache.get_mut(&key) {
-                Some((dirs, hits)) => {
-                    *hits += 1;
-                    // Power-of-two re-verification: a wrongly declared
-                    // order-invariant decoder surfaces as a typed error,
-                    // never as a silently shared wrong answer.
-                    if hits.is_power_of_two() {
-                        let fresh = crate::balanced::slot_directions(ball, walk_budget)?;
-                        if fresh != *dirs {
-                            return Err(lad_runtime::NotOrderInvariant { key }.into());
-                        }
-                    }
-                    dirs.clone()
-                }
-                None => {
-                    let dirs = crate::balanced::slot_directions(ball, walk_budget)?;
-                    cache.insert(key, (dirs.clone(), 1));
-                    dirs
-                }
-            };
-            // Per-ball uid binding — exactly `decode_view`'s second half.
-            let g = ball.graph();
-            let uids = ball.uids();
-            let c = ball.center();
-            Ok(crate::balanced::bind_slots(g, uids, c, &dirs)
-                .into_iter()
-                .map(|(e, out_of_center)| {
-                    let u = g.other_endpoint(e, c);
-                    if out_of_center {
-                        (uids[c.index()], uids[u.index()])
-                    } else {
-                        (uids[u.index()], uids[c.index()])
-                    }
-                })
-                .collect())
-        })?
-    } else {
-        lad_runtime::run_gathered_robust(&advised, radius, budget, transport, |ball| {
-            schema.decode_view(ball)
-        })?
-    };
+        schema.decode_radius(),
+        budget,
+        transport,
+        |ball| schema.decode_view(ball),
+    )?;
     // First decoder error in node order, matching the executors' fallible
     // contract.
     let mut claims = Vec::with_capacity(per_node.len());

@@ -25,7 +25,7 @@ use crate::bits::{bit_width, BitReader, BitString};
 use crate::error::{DecodeError, EncodeError};
 use crate::schema::AdviceSchema;
 use lad_graph::{coloring, ruling, Graph, NodeId};
-use lad_runtime::{Ball, MemoStep, Network, RoundStats, Run, RunReport};
+use lad_runtime::{Ball, MemoStep, Network, RoundStats, Run};
 
 /// The fused cluster-coloring schema producing a proper `(Δ+1)`-coloring.
 ///
@@ -98,7 +98,10 @@ impl ClusterColoringSchema {
 
     /// One rung of the decode ladder as a [`MemoStep`] — the exact step
     /// both [`AdviceSchema::decode`] and the sharded drivers run, factored
-    /// out so the two paths cannot drift.
+    /// out so the two paths cannot drift. `simulate_greedy` reads
+    /// identifiers only through order comparisons (nearest-center
+    /// tie-breaks, greedy order), so a rung is a function of the canonical
+    /// advice-labeled view, which a class memo needs.
     pub(crate) fn memo_step(&self, ball: &Ball<BitString>) -> Result<MemoStep<usize>, DecodeError> {
         let r = ball.radius();
         let max_radius = self.max_radius();
@@ -283,7 +286,7 @@ impl AdviceSchema for ClusterColoringSchema {
         net: &Network,
         advice: &AdviceMap,
         run: &Run,
-    ) -> Result<(Vec<usize>, RoundStats, RunReport), DecodeError> {
+    ) -> Result<(Vec<usize>, RoundStats), DecodeError> {
         let g = net.graph();
         if advice.n() != g.n() {
             return Err(DecodeError::Inconsistent(
@@ -291,31 +294,16 @@ impl AdviceSchema for ClusterColoringSchema {
             ));
         }
         let advised = net.with_inputs(advice.strings());
-        // `simulate_greedy` is a pure, order-invariant function of the
-        // advice-labeled ball, so the memo is *sound* here; whether it is
-        // *fast* depends on the instance's class structure, which the
-        // planner probes unless the run fixes the path.
-        let (colors, stats, report) = run.uncached().ladder(
-            &advised,
-            &self.name(),
-            self.step_radius(),
-            |bits: &BitString, words: &mut Vec<u64>| bits.push_key_words(words),
-            |ball| self.memo_step(ball),
-        )?;
+        let (colors, stats) = run
+            .uncached()
+            .ladder(&advised, self.step_radius(), |ball| self.memo_step(ball))?;
         // Validate output properness like a checker would.
         if !coloring::is_proper_coloring(g, &colors) {
             return Err(DecodeError::InvalidOutput(
                 "decoded cluster coloring is improper".into(),
             ));
         }
-        Ok((colors, stats, report))
-    }
-
-    fn decoder_order_invariant(&self) -> bool {
-        // `simulate_greedy` reads identifiers only through order
-        // comparisons (nearest-center tie-breaks, greedy order), so its
-        // result is a function of the canonical advice-labeled view.
-        true
+        Ok((colors, stats))
     }
 }
 

@@ -23,7 +23,7 @@ use crate::error::{DecodeError, EncodeError};
 use crate::schema::AdviceSchema;
 use crate::tracks::{demultiplex, multiplex};
 use lad_graph::{coloring, ruling};
-use lad_runtime::{Network, RoundStats, Run, RunReport};
+use lad_runtime::{Network, RoundStats, Run};
 
 /// A schema whose decoder consumes the output of another schema (the
 /// "oracle" of the paper's composability definition).
@@ -89,7 +89,7 @@ where
 
     fn encode_with(&self, net: &Network, run: &Run) -> Result<AdviceMap, EncodeError> {
         let base_advice = self.base.encode_with(net, run)?;
-        let (oracle, _, _) = self
+        let (oracle, _) = self
             .base
             .decode_with(net, &base_advice, run)
             .map_err(|e| EncodeError::PlacementFailed(format!("base self-decode failed: {e}")))?;
@@ -102,13 +102,13 @@ where
         net: &Network,
         advice: &AdviceMap,
         run: &Run,
-    ) -> Result<(Self::Output, RoundStats, RunReport), DecodeError> {
+    ) -> Result<(Self::Output, RoundStats), DecodeError> {
         let tracks = demultiplex(advice, 2).ok_or_else(|| {
             DecodeError::Inconsistent("advice does not split into two tracks".into())
         })?;
-        let (oracle, stats_a, report) = self.base.decode_with(net, &tracks[0], run)?;
+        let (oracle, stats_a) = self.base.decode_with(net, &tracks[0], run)?;
         let (out, stats_b) = OracleSchema::decode_with(&self.over, net, &tracks[1], &oracle, run)?;
-        Ok((out, stats_a.sequential(&stats_b), report))
+        Ok((out, stats_a.sequential(&stats_b)))
     }
 }
 
@@ -261,7 +261,7 @@ where
 
     fn encode_with(&self, net: &Network, run: &Run) -> Result<AdviceMap, EncodeError> {
         let a = self.first.encode_with(net, run)?;
-        let (oracle, _, _) = self
+        let (oracle, _) = self
             .first
             .decode_with(net, &a, run)
             .map_err(|e| EncodeError::PlacementFailed(format!("self-decode failed: {e}")))?;
@@ -274,13 +274,13 @@ where
         net: &Network,
         advice: &AdviceMap,
         run: &Run,
-    ) -> Result<(Self::Output, RoundStats, RunReport), DecodeError> {
+    ) -> Result<(Self::Output, RoundStats), DecodeError> {
         let tracks = demultiplex(advice, 2).ok_or_else(|| {
             DecodeError::Inconsistent("advice does not split into two tracks".into())
         })?;
-        let (a, sa, report) = self.first.decode_with(net, &tracks[0], run)?;
+        let (a, sa) = self.first.decode_with(net, &tracks[0], run)?;
         let (b, sb) = OracleSchema::decode_with(&self.second, net, &tracks[1], &a, run)?;
-        Ok(((a, b), sa.sequential(&sb), report))
+        Ok(((a, b), sa.sequential(&sb)))
     }
 }
 

@@ -104,7 +104,7 @@ impl EdgeSubsetCodec {
         let orient_advice = self.orientation.encode_with(net, run)?;
         // The orientation the decoder will reconstruct (decoding centrally
         // is exact — encoder and decoder share all the code).
-        let (orientation, _, _) = self
+        let (orientation, _) = self
             .orientation
             .decode_with(net, &orient_advice, run)
             .map_err(|e| EncodeError::PlacementFailed(format!("self-decode failed: {e}")))?;
@@ -191,7 +191,7 @@ impl EdgeSubsetCodec {
         }
         // Splitting is a 0-round per-node operation.
         let (orient_track, membership) = self.split(net, advice)?;
-        let (orientation, stats, _) = self.orientation.decode_with(net, &orient_track, run)?;
+        let (orientation, stats) = self.orientation.decode_with(net, &orient_track, run)?;
         // Each tail assigns its outgoing membership bits; heads learn them
         // in one extra round.
         let uids = net.uids();

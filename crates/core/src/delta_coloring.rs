@@ -37,7 +37,7 @@ use crate::tracks::{demultiplex, multiplex};
 use lad_graph::{coloring, traversal, Graph, InducedSubgraph, NodeId};
 use lad_lcl::brute::{complete, CompleteError, Region};
 use lad_lcl::problems::ProperColoring;
-use lad_runtime::{Network, RoundStats, Run, RunReport};
+use lad_runtime::{Network, RoundStats, Run};
 
 /// The Δ-coloring schema (Contribution 5).
 ///
@@ -375,7 +375,7 @@ impl AdviceSchema for DeltaColoringSchema {
         net: &Network,
         advice: &AdviceMap,
         run: &Run,
-    ) -> Result<(Vec<usize>, RoundStats, RunReport), DecodeError> {
+    ) -> Result<(Vec<usize>, RoundStats), DecodeError> {
         let g = net.graph();
         if advice.n() != g.n() {
             return Err(DecodeError::Inconsistent(
@@ -384,16 +384,12 @@ impl AdviceSchema for DeltaColoringSchema {
         }
         let delta = g.max_degree();
         if delta == 0 {
-            return Ok((
-                vec![0; g.n()],
-                RoundStats::zero(g.n()),
-                RunReport::default(),
-            ));
+            return Ok((vec![0; g.n()], RoundStats::zero(g.n())));
         }
         let tracks = demultiplex(advice, 2).ok_or_else(|| {
             DecodeError::Inconsistent("advice does not split into two tracks".into())
         })?;
-        let (chi1, stats1, report) = self.cluster.decode_with(net, &tracks[0], run)?;
+        let (chi1, stats1) = self.cluster.decode_with(net, &tracks[0], run)?;
         // Step 2 costs one round (each node reads its neighbors' χ₁).
         // Every node requests exactly radius 1 unconditionally, so the
         // stats are a constant — materializing n balls just to record
@@ -423,14 +419,7 @@ impl AdviceSchema for DeltaColoringSchema {
                 "decoded Δ-coloring is improper".into(),
             ));
         }
-        Ok((colors, stats1.sequential(&one_round), report))
-    }
-
-    fn decoder_order_invariant(&self) -> bool {
-        // Stage 1 delegates to the cluster decoder (which memoizes when it
-        // declares order invariance); stages 2–3 are pure per-node reads.
-        // The declaration is inherited rather than separately exercised.
-        self.cluster.decoder_order_invariant()
+        Ok((colors, stats1.sequential(&one_round)))
     }
 }
 

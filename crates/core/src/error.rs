@@ -52,11 +52,10 @@ pub enum DecodeError {
     Inconsistent(String),
     /// The decoded output failed final validation.
     InvalidOutput(String),
-    /// The memoized decode path observed one canonical view producing two
-    /// different step results — the decoder is not order-invariant, so its
-    /// [`crate::AdviceSchema::decoder_order_invariant`] declaration is
-    /// wrong. Decoding refuses rather than share outputs across a class
-    /// that is not actually uniform.
+    /// A class memo observed one canonical view producing two different
+    /// step results — the step is not order-invariant. The run refuses
+    /// rather than share outputs across a class that is not actually
+    /// uniform.
     NotOrderInvariant(lad_runtime::NotOrderInvariant),
 }
 

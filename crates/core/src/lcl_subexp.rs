@@ -38,7 +38,7 @@ use crate::schema::AdviceSchema;
 use lad_graph::{ruling, Graph, InducedSubgraph, NodeId};
 use lad_lcl::brute::{complete, solve, CompleteError, Region};
 use lad_lcl::Lcl;
-use lad_runtime::{Ball, Network, RoundStats, Run, RunReport};
+use lad_runtime::{Ball, Network, RoundStats, Run};
 use std::collections::VecDeque;
 
 /// Length of the center-marker code (empty payload).
@@ -303,7 +303,7 @@ impl AdviceSchema for LclSubexpSchema<'_> {
         }
         let advice = AdviceMap::from_one_bit(&bits);
         // Certification: the decoder must reproduce a valid solution.
-        let (labels, _, _) = self
+        let (labels, _) = self
             .decode_with(net, &advice, run)
             .map_err(|e| EncodeError::PlacementFailed(format!("self-decode failed: {e}")))?;
         let labeling = lad_lcl::Labeling::from_node_labels(labels, g.m());
@@ -320,7 +320,7 @@ impl AdviceSchema for LclSubexpSchema<'_> {
         net: &Network,
         advice: &AdviceMap,
         run: &Run,
-    ) -> Result<(Vec<usize>, RoundStats, RunReport), DecodeError> {
+    ) -> Result<(Vec<usize>, RoundStats), DecodeError> {
         let g = net.graph();
         if advice.n() != g.n() {
             return Err(DecodeError::Inconsistent(
@@ -346,7 +346,7 @@ impl AdviceSchema for LclSubexpSchema<'_> {
                 self.completion_cap,
             )
         })?;
-        Ok((labels, stats, RunReport::default()))
+        Ok((labels, stats))
     }
 }
 

@@ -26,7 +26,7 @@ use crate::bits::{decode_path_code, encode_path_code, path_code_len, BitString};
 use crate::error::{DecodeError, EncodeError};
 use crate::schema::AdviceSchema;
 use lad_graph::{Graph, NodeId};
-use lad_runtime::{Ball, Network, RoundStats, Run, RunReport};
+use lad_runtime::{Ball, Network, RoundStats, Run};
 
 /// A fixed 64-bit mixer (SplitMix64 finalizer) — shared by encoder and
 /// decoder to pick walk steps pseudo-randomly but deterministically.
@@ -311,7 +311,7 @@ impl<S: AdviceSchema> AdviceSchema for OneBitSchema<S> {
         net: &Network,
         advice: &AdviceMap,
         run: &Run,
-    ) -> Result<(Self::Output, RoundStats, RunReport), DecodeError> {
+    ) -> Result<(Self::Output, RoundStats), DecodeError> {
         let n = net.graph().n();
         if advice.n() != n {
             return Err(DecodeError::Inconsistent(
@@ -331,8 +331,8 @@ impl<S: AdviceSchema> AdviceSchema for OneBitSchema<S> {
             code_len: self.code_len(),
         };
         let (var, stats1) = from_one_bit(net, &one, run);
-        let (out, stats2, report) = self.base.decode_with(net, &var, run)?;
-        Ok((out, stats1.sequential(&stats2), report))
+        let (out, stats2) = self.base.decode_with(net, &var, run)?;
+        Ok((out, stats1.sequential(&stats2)))
     }
 }
 

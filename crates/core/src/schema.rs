@@ -2,7 +2,7 @@
 
 use crate::advice::AdviceMap;
 use crate::error::{DecodeError, EncodeError};
-use lad_runtime::{Network, RoundStats, Run, RunReport};
+use lad_runtime::{Network, RoundStats, Run};
 
 /// An advice schema: a centralized encoder paired with a LOCAL decoder.
 ///
@@ -14,8 +14,8 @@ use lad_runtime::{Network, RoundStats, Run, RunReport};
 /// the schema's parameters only.
 ///
 /// Both directions run under a caller's [`Run`] spec — its thread count
-/// for every fan-out, its path for every decode ladder — and never depend
-/// on it for their results. [`AdviceSchema::encode`] and
+/// for every fan-out and decode ladder — and never depend on it for their
+/// results. [`AdviceSchema::encode`] and
 /// [`AdviceSchema::decode`] are the same calls under [`Run::default`].
 pub trait AdviceSchema {
     /// What the decoder reconstructs.
@@ -32,9 +32,7 @@ pub trait AdviceSchema {
     /// solution on this graph, or a placement search fails.
     fn encode_with(&self, net: &Network, run: &Run) -> Result<AdviceMap, EncodeError>;
 
-    /// Distributed decoding under `run`, returning the run's report: the
-    /// path every decode ladder took and the memo counters of those that
-    /// memoized.
+    /// Distributed decoding under `run`.
     ///
     /// # Errors
     ///
@@ -47,7 +45,7 @@ pub trait AdviceSchema {
         net: &Network,
         advice: &AdviceMap,
         run: &Run,
-    ) -> Result<(Self::Output, RoundStats, RunReport), DecodeError>;
+    ) -> Result<(Self::Output, RoundStats), DecodeError>;
 
     /// [`AdviceSchema::encode_with`] under the default run.
     ///
@@ -58,8 +56,7 @@ pub trait AdviceSchema {
         self.encode_with(net, &Run::default())
     }
 
-    /// [`AdviceSchema::decode_with`] under the default run, without its
-    /// report.
+    /// [`AdviceSchema::decode_with`] under the default run.
     ///
     /// # Errors
     ///
@@ -69,24 +66,7 @@ pub trait AdviceSchema {
         net: &Network,
         advice: &AdviceMap,
     ) -> Result<(Self::Output, RoundStats), DecodeError> {
-        let (output, stats, _) = self.decode_with(net, advice, &Run::default())?;
-        Ok((output, stats))
-    }
-
-    /// Whether this schema's per-node decode step is **order-invariant**:
-    /// a pure function of the canonical form of the advice-labeled ball
-    /// (identifiers used only through order comparisons, never their
-    /// numerical values — the paper's Section 8 condition).
-    ///
-    /// Schemas that return `true` decode through a memoizable ladder
-    /// ([`Run::ladder`]), which may evaluate the decoder once per
-    /// isomorphism class instead of once per node. The declaration is
-    /// checked at runtime: the memo executor re-derives sampled entries
-    /// and aborts with [`DecodeError::NotOrderInvariant`] on any
-    /// disagreement, so a wrong `true` degrades to a typed error, never
-    /// to silently shared wrong outputs.
-    fn decoder_order_invariant(&self) -> bool {
-        false
+        self.decode_with(net, advice, &Run::default())
     }
 }
 

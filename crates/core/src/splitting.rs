@@ -30,7 +30,7 @@ use crate::error::{DecodeError, EncodeError};
 use crate::schema::AdviceSchema;
 use crate::tracks::{demultiplex, multiplex};
 use lad_graph::{coloring, ruling, Graph, GraphBuilder, NodeId};
-use lad_runtime::{Network, RoundStats, Run, RunReport};
+use lad_runtime::{Network, RoundStats, Run};
 
 /// The splitting schema: balanced red/blue edge coloring of a bipartite
 /// graph with all degrees even.
@@ -131,12 +131,12 @@ impl AdviceSchema for SplittingSchema {
         net: &Network,
         advice: &AdviceMap,
         run: &Run,
-    ) -> Result<(Vec<usize>, RoundStats, RunReport), DecodeError> {
+    ) -> Result<(Vec<usize>, RoundStats), DecodeError> {
         let g = net.graph();
         let tracks = demultiplex(advice, 2).ok_or_else(|| {
             DecodeError::Inconsistent("advice does not split into two tracks".into())
         })?;
-        let (orientation, stats_o, report) = self.orientation.decode_with(net, &tracks[0], run)?;
+        let (orientation, stats_o) = self.orientation.decode_with(net, &tracks[0], run)?;
         // Recover the 2-coloring by parity to the nearest marked node.
         let advised = net.with_inputs(tracks[1].strings());
         let spacing = self.parity_spacing;
@@ -177,7 +177,7 @@ impl AdviceSchema for SplittingSchema {
                 usize::from(colors[tail.index()])
             })
             .collect();
-        Ok((labels, stats_o.sequential(&stats_p), report))
+        Ok((labels, stats_o.sequential(&stats_p)))
     }
 }
 
@@ -292,7 +292,7 @@ impl AdviceSchema for EdgeColoringSchema {
             let advice = self.splitting.encode_with(&sub_net, run)?;
             // Decode centrally to build the children exactly as the
             // decoder will.
-            let (labels, _, _) = self
+            let (labels, _) = self
                 .splitting
                 .decode_with(&sub_net, &advice, run)
                 .map_err(|e| EncodeError::PlacementFailed(format!("self-decode failed: {e}")))?;
@@ -317,7 +317,7 @@ impl AdviceSchema for EdgeColoringSchema {
         net: &Network,
         advice: &AdviceMap,
         run: &Run,
-    ) -> Result<(Vec<usize>, RoundStats, RunReport), DecodeError> {
+    ) -> Result<(Vec<usize>, RoundStats), DecodeError> {
         let g = net.graph();
         let delta =
             Self::check(g).map_err(|e| DecodeError::Inconsistent(format!("precondition: {e}")))?;
@@ -336,7 +336,6 @@ impl AdviceSchema for EdgeColoringSchema {
         let mut queue = vec![root];
         let mut track_iter = tracks.iter();
         let mut total_stats: Option<RoundStats> = None;
-        let mut report = RunReport::default();
         while let Some(inst) = queue.pop() {
             if inst.graph.max_degree() <= 1 {
                 continue;
@@ -345,8 +344,7 @@ impl AdviceSchema for EdgeColoringSchema {
             let track = track_iter
                 .next()
                 .ok_or_else(|| DecodeError::Inconsistent("missing advice track".into()))?;
-            let (labels, stats, split_report) = self.splitting.decode_with(&sub_net, track, run)?;
-            report.absorb(split_report);
+            let (labels, stats) = self.splitting.decode_with(&sub_net, track, run)?;
             total_stats = Some(match total_stats {
                 None => stats,
                 Some(t) => t.sequential(&stats),
@@ -367,7 +365,7 @@ impl AdviceSchema for EdgeColoringSchema {
         }
         let stats =
             total_stats.ok_or_else(|| DecodeError::Inconsistent("degenerate recursion".into()))?;
-        Ok((colors, stats, report))
+        Ok((colors, stats))
     }
 }
 

@@ -41,7 +41,7 @@ use crate::lll::{moser_tardos, ConstraintSystem};
 use crate::schema::AdviceSchema;
 use lad_graph::{coloring, ruling, Graph, InducedSubgraph, NodeId};
 use lad_lcl::witness::proper_coloring_witness;
-use lad_runtime::{Ball, Network, RoundStats, Run, RunReport};
+use lad_runtime::{Ball, Network, RoundStats, Run};
 use std::collections::VecDeque;
 
 /// The 1-bit 3-coloring schema (Contribution 6).
@@ -537,7 +537,7 @@ impl AdviceSchema for ThreeColoringSchema {
         }
         let advice = AdviceMap::from_one_bit(&bits);
         // 5. Certificate: the decoder must reproduce a proper 3-coloring.
-        let (colors, _, _) = self
+        let (colors, _) = self
             .decode_with(net, &advice, run)
             .map_err(|e| EncodeError::PlacementFailed(format!("self-decode failed: {e}")))?;
         if !coloring::is_proper_k_coloring(g, &colors, 3) {
@@ -553,7 +553,7 @@ impl AdviceSchema for ThreeColoringSchema {
         net: &Network,
         advice: &AdviceMap,
         run: &Run,
-    ) -> Result<(Vec<usize>, RoundStats, RunReport), DecodeError> {
+    ) -> Result<(Vec<usize>, RoundStats), DecodeError> {
         let g = net.graph();
         if advice.n() != g.n() {
             return Err(DecodeError::Inconsistent(
@@ -576,7 +576,7 @@ impl AdviceSchema for ThreeColoringSchema {
         let (colors, stats) = run.uncached().try_nodes(&advised, |ctx| {
             decode_color(&ctx.ball(radius), small_limit, extent)
         })?;
-        Ok((colors, stats, RunReport::default()))
+        Ok((colors, stats))
     }
 }
 

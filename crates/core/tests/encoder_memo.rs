@@ -1,19 +1,17 @@
-//! Differential pinning for the memoized encoder paths and the adaptive
-//! execution planner.
+//! Differential pinning for the encoders and decoders.
 //!
 //! Three layers of oracle, from strongest to broadest:
 //!
 //! 1. **Frozen seed oracles** — advice fingerprints recorded from the
 //!    pre-memoization encoders (commit 8085994) over the generator grid.
-//!    The memoized encoders must reproduce every one bit-for-bit,
-//!    including the error cases.
+//!    Today's encoders must reproduce every one bit-for-bit, including
+//!    the error cases.
 //! 2. **In-tree reference decoders** — `decode_reference` runs the
 //!    untouched sequential executor with a fresh un-shared gather per
-//!    node; the planned/memoized `decode` must match its outputs, round
-//!    stats, and first error exactly.
-//! 3. **Invariance** — no thread count, forced execution path, or
-//!    planner decision may change any encode or decode result. The
-//!    planner may only be slow, never wrong.
+//!    node; the production `decode` must match its outputs, round stats,
+//!    and first error exactly.
+//! 3. **Invariance** — no thread count may change any encode or decode
+//!    result.
 
 use lad_core::advice::AdviceMap;
 use lad_core::balanced::BalancedOrientationSchema;
@@ -22,22 +20,14 @@ use lad_core::cluster_coloring::ClusterColoringSchema;
 use lad_core::delta_coloring::DeltaColoringSchema;
 use lad_core::schema::AdviceSchema;
 use lad_graph::{generators, Graph, GraphBuilder, IdAssignment, NodeId};
-use lad_runtime::{ExecPath, Network, Run};
+use lad_runtime::{Network, Run};
 use proptest::prelude::*;
 
 const THREAD_GRID: [usize; 4] = [1, 2, 3, 8];
-const FORCE_GRID: [Option<ExecPath>; 3] = [None, Some(ExecPath::Plain), Some(ExecPath::Memo)];
 
-/// The spec for one grid point: `threads` chunks, and the forced path if
-/// any (planned otherwise).
-fn run_at(threads: usize, force: Option<ExecPath>) -> Run<'static> {
-    let run = Run::default().threads(threads);
-    force.map_or(run, |path| run.path(path))
-}
-
-/// The planned spec on the automatic thread count, or one forced path.
-fn forced(force: Option<ExecPath>) -> Run<'static> {
-    force.map_or(Run::default(), |path| Run::default().path(path))
+/// The spec for one grid point: `threads` chunks.
+fn run_at(threads: usize) -> Run<'static> {
+    Run::default().threads(threads)
 }
 
 fn generator_grid() -> Vec<(&'static str, Graph)> {
@@ -112,7 +102,7 @@ where
     S::Output: std::fmt::Debug,
 {
     match schema.decode_with(net, advice, run) {
-        Ok((out, stats, _)) => format!("ok:{out:?}|{stats:?}"),
+        Ok((out, stats)) => format!("ok:{out:?}|{stats:?}"),
         Err(e) => format!("err:{e}"),
     }
 }
@@ -158,7 +148,7 @@ fn encoders_match_frozen_seed_oracles() {
 }
 
 #[test]
-fn encode_is_invariant_under_threads_and_forced_paths() {
+fn encode_is_invariant_under_threads() {
     let balanced = BalancedOrientationSchema::default();
     let cluster = ClusterColoringSchema::default();
     let delta = DeltaColoringSchema::default();
@@ -171,21 +161,19 @@ fn encode_is_invariant_under_threads_and_forced_paths() {
                 encode_fingerprint(&delta, &net, run),
             ]
         };
-        let base = fingerprints(&run_at(1, None));
+        let base = fingerprints(&run_at(1));
         for threads in THREAD_GRID {
-            for force in FORCE_GRID {
-                assert_eq!(
-                    fingerprints(&run_at(threads, force)),
-                    base,
-                    "encode drifted on {name} at threads={threads} force={force:?}"
-                );
-            }
+            assert_eq!(
+                fingerprints(&run_at(threads)),
+                base,
+                "encode drifted on {name} at threads={threads}"
+            );
         }
     }
 }
 
 #[test]
-fn decode_matches_reference_and_is_path_invariant() {
+fn decode_matches_reference_and_is_thread_invariant() {
     let balanced = BalancedOrientationSchema::default();
     let cluster = ClusterColoringSchema::default();
     let delta = DeltaColoringSchema::default();
@@ -200,14 +188,11 @@ fn decode_matches_reference_and_is_path_invariant() {
                 Err(e) => format!("err:{e}"),
             };
             for threads in THREAD_GRID {
-                for force in FORCE_GRID {
-                    assert_eq!(
-                        decode_fingerprint(&balanced, &net, &advice, &run_at(threads, force)),
-                        reference,
-                        "balanced decode diverged on {name} \
-                         threads={threads} force={force:?}"
-                    );
-                }
+                assert_eq!(
+                    decode_fingerprint(&balanced, &net, &advice, &run_at(threads)),
+                    reference,
+                    "balanced decode diverged on {name} threads={threads}"
+                );
             }
         }
         if let Ok(advice) = cluster.encode(&net) {
@@ -216,29 +201,23 @@ fn decode_matches_reference_and_is_path_invariant() {
                 Err(e) => format!("err:{e}"),
             };
             for threads in THREAD_GRID {
-                for force in FORCE_GRID {
-                    assert_eq!(
-                        decode_fingerprint(&cluster, &net, &advice, &run_at(threads, force)),
-                        reference,
-                        "cluster decode diverged on {name} \
-                         threads={threads} force={force:?}"
-                    );
-                }
+                assert_eq!(
+                    decode_fingerprint(&cluster, &net, &advice, &run_at(threads)),
+                    reference,
+                    "cluster decode diverged on {name} threads={threads}"
+                );
             }
         }
-        // Delta has no standalone reference decoder; pin the full
-        // thread × path grid against the sequential unforced decode.
+        // Delta has no standalone reference decoder; pin the thread grid
+        // against the sequential decode.
         if let Ok(advice) = delta.encode(&net) {
-            let base = decode_fingerprint(&delta, &net, &advice, &run_at(1, None));
+            let base = decode_fingerprint(&delta, &net, &advice, &run_at(1));
             for threads in THREAD_GRID {
-                for force in FORCE_GRID {
-                    assert_eq!(
-                        decode_fingerprint(&delta, &net, &advice, &run_at(threads, force)),
-                        base,
-                        "delta decode diverged on {name} \
-                         threads={threads} force={force:?}"
-                    );
-                }
+                assert_eq!(
+                    decode_fingerprint(&delta, &net, &advice, &run_at(threads)),
+                    base,
+                    "delta decode diverged on {name} threads={threads}"
+                );
             }
         }
     }
@@ -299,35 +278,34 @@ fn arb_network() -> impl Strategy<Value = Network> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The planner's choice is a pure performance decision: forcing
-    /// either path (or letting it decide) must produce identical
-    /// results on arbitrary graphs, not just the curated grid.
+    /// Scheduling is a pure performance decision: the thread count never
+    /// changes an encode or a decode on arbitrary graphs, not just the
+    /// curated grid, and the cluster decode matches its reference oracle.
     #[test]
-    fn planner_choice_never_changes_outputs(net in arb_network()) {
+    fn thread_count_never_changes_outputs(net in arb_network()) {
         let balanced = BalancedOrientationSchema::default();
         let cluster = ClusterColoringSchema::default();
         let delta = DeltaColoringSchema::default();
-        let base = encode_fingerprint(&balanced, &net, &forced(None));
-        for force in FORCE_GRID {
-            prop_assert_eq!(
-                encode_fingerprint(&balanced, &net, &forced(force)),
-                base.clone(),
-                "balanced encode changed under force={:?}", force
-            );
-        }
+        let base = encode_fingerprint(&balanced, &net, &run_at(1));
+        prop_assert_eq!(
+            encode_fingerprint(&balanced, &net, &run_at(3)),
+            base,
+            "balanced encode changed with the thread count"
+        );
         if let Ok(advice) = cluster.encode(&net) {
-            let plain = decode_fingerprint(&cluster, &net, &advice, &forced(Some(ExecPath::Plain)));
-            let memo = decode_fingerprint(&cluster, &net, &advice, &forced(Some(ExecPath::Memo)));
-            let auto = decode_fingerprint(&cluster, &net, &advice, &forced(None));
-            prop_assert_eq!(&plain, &memo, "cluster plain != memo");
-            prop_assert_eq!(&plain, &auto, "cluster plain != auto");
+            let reference = match cluster.decode_reference(&net, &advice) {
+                Ok((out, stats)) => format!("ok:{out:?}|{stats:?}"),
+                Err(e) => format!("err:{e}"),
+            };
+            let one = decode_fingerprint(&cluster, &net, &advice, &run_at(1));
+            let three = decode_fingerprint(&cluster, &net, &advice, &run_at(3));
+            prop_assert_eq!(&one, &reference, "cluster decode != reference");
+            prop_assert_eq!(&one, &three, "cluster decode changed with the thread count");
         }
         if let Ok(advice) = delta.encode(&net) {
-            let plain = decode_fingerprint(&delta, &net, &advice, &forced(Some(ExecPath::Plain)));
-            let memo = decode_fingerprint(&delta, &net, &advice, &forced(Some(ExecPath::Memo)));
-            let auto = decode_fingerprint(&delta, &net, &advice, &forced(None));
-            prop_assert_eq!(&plain, &memo, "delta plain != memo");
-            prop_assert_eq!(&plain, &auto, "delta plain != auto");
+            let one = decode_fingerprint(&delta, &net, &advice, &run_at(1));
+            let three = decode_fingerprint(&delta, &net, &advice, &run_at(3));
+            prop_assert_eq!(&one, &three, "delta decode changed with the thread count");
         }
     }
 }

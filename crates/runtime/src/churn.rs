@@ -25,12 +25,12 @@
 //!   `O(dirty)` centers, not `n`. Classes are keyed by canonical ball
 //!   structure, which is graph-independent, so surviving classes serve
 //!   the mutated graph unchanged (and stay under the same geometric
-//!   re-verification schedule as in the one-shot executors).
+//!   re-verification schedule as a trained table).
 //!
 //! Both sessions are pinned by the churn differential harness
 //! (`crates/runtime/tests/churn.rs`): after every batch, their outputs
-//! must be **bit-identical** to a from-scratch [`run_local`] /
-//! memoized [`Run::ladder`] on the mutated graph.
+//! must be **bit-identical** to a from-scratch [`run_local`] on the
+//! mutated graph.
 //!
 //! One scoping caveat: the contract covers outputs determined by the
 //! LOCAL-model view — structure, distances, identifiers, inputs, global
@@ -45,19 +45,17 @@
 //! [`EdgeId`]: lad_graph::EdgeId
 //!
 //! [`run_local`]: crate::run_local
-//! [`Run::ladder`]: crate::Run::ladder
 
 use crate::ball::Scratch;
 use crate::cache::{CacheStats, ViewCache};
-use crate::canonical::CanonScratch;
 use crate::ctx::NodeCtx;
 use crate::executor::{
-    bfs_visit_order, memo_first_error, memo_run_tile, ClassMemo, ClassRef, MemoStats, MemoStep,
-    RoundStats, Run,
+    bfs_visit_order, memo_first_error, memo_run, ClassMemo, ClassRef, MemoStats, MemoStep,
+    RoundStats,
 };
 use crate::lookup::NotOrderInvariant;
 use crate::network::Network;
-use crate::shell::{ShellEngine, TILE_WIDTH};
+use crate::plan::{plan_decode, ExecPath, PlanDecision};
 use lad_graph::mutate::{Edit, MutableGraph};
 use lad_graph::NodeId;
 use std::cell::RefCell;
@@ -76,6 +74,9 @@ pub struct RepairReport {
     /// Memo classes retired because the batch released their last member
     /// (always 0 for [`ChurnLocal`], which has no memo).
     pub retired_classes: usize,
+    /// Class-memo counters of the batch's re-probe (all zero for
+    /// [`ChurnLocal`]).
+    pub memo: MemoStats,
 }
 
 /// Incremental plain-executor session: outputs kept current under edge
@@ -97,8 +98,8 @@ pub struct ChurnLocal<In, Out, A> {
 
 impl<In: Clone, Out: PartialEq, A: Fn(&NodeCtx<In>) -> Out> ChurnLocal<In, Out, A> {
     /// Runs `algo` at every node of `net` (exactly like a sequential
-    /// [`Run::nodes`] over a fresh cache) and opens a churn session over
-    /// the result.
+    /// [`crate::Run::nodes`] over a fresh cache) and opens a churn session
+    /// over the result.
     ///
     /// # Panics
     ///
@@ -168,6 +169,7 @@ impl<In: Clone, Out: PartialEq, A: Fn(&NodeCtx<In>) -> Out> ChurnLocal<In, Out, 
             repaired: dirty.len(),
             changed,
             retired_classes: 0,
+            memo: MemoStats::default(),
         }
     }
 
@@ -197,14 +199,14 @@ impl<In: Clone, Out: PartialEq, A: Fn(&NodeCtx<In>) -> Out> ChurnLocal<In, Out, 
 /// Incremental memoized session: like [`ChurnLocal`] but decoding once
 /// per canonical class, with the class store kept alive across batches.
 ///
-/// `initial_radius`/`step` follow the [`Run::ladder`] contract
+/// `initial_radius`/`step` follow the [`crate::Run::ladder`] contract
 /// ([`MemoStep::Done`] / [`MemoStep::Expand`]); `max_radius` bounds every
 /// rung the ladder may reach and doubles as the invalidation radius.
-/// Errors follow the memoized ladder's: the
-/// first-in-node-order per-node error, or [`NotOrderInvariant`] if the
-/// step is not class-determined. Only dirty nodes can *start* failing
-/// after a batch, so the smallest-index dirty failure is the global
-/// first error. A batch that errors poisons the session (its partial
+/// Errors are the ladder's — the first-in-node-order per-node error,
+/// regenerated by replaying the failing node without the memo — or
+/// [`NotOrderInvariant`] if the step is not class-determined. Only dirty
+/// nodes can *start* failing after a batch, so the smallest-index dirty
+/// failure is the global first error. A batch that errors poisons the session (its partial
 /// state is unreleased); every later call panics.
 pub struct ChurnMemoLocal<In, Out, Tag, Step> {
     mg: MutableGraph,
@@ -219,6 +221,8 @@ pub struct ChurnMemoLocal<In, Out, Tag, Step> {
     assign: Vec<Vec<ClassRef>>,
     outs: Vec<Option<Out>>,
     per_node: Vec<usize>,
+    /// Memo counters of the opening decode.
+    opened: MemoStats,
     poisoned: bool,
 }
 
@@ -254,66 +258,53 @@ where
             assign: vec![Vec::new(); n],
             outs: std::iter::repeat_with(|| None).take(n).collect(),
             per_node: vec![0; n],
+            opened: MemoStats::default(),
             poisoned: false,
         };
         let order = bfs_visit_order(session.net.graph());
-        session.repair(&order)?;
+        session.opened = session.repair(&order)?;
         Ok(session)
     }
 
-    /// Re-decodes `centers` against the persistent memo through one fresh
-    /// tile sweep. Every confirmed/created class is appended to the
-    /// centers' assignment chains (the caller must have released the old
-    /// chains first).
-    fn repair<E>(&mut self, centers: &[NodeId]) -> Result<(), E>
+    /// Re-decodes `centers` against the persistent memo through fresh
+    /// tile sweeps and returns the pass's counters. Every confirmed or
+    /// created class is appended to the centers' assignment chains (the
+    /// caller must have released the old chains first).
+    fn repair<E>(&mut self, centers: &[NodeId]) -> Result<MemoStats, E>
     where
         E: From<NotOrderInvariant>,
         Step: Fn(&crate::Ball<In>) -> Result<MemoStep<Out>, E>,
     {
-        let n = self.net.graph().n();
-        let mut stats = MemoStats::default();
-        // The engine is per-network (the graph changed), but its cost is
-        // O(1) setup plus the swept shells — the persistent state that
-        // matters across batches is the memo, not the engine.
-        let mut engine = ShellEngine::new(&self.net, &self.input_tag);
+        // Each pass sweeps through a fresh shell engine (the graph
+        // changed), whose cost is O(1) setup plus the swept shells — the
+        // persistent state that matters across batches is the memo.
         let mut failed: Vec<usize> = Vec::new();
-        let mut conflict = None;
-        for tile in centers.chunks(TILE_WIDTH) {
-            if let Err(c) = memo_run_tile(
-                &self.net,
-                tile,
-                0,
-                self.initial_radius,
-                &self.input_tag,
-                &self.step,
-                &mut self.memo,
-                &mut engine,
-                &mut stats,
-                &mut failed,
-                &mut self.outs,
-                &mut self.per_node,
-                Some(&mut self.assign),
-            ) {
-                conflict = Some(c);
-                break;
+        let stats = match memo_run(
+            &self.net,
+            centers,
+            self.initial_radius,
+            &self.input_tag,
+            &self.step,
+            &mut self.memo,
+            &mut failed,
+            &mut self.outs,
+            &mut self.per_node,
+            Some(&mut self.assign),
+        ) {
+            Ok(stats) => stats,
+            Err(c) => {
+                self.poisoned = true;
+                return Err(c.into());
             }
-        }
-        if let Some(c) = conflict {
-            self.poisoned = true;
-            return Err(c.into());
-        }
+        };
         if let Some(&i) = failed.iter().min() {
             self.poisoned = true;
-            let mut scratch = Scratch::new(n);
-            let mut cscratch = CanonScratch::new();
             return Err(memo_first_error(
                 &self.net,
                 NodeId::from_index(i),
                 self.initial_radius,
                 &self.input_tag,
                 &self.step,
-                &mut scratch,
-                &mut cscratch,
             ));
         }
         for &v in centers {
@@ -325,13 +316,13 @@ where
                 self.max_radius
             );
         }
-        Ok(())
+        Ok(stats)
     }
 
     /// Applies an edit batch: releases the dirty nodes' class memberships
     /// (retiring classes at zero members), re-probes exactly those nodes,
     /// and returns what changed. After an `Ok`, [`Self::outputs`] is
-    /// bit-identical to a from-scratch memoized run on the mutated graph.
+    /// bit-identical to a from-scratch run on the mutated graph.
     ///
     /// # Panics
     ///
@@ -365,7 +356,7 @@ where
                 self.outs[v.index()].take()
             })
             .collect();
-        self.repair(&dirty)?;
+        let memo = self.repair(&dirty)?;
         let changed = dirty
             .iter()
             .zip(&old)
@@ -378,6 +369,7 @@ where
             repaired: dirty.len(),
             changed,
             retired_classes: retired,
+            memo,
         })
     }
 
@@ -404,6 +396,12 @@ where
         RoundStats::from_per_node(self.per_node.clone())
     }
 
+    /// The memo counters of the opening decode; each batch's counters
+    /// come back in its [`RepairReport`].
+    pub fn opening_stats(&self) -> MemoStats {
+        self.opened
+    }
+
     /// Live classes in the persistent memo.
     pub fn class_count(&self) -> usize {
         self.memo.class_count()
@@ -417,9 +415,8 @@ where
     }
 }
 
-/// A churn session whose executor family is chosen at open time: by the
-/// run's spec when it fixes the path, else by the adaptive planner
-/// ([`crate::plan_decode`]).
+/// A churn session whose family is chosen at open time by the adaptive
+/// planner ([`plan_decode`]).
 ///
 /// The caller supplies *both* formulations of the same algorithm — the
 /// per-node closure the plain session runs and the
@@ -444,12 +441,10 @@ where
     A: Fn(&NodeCtx<In>) -> Out,
     Tag: Fn(&In, &mut Vec<u64>),
 {
-    /// Opens the session `run`'s path names — or, when the spec leaves it
-    /// open, probes `net` and opens the one the planner picked — and
-    /// returns it together with the decision (probe evidence included).
-    /// `algo` and the `input_tag`/`step` ladder must compute the same
-    /// per-node output; `schema` selects the planner's calibration prior.
-    /// Sessions repair sequentially, so the spec's thread count is unused.
+    /// Probes `net`, opens the session the planner picked, and returns it
+    /// together with the decision (probe evidence included). `algo` and
+    /// the `input_tag`/`step` ladder must compute the same per-node
+    /// output. Sessions repair sequentially.
     ///
     /// # Errors
     ///
@@ -460,28 +455,23 @@ where
     ///
     /// Panics if `initial_radius > max_radius`, or (plain leg) if a node
     /// requests a view beyond `max_radius`.
-    #[allow(clippy::too_many_arguments)]
     pub fn open<E>(
         net: Network<In>,
         initial_radius: usize,
         max_radius: usize,
-        schema: &str,
         algo: A,
         input_tag: Tag,
         step: Step,
-        run: &Run,
-    ) -> Result<(Self, crate::plan::PlanDecision), E>
+    ) -> Result<(Self, PlanDecision), E>
     where
         E: From<NotOrderInvariant>,
         Step: Fn(&crate::Ball<In>) -> Result<MemoStep<Out>, E>,
     {
         assert!(initial_radius <= max_radius);
-        let plan = run.decide(&net, initial_radius, &input_tag, schema);
+        let plan = plan_decode(&net, initial_radius, &input_tag, "", None);
         let session = match plan.path {
-            crate::plan::ExecPath::Plain => {
-                PlannedChurnLocal::Plain(ChurnLocal::new(net, max_radius, algo))
-            }
-            crate::plan::ExecPath::Memo => PlannedChurnLocal::Memo(ChurnMemoLocal::new(
+            ExecPath::Plain => PlannedChurnLocal::Plain(ChurnLocal::new(net, max_radius, algo)),
+            ExecPath::Memo => PlannedChurnLocal::Memo(ChurnMemoLocal::new(
                 net,
                 initial_radius,
                 max_radius,
@@ -493,10 +483,10 @@ where
     }
 
     /// Which family carries this session.
-    pub fn path(&self) -> crate::plan::ExecPath {
+    pub fn path(&self) -> ExecPath {
         match self {
-            PlannedChurnLocal::Plain(_) => crate::plan::ExecPath::Plain,
-            PlannedChurnLocal::Memo(_) => crate::plan::ExecPath::Memo,
+            PlannedChurnLocal::Plain(_) => ExecPath::Plain,
+            PlannedChurnLocal::Memo(_) => ExecPath::Memo,
         }
     }
 

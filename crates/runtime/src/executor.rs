@@ -12,19 +12,23 @@
 //! |---|---|---|
 //! | [`run_local`], [`run_local_fallible`] | a [`NodeCtx`] algorithm, sequentially (the reference) | fresh BFS per request |
 //! | [`Run::nodes`], [`Run::try_nodes`] | a [`NodeCtx`] algorithm over contiguous chunks across threads | chunk scratch, or the spec's [`ViewCache`] |
-//! | [`Run::ladder`] | a [`MemoStep`] ladder, plain or memoized as [`Run::path`] says (planned when unset) | memo: shared shell sweep per 64-center tile, one evaluation per canonical class |
+//! | [`Run::ladder`] | a [`MemoStep`] ladder per node, through [`Run::try_nodes`] | as [`Run::try_nodes`] |
 //! | [`Run::map`], [`Run::map_with`] | a closure per item, over contiguous chunks | — |
 //!
 //! Fallible runs propagate the first per-node error in node-index order —
-//! also independent of the schedule. A ladder returns a [`RunReport`]: its
-//! [`MemoStats`] and the [`PlanDecision`] it made. Nothing is recorded
-//! process-wide, so two runs at once never see each other's counts.
+//! also independent of the schedule. Nothing is recorded process-wide, so
+//! two runs at once never see each other's state.
 //!
-//! The memoized ladder is restricted to *order-invariant* steps (a step
-//! whose output depends only on the canonical form of its view) and turns
-//! the paper's order-invariance theorem into a hot path: on
-//! bounded-growth graphs almost all balls are pairwise isomorphic, so one
-//! evaluation per [`CanonicalKey`] replaces one evaluation per node.
+//! # The class memo
+//!
+//! A decode's advice size and round count do not depend on how nodes are
+//! scheduled, so every decode climbs each node's ladder on its own. The
+//! class memo — one step evaluation per canonical class of input-labeled
+//! balls, for *order-invariant* steps — lives where verdicts are kept:
+//! [`crate::ShardMemo::train`] seals one for the persistent class store,
+//! and [`crate::ChurnMemoLocal`] keeps one warm across edit batches. Both
+//! share this module's tile loop (`memo_run`) and its
+//! [`NotOrderInvariant`] safety net.
 //!
 //! Parallelism is gated behind the `parallel` cargo feature (on by
 //! default); with the feature off every run is sequential but keeps its
@@ -39,19 +43,14 @@ use crate::canonical::{key_of_members, CanonScratch, CanonicalKey};
 use crate::ctx::NodeCtx;
 use crate::lookup::NotOrderInvariant;
 use crate::network::Network;
-use crate::plan::{plan_decode, ExecPath, PlanDecision};
-use crate::shard::{MemoMerge, ShardMemo, ShardRun};
-use crate::shell::ShellEngine;
-use lad_graph::frontier::TILE_WIDTH;
+use crate::shell::{ShellEngine, TILE_WIDTH};
 use lad_graph::{Graph, NodeId};
-use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::fmt;
 use std::ops::Range;
 use std::sync::OnceLock;
-use std::time::Instant;
 
 /// Round-complexity statistics of one execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -193,15 +192,11 @@ fn worth_fanning_out(n: usize, threads: usize) -> bool {
 /// * [`Run::threads`] — the chunk count. Unset, per-node runs resolve it
 ///   as [`effective_parallelism`] and [`Run::map`] from `LAD_THREADS` or
 ///   the host.
-/// * [`Run::path`] — how [`Run::ladder`] runs: [`ExecPath::Plain`],
-///   [`ExecPath::Memo`], or, unset, whatever [`plan_decode`] picks.
-///   Per-node runs and fan-outs have no path to pick.
 /// * [`Run::cache`] — a shared [`ViewCache`] the per-node views come
 ///   from; unset, each chunk gathers through its own scratch.
 ///
 /// No setting changes a result, only its cost, and none is global: runs
-/// in one process at once keep their own settings and report their own
-/// counts.
+/// in one process at once keep their own settings.
 ///
 /// # Example
 ///
@@ -215,7 +210,6 @@ fn worth_fanning_out(n: usize, threads: usize) -> bool {
 /// ```
 pub struct Run<'c, In = ()> {
     threads: Option<usize>,
-    path: Option<ExecPath>,
     cache: Option<&'c ViewCache<In>>,
 }
 
@@ -223,7 +217,6 @@ impl<In> Default for Run<'_, In> {
     fn default() -> Self {
         Run {
             threads: None,
-            path: None,
             cache: None,
         }
     }
@@ -241,7 +234,6 @@ impl<In> fmt::Debug for Run<'_, In> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Run")
             .field("threads", &self.threads)
-            .field("path", &self.path)
             .field("cached", &self.cache.is_some())
             .finish()
     }
@@ -256,15 +248,8 @@ impl<'c, In> Run<'c, In> {
         self
     }
 
-    /// Fixes the path [`Run::ladder`] takes, skipping the planner's probe.
-    pub fn path(mut self, path: ExecPath) -> Self {
-        self.path = Some(path);
-        self
-    }
-
     /// Serves per-node views from `cache`, which must have been built for
-    /// the network the run executes on. Memoized ladders gather through
-    /// their own shell sweep and do not read it.
+    /// the network the run executes on.
     pub fn cache(mut self, cache: &'c ViewCache<In>) -> Self {
         self.cache = Some(cache);
         self
@@ -276,7 +261,6 @@ impl<'c, In> Run<'c, In> {
     pub fn uncached<J>(&self) -> Run<'static, J> {
         Run {
             threads: self.threads,
-            path: self.path,
             cache: None,
         }
     }
@@ -339,21 +323,6 @@ impl<'c, In> Run<'c, In> {
             .flatten()
             .collect()
     }
-
-    /// The path a ladder over `net` takes: the spec's, or the planner's
-    /// pick when the spec leaves it open.
-    pub(crate) fn decide<J: Clone>(
-        &self,
-        net: &Network<J>,
-        radius: usize,
-        input_tag: impl Fn(&J, &mut Vec<u64>),
-        schema: &str,
-    ) -> PlanDecision {
-        match self.path {
-            Some(path) => PlanDecision::forced(path),
-            None => plan_decode(net, radius, input_tag, schema, None),
-        }
-    }
 }
 
 impl<In: Clone + Send + Sync> Run<'_, In> {
@@ -413,86 +382,42 @@ impl<In: Clone + Send + Sync> Run<'_, In> {
         Ok((outs, RoundStats { per_node }))
     }
 
-    /// Climbs an adaptive-radius ladder at every node — `step` sees the
+    /// Climbs an adaptive-radius ladder at every node: `step` sees the
     /// ball at `initial_radius` and either finishes ([`MemoStep::Done`])
-    /// or asks for a strictly larger view ([`MemoStep::Expand`]) — on the
-    /// path the spec fixes, or the one [`plan_decode`] picks for `schema`
-    /// (the name selecting its calibration prior).
-    ///
-    /// The plain path runs the ladder per node like [`Run::try_nodes`].
-    /// The memoized path runs `step` once per distinct canonical class of
-    /// input-labeled balls and shares the result across the class. Nodes
-    /// go in BFS order (per contiguous chunk when threaded), in tiles of
-    /// up to 64 centers that share a *single* shell-indexed frontier
-    /// sweep, and each center's [`CanonicalKey`] — inputs folded in
-    /// through `input_tag`, which must be prefix-free (fixed arity or
-    /// self-delimiting) — is serialized shell by shell, so an `Expand`
-    /// re-keys only the new shells.
-    ///
-    /// Outputs, per-node radii and error choice equal those of the same
-    /// ladder climbed under [`run_local_fallible`] on either path,
-    /// provided `step` is order-invariant. The memoized path *checks* that
-    /// premise: entries are re-evaluated against fresh balls on a
-    /// geometric schedule of their reuses (the 1st, 2nd, 4th, … hit),
-    /// per-chunk memos are merged with a conflict check, and a failed
-    /// class replays its smallest-index node without the memo to
-    /// regenerate that node's own error.
-    ///
-    /// The [`RunReport`] holds the decision and the memo counters (zero on
-    /// the plain path).
+    /// or asks for a strictly larger view ([`MemoStep::Expand`]). Each
+    /// node climbs on its own, like [`Run::try_nodes`], so outputs,
+    /// per-node radii and error choice equal those of the same ladder
+    /// climbed under [`run_local_fallible`].
     ///
     /// # Errors
     ///
-    /// The first per-node error in node-index order, or
-    /// [`NotOrderInvariant`] (through `E: From<NotOrderInvariant>`) if two
-    /// isomorphic views produced different step results.
+    /// The first per-node error in node-index order.
     ///
     /// # Panics
     ///
     /// Panics if `step` requests [`MemoStep::Expand`] to a radius that
     /// does not strictly increase.
-    pub fn ladder<Out, E>(
+    pub fn ladder<Out: Send, E: Send>(
         &self,
         net: &Network<In>,
-        schema: &str,
         initial_radius: usize,
-        input_tag: impl Fn(&In, &mut Vec<u64>) + Sync,
         step: impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E> + Sync,
-    ) -> Result<(Vec<Out>, RoundStats, RunReport), E>
-    where
-        Out: Clone + PartialEq + Send,
-        E: From<NotOrderInvariant> + Send,
-    {
-        let decision = self.decide(net, initial_radius, &input_tag, schema);
-        let mut report = RunReport {
-            memo: MemoStats::default(),
-            plans: vec![decision],
-        };
-        let (outs, stats) = match decision.path {
-            ExecPath::Plain => self.try_nodes(net, |ctx| -> Result<Out, E> {
-                let mut r = initial_radius;
-                loop {
-                    match step(&ctx.ball(r))? {
-                        MemoStep::Done(out) => return Ok(out),
-                        MemoStep::Expand(next) => {
-                            assert!(
-                                next > r,
-                                "MemoStep::Expand must strictly increase the radius"
-                            );
-                            r = next;
-                        }
+    ) -> Result<(Vec<Out>, RoundStats), E> {
+        self.try_nodes(net, |ctx| {
+            let mut r = initial_radius;
+            loop {
+                match step(&ctx.ball(r))? {
+                    MemoStep::Done(out) => return Ok(out),
+                    MemoStep::Expand(next) => {
+                        assert!(
+                            next > r,
+                            "MemoStep::Expand must strictly increase the radius"
+                        );
+                        r = next;
                     }
                 }
-            })?,
-            ExecPath::Memo => {
-                let threads = self.thread_count(net.graph().n());
-                let (outs, stats, memo) =
-                    run_memo(net, threads, initial_radius, &input_tag, &step)?;
-                report.memo = memo;
-                (outs, stats)
             }
-        };
-        Ok((outs, stats, report))
+        })
     }
 }
 
@@ -573,15 +498,15 @@ fn run_range<In: Clone, Out, E>(
 }
 
 // ---------------------------------------------------------------------------
-// Memoized decode executor: decode once per canonical isomorphism class.
+// The class memo: one step evaluation per canonical isomorphism class.
 // ---------------------------------------------------------------------------
 
 /// One rung of a decode ladder (see [`Run::ladder`]).
 ///
 /// The step function inspects a ball and either finishes or asks for a
 /// strictly larger view — the same contract as an adaptive-radius
-/// `ctx.ball(r)` loop under [`run_local`], reified as data so the
-/// executor can memoize the decision per canonical class.
+/// `ctx.ball(r)` loop under [`run_local`], reified as data so a class
+/// memo can store the decision per canonical class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoStep<Out> {
     /// The node's output is fully determined by the current view.
@@ -591,7 +516,8 @@ pub enum MemoStep<Out> {
     Expand(usize),
 }
 
-/// Counters describing one or more memoized ladder runs.
+/// Exact counters of one class-memo pass (a churn session's opening
+/// decode or one of its repair batches).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// Canonical-key lookups: one per ladder rung per node.
@@ -607,72 +533,6 @@ pub struct MemoStats {
     /// of `classes`; a probe is counted once, never as both a fingerprint
     /// reject and a scanned miss (`lookups == hits + classes` holds).
     pub fp_rejects: u64,
-    /// Nanoseconds spent gathering memberships and computing keys —
-    /// exactly `sweep_ns + key_ns`.
-    pub gather_ns: u64,
-    /// Nanoseconds in the shared frontier sweep and per-shell bookkeeping
-    /// (membership, uid-rank merge, edge appends).
-    pub sweep_ns: u64,
-    /// Nanoseconds serializing canonical key words and probing the memo.
-    pub key_ns: u64,
-    /// Nanoseconds spent materializing balls and evaluating the step.
-    pub eval_ns: u64,
-}
-
-impl MemoStats {
-    /// Fraction of lookups answered from the memo (`0.0` when none ran).
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
-
-    /// Fraction of misses rejected by the class pre-fingerprint alone,
-    /// i.e. without comparing any exact key words (`0.0` when no miss
-    /// occurred). High is good: a low rate means fingerprint collisions
-    /// are forcing word comparisons on fresh classes.
-    pub fn fp_reject_rate(&self) -> f64 {
-        if self.classes == 0 {
-            0.0
-        } else {
-            self.fp_rejects as f64 / self.classes as f64
-        }
-    }
-
-    pub(crate) fn accumulate(&mut self, other: &MemoStats) {
-        self.lookups += other.lookups;
-        self.classes += other.classes;
-        self.hits += other.hits;
-        self.verifications += other.verifications;
-        self.fp_rejects += other.fp_rejects;
-        self.gather_ns += other.gather_ns;
-        self.sweep_ns += other.sweep_ns;
-        self.key_ns += other.key_ns;
-        self.eval_ns += other.eval_ns;
-    }
-}
-
-/// What one run did, returned by the call that ran it: the memo counters
-/// of its memoized ladders and every path decision it made.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RunReport {
-    /// Memo counters summed over the run's memoized ladders (all zero when
-    /// every ladder ran plain).
-    pub memo: MemoStats,
-    /// One decision per ladder, in the order the ladders ran: the
-    /// planner's, or a forced one when the spec fixed the path.
-    pub plans: Vec<PlanDecision>,
-}
-
-impl RunReport {
-    /// Folds a later stage's report into this one — a composed decode
-    /// reports every stage it ran.
-    pub fn absorb(&mut self, later: RunReport) {
-        self.memo.accumulate(&later.memo);
-        self.plans.extend(later.plans);
-    }
 }
 
 /// Multiply-rotate hasher for memo tables keyed by [`CanonicalKey`].
@@ -740,18 +600,9 @@ pub(crate) struct MemoEntry<Out> {
     /// class without holding its key. Assigned by [`ClassMemo::insert`].
     pub(crate) id: u64,
     /// How many nodes currently rely on this class. Only maintained by
-    /// executors that pass an assignment log to [`memo_run_tile`] (the
-    /// churn session); the one-shot executors leave it at zero.
+    /// passes that carry an assignment log into [`memo_run`] (the churn
+    /// session); training leaves it at zero.
     pub(crate) members: u32,
-}
-
-pub(crate) fn memo_kind_eq<Out: PartialEq>(a: &MemoEntryKind<Out>, b: &MemoEntryKind<Out>) -> bool {
-    match (a, b) {
-        (MemoEntryKind::Done(x), MemoEntryKind::Done(y)) => x == y,
-        (MemoEntryKind::Expand(x), MemoEntryKind::Expand(y)) => x == y,
-        (MemoEntryKind::Failed, MemoEntryKind::Failed) => true,
-        _ => false,
-    }
 }
 
 /// Network-wide BFS visit order, restarting at the smallest unvisited
@@ -899,8 +750,8 @@ impl<Out> ClassMemo<Out> {
         self.buckets.values().map(Vec::len).sum()
     }
 
-    /// Total membership across all classes (zero for one-shot executors,
-    /// which don't log assignments).
+    /// Total membership across all classes (zero for a trained table,
+    /// which logs no assignments).
     pub(crate) fn member_count(&self) -> usize {
         self.buckets
             .values()
@@ -914,44 +765,38 @@ impl<Out> ClassMemo<Out> {
     }
 }
 
-/// Runs the decode ladders of one tile of centers against a class memo,
-/// sharing a single shell-indexed sweep ([`ShellEngine`]) across all of
-/// them. On a memo miss the ball is materialized (from the canonical
-/// membership) and the step evaluated, then shared with the whole class;
-/// on a hit a center pays only its share of the sweep and the keying.
-/// Every entry is re-evaluated on a geometric schedule of its reuses
-/// (1st, 2nd, 4th, 8th, … hit) as a differential safety net: a step whose
-/// output is *not* a function of the canonical view is reported as
-/// [`NotOrderInvariant`] instead of silently decoding wrong.
+/// Runs the decode ladders of `centers`, in order, against a class memo,
+/// in tiles of up to [`TILE_WIDTH`] centers that share a single
+/// shell-indexed sweep ([`ShellEngine`]). On a memo miss the ball is
+/// materialized (from the canonical membership) and the step evaluated,
+/// then shared with the whole class; on a hit a center pays only its
+/// share of the sweep and the keying. Every entry is re-evaluated on a
+/// geometric schedule of its reuses (1st, 2nd, 4th, 8th, … hit) as a
+/// differential safety net: a step whose output is *not* a function of
+/// the canonical view is reported as [`NotOrderInvariant`] instead of
+/// silently decoding wrong. The pass stops at the first conflict.
 ///
-/// Output and radius slots are addressed at `v.index() - base`, so the
-/// sequential driver passes full slices (`base = 0`) and the parallel
-/// driver passes its chunk (`base =` chunk start).
+/// Output and radius slots are indexed by node; failing nodes are
+/// appended to `failed`. Returns the pass's counters.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn memo_run_tile<In: Clone, Out: Clone + PartialEq, E>(
+pub(crate) fn memo_run<In: Clone, Out: Clone + PartialEq, E>(
     net: &Network<In>,
     centers: &[NodeId],
-    base: usize,
     initial_radius: usize,
     input_tag: &impl Fn(&In, &mut Vec<u64>),
     step: &impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E>,
     memo: &mut ClassMemo<Out>,
-    engine: &mut ShellEngine,
-    stats: &mut MemoStats,
     failed: &mut Vec<usize>,
     outs: &mut [Option<Out>],
     per_node: &mut [usize],
     // When present (the churn session), every class a center confirms or
     // creates — each `Expand` rung plus the final verdict — is appended to
-    // `assign[v.index() - base]` and counted in `MemoEntry::members`, so
+    // `assign[v.index()]` and counted in `MemoEntry::members`, so
     // invalidation can later release exactly what this node pinned.
     mut assign: Option<&mut [Vec<ClassRef>]>,
-) -> Result<(), NotOrderInvariant> {
-    let t0 = Instant::now();
-    engine.start_tile(net, centers);
-    let dt = t0.elapsed().as_nanos() as u64;
-    stats.sweep_ns += dt;
-    stats.gather_ns += dt;
+) -> Result<MemoStats, NotOrderInvariant> {
+    let mut stats = MemoStats::default();
+    let mut engine = ShellEngine::new(net, input_tag);
     // `(bit, previous radius, target radius)`, `usize::MAX` = unstarted.
     // Each wave is grouped by (previous, target) rung so one
     // [`ShellEngine::extend_centers`] batch serves every center making the
@@ -959,137 +804,129 @@ pub(crate) fn memo_run_tile<In: Clone, Out: Clone + PartialEq, E>(
     // permutes probe order within a wave, which is safe: memo entries are
     // keyed by canonical class and every output is class-determined, so
     // the decoded labeling cannot depend on which center created an entry.
-    let mut active: Vec<(usize, usize, usize)> = (0..centers.len())
-        .map(|bit| (bit, usize::MAX, initial_radius))
-        .collect();
+    let mut active: Vec<(usize, usize, usize)> = Vec::new();
     let mut next: Vec<(usize, usize, usize)> = Vec::new();
     let mut group: Vec<usize> = Vec::new();
-    while !active.is_empty() {
-        active.sort_unstable_by_key(|&(bit, prev, r)| (prev, r, bit));
-        let mut i = 0;
-        while i < active.len() {
-            let (_, prev, r) = active[i];
-            group.clear();
-            while i < active.len() && (active[i].1, active[i].2) == (prev, r) {
-                group.push(active[i].0);
-                i += 1;
-            }
-            let t = Instant::now();
-            engine.extend_centers(net, &group, r, input_tag);
-            let dt = t.elapsed().as_nanos() as u64;
-            stats.sweep_ns += dt;
-            stats.gather_ns += dt;
-            for &bit in &group {
-                let v = centers[bit];
-                let t = Instant::now();
-                // Hit path: stream-confirm against the fingerprint bucket's
-                // classes without materializing this center's key words — only
-                // a miss ever pays the full serialization (inside
-                // `canonical_key`, on insert).
-                let fp = engine.pre_fp(bit);
-                let probe = memo.probe_with(fp, |cand| engine.confirm(bit, cand));
-                let dt = t.elapsed().as_nanos() as u64;
-                stats.key_ns += dt;
-                stats.gather_ns += dt;
-                stats.lookups += 1;
-                match probe {
-                    Probe::Hit(idx) => {
-                        stats.hits += 1;
-                        let entry = memo.entry_mut(fp, idx);
-                        entry.hits += 1;
-                        if let Some(assign) = assign.as_deref_mut() {
-                            entry.members += 1;
-                            assign[v.index() - base].push((fp, entry.id));
+    for tile in centers.chunks(TILE_WIDTH) {
+        engine.start_tile(net, tile);
+        active.extend((0..tile.len()).map(|bit| (bit, usize::MAX, initial_radius)));
+        while !active.is_empty() {
+            active.sort_unstable_by_key(|&(bit, prev, r)| (prev, r, bit));
+            let mut i = 0;
+            while i < active.len() {
+                let (_, prev, r) = active[i];
+                group.clear();
+                while i < active.len() && (active[i].1, active[i].2) == (prev, r) {
+                    group.push(active[i].0);
+                    i += 1;
+                }
+                engine.extend_centers(net, &group, r, input_tag);
+                for &bit in &group {
+                    let v = tile[bit];
+                    // Hit path: stream-confirm against the fingerprint bucket's
+                    // classes without materializing this center's key words — only
+                    // a miss ever pays the full serialization (inside
+                    // `canonical_key`, on insert).
+                    let fp = engine.pre_fp(bit);
+                    let probe = memo.probe_with(fp, |cand| engine.confirm(bit, cand));
+                    stats.lookups += 1;
+                    match probe {
+                        Probe::Hit(idx) => {
+                            stats.hits += 1;
+                            let entry = memo.entry_mut(fp, idx);
+                            entry.hits += 1;
+                            if let Some(assign) = assign.as_deref_mut() {
+                                entry.members += 1;
+                                assign[v.index()].push((fp, entry.id));
+                            }
+                            let verify = entry.hits.is_power_of_two();
+                            let kind = match &entry.kind {
+                                MemoEntryKind::Done(out) => MemoEntryKind::Done(out.clone()),
+                                MemoEntryKind::Expand(r2) => MemoEntryKind::Expand(*r2),
+                                MemoEntryKind::Failed => MemoEntryKind::Failed,
+                            };
+                            if verify {
+                                stats.verifications += 1;
+                                let ball = engine.build_ball(net, bit);
+                                let res = step(&ball);
+                                let agrees = match (&res, &kind) {
+                                    (Ok(MemoStep::Done(a)), MemoEntryKind::Done(b)) => a == b,
+                                    (Ok(MemoStep::Expand(ra)), MemoEntryKind::Expand(rb)) => {
+                                        ra == rb
+                                    }
+                                    (Err(_), MemoEntryKind::Failed) => true,
+                                    _ => false,
+                                };
+                                if !agrees {
+                                    return Err(NotOrderInvariant {
+                                        key: engine.canonical_key(bit),
+                                    });
+                                }
+                            }
+                            match kind {
+                                MemoEntryKind::Done(out) => {
+                                    outs[v.index()] = Some(out);
+                                    per_node[v.index()] = r;
+                                }
+                                MemoEntryKind::Expand(r2) => next.push((bit, r, r2)),
+                                MemoEntryKind::Failed => {
+                                    failed.push(v.index());
+                                    per_node[v.index()] = r;
+                                }
+                            }
                         }
-                        let verify = entry.hits.is_power_of_two();
-                        let kind = match &entry.kind {
-                            MemoEntryKind::Done(out) => MemoEntryKind::Done(out.clone()),
-                            MemoEntryKind::Expand(r2) => MemoEntryKind::Expand(*r2),
-                            MemoEntryKind::Failed => MemoEntryKind::Failed,
-                        };
-                        if verify {
-                            stats.verifications += 1;
-                            let t = Instant::now();
+                        miss => {
+                            if matches!(miss, Probe::MissRejected) {
+                                stats.fp_rejects += 1;
+                            }
+                            stats.classes += 1;
                             let ball = engine.build_ball(net, bit);
                             let res = step(&ball);
-                            stats.eval_ns += t.elapsed().as_nanos() as u64;
-                            let agrees = match (&res, &kind) {
-                                (Ok(MemoStep::Done(a)), MemoEntryKind::Done(b)) => a == b,
-                                (Ok(MemoStep::Expand(ra)), MemoEntryKind::Expand(rb)) => ra == rb,
-                                (Err(_), MemoEntryKind::Failed) => true,
-                                _ => false,
+                            let key = engine.canonical_key(bit);
+                            let kind = match res {
+                                Ok(MemoStep::Done(out)) => {
+                                    outs[v.index()] = Some(out.clone());
+                                    per_node[v.index()] = r;
+                                    MemoEntryKind::Done(out)
+                                }
+                                Ok(MemoStep::Expand(r2)) => {
+                                    assert!(
+                                        r2 > r,
+                                        "MemoStep::Expand must strictly increase the radius"
+                                    );
+                                    next.push((bit, r, r2));
+                                    MemoEntryKind::Expand(r2)
+                                }
+                                Err(_) => {
+                                    failed.push(v.index());
+                                    per_node[v.index()] = r;
+                                    MemoEntryKind::Failed
+                                }
                             };
-                            if !agrees {
-                                return Err(NotOrderInvariant {
-                                    key: engine.canonical_key(bit),
-                                });
+                            // The inserting node is the class's first member.
+                            let members = u32::from(assign.is_some());
+                            let id = memo.insert(
+                                fp,
+                                key,
+                                MemoEntry {
+                                    kind,
+                                    hits: 0,
+                                    id: 0,
+                                    members,
+                                },
+                            );
+                            if let Some(assign) = assign.as_deref_mut() {
+                                assign[v.index()].push((fp, id));
                             }
-                        }
-                        match kind {
-                            MemoEntryKind::Done(out) => {
-                                outs[v.index() - base] = Some(out);
-                                per_node[v.index() - base] = r;
-                            }
-                            MemoEntryKind::Expand(r2) => next.push((bit, r, r2)),
-                            MemoEntryKind::Failed => {
-                                failed.push(v.index());
-                                per_node[v.index() - base] = r;
-                            }
-                        }
-                    }
-                    miss => {
-                        if matches!(miss, Probe::MissRejected) {
-                            stats.fp_rejects += 1;
-                        }
-                        stats.classes += 1;
-                        let t = Instant::now();
-                        let ball = engine.build_ball(net, bit);
-                        let res = step(&ball);
-                        stats.eval_ns += t.elapsed().as_nanos() as u64;
-                        let key = engine.canonical_key(bit);
-                        let kind = match res {
-                            Ok(MemoStep::Done(out)) => {
-                                outs[v.index() - base] = Some(out.clone());
-                                per_node[v.index() - base] = r;
-                                MemoEntryKind::Done(out)
-                            }
-                            Ok(MemoStep::Expand(r2)) => {
-                                assert!(
-                                    r2 > r,
-                                    "MemoStep::Expand must strictly increase the radius"
-                                );
-                                next.push((bit, r, r2));
-                                MemoEntryKind::Expand(r2)
-                            }
-                            Err(_) => {
-                                failed.push(v.index());
-                                per_node[v.index() - base] = r;
-                                MemoEntryKind::Failed
-                            }
-                        };
-                        // The inserting node is the class's first member.
-                        let members = u32::from(assign.is_some());
-                        let id = memo.insert(
-                            fp,
-                            key,
-                            MemoEntry {
-                                kind,
-                                hits: 0,
-                                id: 0,
-                                members,
-                            },
-                        );
-                        if let Some(assign) = assign.as_deref_mut() {
-                            assign[v.index() - base].push((fp, id));
                         }
                     }
                 }
             }
+            active.clear();
+            std::mem::swap(&mut active, &mut next);
         }
-        active.clear();
-        std::mem::swap(&mut active, &mut next);
     }
-    Ok(())
+    Ok(stats)
 }
 
 /// Replays one node's full ladder *without* the memo to regenerate its
@@ -1102,10 +939,9 @@ pub(crate) fn memo_first_error<In: Clone, Out, E: From<NotOrderInvariant>>(
     initial_radius: usize,
     input_tag: &impl Fn(&In, &mut Vec<u64>),
     step: &impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E>,
-    scratch: &mut Scratch,
-    cscratch: &mut CanonScratch,
 ) -> E {
     let g = net.graph();
+    let scratch = &mut Scratch::new(g.n());
     let mut members = BallMembers::gather(g, v, initial_radius, scratch);
     loop {
         let ball = members.build_current(net, scratch);
@@ -1119,180 +955,12 @@ pub(crate) fn memo_first_error<In: Clone, Out, E: From<NotOrderInvariant>>(
                     members.radius(),
                     |u| scratch.current_local(u),
                     input_tag,
-                    cscratch,
+                    &mut CanonScratch::new(),
                 );
                 return NotOrderInvariant { key }.into();
             }
         }
     }
-}
-
-/// What one [`memo_pass`] hands back: its slots, its sealed class memo,
-/// and the conflict that stopped it, if any.
-pub(crate) struct MemoPass<Out> {
-    pub(crate) run: ShardRun<Out>,
-    pub(crate) memo: ShardMemo<Out>,
-    pub(crate) conflict: Option<NotOrderInvariant>,
-}
-
-/// The one memo tile loop every memoized decode runs: the ladders of
-/// `centers`, in order and in tiles of [`TILE_WIDTH`], against a fresh
-/// class memo and shell engine. Output and radius slots cover the node
-/// range `slots` (indexed from its start). The pass stops at the first
-/// conflict.
-///
-/// A monolithic decode is one pass over every node in BFS order, a
-/// parallel one a pass per contiguous chunk, and training a sealed table
-/// ([`ShardMemo::train`]) one pass over every node.
-pub(crate) fn memo_pass<In: Clone, Out: Clone + PartialEq, E>(
-    net: &Network<In>,
-    centers: &[NodeId],
-    slots: Range<usize>,
-    initial_radius: usize,
-    input_tag: &impl Fn(&In, &mut Vec<u64>),
-    step: &impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E>,
-) -> MemoPass<Out> {
-    let mut run = ShardRun {
-        outs: std::iter::repeat_with(|| None).take(slots.len()).collect(),
-        per_node: vec![0; slots.len()],
-        failed: Vec::new(),
-        stats: MemoStats::default(),
-    };
-    let mut memo: ClassMemo<Out> = ClassMemo::default();
-    let mut engine = ShellEngine::new(net, input_tag);
-    let mut conflict = None;
-    for tile in centers.chunks(TILE_WIDTH) {
-        if let Err(c) = memo_run_tile(
-            net,
-            tile,
-            slots.start,
-            initial_radius,
-            input_tag,
-            step,
-            &mut memo,
-            &mut engine,
-            &mut run.stats,
-            &mut run.failed,
-            &mut run.outs,
-            &mut run.per_node,
-            None,
-        ) {
-            conflict = Some(c);
-            break;
-        }
-    }
-    MemoPass {
-        run,
-        memo: ShardMemo { memo },
-        conflict,
-    }
-}
-
-/// Ends a memo decode whose slots cover every node: the smallest-index
-/// failed node's own error, replayed on the network `replay_net` returns
-/// ([`memo_first_error`]), or else every node's output.
-pub(crate) fn memo_finish<In, Out, E, N>(
-    run: ShardRun<Out>,
-    replay_net: impl FnOnce() -> N,
-    initial_radius: usize,
-    input_tag: &impl Fn(&In, &mut Vec<u64>),
-    step: &impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E>,
-) -> Result<(Vec<Out>, RoundStats), E>
-where
-    In: Clone,
-    E: From<NotOrderInvariant>,
-    N: Borrow<Network<In>>,
-{
-    let n = run.outs.len();
-    if let Some(&i) = run.failed.iter().min() {
-        let net = replay_net();
-        let net = net.borrow();
-        assert_eq!(net.graph().n(), n, "replay network covers the instance");
-        let mut scratch = Scratch::new(n);
-        let mut cscratch = CanonScratch::new();
-        return Err(memo_first_error(
-            net,
-            NodeId::from_index(i),
-            initial_radius,
-            input_tag,
-            step,
-            &mut scratch,
-            &mut cscratch,
-        ));
-    }
-    let outs = run
-        .outs
-        .into_iter()
-        .map(|o| o.expect("a run without failures fills every node's slot"))
-        .collect();
-    Ok((outs, RoundStats::from_per_node(run.per_node)))
-}
-
-/// The memoized leg of [`Run::ladder`]: on one thread, one pass over every
-/// node in BFS order; otherwise one pass per contiguous chunk, merged in
-/// chunk order. Returns the outputs with the passes' summed counters.
-fn run_memo<In, Out, E>(
-    net: &Network<In>,
-    threads: usize,
-    initial_radius: usize,
-    input_tag: &(impl Fn(&In, &mut Vec<u64>) + Sync),
-    step: &(impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E> + Sync),
-) -> Result<(Vec<Out>, RoundStats, MemoStats), E>
-where
-    In: Clone + Send + Sync,
-    Out: Clone + PartialEq + Send,
-    E: From<NotOrderInvariant> + Send,
-{
-    let g = net.graph();
-    let n = g.n();
-    let mut passes = if worth_fanning_out(n, threads) {
-        fan_out(chunk_ranges(n, threads), |range| {
-            let centers: Vec<NodeId> = range.clone().map(NodeId::from_index).collect();
-            memo_pass(net, &centers, range, initial_radius, input_tag, step)
-        })
-    } else {
-        // BFS visit order keeps consecutive tiles spatially coherent, so
-        // one shared frontier sweep covers 64 overlapping balls at once.
-        let order = bfs_visit_order(g);
-        vec![memo_pass(
-            net,
-            &order,
-            0..n,
-            initial_radius,
-            input_tag,
-            step,
-        )]
-    };
-    let mut stats = MemoStats::default();
-    for pass in &passes {
-        stats.accumulate(&pass.run.stats);
-    }
-    if let Some(c) = passes.iter().find_map(|p| p.conflict.clone()) {
-        return Err(c.into());
-    }
-    let run = if passes.len() == 1 {
-        passes.pop().expect("one pass").run
-    } else {
-        // A key two workers resolved differently is exactly a conflict the
-        // sequential safety net would have caught — report it instead of
-        // returning schedule-dependent outputs.
-        let mut run = ShardRun {
-            outs: Vec::with_capacity(n),
-            per_node: Vec::with_capacity(n),
-            failed: Vec::new(),
-            stats: MemoStats::default(),
-        };
-        let mut merge = MemoMerge::new();
-        for pass in passes {
-            run.outs.extend(pass.run.outs);
-            run.per_node.extend(pass.run.per_node);
-            run.failed.extend(pass.run.failed);
-            merge.absorb(pass.memo)?;
-        }
-        run
-    };
-    let (outs, rounds) = memo_finish(run, || net, initial_radius, input_tag, step)?;
-    Ok((outs, rounds, stats))
 }
 
 #[cfg(test)]
@@ -1467,39 +1135,35 @@ mod tests {
     fn memo_stats_reconcile() {
         // Ladder: everyone expands 1 -> 2 and then reports the ball size,
         // giving both Expand and Done rungs, plenty of hits, and (on a
-        // torus) very few classes. The counters come from this run's own
-        // report.
+        // torus) very few classes. The counters come from the churn
+        // session's own opening decode and repair batch.
         let net = Network::with_identity_ids(generators::grid2d(8, 8, true));
-        let (outs, _, report) = Run::default()
-            .threads(1)
-            .path(ExecPath::Memo)
-            .ladder(
-                &net,
-                "test",
-                1,
-                |_, _| {},
-                |ball| {
-                    Ok::<_, NotOrderInvariant>(if ball.radius() < 2 {
-                        MemoStep::Expand(2)
-                    } else {
-                        MemoStep::Done(ball.n())
-                    })
-                },
-            )
+        let step = |ball: &Ball<()>| {
+            Ok::<_, NotOrderInvariant>(if ball.radius() < 2 {
+                MemoStep::Expand(2)
+            } else {
+                MemoStep::Done(ball.n())
+            })
+        };
+        let mut session =
+            crate::ChurnMemoLocal::new(net, 1, 2, |_, _| {}, step).expect("order-invariant step");
+        assert!(session.outputs().iter().all(|&k| k == 13));
+        let reconciles = |s: MemoStats, rungs: u64| {
+            // Every probe is either a hit or a new class — a fingerprint-
+            // rejected miss is *not* double-counted as both.
+            assert_eq!(s.lookups, s.hits + s.classes);
+            assert_eq!(s.lookups, rungs, "one lookup per rung per node");
+            assert!(s.fp_rejects <= s.classes, "rejects are a subset of misses");
+        };
+        let opened = session.opening_stats();
+        reconciles(opened, 2 * 64);
+        assert!(opened.classes >= 1 && opened.hits > 0);
+        assert!(opened.verifications >= 1);
+        let edits = [lad_graph::mutate::Edit::Remove(NodeId(0), NodeId(1))];
+        let report = session
+            .apply::<NotOrderInvariant>(&edits)
             .expect("order-invariant step");
-        assert!(outs.iter().all(|&k| k == 13));
-        assert_eq!(report.plans.len(), 1);
-        assert!(report.plans[0].forced);
-        let s = report.memo;
-        // Every probe is either a hit or a new class — a fingerprint-
-        // rejected miss is *not* double-counted as both.
-        assert_eq!(s.lookups, s.hits + s.classes);
-        assert_eq!(s.lookups, 2 * 64, "one lookup per rung per node");
-        assert!(s.fp_rejects <= s.classes, "rejects are a subset of misses");
-        assert!(s.classes >= 1 && s.hits > 0);
-        // The two gather phases partition the gather total exactly.
-        assert_eq!(s.gather_ns, s.sweep_ns + s.key_ns);
-        assert!(s.verifications >= 1);
+        reconciles(report.memo, 2 * report.repaired as u64);
     }
 
     #[test]

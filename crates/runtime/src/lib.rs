@@ -40,23 +40,24 @@
 //! # Execution paths
 //!
 //! [`run_local`] is the sequential reference executor. Every other run
-//! goes through one per-call spec, [`Run`] — its thread count, its path and
-//! an optional shared [`ViewCache`] — and computes the same outputs and
+//! goes through one per-call spec, [`Run`] — its thread count and an
+//! optional shared [`ViewCache`] — and computes the same outputs and
 //! [`RoundStats`] bit for bit: LOCAL algorithms are pure per-node
 //! functions of their views, so scheduling cannot change results, and
 //! `crates/runtime/tests/equivalence.rs` enforces this differentially.
 //! Threading sits behind the `parallel` cargo feature (default-on); see
 //! [`executor::effective_parallelism`] for how worker counts resolve when
-//! the spec sets none.
+//! the spec sets none. Decode ladders ([`Run::ladder`]) climb every
+//! node's ladder on its own.
 //!
-//! For *order-invariant* algorithms, [`Run::ladder`] can additionally
-//! decode once per canonical isomorphism class of advice-labeled balls
-//! instead of once per node, with a built-in [`NotOrderInvariant`] safety
-//! net; on bounded-growth graphs this is the difference between O(n) and
-//! O(#classes) step evaluations. Whether a ladder memoizes is the spec's
-//! [`Run::path`] or, left open, the planner's ([`plan_decode`]) call, and
-//! the [`RunReport`] the ladder returns says which and what it counted.
-//! No knob or counter is process-wide.
+//! For *order-invariant* algorithms, a class memo evaluates a step once
+//! per canonical isomorphism class of advice-labeled balls instead of
+//! once per node, with a built-in [`NotOrderInvariant`] safety net. It
+//! lives where verdicts are kept: [`ShardMemo::train`] seals one for the
+//! persistent [`ClassStore`], and [`ChurnMemoLocal`] keeps one warm
+//! across edit batches, reporting its exact [`MemoStats`]. The planner
+//! ([`plan_decode`]) picks the family a [`PlannedChurnLocal`] opens. No
+//! knob or counter is process-wide.
 
 //! # Fault injection
 //!
@@ -96,7 +97,6 @@ pub use churn::{ChurnLocal, ChurnMemoLocal, PlannedChurnLocal, RepairReport};
 pub use ctx::NodeCtx;
 pub use executor::{
     effective_parallelism, run_local, run_local_fallible, MemoStats, MemoStep, RoundStats, Run,
-    RunReport,
 };
 pub use gather::{run_gathered, run_gathered_robust, GatherError, GatherReport, NodeRecord};
 pub use lookup::{LookupTable, NotOrderInvariant};
@@ -105,10 +105,10 @@ pub use messaging::{
     RoundOutcome, Strict,
 };
 pub use network::Network;
-pub use plan::{plan_decode, probe_stride, Calibration, ExecPath, PlanDecision};
+pub use plan::{plan_decode, probe_stride, ExecPath, PlanDecision};
 pub use shard::{
-    run_sharded_fallible, run_sharded_stream_fallible, HaloExceeded, MemoMerge, ShardMemo,
-    ShardOpts, ShardRun, ShardSlice, ShardTrafficStats, ShardedTransport, Spillable,
+    run_sharded_fallible, run_sharded_stream_fallible, HaloExceeded, ShardMemo, ShardOpts,
+    ShardSlice, ShardTrafficStats, ShardedTransport, Spillable,
 };
 pub use shell::{fold_key_words, shell_class_keys, shell_class_keys_at_radii};
 pub use store::{

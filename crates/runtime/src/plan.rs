@@ -1,18 +1,19 @@
-//! Adaptive execution planning: pick the fastest executor per instance.
+//! Adaptive execution planning: pick a churn session's family per
+//! instance.
 //!
-//! The memo executor trades per-node step evaluation for per-node keying;
+//! A class memo trades per-node step evaluation for per-node keying;
 //! whether that trade wins depends on the *instance*, not the schema. A
 //! cycle's balls collapse into a handful of canonical classes (hit rate
-//! ≈ 1, memo 10× faster); a small torus wraps every ball into a distinct
-//! class (hit rate ≈ 0, keying is pure overhead); a large-radius schema
-//! on a grid can have a high hit rate and *still* lose because one keying
-//! costs more than one evaluation. [`plan_decode`] measures the instance
-//! with a cheap probe and picks the path:
+//! ≈ 1); a small torus wraps every ball into a distinct class (hit rate
+//! ≈ 0, keying is pure overhead); a large-radius step on a grid can have a
+//! high hit rate and *still* lose because one keying costs more than one
+//! evaluation. [`plan_decode`] measures the instance with a cheap probe
+//! and picks the family [`crate::PlannedChurnLocal`] opens:
 //!
 //! 1. **Probe** ~√n golden-stride centers: canonicalize their balls
 //!    through the shell engine ([`crate::shell::shell_class_keys`] — the
-//!    memo path's real gather), timing keying per ball, and optionally
-//!    time the caller's plain per-node step on a capped sub-sample.
+//!    memo's real gather), timing keying per ball, and optionally time
+//!    the caller's plain per-node step on a capped sub-sample.
 //! 2. **Predict the full-run hit rate** from the sample's class counts.
 //!    Over a full run each of the instance's `C` classes costs exactly
 //!    one evaluation, so the full-run miss rate is `C/n`; the probe
@@ -27,36 +28,37 @@
 //!    instance — say 3 000 classes over 100 000 nodes — calls a
 //!    mostly-singleton sample "mostly novel" and overestimates the
 //!    full-run miss by 30×.)
-//! 3. **Decide** with the calibrated cost model. Per ball the memo path
-//!    pays its gather overhead (shared shell sweep + canonical keying,
-//!    `t_key`) plus, on a miss, one class-representative evaluation over
-//!    the reconstructed canonical ball (`t_memo`, ≈2× a plain in-place
-//!    step); the plain path pays one in-place step (`t_plain`). Memo
-//!    wins when `margin · (t_key + miss · t_memo) < t_plain`. A
-//!    predicted hit rate below the bypass threshold skips keying
-//!    outright regardless of costs.
+//! 3. **Decide** from the probe's own measurements. Per ball the memo
+//!    pays its keying (`t_key`, measured) plus, on a miss, one
+//!    evaluation; the plain family pays one evaluation (`t_eval`: the
+//!    caller's `eval_probe` timed on the sample, or else four keyings'
+//!    worth). The memo wins when `1.2 · (t_key + miss · t_eval) < t_eval`.
+//!    A predicted hit rate below 5% skips keying outright regardless of
+//!    costs.
 //!
-//! Constants (`margin`, bypass threshold, sample bounds, per-schema
-//! `t_key`/`t_memo`/`t_plain` priors measured on a class-diverse torus)
-//! live in `PLAN_calibration.json` at the repository root, embedded at
-//! compile time and regenerated by `pipeline_bench --calibrate`. A live
-//! `eval_probe`, when the caller supplies one, replaces the `t_plain`
-//! prior with a measurement on the actual instance.
-//!
-//! Correctness never depends on the decision: both paths are pinned
-//! bit-identical to the sequential reference executor, so the planner can
-//! only be slow, never wrong. [`crate::Run::ladder`] consults the planner
-//! unless its spec fixes the path ([`crate::Run::path`] — how tests and
-//! benchmarks measure the other side of a decision or check planner
-//! invariance), and returns the decision in its [`crate::RunReport`].
+//! Correctness never depends on the decision: both churn sessions are
+//! pinned bit-identical to a from-scratch reference run, so the planner
+//! can only be slow, never wrong. Decodes do not consult it: every
+//! decode ladder climbs each node's ladder on its own
+//! ([`crate::Run::ladder`]).
 
 use crate::canonical::CanonicalKey;
 use crate::network::Network;
 use crate::shell::shell_class_keys;
 use lad_graph::NodeId;
 use std::collections::HashMap;
-use std::sync::OnceLock;
 use std::time::Instant;
+
+/// Safety factor on the memo's predicted cost: it must win by this margin.
+const MEMO_MARGIN: f64 = 1.2;
+/// Predicted hit rates below this skip keying outright.
+const BYPASS_HIT_RATE: f64 = 0.05;
+/// At most this many live step evaluations per probe.
+const EVAL_SAMPLE_CAP: usize = 16;
+/// Probe at least this many centers (when the graph has them).
+const KEY_SAMPLE_FLOOR: usize = 16;
+/// Probe at most this many centers.
+const KEY_SAMPLE_CEIL: usize = 1024;
 
 /// Which executor family a plan selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,7 +76,7 @@ pub struct PlanDecision {
     /// The selected path.
     pub path: ExecPath,
     /// Predicted full-run memo hit rate, `1 − Ĉ/n` with `Ĉ` the Chao1
-    /// class-count estimate (`0.0` when forced or unprobed, or when the
+    /// class-count estimate (`0.0` on an empty instance, or when the
     /// sample had no repeated class).
     pub predicted_hit_rate: f64,
     /// Probed centers.
@@ -84,73 +86,14 @@ pub struct PlanDecision {
     /// Chao1 estimate of the instance's total class count; the predicted
     /// miss rate is `min(1, est_classes/n)`.
     pub est_classes: f64,
-    /// Measured keying cost per ball during the probe, nanoseconds
-    /// (diagnostic — the decision prefers the calibrated tiled-gather
-    /// prior, since scattered probe keying misses tile sharing).
+    /// Measured keying cost per ball during the probe, nanoseconds.
     pub key_ns_per_ball: f64,
-    /// Plain-step cost per ball used by the model: measured when a live
-    /// probe closure was supplied, otherwise the schema's `t_plain`
-    /// calibration prior.
+    /// Step cost per ball used by the model: measured when a live probe
+    /// closure was supplied, otherwise four times `key_ns_per_ball`.
     pub eval_ns_per_ball: f64,
     /// Total probe wall time, nanoseconds.
     pub probe_ns: u64,
-    /// Whether the probe was skipped: the run's spec fixed the path, or
-    /// the instance is empty.
-    pub forced: bool,
 }
-
-impl PlanDecision {
-    pub(crate) fn forced(path: ExecPath) -> Self {
-        PlanDecision {
-            path,
-            predicted_hit_rate: 0.0,
-            sampled: 0,
-            distinct: 0,
-            est_classes: 0.0,
-            key_ns_per_ball: 0.0,
-            eval_ns_per_ball: 0.0,
-            probe_ns: 0,
-            forced: true,
-        }
-    }
-}
-
-/// Calibrated cost-model constants, parsed from `PLAN_calibration.json`
-/// (repository root, embedded at compile time).
-#[derive(Debug, Clone)]
-pub struct Calibration {
-    /// Safety factor on keying cost: memo must win by this margin.
-    pub memo_margin: f64,
-    /// Predicted hit rates below this skip keying outright.
-    pub bypass_hit_rate: f64,
-    /// At most this many live step evaluations per probe.
-    pub eval_sample_cap: usize,
-    /// Probe at least this many centers (when the graph has them).
-    pub key_sample_floor: usize,
-    /// Probe at most this many centers.
-    pub key_sample_ceil: usize,
-    /// Per-schema cost priors, matched by name prefix.
-    pub priors: Vec<SchemaPrior>,
-}
-
-/// Calibrated per-ball costs for one schema, measured by
-/// `pipeline_bench --calibrate` on a class-diverse torus.
-#[derive(Debug, Clone)]
-pub struct SchemaPrior {
-    /// Schema name prefix (names carry parameters, e.g.
-    /// `cluster-coloring(spacing=4, …)`).
-    pub name: String,
-    /// Memo-side evaluation cost per *missed* ball (class representative
-    /// reconstructed from its canonical form), nanoseconds.
-    pub eval_memo_ns: f64,
-    /// Plain-side in-place step cost per ball, nanoseconds.
-    pub eval_plain_ns: f64,
-    /// Memo-side gather overhead per ball (shared shell sweep +
-    /// canonical keying, amortized over the tile), nanoseconds.
-    pub key_ns: f64,
-}
-
-const CALIBRATION_SRC: &str = include_str!("../../../PLAN_calibration.json");
 
 fn gcd(mut a: usize, mut b: usize) -> usize {
     while b != 0 {
@@ -183,94 +126,40 @@ pub fn probe_stride(n: usize) -> usize {
     s
 }
 
-fn num_after(src: &str, key: &str) -> Option<f64> {
-    let at = src.find(&format!("\"{key}\":"))?;
-    let rest = src[at + key.len() + 3..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-impl Calibration {
-    /// The compiled-in calibration (parse failures fall back to defaults
-    /// field by field — a stale or hand-edited file can only mistune the
-    /// planner, never break it).
-    pub fn embedded() -> &'static Calibration {
-        static CAL: OnceLock<Calibration> = OnceLock::new();
-        CAL.get_or_init(|| Calibration::parse(CALIBRATION_SRC))
-    }
-
-    fn parse(src: &str) -> Calibration {
-        let mut priors = Vec::new();
-        for line in src.lines() {
-            let Some(at) = line.find("{\"schema\":") else {
-                continue;
-            };
-            let row = &line[at..];
-            let Some(q1) = row.find(": \"") else { continue };
-            let Some(q2) = row[q1 + 3..].find('"') else {
-                continue;
-            };
-            let name = row[q1 + 3..q1 + 3 + q2].to_string();
-            // A row missing the memo-eval figure is unusable; the other
-            // two degrade to rough multiples of it.
-            let Some(eval_memo_ns) = num_after(row, "eval_memo_ns_per_ball") else {
-                continue;
-            };
-            priors.push(SchemaPrior {
-                name,
-                eval_memo_ns,
-                eval_plain_ns: num_after(row, "eval_plain_ns_per_ball")
-                    .unwrap_or(eval_memo_ns / 2.0),
-                key_ns: num_after(row, "key_ns_per_ball").unwrap_or(eval_memo_ns / 4.0),
-            });
-        }
-        Calibration {
-            memo_margin: num_after(src, "memo_margin").unwrap_or(1.2),
-            bypass_hit_rate: num_after(src, "bypass_hit_rate").unwrap_or(0.05),
-            eval_sample_cap: num_after(src, "eval_sample_cap").unwrap_or(16.0) as usize,
-            key_sample_floor: num_after(src, "key_sample_floor").unwrap_or(16.0) as usize,
-            key_sample_ceil: num_after(src, "key_sample_ceil").unwrap_or(1024.0) as usize,
-            priors,
-        }
-    }
-
-    /// The cost priors for a schema, matched by name prefix (schema
-    /// names carry parameters, e.g. `cluster-coloring(spacing=4, …)`).
-    pub fn prior(&self, schema: &str) -> Option<&SchemaPrior> {
-        self.priors
-            .iter()
-            .find(|p| schema.starts_with(p.name.as_str()))
-    }
-}
-
-/// Plans a decode of `net` whose memo ladder starts at `radius`.
+/// Plans a memoized ladder over `net` that starts at `radius`.
 ///
-/// `input_tag` must be the same prefix-free word writer the memo executor
-/// would key with. `schema` selects the calibration evaluation prior;
-/// `eval_probe`, when given, is timed on a capped sub-sample of the
-/// probed centers instead (it should run the schema's *plain* per-node
-/// step — materialize the ball, evaluate, discard — and must tolerate
-/// any node, including ones whose step would error).
+/// `input_tag` must be the same prefix-free word writer the memo would
+/// key with. `eval_probe`, when given, is timed on a capped sub-sample of
+/// the probed centers (it should run the *plain* per-node step —
+/// materialize the ball, evaluate, discard — and must tolerate any node,
+/// including ones whose step would error); without it, evaluation is
+/// assumed to cost four keyings. `_schema` is unused.
 pub fn plan_decode<In: Clone>(
     net: &Network<In>,
     radius: usize,
     input_tag: impl Fn(&In, &mut Vec<u64>),
-    schema: &str,
+    _schema: &str,
     eval_probe: Option<&mut dyn FnMut(NodeId)>,
 ) -> PlanDecision {
-    let cal = Calibration::embedded();
     let n = net.graph().n();
     if n == 0 {
-        return PlanDecision::forced(ExecPath::Plain);
+        return PlanDecision {
+            path: ExecPath::Plain,
+            predicted_hit_rate: 0.0,
+            sampled: 0,
+            distinct: 0,
+            est_classes: 0.0,
+            key_ns_per_ball: 0.0,
+            eval_ns_per_ball: 0.0,
+            probe_ns: 0,
+        };
     }
     let start = Instant::now();
     // Half of √n keeps the probe under ~1% of a plain decode; the
     // birthday repeats that drive the Chao1 estimate degrade gracefully
     // (quarter the collisions, same expectation structure).
     let k = ((n as f64).sqrt().ceil() as usize / 2)
-        .clamp(cal.key_sample_floor, cal.key_sample_ceil)
+        .clamp(KEY_SAMPLE_FLOOR, KEY_SAMPLE_CEIL)
         .min(n);
     let stride = probe_stride(n);
     let centers: Vec<NodeId> = (0..k)
@@ -301,30 +190,21 @@ pub fn plan_decode<In: Clone>(
         (est_classes / n as f64).min(1.0)
     };
     let predicted_hit_rate = 1.0 - miss;
-    let prior = cal.prior(schema);
     let eval_ns_per_ball = match eval_probe {
         Some(probe) => {
-            let sample = cal.eval_sample_cap.clamp(1, k);
+            let sample = EVAL_SAMPLE_CAP.clamp(1, k);
             let eval_t = Instant::now();
             for &c in centers.iter().take(sample) {
                 probe(c);
             }
             eval_t.elapsed().as_nanos() as f64 / sample as f64
         }
-        // No live probe and no prior: assume evaluation is a few keyings'
-        // worth, which lets a high hit rate still choose the memo.
-        None => prior
-            .map(|p| p.eval_plain_ns)
-            .unwrap_or(4.0 * key_ns_per_ball),
+        // No live probe: assume evaluation is a few keyings' worth, which
+        // lets a high hit rate still choose the memo.
+        None => 4.0 * key_ns_per_ball,
     };
-    // Memo-side costs come from calibration when available: the probe's
-    // scattered keying misreads the tiled gather's amortized sweep cost,
-    // and a calibrated eval_memo captures the canonical-ball
-    // reconstruction surcharge a plain in-place step never pays.
-    let memo_key_ns = prior.map(|p| p.key_ns).unwrap_or(key_ns_per_ball);
-    let eval_memo_ns = prior.map(|p| p.eval_memo_ns).unwrap_or(eval_ns_per_ball);
-    let memo = predicted_hit_rate >= cal.bypass_hit_rate
-        && cal.memo_margin * (memo_key_ns + miss * eval_memo_ns) < eval_ns_per_ball;
+    let memo = predicted_hit_rate >= BYPASS_HIT_RATE
+        && MEMO_MARGIN * (key_ns_per_ball + miss * eval_ns_per_ball) < eval_ns_per_ball;
     let probe_ns = start.elapsed().as_nanos() as u64;
     PlanDecision {
         path: if memo {
@@ -339,14 +219,12 @@ pub fn plan_decode<In: Clone>(
         key_ns_per_ball,
         eval_ns_per_ball,
         probe_ns,
-        forced: false,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MemoStep, NotOrderInvariant, Run};
     use lad_graph::generators;
 
     fn tag(x: &u8, words: &mut Vec<u64>) {
@@ -358,7 +236,7 @@ mod tests {
         // A long cycle collapses to a handful of classes; with a live
         // probe showing an expensive step, the memo wins. (A sleep stands
         // in for the step so the decision is independent of build
-        // profile — debug keying can exceed release-calibrated priors.)
+        // profile.)
         let cyc =
             Network::with_identity_ids(generators::cycle(20_000)).with_inputs(vec![0u8; 20_000]);
         let slow = &mut |_c: NodeId| std::thread::sleep(std::time::Duration::from_millis(2));
@@ -480,67 +358,12 @@ mod tests {
     }
 
     #[test]
-    fn force_path_overrides_and_skips_probe() {
-        let net = Network::with_identity_ids(generators::cycle(500)).with_inputs(vec![0u8; 500]);
-        let step = |ball: &crate::Ball<u8>| Ok::<_, NotOrderInvariant>(MemoStep::Done(ball.n()));
-        for path in [ExecPath::Plain, ExecPath::Memo] {
-            let (_, _, report) = Run::default()
-                .path(path)
-                .ladder(&net, "x", 2, tag, step)
-                .expect("order-invariant step");
-            assert_eq!(report.plans, vec![PlanDecision::forced(path)]);
-            assert_eq!(report.memo.lookups > 0, path == ExecPath::Memo);
-        }
-        let (_, _, report) = Run::default()
-            .ladder(&net, "x", 2, tag, step)
-            .expect("order-invariant step");
-        assert!(!report.plans[0].forced);
-    }
-
-    #[test]
-    fn decisions_are_recorded_in_the_run_report() {
-        let net =
-            Network::with_identity_ids(generators::cycle(2_000)).with_inputs(vec![0u8; 2_000]);
-        let step = |ball: &crate::Ball<u8>| Ok::<_, NotOrderInvariant>(MemoStep::Done(ball.n()));
-        let (_, _, report) = Run::default()
-            .ladder(&net, "cluster-coloring", 2, tag, step)
-            .expect("order-invariant step");
-        let [d] = report.plans.as_slice() else {
-            panic!("one ladder, one decision: {report:?}");
-        };
-        assert!(!d.forced && d.probe_ns > 0);
-        assert_eq!(
-            d.path,
-            plan_decode(&net, 2, tag, "cluster-coloring", None).path
-        );
-        // The counters belong to the path the decision took.
-        assert_eq!(report.memo.lookups > 0, d.path == ExecPath::Memo);
-    }
-
-    #[test]
-    fn calibration_parses_the_embedded_file() {
-        let cal = Calibration::embedded();
-        assert!(cal.memo_margin >= 1.0);
-        assert!(cal.bypass_hit_rate > 0.0 && cal.bypass_hit_rate < 0.5);
-        let cluster = cal
-            .prior("cluster-coloring(spacing=4, colors<=64)")
-            .unwrap();
-        assert!(cluster.eval_memo_ns > 0.0);
-        assert!(cluster.eval_plain_ns > 0.0);
-        assert!(cluster.key_ns > 0.0);
-        assert!(cal
-            .prior("balanced-orientation(short=16, spacing=12)")
-            .is_some());
-        assert!(cal.prior("no-such-schema").is_none());
-    }
-
-    #[test]
     fn live_eval_probe_feeds_the_decision() {
         let net =
             Network::with_identity_ids(generators::cycle(5_000)).with_inputs(vec![0u8; 5_000]);
         let mut evals = 0usize;
         let d = plan_decode(&net, 2, tag, "x", Some(&mut |_c| evals += 1));
-        assert!(evals > 0 && evals <= Calibration::embedded().eval_sample_cap);
+        assert!(evals > 0 && evals <= EVAL_SAMPLE_CAP);
         assert!(d.eval_ns_per_ball >= 0.0);
     }
 }

@@ -36,17 +36,14 @@
 //! # Plain slices
 //!
 //! Every slice climbs each interior node's ladder on its own ball, with
-//! no class memo. A per-slice memo starts cold in every slice
-//! (fingerprints are engine-local), and pooling its classes across slices
-//! needs a table that grows with `K` — the one structure a bounded
-//! resident set exists to avoid. Since no slice shares a verdict with
-//! another, there is no cross-shard merge to check and outputs cannot
-//! depend on the schedule; the monolithic memo executors keep the
-//! [`NotOrderInvariant`] merge and the geometric re-verification that
-//! class sharing needs. First-error behavior matches them too: failed
-//! nodes are collected globally and the smallest-index one replays its
-//! ladder on the **full** network (`memo_first_error`'s discipline), so
-//! error payloads are bit-identical to the monolithic ladder's.
+//! no class memo, like the monolithic [`Run::ladder`]. A per-slice memo
+//! starts cold in every slice (fingerprints are engine-local), and
+//! pooling its classes across slices needs a table that grows with `K` —
+//! the one structure a bounded resident set exists to avoid. Since no
+//! slice shares a verdict with another, outputs cannot depend on the
+//! schedule. Failed nodes are collected globally and the smallest-index
+//! one replays its ladder on the **full** network, so error payloads are
+//! bit-identical to the monolithic ladder's.
 //!
 //! # Messaging
 //!
@@ -59,10 +56,8 @@
 //! cannot observe. Fault plans therefore compose unchanged.
 
 use crate::ball::{Ball, BallMembers, Scratch};
-use crate::canonical::CanonicalKey;
 use crate::executor::{
-    bfs_visit_order, memo_finish, memo_kind_eq, memo_pass, ClassMemo, KeyHashMap, MemoEntryKind,
-    MemoStats, MemoStep, RoundStats, Run,
+    bfs_visit_order, memo_first_error, memo_run, ClassMemo, MemoStep, RoundStats, Run,
 };
 use crate::lookup::NotOrderInvariant;
 use crate::network::Network;
@@ -200,10 +195,10 @@ impl<T: Spillable> Spillable for Option<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Sealed memo tables and their merge
+// Sealed memo tables
 // ---------------------------------------------------------------------------
 
-/// One sealed memo-class table, ready to merge or store.
+/// One sealed memo-class table, ready to store.
 pub struct ShardMemo<Out> {
     pub(crate) memo: ClassMemo<Out>,
 }
@@ -239,79 +234,22 @@ impl<Out: Clone + PartialEq> ShardMemo<Out> {
         step: impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E>,
     ) -> Result<ShardMemo<Out>, E> {
         let g = net.graph();
-        let pass = memo_pass(
+        let mut memo = ClassMemo::default();
+        memo_run(
             net,
             &bfs_visit_order(g),
-            0..g.n(),
             initial_radius,
             &input_tag,
             &step,
-        );
-        match pass.conflict {
-            Some(conflict) => Err(conflict.into()),
-            None => Ok(pass.memo),
-        }
-    }
-}
-
-/// Accumulates sealed memo tables, detecting conflicts.
-///
-/// The parallel memo executor merges its per-chunk memos through this:
-/// the first key two tables resolved differently aborts with
-/// [`NotOrderInvariant`] instead of letting outputs depend on the chunk
-/// boundaries. Which conflict is *reported* follows absorb order, so
-/// callers absorb in chunk order.
-pub struct MemoMerge<Out> {
-    map: KeyHashMap<MemoEntryKind<Out>>,
-}
-
-impl<Out: PartialEq> MemoMerge<Out> {
-    /// An empty merge.
-    pub fn new() -> Self {
-        MemoMerge {
-            map: KeyHashMap::default(),
-        }
-    }
-
-    /// Distinct canonical classes absorbed so far.
-    pub fn class_count(&self) -> usize {
-        self.map.len()
-    }
-
-    fn insert(
-        &mut self,
-        key: CanonicalKey,
-        kind: MemoEntryKind<Out>,
-    ) -> Result<(), NotOrderInvariant> {
-        match self.map.entry(key) {
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(kind);
-                Ok(())
-            }
-            std::collections::hash_map::Entry::Occupied(slot) => {
-                if memo_kind_eq(slot.get(), &kind) {
-                    Ok(())
-                } else {
-                    Err(NotOrderInvariant {
-                        key: slot.key().clone(),
-                    })
-                }
-            }
-        }
-    }
-
-    /// Folds one sealed table in.
-    pub fn absorb(&mut self, shard_memo: ShardMemo<Out>) -> Result<(), NotOrderInvariant> {
-        for (key, entry) in shard_memo.memo.into_entries() {
-            self.insert(key, entry.kind)?;
-        }
-        Ok(())
-    }
-}
-
-impl<Out: PartialEq> Default for MemoMerge<Out> {
-    fn default() -> Self {
-        MemoMerge::new()
+            &mut memo,
+            &mut Vec::new(),
+            &mut std::iter::repeat_with(|| None)
+                .take(g.n())
+                .collect::<Vec<_>>(),
+            &mut vec![0; g.n()],
+            None,
+        )?;
+        Ok(ShardMemo { memo })
     }
 }
 
@@ -319,20 +257,17 @@ impl<Out: PartialEq> Default for MemoMerge<Out> {
 // The per-shard runner
 // ---------------------------------------------------------------------------
 
-/// What one shard's pass produced, in local ids. The sharded driver and
-/// the monolithic memo executors collect whole runs in the same shape,
-/// indexed by global node id.
-pub struct ShardRun<Out> {
+/// What one shard's pass produced, in local ids. The sharded driver
+/// collects the whole run in the same shape, indexed by global node id.
+struct ShardRun<Out> {
     /// Per local node: the decoded output (interior nodes only; halo and
     /// failed slots stay `None`).
-    pub outs: Vec<Option<Out>>,
+    outs: Vec<Option<Out>>,
     /// Per local node: the final ladder radius (interior nodes only).
-    pub per_node: Vec<usize>,
+    per_node: Vec<usize>,
     /// Local indices of interior nodes whose step failed; the driver
     /// resolves the *global* first error after all shards ran.
-    pub failed: Vec<usize>,
-    /// Memo counters for this pass (zero for a plain shard pass).
-    pub stats: MemoStats,
+    failed: Vec<usize>,
 }
 
 /// Runs the plain ladder over one shard's local network: every interior
@@ -402,7 +337,6 @@ fn run_shard_plain_fallible<In: Clone, Out, E: From<HaloExceeded>>(
         outs,
         per_node,
         failed,
-        stats: MemoStats::default(),
     })
 }
 
@@ -641,7 +575,6 @@ where
         outs: std::iter::repeat_with(|| None).take(n).collect(),
         per_node: vec![0; n],
         failed: Vec::new(),
-        stats: MemoStats::default(),
     };
     // Which global nodes some slice's interior has claimed so far.
     let mut claimed = vec![false; n];
@@ -690,7 +623,24 @@ where
     if let Some(gv) = claimed.iter().position(|&c| !c) {
         panic!("slice interiors do not cover node {gv}: no shard claims it");
     }
-    memo_finish(run, replay_net, initial_radius, &input_tag, &step)
+    if let Some(&i) = run.failed.iter().min() {
+        let net = replay_net();
+        let net = net.borrow();
+        assert_eq!(net.graph().n(), n, "replay network covers the instance");
+        return Err(memo_first_error(
+            net,
+            NodeId::from_index(i),
+            initial_radius,
+            &input_tag,
+            &step,
+        ));
+    }
+    let outs = run
+        .outs
+        .into_iter()
+        .map(|o| o.expect("a run without failures fills every node's slot"))
+        .collect();
+    Ok((outs, RoundStats::from_per_node(run.per_node)))
 }
 
 // ---------------------------------------------------------------------------
@@ -826,7 +776,6 @@ impl<Msg: Clone, T: Transport<Msg>> Transport<Msg> for ShardedTransport<T> {
 mod tests {
     use super::*;
     use crate::executor::MemoStep;
-    use crate::plan::ExecPath;
     use crate::transport::PerfectLink;
     use lad_graph::generators;
 
@@ -881,15 +830,13 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_unsharded_memo() {
+    fn sharded_matches_unsharded_ladder() {
         let g = generators::cycle(40);
         let net = net(g);
-        let (outs, rounds, _) = Run::default()
+        let reference = Run::default()
             .threads(1)
-            .path(ExecPath::Memo)
-            .ladder(&net, "test", 1, tag, ball_stat_step)
+            .ladder(&net, 1, ball_stat_step)
             .expect("reference decodes");
-        let reference = (outs, rounds);
         for k in [1usize, 2, 3, 5] {
             for resident in [1usize, 2, usize::MAX] {
                 let part = Partition::contiguous(40, k);

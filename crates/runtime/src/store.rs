@@ -372,8 +372,8 @@ impl<Out: PartialEq> ClassStore<Out> {
         }
     }
 
-    /// Folds one sealed memo table ([`ShardMemo::train`]) in, under the
-    /// same conflict discipline as [`crate::MemoMerge`]. Returns how many
+    /// Folds one sealed memo table ([`ShardMemo::train`]) in, under
+    /// [`ClassStore::insert`]'s conflict discipline. Returns how many
     /// classes were new.
     pub fn absorb_shard_memo(&mut self, memo: ShardMemo<Out>) -> Result<usize, StoreError> {
         let mut fresh = 0usize;

@@ -26,8 +26,8 @@
 use lad_graph::mutate::{Edit, MutableGraph};
 use lad_graph::{builder::GraphBuilder, generators, Graph, NodeId};
 use lad_runtime::{
-    run_local, run_local_fallible, Ball, ChurnLocal, ChurnMemoLocal, ExecPath, MemoStep, Network,
-    NodeCtx, NotOrderInvariant, PlannedChurnLocal, Run,
+    run_local, run_local_fallible, Ball, ChurnLocal, ChurnMemoLocal, MemoStep, Network, NodeCtx,
+    NotOrderInvariant, PlannedChurnLocal, Run,
 };
 use proptest::prelude::*;
 
@@ -285,7 +285,7 @@ fn churn_memo_matches_scratch_and_keeps_membership_invariant() {
     }
 }
 
-/// Node-specific error payload, as in `memo.rs`: the memo path must
+/// Node-specific error payload, as in `memo.rs`: the memo must
 /// regenerate it by replaying the failing node, never share it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum TestErr {
@@ -350,9 +350,9 @@ fn churn_memo_first_error_after_churn_matches_scratch() {
 #[test]
 fn planned_churn_matches_scratch_under_every_forced_path() {
     // The planner picks the session family per instance; whichever leg it
-    // (or the run's spec, via `Run::path`) lands on, every batch must
+    // lands on — and each forced leg, opened directly — every batch must
     // leave outputs and round stats bit-identical to a from-scratch run,
-    // and the three legs must agree with each other.
+    // and the three sessions must agree with each other.
     type LadderOut = (usize, (usize, usize, u64, usize));
     let algo = |ctx: &NodeCtx<u32>| {
         let mut r = 0;
@@ -375,27 +375,20 @@ fn planned_churn_matches_scratch_under_every_forced_path() {
     for (idx, (tag_, g)) in generator_grid().into_iter().enumerate() {
         let n = g.n();
         let mut final_outputs: Vec<Vec<LadderOut>> = Vec::new();
-        for force in [None, Some(ExecPath::Plain), Some(ExecPath::Memo)] {
-            let run = force.map_or(Run::default(), |path| Run::default().path(path));
-            let (mut session, plan) = PlannedChurnLocal::open(
-                network_for(&g),
-                0,
-                3,
-                "delta-coloring",
-                algo,
-                tag,
-                step,
-                &run,
-            )
-            .unwrap();
-            assert_eq!(
-                session.path(),
-                plan.path,
-                "{tag_}: session family disagrees with the recorded plan"
-            );
-            if let Some(forced) = force {
-                assert_eq!(plan.path, forced, "{tag_}: forced path was ignored");
-            }
+        let (planned, plan) =
+            PlannedChurnLocal::open(network_for(&g), 0, 3, algo, tag, step).unwrap();
+        assert_eq!(
+            planned.path(),
+            plan.path,
+            "{tag_}: session family disagrees with the recorded plan"
+        );
+        let sessions = [
+            planned,
+            PlannedChurnLocal::Plain(ChurnLocal::new(network_for(&g), 3, algo)),
+            PlannedChurnLocal::Memo(ChurnMemoLocal::new(network_for(&g), 0, 3, tag, step).unwrap()),
+        ];
+        for mut session in sessions {
+            let leg = session.path();
             for (b, batch) in script_for(n, 0x91AD * (idx as u64 + 1), 3, 3)
                 .into_iter()
                 .enumerate()
@@ -404,28 +397,25 @@ fn planned_churn_matches_scratch_under_every_forced_path() {
                 assert_eq!(
                     report.applied + report.skipped,
                     batch.len(),
-                    "{tag_}/batch{b} [{:?}]: edits unaccounted for",
-                    plan.path
+                    "{tag_}/batch{b} [{leg:?}]: edits unaccounted for"
                 );
                 let expected = run_local(session.network(), algo);
                 assert_eq!(
                     session.outputs(),
                     expected.0,
-                    "{tag_}/batch{b} [{:?}]: planned outputs diverged from scratch",
-                    plan.path
+                    "{tag_}/batch{b} [{leg:?}]: outputs diverged from scratch"
                 );
                 assert_eq!(
                     session.round_stats(),
                     expected.1,
-                    "{tag_}/batch{b} [{:?}]: planned round stats diverged",
-                    plan.path
+                    "{tag_}/batch{b} [{leg:?}]: round stats diverged"
                 );
             }
             final_outputs.push(session.outputs());
         }
         assert!(
             final_outputs.windows(2).all(|w| w[0] == w[1]),
-            "{tag_}: forced legs disagree after identical edit scripts"
+            "{tag_}: sessions disagree after identical edit scripts"
         );
     }
 }

@@ -1,15 +1,16 @@
-//! Differential harness for the memoized executor: [`Run::ladder`] on the
-//! memo path must compute the *same function* as [`run_local`] whenever the step is
-//! order-invariant, and must *refuse* (never silently mis-share) when it
-//! is not.
+//! Differential harness for the class memo: a ladder decoded through it
+//! (the opening decode of a [`ChurnMemoLocal`]) must compute the *same
+//! function* as [`run_local`] whenever the step is order-invariant, and
+//! must *refuse* (never silently mis-share) when it is not. The plain
+//! [`Run::ladder`] is held to the same reference on the thread grid.
 //!
 //! Coverage mirrors `equivalence.rs`:
 //! * the deterministic generator grid × three step shapes (fixed radius,
-//!   adaptive Expand ladders, fallible with order-invariant failure sets)
-//!   × thread counts {1, 2, 3, 8};
+//!   adaptive Expand ladders, fallible with order-invariant failure sets),
+//!   with the plain ladder on thread counts {1, 2, 3, 8};
 //! * proptest-driven random shapes, radii, and thread counts;
-//! * deliberately order-*sensitive* steps, which the memo path must
-//!   reject at every thread count with [`NotOrderInvariant`] instead of returning answers;
+//! * deliberately order-*sensitive* steps, which the memo must reject
+//!   with [`NotOrderInvariant`] instead of returning answers;
 //! * first-error choice on fallible steps, which must match
 //!   [`run_local_fallible`]'s smallest-failing-node-index semantics, with
 //!   the error value regenerated exactly (node-specific payloads included).
@@ -20,8 +21,8 @@
 
 use lad_graph::{builder::GraphBuilder, generators, Graph};
 use lad_runtime::{
-    run_local, run_local_fallible, Ball, ExecPath, MemoStep, Network, NodeCtx, NotOrderInvariant,
-    RoundStats, Run,
+    run_local, run_local_fallible, Ball, ChurnMemoLocal, MemoStep, Network, NodeCtx,
+    NotOrderInvariant, RoundStats, Run,
 };
 use proptest::prelude::*;
 
@@ -75,33 +76,28 @@ fn tag(input: &u32, words: &mut Vec<u64>) {
     words.push(u64::from(*input));
 }
 
-/// The memoized ladder on `threads` chunks (one chunk is the single
-/// BFS-ordered pass), without its report.
+/// The ladder decoded through a class memo: the opening decode of a churn
+/// session, in one BFS-ordered pass.
 fn memo_ladder<Out, E>(
     net: &Network<u32>,
-    threads: usize,
     initial_radius: usize,
-    step: impl Fn(&Ball<u32>) -> Result<MemoStep<Out>, E> + Sync,
+    step: impl Fn(&Ball<u32>) -> Result<MemoStep<Out>, E>,
 ) -> Result<(Vec<Out>, RoundStats), E>
 where
-    Out: Clone + PartialEq + Send,
-    E: From<NotOrderInvariant> + Send,
+    Out: Clone + PartialEq,
+    E: From<NotOrderInvariant>,
 {
-    Run::default()
-        .threads(threads)
-        .path(ExecPath::Memo)
-        .ladder(net, "test", initial_radius, tag, step)
-        .map(|(outs, rounds, _)| (outs, rounds))
+    let session = ChurnMemoLocal::new(net.clone(), initial_radius, usize::MAX, tag, step)?;
+    Ok((session.outputs(), session.round_stats()))
 }
 
 /// [`memo_ladder`] for an infallible step.
-fn memo<Out: Clone + PartialEq + Send>(
+fn memo<Out: Clone + PartialEq>(
     net: &Network<u32>,
-    threads: usize,
     initial_radius: usize,
-    step: impl Fn(&Ball<u32>) -> MemoStep<Out> + Sync,
+    step: impl Fn(&Ball<u32>) -> MemoStep<Out>,
 ) -> Result<(Vec<Out>, RoundStats), NotOrderInvariant> {
-    memo_ladder(net, threads, initial_radius, |ball| Ok(step(ball)))
+    memo_ladder(net, initial_radius, |ball| Ok(step(ball)))
 }
 
 /// An order-invariant digest of a ball: structure, inputs, distances, and
@@ -119,8 +115,8 @@ fn oi_digest(ball: &Ball<u32>) -> (usize, usize, u64, usize) {
     (ball.n(), ball.graph().m(), weighted, center_rank)
 }
 
-/// Asserts the memo entry points reproduce `run_local`'s outputs and
-/// per-node round statistics exactly, across the thread grid.
+/// Asserts the memo and the plain ladder on every thread count reproduce
+/// `run_local`'s outputs and per-node round statistics exactly.
 fn assert_memo_equals_reference<Out>(
     tag_: &str,
     net: &Network<u32>,
@@ -131,13 +127,17 @@ fn assert_memo_equals_reference<Out>(
     Out: Clone + PartialEq + std::fmt::Debug + Send,
 {
     let expected: (Vec<Out>, RoundStats) = run_local(net, &reference);
-    let seq = memo(net, 1, initial_radius, &step)
+    let memoized = memo(net, initial_radius, &step)
         .unwrap_or_else(|e| panic!("{tag_}: memo refused an order-invariant step: {e}"));
-    assert_eq!(seq, expected, "{tag_}: memo seq");
+    assert_eq!(memoized, expected, "{tag_}: memo");
     for threads in THREAD_GRID {
-        let par = memo(net, threads, initial_radius, &step)
-            .unwrap_or_else(|e| panic!("{tag_}: memo par refused ({threads} threads): {e}"));
-        assert_eq!(par, expected, "{tag_}: memo par, {threads} threads");
+        let plain = Run::default()
+            .threads(threads)
+            .ladder(net, initial_radius, |ball| {
+                Ok::<_, NotOrderInvariant>(step(ball))
+            })
+            .expect("infallible step");
+        assert_eq!(plain, expected, "{tag_}: plain ladder, {threads} threads");
     }
 }
 
@@ -190,7 +190,7 @@ fn adaptive_expand_ladders_identical_everywhere() {
     }
 }
 
-/// Test error carrying a node-specific payload; the memo path must
+/// Test error carrying a node-specific payload; the memo must
 /// reproduce it exactly by replaying the failing node, never by sharing a
 /// stored error across a class.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -234,13 +234,13 @@ fn fallible_first_error_choice_matches_sequential() {
                     Ok(oi_digest(&ball))
                 }
             });
-            let seq = memo_ladder(&net, 1, radius, step);
-            assert_eq!(seq, reference, "{tag_}/r{radius}: fallible memo seq");
+            let memoized = memo_ladder(&net, radius, step);
+            assert_eq!(memoized, reference, "{tag_}/r{radius}: fallible memo");
             for threads in THREAD_GRID {
-                let par = memo_ladder(&net, threads, radius, step);
+                let plain = Run::default().threads(threads).ladder(&net, radius, step);
                 assert_eq!(
-                    par, reference,
-                    "{tag_}/r{radius}: fallible memo par, {threads} threads"
+                    plain, reference,
+                    "{tag_}/r{radius}: fallible plain ladder, {threads} threads"
                 );
             }
         }
@@ -250,10 +250,9 @@ fn fallible_first_error_choice_matches_sequential() {
 #[test]
 fn order_sensitive_step_is_refused_not_mis_shared() {
     // Raw uid values are order-*sensitive*: nodes of the same canonical
-    // class return different answers. Every memo entry point must detect
-    // this (via verify-on-reuse or shard merging) and refuse. A cycle with
-    // constant inputs puts every node in one class, so detection is
-    // guaranteed at the first reuse.
+    // class return different answers. The memo must detect this (via
+    // verify-on-reuse) and refuse. A cycle with constant inputs puts every
+    // node in one class, so detection is guaranteed at the first reuse.
     let net = Network::with_ids(
         generators::cycle(24),
         lad_graph::IdAssignment::random_permutation(24, 7),
@@ -261,28 +260,16 @@ fn order_sensitive_step_is_refused_not_mis_shared() {
     .with_inputs(vec![0u32; 24]);
     let step = |ball: &Ball<u32>| MemoStep::Done(ball.uid(ball.center()));
     assert!(
-        memo(&net, 1, 1, step).is_err(),
-        "sequential memo accepted an order-sensitive step"
+        memo(&net, 1, step).is_err(),
+        "memo accepted an order-sensitive step"
     );
-    for threads in THREAD_GRID {
-        assert!(
-            memo(&net, threads, 1, step).is_err(),
-            "parallel memo ({threads} threads) accepted an order-sensitive step"
-        );
-    }
     let fallible = |ball: &Ball<u32>| -> Result<MemoStep<u64>, TestErr> {
         Ok(MemoStep::Done(ball.uid(ball.center())))
     };
     assert!(matches!(
-        memo_ladder(&net, 1, 1, fallible),
+        memo_ladder(&net, 1, fallible),
         Err(TestErr::Oi(_))
     ));
-    for threads in THREAD_GRID {
-        assert!(matches!(
-            memo_ladder(&net, threads, 1, fallible),
-            Err(TestErr::Oi(_))
-        ));
-    }
 }
 
 #[test]
@@ -303,7 +290,7 @@ fn order_sensitive_expand_ladder_is_refused() {
         }
     };
     assert!(
-        memo(&net, 1, 0, step).is_err(),
+        memo(&net, 0, step).is_err(),
         "memo accepted a uid-dependent expansion ladder"
     );
 }
@@ -352,13 +339,13 @@ proptest! {
         let expected = run_local(&net, |ctx: &NodeCtx<u32>| oi_digest(&ctx.ball(radius)));
         let step = |ball: &Ball<u32>| MemoStep::Done(oi_digest(ball));
         prop_assert_eq!(
-            memo(&net, 1, radius, step).expect("order-invariant"),
+            memo(&net, radius, step).expect("order-invariant"),
             expected.clone()
         );
-        prop_assert_eq!(
-            memo(&net, threads, radius, step).expect("order-invariant"),
-            expected
-        );
+        let plain = Run::default()
+            .threads(threads)
+            .ladder(&net, radius, |ball| Ok::<_, NotOrderInvariant>(step(ball)));
+        prop_assert_eq!(plain.expect("infallible step"), expected);
     }
 
     #[test]
@@ -386,10 +373,7 @@ proptest! {
                 Ok(MemoStep::Done(oi_digest(ball)))
             }
         };
-        prop_assert_eq!(memo_ladder(&net, 1, 1, step), reference.clone());
-        prop_assert_eq!(
-            memo_ladder(&net, threads, 1, step),
-            reference
-        );
+        prop_assert_eq!(memo_ladder(&net, 1, step), reference.clone());
+        prop_assert_eq!(Run::default().threads(threads).ladder(&net, 1, step), reference);
     }
 }

@@ -3,14 +3,14 @@
 //! {1, 2, 3, 8}:
 //!
 //! * nested fan-outs (a [`Run::map`] inside a [`Run::map`], a parallel
-//!   memo decode inside a [`Run::map`]) complete and match sequential — a
-//!   chunk that fans out again must never wait on work that is merely
+//!   ladder decode inside a [`Run::map`]) complete and match sequential —
+//!   a chunk that fans out again must never wait on work that is merely
 //!   queued;
 //! * a panicking chunk reaches the caller with its original payload, and
 //!   the pool serves the next call normally;
 //! * two OS threads fanning out at the same time each get their own
-//!   results, and two memoized runs at the same time each get their own
-//!   report.
+//!   results, and two class-memo decodes at the same time each get their
+//!   own counters.
 //!
 //! Every case passes its thread count in its own [`Run`], so the tests
 //! share no state and run in parallel. Without the `parallel` feature
@@ -18,7 +18,7 @@
 
 use lad_graph::{generators, Graph};
 use lad_runtime::{
-    Ball, ExecPath, MemoStep, Network, NotOrderInvariant, PlanDecision, RoundStats, Run, RunReport,
+    Ball, ChurnMemoLocal, MemoStats, MemoStep, Network, NotOrderInvariant, RoundStats, Run,
 };
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Barrier;
@@ -61,29 +61,39 @@ fn nested_map_matches_sequential() {
     }
 }
 
-/// The memoized ladder of [`ladder`] on `net`, on `threads` chunks.
-fn memo_run(net: &Network<()>, threads: usize) -> (Vec<usize>, RoundStats, RunReport) {
-    Run::default()
-        .threads(threads)
-        .path(ExecPath::Memo)
-        .ladder(net, "test", 1, |_, _| {}, ladder)
-        .expect("order-invariant")
+/// [`ladder`] decoded through a class memo (a churn session's opening
+/// decode), with the pass's counters.
+fn memo_run(net: &Network<()>) -> (Vec<usize>, RoundStats, MemoStats) {
+    let session =
+        ChurnMemoLocal::new(net.clone(), 1, 2, |_, _| {}, ladder).expect("order-invariant");
+    (
+        session.outputs(),
+        session.round_stats(),
+        session.opening_stats(),
+    )
 }
 
 #[test]
-fn nested_memo_decode_matches_sequential() {
+fn nested_ladder_decode_matches_memo() {
     let nets: Vec<Network<()>> = networks()
         .into_iter()
         .map(Network::with_identity_ids)
         .collect();
-    let decoded = |net: &Network<()>, threads: usize| {
-        let (outs, rounds, _) = memo_run(net, threads);
-        (outs, rounds)
-    };
-    let expect: Vec<_> = nets.iter().map(|net| decoded(net, 1)).collect();
+    let expect: Vec<_> = nets
+        .iter()
+        .map(|net| {
+            let (outs, rounds, _) = memo_run(net);
+            (outs, rounds)
+        })
+        .collect();
     for t in THREAD_GRID {
         let run: Run = Run::default().threads(t);
-        let got = run.map(&nets, |_, net| decoded(net, t));
+        let got = run.map(&nets, |_, net| {
+            Run::default()
+                .threads(t)
+                .ladder(net, 1, ladder)
+                .expect("order-invariant")
+        });
         assert_eq!(got, expect, "threads {t}");
     }
 }
@@ -163,80 +173,42 @@ fn concurrent_callers_get_their_own_results() {
     }
 }
 
-/// The parts of a plan decision that do not depend on timing: path,
-/// forced, sampled, distinct, and the bits of the class estimate and the
-/// predicted hit rate.
-type PlanFacts = (ExecPath, bool, usize, usize, u64, u64);
-
-fn plan_facts(d: &PlanDecision) -> PlanFacts {
-    (
-        d.path,
-        d.forced,
-        d.sampled,
-        d.distinct,
-        d.est_classes.to_bits(),
-        d.predicted_hit_rate.to_bits(),
-    )
-}
-
-/// The exact counters and decisions of a report: everything but time.
-fn report_facts(r: &RunReport) -> ([u64; 5], Vec<PlanFacts>) {
-    let m = &r.memo;
-    (
-        [m.lookups, m.classes, m.hits, m.verifications, m.fp_rejects],
-        r.plans.iter().map(plan_facts).collect(),
-    )
-}
-
 #[test]
-fn concurrent_runs_get_independent_reports() {
+fn concurrent_memo_decodes_get_independent_counters() {
     const ROUNDS: usize = 20;
-    // Unlabeled cycle and torus balls collapse into a few classes, so the
-    // planner memoizes both: each report carries a real decision and
-    // nonzero counters that a shared tally would mix.
+    // Unlabeled cycle and torus balls collapse into a few classes, so each
+    // decode carries nonzero counters that a shared tally would mix.
     let nets = [
         Network::with_identity_ids(generators::cycle(600)),
         Network::with_identity_ids(generators::grid2d(24, 24, true)),
     ];
-    for t in [1, 2] {
-        let planned = |net: &Network<()>| {
-            Run::default()
-                .threads(t)
-                .ladder(net, "test", 1, |_, _| {}, ladder)
-                .expect("order-invariant")
-        };
-        let alone: Vec<_> = nets.iter().map(&planned).collect();
-        for (_, _, report) in &alone {
-            assert_eq!(report.plans.len(), 1);
-            assert_eq!(report.plans[0].path, ExecPath::Memo, "{report:?}");
-            assert!(report.memo.lookups > 0);
-        }
-        let start = Barrier::new(2);
-        // Each thread counts its mismatched rounds instead of asserting, so
-        // a failure cannot leave the other thread stuck at the barrier.
-        let wrong: Vec<usize> = std::thread::scope(|s| {
-            let runners: Vec<_> = nets
-                .iter()
-                .zip(&alone)
-                .map(|(net, (outs, rounds, report))| {
-                    let start = &start;
-                    let planned = &planned;
-                    s.spawn(move || {
-                        (0..ROUNDS)
-                            .filter(|_| {
-                                start.wait();
-                                let (o, r, rep) = planned(net);
-                                (&o, &r, report_facts(&rep)) != (outs, rounds, report_facts(report))
-                            })
-                            .count()
-                    })
-                })
-                .collect();
-            runners
-                .into_iter()
-                .map(|r| r.join().expect("runner thread"))
-                .collect()
-        });
-        assert_eq!(wrong, vec![0, 0], "threads {t}: mismatched rounds per run");
+    let alone: Vec<_> = nets.iter().map(memo_run).collect();
+    for (_, _, stats) in &alone {
+        assert!(stats.lookups > 0 && stats.hits > 0, "{stats:?}");
     }
+    let start = Barrier::new(2);
+    // Each thread counts its mismatched rounds instead of asserting, so a
+    // failure cannot leave the other thread stuck at the barrier.
+    let wrong: Vec<usize> = std::thread::scope(|s| {
+        let runners: Vec<_> = nets
+            .iter()
+            .zip(&alone)
+            .map(|(net, expect)| {
+                let start = &start;
+                s.spawn(move || {
+                    (0..ROUNDS)
+                        .filter(|_| {
+                            start.wait();
+                            memo_run(net) != *expect
+                        })
+                        .count()
+                })
+            })
+            .collect();
+        runners
+            .into_iter()
+            .map(|r| r.join().expect("runner thread"))
+            .collect()
+    });
+    assert_eq!(wrong, vec![0, 0], "mismatched rounds per decode");
 }

@@ -6,7 +6,8 @@
 //!   × partition shapes (contiguous, BFS-grown) × schedules (forward,
 //!   reverse, interleaved) × residency bounds {1, 2, ∞}: outputs and
 //!   [`RoundStats`] of the plain per-shard ladders must match the
-//!   monolithic memoized [`Run::ladder`] **bit for bit**;
+//!   monolithic class-memo decode (a [`ChurnMemoLocal`]'s opening decode)
+//!   **bit for bit**;
 //! * the provider contract: the driver asks for every slice exactly once,
 //!   in schedule order, and slices whose interiors overlap or leave a
 //!   node unclaimed stop the run with a panic instead of a wrong answer;
@@ -20,9 +21,9 @@
 
 use lad_graph::{builder::GraphBuilder, generators, Graph, Partition, ShardView};
 use lad_runtime::{
-    run_gathered_robust, run_sharded_fallible, run_sharded_stream_fallible, Ball, ExecPath,
+    run_gathered_robust, run_sharded_fallible, run_sharded_stream_fallible, Ball, ChurnMemoLocal,
     FaultPlan, HaloExceeded, MemoStep, Network, NodeCtx, NotOrderInvariant, PerfectLink,
-    RoundStats, Run, ShardOpts, ShardSlice, ShardedTransport,
+    RoundStats, ShardOpts, ShardSlice, ShardedTransport,
 };
 
 /// The deterministic generator grid (mirrors `equivalence.rs`).
@@ -90,17 +91,14 @@ fn tag(x: &u32, words: &mut Vec<u64>) {
     words.push(u64::from(*x));
 }
 
-/// The monolithic reference: the memoized ladder in one BFS-ordered pass,
-/// without its report.
-fn monolithic<E: From<NotOrderInvariant> + Send>(
+/// The monolithic reference: the ladder decoded through a class memo (a
+/// churn session's opening decode) in one BFS-ordered pass.
+fn monolithic<E: From<NotOrderInvariant>>(
     net: &Network<u32>,
-    step: impl Fn(&Ball<u32>) -> Result<MemoStep<u64>, E> + Sync,
+    step: impl Fn(&Ball<u32>) -> Result<MemoStep<u64>, E>,
 ) -> Result<(Vec<u64>, RoundStats), E> {
-    Run::default()
-        .threads(1)
-        .path(ExecPath::Memo)
-        .ladder(net, "test", 1, tag, step)
-        .map(|(outs, rounds, _)| (outs, rounds))
+    let session = ChurnMemoLocal::new(net.clone(), 1, usize::MAX, tag, step)?;
+    Ok((session.outputs(), session.round_stats()))
 }
 
 /// An order-invariant statistic of the ball's canonical content: sizes,

@@ -9,9 +9,10 @@
 //! * `shell_class_keys` versus [`canonicalize_tagged_with`] on a
 //!   materialized [`Ball::collect`], across the full deterministic
 //!   generator grid × radii × scrambled identifiers;
-//! * memoized [`Run::ladder`] runs (which ride the shell path) versus [`run_local`]
-//!   outputs, [`RoundStats`], and first-error choice, across the thread
-//!   grid — under both feature configurations;
+//! * ladders decoded through the class memo (a [`ChurnMemoLocal`]'s
+//!   opening decode, which rides the shell path) versus [`run_local`]
+//!   outputs, [`RoundStats`], and first-error choice — under both feature
+//!   configurations;
 //! * proptests: the class pre-fingerprint is *sound* (equal keys ⇒ equal
 //!   fingerprints, so bucketing can only split classes, never merge
 //!   them), and the incremental Expand re-keying equals keys rebuilt
@@ -20,12 +21,10 @@
 use lad_graph::{builder::GraphBuilder, generators, Graph, NodeId};
 use lad_runtime::{
     canonicalize_tagged_with, run_local, run_local_fallible, shell_class_keys,
-    shell_class_keys_at_radii, Ball, CanonScratch, ExecPath, MemoStep, Network, NodeCtx,
-    NotOrderInvariant, RoundStats, Run,
+    shell_class_keys_at_radii, Ball, CanonScratch, ChurnMemoLocal, MemoStep, Network, NodeCtx,
+    NotOrderInvariant, RoundStats,
 };
 use proptest::prelude::*;
-
-const THREAD_GRID: [usize; 4] = [1, 2, 3, 8];
 
 /// Same deterministic generator grid as `memo.rs` / `equivalence.rs`.
 fn generator_grid() -> Vec<(&'static str, Graph)> {
@@ -75,33 +74,28 @@ fn tag(input: &u32, words: &mut Vec<u64>) {
     words.push(u64::from(*input));
 }
 
-/// The memoized ladder on `threads` chunks (one chunk is the single
-/// BFS-ordered pass), without its report.
+/// The ladder decoded through a class memo: the opening decode of a churn
+/// session, in one BFS-ordered pass (as in `memo.rs`).
 fn memo_ladder<Out, E>(
     net: &Network<u32>,
-    threads: usize,
     initial_radius: usize,
-    step: impl Fn(&Ball<u32>) -> Result<MemoStep<Out>, E> + Sync,
+    step: impl Fn(&Ball<u32>) -> Result<MemoStep<Out>, E>,
 ) -> Result<(Vec<Out>, RoundStats), E>
 where
-    Out: Clone + PartialEq + Send,
-    E: From<NotOrderInvariant> + Send,
+    Out: Clone + PartialEq,
+    E: From<NotOrderInvariant>,
 {
-    Run::default()
-        .threads(threads)
-        .path(ExecPath::Memo)
-        .ladder(net, "test", initial_radius, tag, step)
-        .map(|(outs, rounds, _)| (outs, rounds))
+    let session = ChurnMemoLocal::new(net.clone(), initial_radius, usize::MAX, tag, step)?;
+    Ok((session.outputs(), session.round_stats()))
 }
 
 /// [`memo_ladder`] for an infallible step.
-fn memo<Out: Clone + PartialEq + Send>(
+fn memo<Out: Clone + PartialEq>(
     net: &Network<u32>,
-    threads: usize,
     initial_radius: usize,
-    step: impl Fn(&Ball<u32>) -> MemoStep<Out> + Sync,
+    step: impl Fn(&Ball<u32>) -> MemoStep<Out>,
 ) -> Result<(Vec<Out>, RoundStats), NotOrderInvariant> {
-    memo_ladder(net, threads, initial_radius, |ball| Ok(step(ball)))
+    memo_ladder(net, initial_radius, |ball| Ok(step(ball)))
 }
 
 /// Fallible-step error able to absorb the memo's refusal (as in `memo.rs`).
@@ -155,9 +149,8 @@ fn shell_keys_match_per_ball_oracle_on_generator_grid() {
     }
 }
 
-/// The memo executors (now riding the shared sweep) still compute the
-/// same function as `run_local`, bit for bit, on an adaptive Expand
-/// ladder — sequential and across the thread grid.
+/// The class memo (riding the shared sweep) still computes the same
+/// function as `run_local`, bit for bit, on an adaptive Expand ladder.
 #[test]
 fn memo_over_shell_gather_equals_run_local() {
     for (tag_, g) in generator_grid() {
@@ -175,14 +168,9 @@ fn memo_over_shell_gather_equals_run_local() {
             oi_digest(&ctx.ball(3))
         };
         let expected: (Vec<_>, RoundStats) = run_local(&net, reference);
-        let seq = memo(&net, 1, 0, step)
+        let memoized = memo(&net, 0, step)
             .unwrap_or_else(|e| panic!("{tag_}: refused order-invariant step: {e}"));
-        assert_eq!(seq, expected, "{tag_}: memo seq vs run_local");
-        for threads in THREAD_GRID {
-            let par = memo(&net, threads, 0, step)
-                .unwrap_or_else(|e| panic!("{tag_}: refused ({threads} threads): {e}"));
-            assert_eq!(par, expected, "{tag_}: memo par, {threads} threads");
-        }
+        assert_eq!(memoized, expected, "{tag_}: memo vs run_local");
     }
 }
 
@@ -208,18 +196,7 @@ fn memo_first_error_choice_survives_shell_gather() {
                 Ok(MemoStep::Done(oi_digest(ball)))
             }
         };
-        assert_eq!(
-            memo_ladder(&net, 1, 1, step),
-            reference,
-            "{tag_}: seq first error"
-        );
-        for threads in THREAD_GRID {
-            assert_eq!(
-                memo_ladder(&net, threads, 1, step),
-                reference,
-                "{tag_}: par first error, {threads} threads"
-            );
-        }
+        assert_eq!(memo_ladder(&net, 1, step), reference, "{tag_}: first error");
     }
 }
 
@@ -236,18 +213,11 @@ fn order_sensitive_step_still_refused() {
     .with_inputs(vec![0u32; 24]);
     // Raw uid values are not order-invariant.
     let step = |ball: &Ball<u32>| MemoStep::Done(ball.uid(ball.center()));
-    let err = memo(&net, 1, 1, step);
+    let err = memo(&net, 1, step);
     assert!(
         matches!(err, Err(NotOrderInvariant { .. })),
         "uid-leaking step must be refused"
     );
-    for threads in THREAD_GRID {
-        let err = memo(&net, threads, 1, step);
-        assert!(
-            matches!(err, Err(NotOrderInvariant { .. })),
-            "uid-leaking step must be refused at {threads} threads"
-        );
-    }
 }
 
 /// Builds the `family`-th random graph family at size `n` with `seed`

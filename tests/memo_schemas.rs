@@ -1,14 +1,14 @@
-//! Schema-level differential tests for the memoized decode path.
+//! Schema-level differential tests for the decode ladders.
 //!
-//! The runtime-level harness (`crates/runtime/tests/memo.rs`) proves the
-//! memoized `Run::ladder` ≡ `run_local` on arbitrary order-invariant steps;
-//! these tests close the loop at the public schema API: for every schema
-//! that declares [`AdviceSchema::decoder_order_invariant`], the production
-//! `decode` (which memoizes) must match the schema's `decode_reference`
-//! oracle (which runs the unshared per-node reference executor) — outputs
-//! *and* round statistics, on honest advice and on tampered advice (same
-//! rejection, same node), under every thread count. Each decode carries its
-//! thread count in its own [`Run`], so the tests share no state.
+//! The runtime-level harness (`crates/runtime/tests/memo.rs`) proves
+//! `Run::ladder` ≡ `run_local` on arbitrary steps; these tests close the
+//! loop at the public schema API: for every schema that decodes through a
+//! ladder, the production `decode` must match the schema's
+//! `decode_reference` oracle (which runs the unshared per-node reference
+//! executor) — outputs *and* round statistics, on honest advice and on
+//! tampered advice (same rejection, same node), under every thread count.
+//! Each decode carries its thread count in its own [`Run`], so the tests
+//! share no state.
 
 use local_advice::core::balanced::BalancedOrientationSchema;
 use local_advice::core::bits::BitString;
@@ -44,22 +44,15 @@ fn family_grid() -> Vec<Network> {
 }
 
 #[test]
-fn schemas_declare_order_invariance() {
-    assert!(ClusterColoringSchema::default().decoder_order_invariant());
-    assert!(BalancedOrientationSchema::default().decoder_order_invariant());
-    assert!(DeltaColoringSchema::default().decoder_order_invariant());
-}
-
-#[test]
 fn cluster_memo_decode_matches_reference_oracle() {
     let schema = ClusterColoringSchema::default();
     for net in family_grid() {
         let advice = schema.encode(&net).expect("encode");
         let expected = schema.decode_reference(&net, &advice).expect("reference");
         for threads in [Some(1), Some(2), Some(5), None] {
-            let (output, stats, _) = schema
+            let (output, stats) = schema
                 .decode_with(&net, &advice, &run_on(threads))
-                .expect("memo decode");
+                .expect("ladder decode");
             assert_eq!((output, stats), expected, "{threads:?} threads");
         }
     }
@@ -72,9 +65,9 @@ fn balanced_memo_decode_matches_reference_oracle() {
         let advice = schema.encode(&net).expect("encode");
         let expected = schema.decode_reference(&net, &advice).expect("reference");
         for threads in [Some(1), Some(2), Some(5), None] {
-            let (output, stats, _) = schema
+            let (output, stats) = schema
                 .decode_with(&net, &advice, &run_on(threads))
-                .expect("memo decode");
+                .expect("ladder decode");
             assert_eq!((output, stats), expected, "{threads:?} threads");
         }
     }
@@ -82,10 +75,9 @@ fn balanced_memo_decode_matches_reference_oracle() {
 
 #[test]
 fn tampered_advice_rejected_identically_on_both_paths() {
-    // Tampering must be detected by the memoized path with *exactly* the
-    // error the reference path reports — same variant, same node — because
-    // the memo replays the smallest failing node rather than sharing a
-    // stored error across its class.
+    // Tampering must be detected by the production decode with *exactly*
+    // the error the reference path reports — same variant, same node:
+    // the first failing node in node-index order.
     let schema = ClusterColoringSchema::default();
     for net in family_grid() {
         let advice = schema.encode(&net).expect("encode");
@@ -110,9 +102,9 @@ fn lad_runtime_node(i: usize) -> local_advice::graph::NodeId {
 
 #[test]
 fn delta_and_codec_ride_the_memo_path() {
-    // Δ-coloring decodes through the memoized cluster decoder and the edge
-    // codec through the memoized orientation decoder; both must still
-    // produce verified outputs end to end.
+    // Δ-coloring decodes through the cluster decoder's ladder and the edge
+    // codec through the orientation decoder's; both must produce verified
+    // outputs end to end.
     let net = Network::with_identity_ids(generators::grid2d(12, 12, true));
     let delta = net.graph().max_degree();
     let schema = DeltaColoringSchema::default();
