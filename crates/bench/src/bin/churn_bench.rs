@@ -24,7 +24,7 @@
 //! repair is *trail*-local: on the torus the Euler partition concentrates
 //! ~70% of all edges into one giant trail, so any batch that touches it
 //! rewrites the bulk of the advice and a full re-encode is genuinely the
-//! right call (see DESIGN.md §6.6 on the crossover); the `advice_repair`
+//! right call (see DESIGN.md §6.5 on the crossover); the `advice_repair`
 //! rows therefore run on the odd-degree-rich bounded-degree family, where
 //! trails are short and the splice pays off, plus one honest torus row at
 //! a small size documenting the crossover.

@@ -13,18 +13,6 @@
 //! committed nodes_per_s / fresh nodes_per_s > max_ratio  (default 3)
 //! ```
 //!
-//! and, for rows that carry gather attribution, when per-node gather time
-//! regresses by the same ratio:
-//!
-//! ```text
-//! (fresh gather_s / n) / (committed gather_s / n) > max_ratio
-//! ```
-//!
-//! The committed snapshot reflects the shared shell-indexed gather, so
-//! this second check is the tightened gather threshold: falling back to
-//! per-ball materialization (~10× slower) trips it immediately even when
-//! total throughput hides behind encode time.
-//!
 //! The 3× default absorbs CI-runner noise and debug-vs-bare-metal skew
 //! while still catching order-of-magnitude cliffs.
 //!
@@ -42,8 +30,6 @@ struct Row {
     family: String,
     n: f64,
     nodes_per_s: f64,
-    /// Per-phase gather attribution; absent in pre-shell snapshots.
-    gather_s: Option<f64>,
 }
 
 /// Extracts the raw text of `"key": <value>` from a one-line JSON object,
@@ -87,7 +73,6 @@ fn parse_rows(text: &str, origin: &str) -> Vec<Row> {
                 family,
                 n,
                 nodes_per_s,
-                gather_s: num_field(line, "gather_s"),
             }),
             _ => eprintln!("warning: unparseable row in {origin}: {}", line.trim()),
         }
@@ -169,30 +154,6 @@ fn main() -> ExitCode {
                 row.schema, row.family, row.n, row.nodes_per_s, base.nodes_per_s, ratio
             ));
         }
-        // Gather threshold: per-node gather time must stay within the same
-        // ratio of the committed (shell-gather) baseline. Only meaningful
-        // when the baseline actually spent gather time on the memo path —
-        // and spent enough of it to measure: sub-10ms rows are dominated
-        // by timer resolution and scheduling noise, and a ratio of two
-        // such readings gates nothing but the noise floor.
-        if let (Some(fresh_g), Some(base_g)) = (row.gather_s, base.gather_s) {
-            let base_per_node = base_g / base.n;
-            if base_g >= 0.01 && fresh_g >= 0.01 {
-                let g_ratio = (fresh_g / row.n) / base_per_node;
-                if g_ratio > max_ratio {
-                    failures.push(format!(
-                        "{}/{} at n={}: gather {:.4}s/node vs committed {:.4}s/node \
-                         ({:.2}x > {max_ratio}x)",
-                        row.schema,
-                        row.family,
-                        row.n,
-                        fresh_g / row.n,
-                        base_per_node,
-                        g_ratio
-                    ));
-                }
-            }
-        }
     }
     if compared == 0 {
         eprintln!("error: no (schema, family) pair matched between the two files");
@@ -234,8 +195,6 @@ mod tests {
         assert_eq!(rows[0].schema, "balanced");
         assert_eq!(rows[0].n, 1024.0);
         assert_eq!(rows[0].nodes_per_s, 100000.0);
-        assert_eq!(rows[0].gather_s, Some(0.1024));
-        assert_eq!(rows[1].gather_s, None, "pre-shell rows parse without it");
     }
 
     #[test]
@@ -246,7 +205,6 @@ mod tests {
             family: "cycle".into(),
             n: 1000.0,
             nodes_per_s: 50000.0,
-            gather_s: None,
         };
         let base = baseline_for(&fresh, &rows).expect("1000 matches 1024");
         assert_eq!(base.n, 1024.0);

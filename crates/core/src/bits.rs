@@ -144,20 +144,6 @@ impl BitString {
         }
     }
 
-    /// One-word fingerprint of this bit string's key encoding: the
-    /// runtime's key-word fold ([`lad_runtime::fold_key_words`]) applied
-    /// to exactly the words [`BitString::push_key_words`] would append.
-    /// Equal bit strings fingerprint equal (the encoding is injective and
-    /// the fold deterministic), so schemas can pre-bucket advice by this
-    /// word and fall back to the full encoding only on a match — the same
-    /// sound-rejection contract as the memo executor's class
-    /// pre-fingerprint.
-    pub fn key_fingerprint(&self) -> u64 {
-        let mut words = Vec::with_capacity(1 + self.bits.len() / 64 + 1);
-        self.push_key_words(&mut words);
-        lad_runtime::fold_key_words(&words)
-    }
-
     /// The raw bits.
     pub fn as_slice(&self) -> &[bool] {
         &self.bits
@@ -358,34 +344,6 @@ pub fn bit_width(count: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn key_fingerprint_folds_key_words() {
-        // Pin the hook to its definition: fold of exactly the
-        // push_key_words stream, so a schema-level fingerprint and the
-        // runtime's class pre-fingerprint can never drift apart.
-        for s in ["", "0", "1", "0110", "10", "01", &"10".repeat(50)] {
-            let b = BitString::parse(s);
-            let mut words = Vec::new();
-            b.push_key_words(&mut words);
-            assert_eq!(b.key_fingerprint(), lad_runtime::fold_key_words(&words));
-        }
-        // Equal strings agree; the usual prefix/padding traps do not
-        // collide ("1" vs "10" vs "100" differ only by trailing zeros).
-        assert_eq!(
-            BitString::parse("0110").key_fingerprint(),
-            BitString::parse("0110").key_fingerprint()
-        );
-        let fps: Vec<u64> = ["1", "10", "100", "01", "001"]
-            .iter()
-            .map(|s| BitString::parse(s).key_fingerprint())
-            .collect();
-        for i in 0..fps.len() {
-            for j in i + 1..fps.len() {
-                assert_ne!(fps[i], fps[j], "case {i} vs {j}");
-            }
-        }
-    }
 
     #[test]
     fn push_and_display() {

@@ -215,7 +215,7 @@ impl std::error::Error for TrainError {
 }
 
 /// Trains a class dictionary: encodes advice for each training network,
-/// runs the real memo tile loop over every node ([`ShardMemo::train`]),
+/// runs the real class-memo pass over every node ([`ShardMemo::train`]),
 /// and folds each sealed table into one [`ClassStore`] under the schema's
 /// identity. The resulting store answers queries from *any* network whose
 /// local structure appeared in training.

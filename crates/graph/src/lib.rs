@@ -41,7 +41,6 @@
 pub mod builder;
 pub mod coloring;
 pub mod dot;
-pub mod frontier;
 pub mod generators;
 pub mod graph;
 pub mod growth;
@@ -55,7 +54,6 @@ pub mod subgraph;
 pub mod traversal;
 
 pub use builder::GraphBuilder;
-pub use frontier::BitFrontier;
 pub use graph::{EdgeId, Graph, NodeId};
 pub use ids::IdAssignment;
 pub use mutate::{Edit, EditReport, MutableGraph};

@@ -12,8 +12,14 @@
 //! `(distance, rank)` order. Two views receive the same key exactly when
 //! they are isomorphic via a mapping that preserves distances, inputs, true
 //! degrees, and the relative order of identifiers.
+//!
+//! Two functions compute it, word for word alike:
+//! [`canonicalize_tagged_with`] from a built [`Ball`] (the reference, and
+//! the decode server's path for wire balls), and `key_of_members` from a
+//! BFS membership without building the ball (the class memo and the
+//! planner's probe, one ball at a time).
 
-use crate::ball::Ball;
+use crate::ball::{Ball, BallMembers, Scratch};
 use crate::network::Network;
 use lad_graph::NodeId;
 
@@ -31,7 +37,7 @@ pub struct CanonicalKey {
 }
 
 impl CanonicalKey {
-    fn new(words: Vec<u64>) -> Self {
+    pub(crate) fn new(words: Vec<u64>) -> Self {
         let mut fold = 0x9e37_79b9_7f4a_7c15u64;
         for &w in &words {
             fold = (fold.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
@@ -44,12 +50,9 @@ impl CanonicalKey {
         &self.words
     }
 
-    /// A key from an externally serialized word sequence — the shell-indexed
-    /// gather (`crate::shell`) emits the exact layout of
-    /// [`canonicalize_tagged_with`] into a reusable buffer and only
-    /// materializes a `CanonicalKey` when a class is first seen.
-    pub(crate) fn from_word_slice(words: &[u64]) -> Self {
-        CanonicalKey::new(words.to_vec())
+    /// The cached fold of the words, which the class memo buckets by.
+    pub(crate) fn fold(&self) -> u64 {
+        self.fold
     }
 }
 
@@ -92,6 +95,9 @@ pub struct CanonScratch {
     order_keys: Vec<u64>,
     canon_index: Vec<u64>,
     edges: Vec<u64>,
+    /// Per distance, the next free canonical slot of that shell
+    /// (`key_of_members`).
+    shell_next: Vec<usize>,
 }
 
 impl CanonScratch {
@@ -207,28 +213,25 @@ pub fn canonicalize_tagged_with<In>(
 
 /// Computes the [`CanonicalKey`] of the ball a BFS membership *would*
 /// materialize, without building it — word-identical to
-/// [`canonicalize_tagged_with`] on `members.build(..)` (pinned by the
-/// differential tests below). This is the memo executor's hit path: a
-/// node whose class is already decoded pays only the gather and this
-/// keying pass, never CSR/uid/input assembly.
+/// [`canonicalize_tagged_with`] on `membership.build(..)` (pinned by the
+/// differential tests below). This is the class memo's keyer (and the
+/// planner's probe): a node whose class is already decoded pays only the
+/// gather and this keying pass, never CSR/uid/input assembly.
 ///
-/// `members` is the full BFS membership at `radius` (distances
-/// nondecreasing) and `local_of` maps a *global* node to its local index
-/// within it (the stamps a just-run gather/expand left in the BFS
-/// scratch).
+/// `membership` must be what the last gather or expand on `bfs`
+/// produced: its stamps map a global node to its local index.
 pub(crate) fn key_of_members<In>(
     net: &Network<In>,
-    members: &[(NodeId, usize)],
-    radius: usize,
-    local_of: impl Fn(NodeId) -> Option<NodeId>,
+    membership: &BallMembers,
+    bfs: &Scratch,
     input_tag: impl Fn(&In, &mut Vec<u64>),
     scratch: &mut CanonScratch,
 ) -> CanonicalKey {
     let g = net.graph();
+    let (members, radius) = (membership.members(), membership.radius());
     let n = members.len();
-    // Same packed-sort scheme as `canonicalize_tagged_with` (which see):
-    // (uid, local) pairs sort contiguously, (dist, rank) pairs pack into
-    // one word each and double as the per-node key words.
+    // Uid order gives the ranks: sorting (uid, local) pairs keeps the
+    // comparisons on contiguous memory, and uids are distinct.
     let uid_tmp = &mut scratch.uid_tmp;
     uid_tmp.clear();
     uid_tmp.extend(
@@ -238,40 +241,33 @@ pub(crate) fn key_of_members<In>(
             .map(|(li, &(v, _))| (net.uid(v), li as u32)),
     );
     uid_tmp.sort_unstable();
-    let by_uid = &mut scratch.by_uid;
-    by_uid.clear();
-    by_uid.extend(
-        uid_tmp
-            .iter()
-            .map(|&(_, li)| NodeId::from_index(li as usize)),
-    );
-    let rank = &mut scratch.rank;
-    rank.clear();
-    rank.resize(n, 0);
-    for (r, &lv) in by_uid.iter().enumerate() {
-        rank[lv.index()] = r as u64;
+    // Canonical order is (distance, rank). BFS order lists the shells
+    // contiguously by distance, so walking the members in uid order and
+    // dropping each into the next free slot of its shell yields canonical
+    // order with no second sort; a member's step in that walk is its rank.
+    let shell_next = &mut scratch.shell_next;
+    shell_next.clear();
+    for (li, &(_, d)) in members.iter().enumerate() {
+        if d == shell_next.len() {
+            shell_next.push(li);
+        }
     }
     let order_keys = &mut scratch.order_keys;
     order_keys.clear();
-    order_keys.extend(
-        members
-            .iter()
-            .enumerate()
-            .map(|(li, &(_, d))| (d as u64) << 32 | rank[li]),
-    );
-    order_keys.sort_unstable();
+    order_keys.resize(n, 0);
     let order = &mut scratch.order;
     order.clear();
-    order.extend(
-        order_keys
-            .iter()
-            .map(|&k| by_uid[(k & 0xffff_ffff) as usize]),
-    );
+    order.resize(n, NodeId(0));
     let canon_index = &mut scratch.canon_index;
     canon_index.clear();
     canon_index.resize(n, 0);
-    for (ci, &lv) in order.iter().enumerate() {
-        canon_index[lv.index()] = ci as u64;
+    for (rank, &(_, li)) in uid_tmp.iter().enumerate() {
+        let d = members[li as usize].1;
+        let ci = shell_next[d];
+        shell_next[d] += 1;
+        order_keys[ci] = (d as u64) << 32 | rank as u64;
+        order[ci] = NodeId(li);
+        canon_index[li as usize] = ci as u64;
     }
     let mut words = Vec::with_capacity(4 + 3 * n);
     words.push(n as u64);
@@ -284,26 +280,29 @@ pub(crate) fn key_of_members<In>(
         words.push(g.degree(v) as u64);
         input_tag(net.input(v), &mut words);
     }
-    // Known edges, enumerated exactly like `build_from_members`: from the
-    // smaller-local endpoint, which sits at distance < radius (distances
-    // are nondecreasing in local index, so the frontier is a suffix).
+    // An edge is known exactly when an endpoint lies below the radius.
+    // Canonical order is distance-major, so the smaller-canonical endpoint
+    // of a known edge lies below the radius: emitting each edge from that
+    // endpoint, walking members in canonical order, visits it once and
+    // leaves the words sorted once each member's own run is.
     let edges = &mut scratch.edges;
     edges.clear();
-    for (li, &(v, d)) in members.iter().enumerate() {
+    for (ci, &lv) in order.iter().enumerate() {
+        let (v, d) = members[lv.index()];
         if d == radius {
             break;
         }
-        let lv = NodeId::from_index(li);
+        let run = edges.len();
         for &u in g.neighbors(v) {
-            if let Some(lu) = local_of(u) {
-                if lv < lu {
-                    let (a, b) = (canon_index[lv.index()], canon_index[lu.index()]);
-                    edges.push(a.min(b) << 32 | a.max(b));
+            if let Some(lu) = bfs.current_local(u) {
+                let cu = canon_index[lu.index()];
+                if cu > ci as u64 {
+                    edges.push((ci as u64) << 32 | cu);
                 }
             }
         }
+        edges[run..].sort_unstable();
     }
-    edges.sort_unstable();
     words.push(edges.len() as u64);
     words.extend_from_slice(edges);
     CanonicalKey::new(words)
@@ -386,19 +385,26 @@ mod tests {
 
     #[test]
     fn key_of_members_matches_canonicalize() {
-        // The memo executor's build-free keying path must be
-        // word-identical to canonicalizing the materialized ball.
-        use crate::ball::{BallMembers, Scratch};
+        // The class memo's build-free keying path must be word-identical
+        // to canonicalizing the materialized ball, under identity and
+        // scrambled identifiers alike.
         let tag = |&x: &u8, words: &mut Vec<u64>| words.push(x as u64);
-        for g in [
+        for (g, scrambled) in [
             generators::cycle(12),
             generators::path(9),
             generators::grid2d(4, 5, true),
             generators::complete(5),
             generators::star(6),
-        ] {
-            let base = Network::with_identity_ids(g);
-            let n = base.graph().n();
+        ]
+        .into_iter()
+        .flat_map(|g| [(g.clone(), false), (g, true)])
+        {
+            let n = g.n();
+            let base = if scrambled {
+                Network::with_ids(g, IdAssignment::random_permutation(n, 0xC0FFEE))
+            } else {
+                Network::with_identity_ids(g)
+            };
             let inputs: Vec<u8> = (0..n).map(|i| (i % 3) as u8).collect();
             let net = base.with_inputs(inputs);
             let mut bfs = Scratch::new(n);
@@ -406,14 +412,7 @@ mod tests {
             for v in net.graph().nodes() {
                 for r in 0..4 {
                     let members = BallMembers::gather(net.graph(), v, r, &mut bfs);
-                    let key = key_of_members(
-                        &net,
-                        members.members(),
-                        r,
-                        |u| bfs.current_local(u),
-                        tag,
-                        &mut cs,
-                    );
+                    let key = key_of_members(&net, &members, &bfs, tag, &mut cs);
                     let ball = Ball::collect(&net, v, r);
                     let expect = canonicalize_tagged_with(&ball, tag, &mut cs);
                     assert_eq!(key, expect, "node {v:?} radius {r}");
@@ -425,7 +424,6 @@ mod tests {
 
     #[test]
     fn key_of_members_after_expand_matches_fresh_gather() {
-        use crate::ball::{BallMembers, Scratch};
         let net = Network::with_identity_ids(generators::grid2d(6, 6, true));
         let n = net.graph().n();
         let mut bfs = Scratch::new(n);
@@ -433,24 +431,10 @@ mod tests {
         for v in net.graph().nodes() {
             let mut members = BallMembers::gather(net.graph(), v, 1, &mut bfs);
             members.expand(net.graph(), 3, &mut bfs);
-            let grown = key_of_members(
-                &net,
-                members.members(),
-                3,
-                |u| bfs.current_local(u),
-                |&(), w| w.push(0),
-                &mut cs,
-            );
+            let grown = key_of_members(&net, &members, &bfs, |&(), w| w.push(0), &mut cs);
             members.recycle(&mut bfs);
             let fresh = BallMembers::gather(net.graph(), v, 3, &mut bfs);
-            let expect = key_of_members(
-                &net,
-                fresh.members(),
-                3,
-                |u| bfs.current_local(u),
-                |&(), w| w.push(0),
-                &mut cs,
-            );
+            let expect = key_of_members(&net, &fresh, &bfs, |&(), w| w.push(0), &mut cs);
             fresh.recycle(&mut bfs);
             assert_eq!(grown, expect, "node {v:?}");
         }

@@ -20,9 +20,9 @@
 //!   memo with **per-class membership counts**: every node logs the chain
 //!   of classes it confirmed (each `Expand` rung plus its final verdict),
 //!   a batch releases the dirty nodes' chains, classes that lose their
-//!   last member are retired, and the dirty nodes re-probe through a
-//!   fresh `ShellEngine` tile sweep — paying canonical re-keying for
-//!   `O(dirty)` centers, not `n`. Classes are keyed by canonical ball
+//!   last member are retired, and the dirty nodes re-probe one ball at a
+//!   time — paying gathering and canonical re-keying for `O(dirty)`
+//!   centers, not `n`. Classes are keyed by canonical ball
 //!   structure, which is graph-independent, so surviving classes serve
 //!   the mutated graph unchanged (and stay under the same geometric
 //!   re-verification schedule as a trained table).
@@ -266,18 +266,15 @@ where
         Ok(session)
     }
 
-    /// Re-decodes `centers` against the persistent memo through fresh
-    /// tile sweeps and returns the pass's counters. Every confirmed or
-    /// created class is appended to the centers' assignment chains (the
-    /// caller must have released the old chains first).
+    /// Re-decodes `centers` against the persistent memo and returns the
+    /// pass's counters. Every confirmed or created class is appended to
+    /// the centers' assignment chains (the caller must have released the
+    /// old chains first).
     fn repair<E>(&mut self, centers: &[NodeId]) -> Result<MemoStats, E>
     where
         E: From<NotOrderInvariant>,
         Step: Fn(&crate::Ball<In>) -> Result<MemoStep<Out>, E>,
     {
-        // Each pass sweeps through a fresh shell engine (the graph
-        // changed), whose cost is O(1) setup plus the swept shells — the
-        // persistent state that matters across batches is the memo.
         let mut failed: Vec<usize> = Vec::new();
         let stats = match memo_run(
             &self.net,

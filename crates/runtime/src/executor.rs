@@ -27,8 +27,9 @@
 //! balls, for *order-invariant* steps — lives where verdicts are kept:
 //! [`crate::ShardMemo::train`] seals one for the persistent class store,
 //! and [`crate::ChurnMemoLocal`] keeps one warm across edit batches. Both
-//! share this module's tile loop (`memo_run`) and its
-//! [`NotOrderInvariant`] safety net.
+//! share this module's pass (`memo_run`), which keys one ball at a time
+//! with the same canonical form [`crate::canonicalize_tagged_with`]
+//! computes, and its [`NotOrderInvariant`] safety net.
 //!
 //! Parallelism is gated behind the `parallel` cargo feature (on by
 //! default); with the feature off every run is sequential but keeps its
@@ -43,7 +44,6 @@ use crate::canonical::{key_of_members, CanonScratch, CanonicalKey};
 use crate::ctx::NodeCtx;
 use crate::lookup::NotOrderInvariant;
 use crate::network::Network;
-use crate::shell::{ShellEngine, TILE_WIDTH};
 use lad_graph::{Graph, NodeId};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -528,11 +528,6 @@ pub struct MemoStats {
     pub hits: u64,
     /// Safety-net re-evaluations of already-memoized entries.
     pub verifications: u64,
-    /// Misses whose class pre-fingerprint was absent from the memo — the
-    /// probe was rejected before any exact word comparison. Always a subset
-    /// of `classes`; a probe is counted once, never as both a fingerprint
-    /// reject and a scanned miss (`lookups == hits + classes` holds).
-    pub fp_rejects: u64,
 }
 
 /// Multiply-rotate hasher for memo tables keyed by [`CanonicalKey`].
@@ -578,6 +573,7 @@ impl std::hash::Hasher for KeyHasher {
 pub(crate) type KeyHashMap<V> = HashMap<CanonicalKey, V, std::hash::BuildHasherDefault<KeyHasher>>;
 
 /// What the memo records for one canonical class at one rung.
+#[derive(Clone)]
 pub(crate) enum MemoEntryKind<Out> {
     /// The class decodes to this output.
     Done(Out),
@@ -595,9 +591,9 @@ pub(crate) struct MemoEntry<Out> {
     pub(crate) kind: MemoEntryKind<Out>,
     /// Reuse count; drives the geometric verification schedule.
     pub(crate) hits: u32,
-    /// Identity stable across bucket reordering ([`ClassMemo::entry_mut`]
-    /// front-swaps on every hit), so long-lived sessions can refer to a
-    /// class without holding its key. Assigned by [`ClassMemo::insert`].
+    /// Identity stable across bucket changes, so long-lived sessions can
+    /// refer to a class without holding its key. Assigned by
+    /// [`ClassMemo::insert`].
     pub(crate) id: u64,
     /// How many nodes currently rely on this class. Only maintained by
     /// passes that carry an assignment log into [`memo_run`] (the churn
@@ -606,10 +602,9 @@ pub(crate) struct MemoEntry<Out> {
 }
 
 /// Network-wide BFS visit order, restarting at the smallest unvisited
-/// node per component. Consecutive nodes overlap in all but an O(r·Δ)
-/// frontier of their balls, so the incremental gather stays cache-hot and
-/// new canonical classes surface early (seams first, then a long run of
-/// hits).
+/// node per component. Consecutive nodes' balls overlap in all but an
+/// O(r·Δ) frontier, so gathering stays cache-hot and new canonical
+/// classes surface early (seams first, then a long run of hits).
 pub(crate) fn bfs_visit_order(g: &Graph) -> Vec<NodeId> {
     let n = g.n();
     let mut order = Vec::with_capacity(n);
@@ -636,12 +631,9 @@ pub(crate) fn bfs_visit_order(g: &Graph) -> Vec<NodeId> {
     order
 }
 
-/// Two-level class memo: classes bucketed by pre-fingerprint, exact keys
-/// compared word-for-word within a bucket. A probe whose fingerprint is
-/// absent is rejected without touching any key words; a present bucket is
-/// scanned with slice comparisons against the engine's reusable emission
-/// buffer, so hits allocate nothing — an owned [`CanonicalKey`] is only
-/// materialized when a new class is inserted.
+/// Class memo: classes bucketed by their key's cached fold, exact keys
+/// compared word for word within a bucket (a fold collision costs one
+/// extra comparison, never a wrong match).
 type Bucket<Out> = Vec<(CanonicalKey, MemoEntry<Out>)>;
 
 pub(crate) struct ClassMemo<Out> {
@@ -659,63 +651,35 @@ impl<Out> Default for ClassMemo<Out> {
     }
 }
 
-/// A stable reference to one memo class: `(pre-fingerprint, entry id)`.
-/// Survives bucket reordering; used by the churn session's per-node
-/// assignment chains.
+/// A stable reference to one memo class: `(key fold, entry id)`. Used by
+/// the churn session's per-node assignment chains.
 pub(crate) type ClassRef = (u64, u64);
 
-/// Outcome of a [`ClassMemo::probe`], split so the accounting can tell a
-/// fingerprint-rejected miss from a scanned-bucket miss without counting
-/// either twice.
-pub(crate) enum Probe {
-    /// Exact match at this bucket position.
-    Hit(usize),
-    /// No bucket for the fingerprint: rejected before exact keying.
-    MissRejected,
-    /// Bucket existed (fingerprint collision) but no key words matched.
-    MissScanned,
-}
-
 impl<Out> ClassMemo<Out> {
-    /// Probes the memo with a caller-supplied word-equality test — the
-    /// engine streams its would-be key serialization against each
-    /// candidate's stored words, so a probe materializes nothing. The test
-    /// must be a pure equality check (same verdict for the same candidate);
-    /// bucket order is first-inserted-first, so within a fingerprint bucket
-    /// the probe cost is one streamed comparison per colliding class, each
-    /// failing at the first differing word.
-    pub(crate) fn probe_with(&self, fp: u64, mut eq: impl FnMut(&[u64]) -> bool) -> Probe {
-        match self.buckets.get(&fp) {
-            None => Probe::MissRejected,
-            Some(bucket) => bucket
-                .iter()
-                .position(|(key, _)| eq(key.words()))
-                .map_or(Probe::MissScanned, Probe::Hit),
-        }
-    }
-
-    /// Fetches a hit's entry and moves its class to the bucket front, so a
-    /// run of probes matching the same class confirms against the first
-    /// candidate. Bucket order is pure probe-cost heuristic: classes in a
-    /// bucket have distinct keys, so a probe's verdict is order-blind.
-    fn entry_mut(&mut self, fp: u64, idx: usize) -> &mut MemoEntry<Out> {
-        let bucket = self.buckets.get_mut(&fp).expect("probed bucket");
-        bucket.swap(0, idx);
-        &mut bucket[0].1
+    /// The entry of `key`'s class, if the memo holds it.
+    fn get_mut(&mut self, key: &CanonicalKey) -> Option<&mut MemoEntry<Out>> {
+        self.buckets
+            .get_mut(&key.fold())?
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, entry)| entry)
     }
 
     /// Inserts a new class and returns its stable id.
-    fn insert(&mut self, fp: u64, key: CanonicalKey, mut entry: MemoEntry<Out>) -> u64 {
+    fn insert(&mut self, key: CanonicalKey, mut entry: MemoEntry<Out>) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         entry.id = id;
-        self.buckets.entry(fp).or_default().push((key, entry));
+        self.buckets
+            .entry(key.fold())
+            .or_default()
+            .push((key, entry));
         id
     }
 
-    /// Drops one membership from the class `(fp, id)` refers to. When the
-    /// class loses its last member it is **retired**: the entry (and its
-    /// bucket, if emptied) is removed, so a later probe of the same
+    /// Drops one membership from the class `(fold, id)` refers to. When
+    /// the class loses its last member it is **retired**: the entry (and
+    /// its bucket, if emptied) is removed, so a later probe of the same
     /// structure is a fresh miss that re-evaluates the step. Returns
     /// whether the class was retired.
     ///
@@ -723,10 +687,10 @@ impl<Out> ClassMemo<Out> {
     ///
     /// Panics if the reference is dangling or the class has no members —
     /// both mean the caller's assignment chains are out of sync.
-    pub(crate) fn release(&mut self, (fp, id): ClassRef) -> bool {
+    pub(crate) fn release(&mut self, (fold, id): ClassRef) -> bool {
         let bucket = self
             .buckets
-            .get_mut(&fp)
+            .get_mut(&fold)
             .expect("released class has a bucket");
         let idx = bucket
             .iter()
@@ -740,7 +704,7 @@ impl<Out> ClassMemo<Out> {
         }
         bucket.swap_remove(idx);
         if bucket.is_empty() {
-            self.buckets.remove(&fp);
+            self.buckets.remove(&fold);
         }
         true
     }
@@ -765,19 +729,24 @@ impl<Out> ClassMemo<Out> {
     }
 }
 
-/// Runs the decode ladders of `centers`, in order, against a class memo,
-/// in tiles of up to [`TILE_WIDTH`] centers that share a single
-/// shell-indexed sweep ([`ShellEngine`]). On a memo miss the ball is
-/// materialized (from the canonical membership) and the step evaluated,
-/// then shared with the whole class; on a hit a center pays only its
-/// share of the sweep and the keying. Every entry is re-evaluated on a
-/// geometric schedule of its reuses (1st, 2nd, 4th, 8th, … hit) as a
-/// differential safety net: a step whose output is *not* a function of
-/// the canonical view is reported as [`NotOrderInvariant`] instead of
-/// silently decoding wrong. The pass stops at the first conflict.
+/// Runs the decode ladders of `centers`, one center at a time and in
+/// order, against a class memo. Each rung gathers the center's BFS
+/// membership (growing it in place on `Expand`) and keys it with
+/// [`key_of_members`]; only a miss materializes the ball and evaluates the
+/// step, whose verdict is then shared with the whole class. Every entry is
+/// re-evaluated on a geometric schedule of its reuses (1st, 2nd, 4th, 8th,
+/// … hit) as a differential safety net: a step whose output is *not* a
+/// function of the canonical view is reported as [`NotOrderInvariant`]
+/// instead of silently decoding wrong. The pass stops at the first
+/// conflict.
 ///
 /// Output and radius slots are indexed by node; failing nodes are
 /// appended to `failed`. Returns the pass's counters.
+///
+/// # Panics
+///
+/// Panics if `step` requests [`MemoStep::Expand`] to a radius that does
+/// not strictly increase.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn memo_run<In: Clone, Out: Clone + PartialEq, E>(
     net: &Network<In>,
@@ -795,136 +764,76 @@ pub(crate) fn memo_run<In: Clone, Out: Clone + PartialEq, E>(
     // invalidation can later release exactly what this node pinned.
     mut assign: Option<&mut [Vec<ClassRef>]>,
 ) -> Result<MemoStats, NotOrderInvariant> {
+    let g = net.graph();
     let mut stats = MemoStats::default();
-    let mut engine = ShellEngine::new(net, input_tag);
-    // `(bit, previous radius, target radius)`, `usize::MAX` = unstarted.
-    // Each wave is grouped by (previous, target) rung so one
-    // [`ShellEngine::extend_centers`] batch serves every center making the
-    // same hop — that batching is where the shared gather pays. Grouping
-    // permutes probe order within a wave, which is safe: memo entries are
-    // keyed by canonical class and every output is class-determined, so
-    // the decoded labeling cannot depend on which center created an entry.
-    let mut active: Vec<(usize, usize, usize)> = Vec::new();
-    let mut next: Vec<(usize, usize, usize)> = Vec::new();
-    let mut group: Vec<usize> = Vec::new();
-    for tile in centers.chunks(TILE_WIDTH) {
-        engine.start_tile(net, tile);
-        active.extend((0..tile.len()).map(|bit| (bit, usize::MAX, initial_radius)));
-        while !active.is_empty() {
-            active.sort_unstable_by_key(|&(bit, prev, r)| (prev, r, bit));
-            let mut i = 0;
-            while i < active.len() {
-                let (_, prev, r) = active[i];
-                group.clear();
-                while i < active.len() && (active[i].1, active[i].2) == (prev, r) {
-                    group.push(active[i].0);
-                    i += 1;
+    let mut scratch = Scratch::new(g.n());
+    let mut cs = CanonScratch::new();
+    for &v in centers {
+        let mut members = BallMembers::gather(g, v, initial_radius, &mut scratch);
+        loop {
+            let r = members.radius();
+            let key = key_of_members(net, &members, &scratch, input_tag, &mut cs);
+            let fold = key.fold();
+            stats.lookups += 1;
+            let kind = if let Some(entry) = memo.get_mut(&key) {
+                stats.hits += 1;
+                entry.hits += 1;
+                if let Some(assign) = assign.as_deref_mut() {
+                    entry.members += 1;
+                    assign[v.index()].push((fold, entry.id));
                 }
-                engine.extend_centers(net, &group, r, input_tag);
-                for &bit in &group {
-                    let v = tile[bit];
-                    // Hit path: stream-confirm against the fingerprint bucket's
-                    // classes without materializing this center's key words — only
-                    // a miss ever pays the full serialization (inside
-                    // `canonical_key`, on insert).
-                    let fp = engine.pre_fp(bit);
-                    let probe = memo.probe_with(fp, |cand| engine.confirm(bit, cand));
-                    stats.lookups += 1;
-                    match probe {
-                        Probe::Hit(idx) => {
-                            stats.hits += 1;
-                            let entry = memo.entry_mut(fp, idx);
-                            entry.hits += 1;
-                            if let Some(assign) = assign.as_deref_mut() {
-                                entry.members += 1;
-                                assign[v.index()].push((fp, entry.id));
-                            }
-                            let verify = entry.hits.is_power_of_two();
-                            let kind = match &entry.kind {
-                                MemoEntryKind::Done(out) => MemoEntryKind::Done(out.clone()),
-                                MemoEntryKind::Expand(r2) => MemoEntryKind::Expand(*r2),
-                                MemoEntryKind::Failed => MemoEntryKind::Failed,
-                            };
-                            if verify {
-                                stats.verifications += 1;
-                                let ball = engine.build_ball(net, bit);
-                                let res = step(&ball);
-                                let agrees = match (&res, &kind) {
-                                    (Ok(MemoStep::Done(a)), MemoEntryKind::Done(b)) => a == b,
-                                    (Ok(MemoStep::Expand(ra)), MemoEntryKind::Expand(rb)) => {
-                                        ra == rb
-                                    }
-                                    (Err(_), MemoEntryKind::Failed) => true,
-                                    _ => false,
-                                };
-                                if !agrees {
-                                    return Err(NotOrderInvariant {
-                                        key: engine.canonical_key(bit),
-                                    });
-                                }
-                            }
-                            match kind {
-                                MemoEntryKind::Done(out) => {
-                                    outs[v.index()] = Some(out);
-                                    per_node[v.index()] = r;
-                                }
-                                MemoEntryKind::Expand(r2) => next.push((bit, r, r2)),
-                                MemoEntryKind::Failed => {
-                                    failed.push(v.index());
-                                    per_node[v.index()] = r;
-                                }
-                            }
-                        }
-                        miss => {
-                            if matches!(miss, Probe::MissRejected) {
-                                stats.fp_rejects += 1;
-                            }
-                            stats.classes += 1;
-                            let ball = engine.build_ball(net, bit);
-                            let res = step(&ball);
-                            let key = engine.canonical_key(bit);
-                            let kind = match res {
-                                Ok(MemoStep::Done(out)) => {
-                                    outs[v.index()] = Some(out.clone());
-                                    per_node[v.index()] = r;
-                                    MemoEntryKind::Done(out)
-                                }
-                                Ok(MemoStep::Expand(r2)) => {
-                                    assert!(
-                                        r2 > r,
-                                        "MemoStep::Expand must strictly increase the radius"
-                                    );
-                                    next.push((bit, r, r2));
-                                    MemoEntryKind::Expand(r2)
-                                }
-                                Err(_) => {
-                                    failed.push(v.index());
-                                    per_node[v.index()] = r;
-                                    MemoEntryKind::Failed
-                                }
-                            };
-                            // The inserting node is the class's first member.
-                            let members = u32::from(assign.is_some());
-                            let id = memo.insert(
-                                fp,
-                                key,
-                                MemoEntry {
-                                    kind,
-                                    hits: 0,
-                                    id: 0,
-                                    members,
-                                },
-                            );
-                            if let Some(assign) = assign.as_deref_mut() {
-                                assign[v.index()].push((fp, id));
-                            }
-                        }
+                let kind = entry.kind.clone();
+                if entry.hits.is_power_of_two() {
+                    stats.verifications += 1;
+                    let agrees = match (step(&members.build_current(net, &mut scratch)), &kind) {
+                        (Ok(MemoStep::Done(a)), MemoEntryKind::Done(b)) => a == *b,
+                        (Ok(MemoStep::Expand(ra)), MemoEntryKind::Expand(rb)) => ra == *rb,
+                        (Err(_), MemoEntryKind::Failed) => true,
+                        _ => false,
+                    };
+                    if !agrees {
+                        return Err(NotOrderInvariant { key });
                     }
                 }
+                kind
+            } else {
+                stats.classes += 1;
+                let kind = match step(&members.build_current(net, &mut scratch)) {
+                    Ok(MemoStep::Done(out)) => MemoEntryKind::Done(out),
+                    Ok(MemoStep::Expand(r2)) => MemoEntryKind::Expand(r2),
+                    Err(_) => MemoEntryKind::Failed,
+                };
+                // The inserting node is the class's first member.
+                let entry = MemoEntry {
+                    kind: kind.clone(),
+                    hits: 0,
+                    id: 0,
+                    members: u32::from(assign.is_some()),
+                };
+                let id = memo.insert(key, entry);
+                if let Some(assign) = assign.as_deref_mut() {
+                    assign[v.index()].push((fold, id));
+                }
+                kind
+            };
+            match kind {
+                MemoEntryKind::Done(out) => {
+                    outs[v.index()] = Some(out);
+                    per_node[v.index()] = r;
+                    break;
+                }
+                MemoEntryKind::Expand(r2) => {
+                    assert!(r2 > r, "MemoStep::Expand must strictly increase the radius");
+                    members.expand(g, r2, &mut scratch);
+                }
+                MemoEntryKind::Failed => {
+                    failed.push(v.index());
+                    per_node[v.index()] = r;
+                    break;
+                }
             }
-            active.clear();
-            std::mem::swap(&mut active, &mut next);
         }
+        members.recycle(&mut scratch);
     }
     Ok(stats)
 }
@@ -949,14 +858,8 @@ pub(crate) fn memo_first_error<In: Clone, Out, E: From<NotOrderInvariant>>(
             Err(e) => return e,
             Ok(MemoStep::Expand(r)) if r > members.radius() => members.expand(g, r, scratch),
             _ => {
-                let key = key_of_members(
-                    net,
-                    members.members(),
-                    members.radius(),
-                    |u| scratch.current_local(u),
-                    input_tag,
-                    &mut CanonScratch::new(),
-                );
+                let key =
+                    key_of_members(net, &members, scratch, input_tag, &mut CanonScratch::new());
                 return NotOrderInvariant { key }.into();
             }
         }
@@ -1149,11 +1052,9 @@ mod tests {
             crate::ChurnMemoLocal::new(net, 1, 2, |_, _| {}, step).expect("order-invariant step");
         assert!(session.outputs().iter().all(|&k| k == 13));
         let reconciles = |s: MemoStats, rungs: u64| {
-            // Every probe is either a hit or a new class — a fingerprint-
-            // rejected miss is *not* double-counted as both.
+            // Every probe is either a hit or a new class, never both.
             assert_eq!(s.lookups, s.hits + s.classes);
             assert_eq!(s.lookups, rungs, "one lookup per rung per node");
-            assert!(s.fp_rejects <= s.classes, "rejects are a subset of misses");
         };
         let opened = session.opening_stats();
         reconciles(opened, 2 * 64);

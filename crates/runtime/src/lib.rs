@@ -84,7 +84,6 @@ pub mod plan;
 #[cfg(feature = "parallel")]
 mod pool;
 pub mod shard;
-pub mod shell;
 pub mod store;
 pub mod transport;
 
@@ -110,7 +109,6 @@ pub use shard::{
     run_sharded_fallible, run_sharded_stream_fallible, HaloExceeded, ShardMemo, ShardOpts,
     ShardSlice, ShardTrafficStats, ShardedTransport, Spillable,
 };
-pub use shell::{fold_key_words, shell_class_keys, shell_class_keys_at_radii};
 pub use store::{
     ClassStore, ClassVerdict, SchemaId, StoreError, KEY_LAYOUT_VERSION, STORE_VERSION,
 };

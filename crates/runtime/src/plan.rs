@@ -10,10 +10,10 @@
 //! evaluation. [`plan_decode`] measures the instance with a cheap probe
 //! and picks the family [`crate::PlannedChurnLocal`] opens:
 //!
-//! 1. **Probe** ~√n golden-stride centers: canonicalize their balls
-//!    through the shell engine ([`crate::shell::shell_class_keys`] — the
-//!    memo's real gather), timing keying per ball, and optionally time
-//!    the caller's plain per-node step on a capped sub-sample.
+//! 1. **Probe** ~√n golden-stride centers: gather and key their balls
+//!    exactly as the memo does (one BFS membership and one canonical key
+//!    per ball), timing keying per ball, and optionally time the caller's
+//!    plain per-node step on a capped sub-sample.
 //! 2. **Predict the full-run hit rate** from the sample's class counts.
 //!    Over a full run each of the instance's `C` classes costs exactly
 //!    one evaluation, so the full-run miss rate is `C/n`; the probe
@@ -42,9 +42,9 @@
 //! decode ladder climbs each node's ladder on its own
 //! ([`crate::Run::ladder`]).
 
-use crate::canonical::CanonicalKey;
+use crate::ball::{BallMembers, Scratch};
+use crate::canonical::{key_of_members, CanonScratch, CanonicalKey};
 use crate::network::Network;
-use crate::shell::shell_class_keys;
 use lad_graph::NodeId;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -65,8 +65,8 @@ const KEY_SAMPLE_CEIL: usize = 1024;
 pub enum ExecPath {
     /// Plain execution: every node evaluates its own step, no keying.
     Plain,
-    /// Class-memoized execution over the shell-tiled gather: one step
-    /// evaluation per canonical class.
+    /// Class-memoized execution: one step evaluation per canonical
+    /// class, each node paying one gather and one keying per rung.
     Memo,
 }
 
@@ -165,13 +165,18 @@ pub fn plan_decode<In: Clone>(
     let centers: Vec<NodeId> = (0..k)
         .map(|j| NodeId::from_index((j as u128 * stride as u128 % n as u128) as usize))
         .collect();
-    let key_t = Instant::now();
-    let keys = shell_class_keys(net, &centers, radius, &input_tag);
-    let key_ns_per_ball = key_t.elapsed().as_nanos() as f64 / k as f64;
+    let g = net.graph();
+    let mut scratch = Scratch::new(n);
+    let mut cs = CanonScratch::new();
     let mut counts: HashMap<CanonicalKey, u32> = HashMap::with_capacity(k);
-    for (key, _fp) in keys {
+    let key_t = Instant::now();
+    for &c in &centers {
+        let members = BallMembers::gather(g, c, radius, &mut scratch);
+        let key = key_of_members(net, &members, &scratch, &input_tag, &mut cs);
+        members.recycle(&mut scratch);
         *counts.entry(key).or_insert(0) += 1;
     }
+    let key_ns_per_ball = key_t.elapsed().as_nanos() as f64 / k as f64;
     let d = counts.len();
     let f1 = counts.values().filter(|&&c| c == 1).count();
     let f2 = counts.values().filter(|&&c| c == 2).count();

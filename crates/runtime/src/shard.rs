@@ -37,9 +37,9 @@
 //!
 //! Every slice climbs each interior node's ladder on its own ball, with
 //! no class memo, like the monolithic [`Run::ladder`]. A per-slice memo
-//! starts cold in every slice (fingerprints are engine-local), and
-//! pooling its classes across slices needs a table that grows with `K` —
-//! the one structure a bounded resident set exists to avoid. Since no
+//! starts cold in every slice, and pooling its classes across slices
+//! needs a table that grows with `K` — the one structure a bounded
+//! resident set exists to avoid. Since no
 //! slice shares a verdict with another, outputs cannot depend on the
 //! schedule. Failed nodes are collected globally and the smallest-index
 //! one replays its ladder on the **full** network, so error payloads are

@@ -705,7 +705,7 @@ impl<Out: Spillable + Clone + PartialEq> ClassStore<Out> {
             if klen > rest.len() {
                 return Err(malformed("key words truncated"));
             }
-            let key = CanonicalKey::from_word_slice(&rest[..klen]);
+            let key = CanonicalKey::new(rest[..klen].to_vec());
             it = rest[klen..].iter();
             let verdict = match it.next().ok_or_else(|| malformed("classes truncated"))? {
                 0 => ClassVerdict::Done(

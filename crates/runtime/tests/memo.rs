@@ -5,9 +5,12 @@
 //! [`Run::ladder`] is held to the same reference on the thread grid.
 //!
 //! Coverage mirrors `equivalence.rs`:
-//! * the deterministic generator grid × three step shapes (fixed radius,
-//!   adaptive Expand ladders, fallible with order-invariant failure sets),
-//!   with the plain ladder on thread counts {1, 2, 3, 8};
+//! * the deterministic generator grid × four step shapes (fixed radius,
+//!   adaptive Expand ladders, a 0 → 1 → 3 jump ladder, fallible with
+//!   order-invariant failure sets), with the plain ladder on thread
+//!   counts {1, 2, 3, 8};
+//! * balls and ladders of any size: a 70 000-leaf star's hub ball and a
+//!   ladder jumping to radius 300;
 //! * proptest-driven random shapes, radii, and thread counts;
 //! * deliberately order-*sensitive* steps, which the memo must reject
 //!   with [`NotOrderInvariant`] instead of returning answers;
@@ -21,8 +24,8 @@
 
 use lad_graph::{builder::GraphBuilder, generators, Graph};
 use lad_runtime::{
-    run_local, run_local_fallible, Ball, ChurnMemoLocal, MemoStep, Network, NodeCtx,
-    NotOrderInvariant, RoundStats, Run,
+    plan_decode, run_local, run_local_fallible, Ball, ChurnMemoLocal, MemoStep, Network, NodeCtx,
+    NotOrderInvariant, RoundStats, Run, ShardMemo,
 };
 use proptest::prelude::*;
 
@@ -188,6 +191,76 @@ fn adaptive_expand_ladders_identical_everywhere() {
             },
         );
     }
+}
+
+#[test]
+fn jump_expand_ladders_identical_everywhere() {
+    // Expand 0 -> 1 -> 3, then report the digest: rungs that skip radii
+    // grow each membership by more than one shell at a time.
+    for (tag_, g) in generator_grid() {
+        let net = network_for(&g);
+        assert_memo_equals_reference(
+            tag_,
+            &net,
+            0,
+            |ball| match ball.radius() {
+                0 => MemoStep::Expand(1),
+                1 => MemoStep::Expand(3),
+                _ => MemoStep::Done(oi_digest(ball)),
+            },
+            |ctx| {
+                ctx.ball(0);
+                ctx.ball(1);
+                oi_digest(&ctx.ball(3))
+            },
+        );
+    }
+}
+
+/// A 70 000-leaf star: the hub's radius-1 ball holds 70 001 nodes, and
+/// every memo entry point keys it like any other ball.
+fn hub_star() -> Network<u32> {
+    network_for(&generators::star(70_000))
+}
+
+fn hub_step(ball: &Ball<u32>) -> Result<MemoStep<(usize, usize, u64, usize)>, NotOrderInvariant> {
+    Ok(MemoStep::Done(oi_digest(ball)))
+}
+
+#[test]
+fn hub_ball_memo_decode_matches_run_local() {
+    let net = hub_star();
+    let expected = run_local(&net, |ctx: &NodeCtx<u32>| oi_digest(&ctx.ball(1)));
+    assert_eq!(memo_ladder(&net, 1, hub_step), Ok(expected));
+}
+
+#[test]
+fn hub_ball_trains_a_shard_memo() {
+    let trained = ShardMemo::train(&hub_star(), 1, tag, hub_step).expect("order-invariant");
+    assert!(trained.class_count() > 1);
+}
+
+#[test]
+fn hub_ball_is_planned() {
+    let plan = plan_decode(&hub_star(), 1, tag, "", None);
+    assert!(plan.sampled > 0 && plan.distinct > 0, "{plan:?}");
+}
+
+#[test]
+fn ladder_beyond_radius_255_matches_run_local() {
+    let net = network_for(&generators::path(700));
+    let step = |ball: &Ball<u32>| {
+        if ball.radius() < 300 {
+            MemoStep::Expand(300)
+        } else {
+            MemoStep::Done(oi_digest(ball))
+        }
+    };
+    let expected = run_local(&net, |ctx: &NodeCtx<u32>| {
+        ctx.ball(1);
+        oi_digest(&ctx.ball(300))
+    });
+    assert_eq!(memo(&net, 1, step).expect("order-invariant"), expected);
 }
 
 /// Test error carrying a node-specific payload; the memo must

@@ -3,7 +3,7 @@
 //! Three contracts, each enforced differentially:
 //!
 //! * **Round trip.** A store built from *live* sealed memo tables
-//!   (produced by the real memo tile loop over a generator grid)
+//!   (produced by the real class-memo pass over a generator grid)
 //!   answers every query identically after save + reload, and
 //!   re-serializing the reloaded store reproduces the file byte for byte
 //!   (serialization is deterministic: entries are written in canonical
