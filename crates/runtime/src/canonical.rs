@@ -25,24 +25,30 @@ use lad_graph::NodeId;
 
 /// A canonical, hashable fingerprint of a ball view.
 ///
-/// The serialized words carry the identity; a multiply–rotate fold of them
-/// is computed once at construction and replayed by `Hash`, so hash-map
-/// lookups mix a single word instead of re-hashing kilobytes per probe.
-/// Equality still compares the full word sequence (the cached fold only
-/// fast-rejects), so a fold collision costs a memcmp, never a wrong match.
+/// The serialized words carry the identity. They are held exact-size: the
+/// keyers build them in a [`CanonScratch`] buffer and copy them out once,
+/// at their final length. A multiply–rotate fold of them is computed once
+/// at construction and replayed by `Hash`, so hash-map lookups mix a
+/// single word instead of re-hashing kilobytes per probe. Equality still
+/// compares the full word sequence (the cached fold only fast-rejects), so
+/// a fold collision costs a memcmp, never a wrong match.
 #[derive(Debug, Clone)]
 pub struct CanonicalKey {
     fold: u64,
-    words: Vec<u64>,
+    words: Box<[u64]>,
 }
 
 impl CanonicalKey {
-    pub(crate) fn new(words: Vec<u64>) -> Self {
+    /// The key of `words`, copied into an exact-size allocation.
+    pub(crate) fn new(words: &[u64]) -> Self {
         let mut fold = 0x9e37_79b9_7f4a_7c15u64;
-        for &w in &words {
+        for &w in words {
             fold = (fold.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
         }
-        CanonicalKey { fold, words }
+        CanonicalKey {
+            fold,
+            words: words.into(),
+        }
     }
 
     /// The raw serialized words (for size accounting).
@@ -83,9 +89,10 @@ impl Ord for CanonicalKey {
 }
 
 /// Reusable workspace for [`canonicalize_with`]: the rank/order/index
-/// tables and edge list canonicalization allocates are kept and reused
+/// tables, the edge list and the key words themselves are kept and reused
 /// across calls, so repeated keying (cache keys, [`crate::LookupTable`]
-/// training, ETH simulation) allocates only the output words.
+/// training, ETH simulation) allocates only the returned key, at its
+/// exact size.
 #[derive(Debug, Default)]
 pub struct CanonScratch {
     by_uid: Vec<NodeId>,
@@ -95,6 +102,8 @@ pub struct CanonScratch {
     order_keys: Vec<u64>,
     canon_index: Vec<u64>,
     edges: Vec<u64>,
+    /// The key words under construction; a key copies them out.
+    words: Vec<u64>,
     /// Per distance, the next free canonical slot of that shell
     /// (`key_of_members`).
     shell_next: Vec<usize>,
@@ -190,14 +199,15 @@ pub fn canonicalize_tagged_with<In>(
     // word-identical): (dist, rank) pairs and edge endpoint pairs are
     // packed two-to-a-word — shorter keys mean cheaper equality checks and
     // a cheaper construction-time fold.
-    let mut words = Vec::with_capacity(4 + 3 * n + g.m());
+    let words = &mut scratch.words;
+    words.clear();
     words.push(n as u64);
     words.push(ball.radius() as u64);
     words.push(canon_index[ball.center().index()]);
     for (&k, &v) in order_keys.iter().zip(order.iter()) {
         words.push(k);
         words.push(ball.global_degree(v) as u64);
-        input_tag(ball.input(v), &mut words);
+        input_tag(ball.input(v), words);
     }
     let edges = &mut scratch.edges;
     edges.clear();
@@ -269,7 +279,8 @@ pub(crate) fn key_of_members<In>(
         order[ci] = NodeId(li);
         canon_index[li as usize] = ci as u64;
     }
-    let mut words = Vec::with_capacity(4 + 3 * n);
+    let words = &mut scratch.words;
+    words.clear();
     words.push(n as u64);
     words.push(radius as u64);
     // The center is always local index 0 of its own membership.
@@ -278,7 +289,7 @@ pub(crate) fn key_of_members<In>(
         let (v, _) = members[lv.index()];
         words.push(k);
         words.push(g.degree(v) as u64);
-        input_tag(net.input(v), &mut words);
+        input_tag(net.input(v), words);
     }
     // An edge is known exactly when an endpoint lies below the radius.
     // Canonical order is distance-major, so the smaller-canonical endpoint

@@ -56,25 +56,40 @@ use std::sync::atomic::{AtomicU64, Ordering};
 // Low-level helpers
 // ---------------------------------------------------------------------------
 
+/// Seed of the checksum fold, before the length is mixed in.
+const FOLD_SEED: u64 = 0xA076_1D64_78BD_642F;
+
+/// One multiply–rotate step of the checksum fold.
+fn fold_step(fold: u64, w: u64) -> u64 {
+    (fold.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
 /// Multiply–rotate fold over a byte slice, 8 bytes at a time (the tail is
 /// zero-padded). Matches the spirit of the `CanonicalKey` fold: fast,
 /// non-cryptographic, and word-oriented — corruption detection for our own
 /// files, not an integrity MAC against an adversary.
 fn fold_bytes(bytes: &[u8]) -> u64 {
-    let mut fold = 0xA076_1D64_78BD_642Fu64 ^ bytes.len() as u64;
+    let mut fold = FOLD_SEED ^ bytes.len() as u64;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
-        let w = u64::from_le_bytes(c.try_into().expect("exact chunk"));
-        fold = (fold.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+        fold = fold_step(fold, u64::from_le_bytes(c.try_into().expect("exact chunk")));
     }
     let rem = chunks.remainder();
     if !rem.is_empty() {
         let mut tail = [0u8; 8];
         tail[..rem.len()].copy_from_slice(rem);
-        let w = u64::from_le_bytes(tail);
-        fold = (fold.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+        fold = fold_step(fold, u64::from_le_bytes(tail));
     }
     fold
+}
+
+/// [`fold_bytes`] of the words' little-endian bytes, computed on the words
+/// themselves: each 8-byte chunk is one word, so no byte copy is made.
+fn fold_words(words: &[u64]) -> u64 {
+    let len = 8 * words.len() as u64;
+    words
+        .iter()
+        .fold(FOLD_SEED ^ len, |fold, &w| fold_step(fold, w))
 }
 
 static ATOMIC_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -450,8 +465,22 @@ fn words_to_bytes(words: &[u64]) -> Vec<u8> {
     bytes
 }
 
-fn fold_words(words: &[u64]) -> u64 {
-    fold_bytes(&words_to_bytes(words))
+/// Appends one section to `words` — kind, payload word count, the payload
+/// `write` appends, checksum — and its entry to `index`.
+fn push_section(
+    words: &mut Vec<u64>,
+    index: &mut Vec<u64>,
+    kind: u64,
+    write: impl FnOnce(&mut Vec<u64>),
+) {
+    let offset = words.len();
+    words.extend([kind, 0]);
+    write(words);
+    let count = (words.len() - offset - 2) as u64;
+    words[offset + 1] = count;
+    let checksum = fold_words(&words[offset..]);
+    words.push(checksum);
+    index.extend([kind, offset as u64, count, checksum]);
 }
 
 /// Packs a UTF-8 string as `[byte length, ceil(len/8) padded words…]`.
@@ -488,61 +517,51 @@ impl<Out: Spillable + Clone + PartialEq> ClassStore<Out> {
     /// same content produce identical bytes (the golden-file CI check
     /// relies on this).
     pub fn to_bytes(&self) -> Vec<u8> {
-        // Meta section: schema name, params, key layout, entry count.
-        let mut meta: Vec<u64> = Vec::new();
-        push_string(&mut meta, &self.schema.name);
-        meta.push(self.schema.params);
-        meta.push(u64::from(self.schema.key_layout));
-        meta.push(self.entries.len() as u64);
-
-        // Classes section: entry count, then sorted entries.
-        let sorted = self.entries_sorted();
-        let mut classes: Vec<u64> = Vec::with_capacity(1 + 8 * sorted.len());
-        classes.push(sorted.len() as u64);
-        for (key, verdict) in sorted {
-            classes.push(key.words().len() as u64);
-            classes.extend_from_slice(key.words());
-            match verdict {
-                ClassVerdict::Done(out) => {
-                    classes.push(0);
-                    out.spill(&mut classes);
-                }
-                ClassVerdict::Expand(r) => {
-                    classes.push(1);
-                    classes.push(*r as u64);
-                }
-                ClassVerdict::Failed => classes.push(2),
-            }
-        }
-
-        let sections: [(u64, Vec<u64>); 2] = [(KIND_META, meta), (KIND_CLASSES, classes)];
-
-        // Header.
+        // Header, announcing the two sections below. Each section is
+        // written straight into `words`, so the file exists in one word
+        // buffer and then once as bytes.
+        const SECTIONS: u64 = 2;
         let mut words: Vec<u64> = vec![
             STORE_MAGIC,
             STORE_VERSION,
             self.schema.digest(),
             self.radius as u64,
-            sections.len() as u64,
+            SECTIONS,
         ];
         words.push(fold_words(&words[..HEADER_WORDS - 1]));
-        // Sections, recording the index as we go.
-        let mut index: Vec<u64> = Vec::with_capacity(4 * sections.len());
-        for (kind, payload) in &sections {
-            let offset = words.len() as u64;
-            words.push(*kind);
-            words.push(payload.len() as u64);
-            words.extend_from_slice(payload);
-            let start = offset as usize;
-            let checksum = fold_words(&words[start..]);
-            words.push(checksum);
-            index.extend_from_slice(&[*kind, offset, payload.len() as u64, checksum]);
-        }
+        let mut index: Vec<u64> = Vec::with_capacity(4 * SECTIONS as usize);
+        // Meta section: schema name, params, key layout, entry count.
+        push_section(&mut words, &mut index, KIND_META, |meta| {
+            push_string(meta, &self.schema.name);
+            meta.push(self.schema.params);
+            meta.push(u64::from(self.schema.key_layout));
+            meta.push(self.entries.len() as u64);
+        });
+        // Classes section: entry count, then sorted entries.
+        push_section(&mut words, &mut index, KIND_CLASSES, |classes| {
+            let sorted = self.entries_sorted();
+            classes.push(sorted.len() as u64);
+            for (key, verdict) in sorted {
+                classes.push(key.words().len() as u64);
+                classes.extend_from_slice(key.words());
+                match verdict {
+                    ClassVerdict::Done(out) => {
+                        classes.push(0);
+                        out.spill(classes);
+                    }
+                    ClassVerdict::Expand(r) => {
+                        classes.push(1);
+                        classes.push(*r as u64);
+                    }
+                    ClassVerdict::Failed => classes.push(2),
+                }
+            }
+        });
         // Footer index + tail.
         let index_offset = words.len() as u64;
         let index_checksum = fold_words(&index);
         words.extend_from_slice(&index);
-        let tail_head = [index_offset, sections.len() as u64, index_checksum];
+        let tail_head = [index_offset, SECTIONS, index_checksum];
         words.extend_from_slice(&tail_head);
         words.push(fold_words(&tail_head));
         words.push(TAIL_MAGIC);
@@ -705,7 +724,7 @@ impl<Out: Spillable + Clone + PartialEq> ClassStore<Out> {
             if klen > rest.len() {
                 return Err(malformed("key words truncated"));
             }
-            let key = CanonicalKey::new(rest[..klen].to_vec());
+            let key = CanonicalKey::new(&rest[..klen]);
             it = rest[klen..].iter();
             let verdict = match it.next().ok_or_else(|| malformed("classes truncated"))? {
                 0 => ClassVerdict::Done(
@@ -770,6 +789,27 @@ mod tests {
             .insert(key_of(2), ClassVerdict::Failed)
             .expect("fresh");
         store
+    }
+
+    #[test]
+    fn word_fold_equals_byte_fold() {
+        // SplitMix64 words, so every bit position varies across slices.
+        let mut state = 0x5EEDu64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for len in (0..64).chain([255, 1024]) {
+            let words: Vec<u64> = (0..len).map(|_| next()).collect();
+            assert_eq!(
+                fold_words(&words),
+                fold_bytes(&words_to_bytes(&words)),
+                "{len} words"
+            );
+        }
     }
 
     #[test]
