@@ -1,10 +1,9 @@
-//! Serial vs parallel vs cached executor benchmarks.
+//! Serial vs parallel executor benchmarks.
 //!
-//! Compares the four executor paths on the same per-node algorithm
-//! (`ctx.view(r).n()`): the sequential reference, the parallel scratch
-//! path, and the cache-backed path cold and warm. `BENCH_executor.json` at
-//! the repo root holds the committed wall-clock snapshot at larger sizes
-//! (`cargo run --release -p lad-bench --bin executor_bench`).
+//! Compares the two executor paths on the same per-node algorithm
+//! (`ctx.view(r).n()`): the sequential reference and the parallel scratch
+//! path. `cargo run --release -p lad-bench --bin executor_bench` writes a
+//! wall-clock snapshot at larger sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lad_graph::{generators, Graph};
@@ -36,24 +35,6 @@ fn bench_executors(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(format!("par/{family}"), n), &n, |b, _| {
                 b.iter(|| Run::default().nodes(black_box(&net), algo))
             });
-            group.bench_with_input(
-                BenchmarkId::new(format!("par-cached-cold/{family}"), n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        let cache = net.view_cache();
-                        Run::default().cache(&cache).nodes(black_box(&net), algo)
-                    })
-                },
-            );
-            let warm = net.view_cache();
-            let warmed = Run::default().cache(&warm);
-            warmed.nodes(&net, algo);
-            group.bench_with_input(
-                BenchmarkId::new(format!("par-cached-warm/{family}"), n),
-                &n,
-                |b, _| b.iter(|| warmed.nodes(black_box(&net), algo)),
-            );
         }
     }
     group.finish();

@@ -1,13 +1,11 @@
 //! Wall-clock snapshot of the executor paths, written as JSON.
 //!
 //! Runs `ctx.view(2).n()` at every node over cycle / grid / random-regular
-//! graphs at n ∈ {1e3, 1e4, 1e5} through four paths:
+//! graphs at n ∈ {1e3, 1e4, 1e5} through two paths:
 //!
 //! * `seq` — [`run_local`], the fresh-BFS-per-view reference;
 //! * `par` — [`Run::nodes`] under the default spec, scratch-backed,
-//!   threaded when cores and the `parallel` feature allow;
-//! * `cached_cold` — [`Run::nodes`] over an empty [`Run::cache`];
-//! * `cached_warm` — the same cache, second pass (pure hits).
+//!   threaded when the host has more than one core.
 //!
 //! Usage: `cargo run --release -p lad-bench --bin executor_bench [OUT.json]`
 //! (default output `BENCH_executor.json` in the current directory). Each
@@ -41,18 +39,11 @@ fn main() {
             let algo = |ctx: &NodeCtx| ctx.view(radius).n();
             let threads = effective_parallelism(n_actual);
 
-            // Interleave the four paths within each rep (instead of timing
-            // each path in its own phase) so slow machine drift biases all
-            // paths equally rather than whichever phase ran last. Cold reps
-            // get a fresh empty cache with construction and teardown outside
-            // the timed region (criterion's `iter_batched` semantics) —
-            // dropping ~n retained balls measures the allocator, not
-            // cold-cache throughput. The warm pass reuses the cache the cold
-            // rep just populated.
+            // Interleave the two paths within each rep (instead of timing
+            // each path in its own phase) so slow machine drift biases both
+            // paths equally rather than whichever phase ran last.
             let mut seq = f64::INFINITY;
             let mut par = f64::INFINITY;
-            let mut cached_cold = f64::INFINITY;
-            let mut cached_warm = f64::INFINITY;
             for _ in 0..reps {
                 let start = Instant::now();
                 run_local(&net, algo);
@@ -61,36 +52,18 @@ fn main() {
                 let start = Instant::now();
                 Run::default().nodes(&net, algo);
                 par = par.min(start.elapsed().as_secs_f64());
-
-                let cache = net.view_cache();
-                let cached = Run::default().cache(&cache);
-                let start = Instant::now();
-                cached.nodes(&net, algo);
-                cached_cold = cached_cold.min(start.elapsed().as_secs_f64());
-
-                let start = Instant::now();
-                cached.nodes(&net, algo);
-                cached_warm = cached_warm.min(start.elapsed().as_secs_f64());
-                drop(cache);
             }
 
             eprintln!(
-                "{family:>15} n={n_actual:<7} seq {seq:.4}s  par {par:.4}s ({:.2}x)  \
-                 cold {cached_cold:.4}s ({:.2}x)  warm {cached_warm:.4}s ({:.2}x)",
+                "{family:>15} n={n_actual:<7} seq {seq:.4}s  par {par:.4}s ({:.2}x)",
                 seq / par,
-                seq / cached_cold,
-                seq / cached_warm,
             );
             rows.push(format!(
                 "    {{\"family\": \"{family}\", \"n\": {n_actual}, \"radius\": {radius}, \
                  \"threads\": {threads}, \"reps\": {reps}, \
                  \"seq_s\": {seq:.6}, \"par_s\": {par:.6}, \
-                 \"cached_cold_s\": {cached_cold:.6}, \"cached_warm_s\": {cached_warm:.6}, \
-                 \"speedup_par\": {:.3}, \"speedup_cached_cold\": {:.3}, \
-                 \"speedup_cached_warm\": {:.3}}}",
+                 \"speedup_par\": {:.3}}}",
                 seq / par,
-                seq / cached_cold,
-                seq / cached_warm,
             ));
         }
     }

@@ -16,13 +16,19 @@
 
 use std::fs;
 
-fn status_field_kb(key: &str) -> Option<u64> {
-    let status = fs::read_to_string("/proc/self/status").ok()?;
+fn self_status() -> Option<String> {
+    fs::read_to_string("/proc/self/status").ok()
+}
+
+/// The `key` field (a `kB` figure) of a `/proc/<pid>/status` text, in
+/// mebibytes. The kernel prints every field of one text from one sample,
+/// so two fields read from the same text are consistent with each other.
+fn status_field_mb(status: &str, key: &str) -> Option<f64> {
     for line in status.lines() {
         if let Some(rest) = line.strip_prefix(key) {
             let rest = rest.trim_start_matches(':').trim();
             let kb: u64 = rest.strip_suffix(" kB")?.trim().parse().ok()?;
-            return Some(kb);
+            return Some(kb as f64 / 1024.0);
         }
     }
     None
@@ -32,13 +38,13 @@ fn status_field_kb(key: &str) -> Option<u64> {
 /// `None` where `/proc/self/status` is unavailable. Monotone over the
 /// process lifetime — see the module docs before comparing values.
 pub fn peak_rss_mb() -> Option<f64> {
-    status_field_kb("VmHWM").map(|kb| kb as f64 / 1024.0)
+    status_field_mb(&self_status()?, "VmHWM")
 }
 
 /// The process's current resident set size (`VmRSS`) in mebibytes, or
 /// `None` where `/proc/self/status` is unavailable.
 pub fn current_rss_mb() -> Option<f64> {
-    status_field_kb("VmRSS").map(|kb| kb as f64 / 1024.0)
+    status_field_mb(&self_status()?, "VmRSS")
 }
 
 #[cfg(test)]
@@ -48,8 +54,12 @@ mod tests {
     #[test]
     #[cfg_attr(not(target_os = "linux"), ignore)]
     fn peak_rss_is_positive_and_at_least_current() {
-        let peak = peak_rss_mb().expect("Linux exposes VmHWM");
-        let current = current_rss_mb().expect("Linux exposes VmRSS");
+        // Both fields from one read: a sibling test thread may grow the
+        // heap between two reads, and then the later current reading
+        // could exceed the earlier peak.
+        let status = self_status().expect("Linux exposes /proc/self/status");
+        let peak = status_field_mb(&status, "VmHWM").expect("Linux exposes VmHWM");
+        let current = status_field_mb(&status, "VmRSS").expect("Linux exposes VmRSS");
         assert!(peak > 0.0);
         assert!(peak + 1e-9 >= current, "peak {peak} < current {current}");
     }
@@ -63,8 +73,9 @@ mod tests {
         // Touch 64 MiB so the pages actually become resident.
         let v: Vec<u8> = (0..64 * 1024 * 1024).map(|i| i as u8).collect();
         std::hint::black_box(&v);
-        let current_with = current_rss_mb().expect("VmRSS");
-        let peak_with = peak_rss_mb().expect("VmHWM");
+        let status = self_status().expect("Linux exposes /proc/self/status");
+        let current_with = status_field_mb(&status, "VmRSS").expect("VmRSS");
+        let peak_with = status_field_mb(&status, "VmHWM").expect("VmHWM");
         drop(v);
         assert!(
             current_with >= 64.0,

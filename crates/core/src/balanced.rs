@@ -542,11 +542,9 @@ impl AdviceSchema for BalancedOrientationSchema {
         // claims name specific identifiers, so the slots are re-bound to
         // concrete edges per node on the real graph.
         let budget = self.walk_budget();
-        let (dirs, stats) = run
-            .uncached()
-            .ladder(&advised, self.decode_radius(), |ball| {
-                slot_directions(ball, budget).map(MemoStep::Done)
-            })?;
+        let (dirs, stats) = run.ladder(&advised, self.decode_radius(), |ball| {
+            slot_directions(ball, budget).map(MemoStep::Done)
+        })?;
         let g = net.graph();
         let uids = net.uids();
         let claims: Vec<Vec<(u64, u64)>> = g

@@ -238,7 +238,7 @@ impl BalancedChurnSession {
         let advised = net.with_inputs(advice.strings());
         let radius = schema.decode_radius();
         let nodes: Vec<NodeId> = g.nodes().collect();
-        let results = Run::<()>::default().map(&nodes, |_, &v| {
+        let results = Run::default().map(&nodes, |_, &v| {
             schema.decode_view(&Ball::collect(&advised, v, radius))
         });
         let mut claims = Vec::with_capacity(n);
@@ -342,7 +342,7 @@ impl BalancedChurnSession {
         let radius = self.schema.decode_radius();
         let schema = &self.schema;
         let dirty_vec: Vec<NodeId> = dirty.into_iter().collect();
-        let results = Run::<()>::default().map(&dirty_vec, |_, &v| {
+        let results = Run::default().map(&dirty_vec, |_, &v| {
             schema.decode_view(&Ball::collect(&advised, v, radius))
         });
         report.redecoded = dirty_vec.len();

@@ -294,9 +294,8 @@ impl AdviceSchema for ClusterColoringSchema {
             ));
         }
         let advised = net.with_inputs(advice.strings());
-        let (colors, stats) = run
-            .uncached()
-            .ladder(&advised, self.step_radius(), |ball| self.memo_step(ball))?;
+        let (colors, stats) =
+            run.ladder(&advised, self.step_radius(), |ball| self.memo_step(ball))?;
         // Validate output properness like a checker would.
         if !coloring::is_proper_coloring(g, &colors) {
             return Err(DecodeError::InvalidOutput(

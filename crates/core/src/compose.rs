@@ -167,7 +167,7 @@ impl<O> OracleSchema for ParityOracleSchema<O> {
     ) -> Result<(Vec<bool>, RoundStats), DecodeError> {
         let advised = net.with_inputs(advice.strings());
         let spacing = self.spacing;
-        run.uncached().try_nodes(&advised, |ctx| {
+        run.try_nodes(&advised, |ctx| {
             let ball = ctx.ball(spacing);
             let mut nearest: Option<(usize, u64, bool)> = None;
             for w in ball.graph().nodes() {

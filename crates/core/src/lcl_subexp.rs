@@ -337,7 +337,7 @@ impl AdviceSchema for LclSubexpSchema<'_> {
         }
         let advised = net.with_inputs(bits);
         let radius = self.decode_radius();
-        let (labels, stats) = run.uncached().try_nodes(&advised, |ctx| {
+        let (labels, stats) = run.try_nodes(&advised, |ctx| {
             decode_at(
                 &ctx.ball(radius),
                 self.lcl,

@@ -60,7 +60,6 @@ pub mod kempe;
 pub mod lcl_subexp;
 pub mod lll;
 pub mod onebit;
-pub mod open_problems;
 pub mod proofs;
 pub mod schema;
 pub mod served;

@@ -252,7 +252,7 @@ pub fn from_one_bit(net: &Network, one_bit: &OneBitAdvice, run: &Run) -> (Advice
     let g = net.graph();
     let advised = net.with_inputs(one_bit.bits.clone());
     let radius = one_bit.code_len + 1;
-    let (payloads, stats) = run.uncached().nodes(&advised, |ctx| {
+    let (payloads, stats) = run.nodes(&advised, |ctx| {
         let ball = ctx.ball(radius);
         detect_holder_local(&ball, one_bit.code_len)
     });

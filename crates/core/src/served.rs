@@ -12,9 +12,9 @@
 //!   per-class evaluation step (output erased to `Vec<u64>` words so one
 //!   store/server type covers every schema), and the per-node *bind* that
 //!   turns a stored class verdict into the query node's concrete answer.
-//! * [`train_store`] — encode advice and run the real sealed-memo runner
-//!   over a training set, folding every sealed table into a
-//!   [`ClassStore`] keyed by the schema's identity.
+//! * [`train_store`] — encode advice and train a [`ClassStore`] keyed by
+//!   the schema's identity with the real class-memo pass over each
+//!   training network ([`ClassStore::train`]).
 //! * A wire form for query balls ([`ball_to_words`] / [`ball_from_words`])
 //!   carrying everything canonicalization depends on — in particular each
 //!   node's **true global degree**, which frontier nodes of a ball cannot
@@ -35,9 +35,7 @@ use crate::error::{DecodeError, EncodeError};
 use crate::schema::AdviceSchema;
 use lad_graph::{GraphBuilder, NodeId};
 use lad_runtime::store::{ClassStore, SchemaId, StoreError};
-use lad_runtime::{
-    canonicalize_tagged_with, Ball, CanonScratch, CanonicalKey, MemoStep, Network, ShardMemo,
-};
+use lad_runtime::{canonicalize_tagged_with, Ball, CanonScratch, CanonicalKey, MemoStep, Network};
 use std::fmt;
 
 /// A schema that can be served from a persistent class dictionary.
@@ -188,9 +186,8 @@ pub fn query_key(ball: &Ball<BitString>, scratch: &mut CanonScratch) -> Canonica
 pub enum TrainError {
     /// The encoder could not produce advice for a training network.
     Encode(EncodeError),
-    /// The decoder rejected its advice during sealing.
-    Decode(DecodeError),
-    /// Two training networks resolved one class differently.
+    /// One canonical class resolved two ways, within one training network
+    /// or across two.
     Store(StoreError),
 }
 
@@ -198,7 +195,6 @@ impl fmt::Display for TrainError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TrainError::Encode(e) => write!(f, "training encode failed: {e}"),
-            TrainError::Decode(e) => write!(f, "training decode failed: {e}"),
             TrainError::Store(e) => write!(f, "training store conflict: {e}"),
         }
     }
@@ -208,22 +204,21 @@ impl std::error::Error for TrainError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TrainError::Encode(e) => Some(e),
-            TrainError::Decode(e) => Some(e),
             TrainError::Store(e) => Some(e),
         }
     }
 }
 
-/// Trains a class dictionary: encodes advice for each training network,
-/// runs the real class-memo pass over every node ([`ShardMemo::train`]),
-/// and folds each sealed table into one [`ClassStore`] under the schema's
-/// identity. The resulting store answers queries from *any* network whose
-/// local structure appeared in training.
+/// Trains a class dictionary: encodes advice for each training network
+/// and trains one [`ClassStore`] under the schema's identity on it
+/// ([`ClassStore::train`], the real class-memo pass over every node).
+/// The resulting store answers queries from *any* network whose local
+/// structure appeared in training.
 ///
 /// # Errors
 ///
-/// See [`TrainError`]; conflicts across training networks mean the
-/// schema's decoder is not order-invariant.
+/// See [`TrainError`]; a conflict means the schema's decoder is not
+/// order-invariant.
 pub fn train_store(
     schema: &dyn ServedSchema,
     training: &[Network],
@@ -232,14 +227,13 @@ pub fn train_store(
     for net in training {
         let advice = schema.encode_advice(net).map_err(TrainError::Encode)?;
         let advised = net.with_inputs(advice.strings());
-        let memo = ShardMemo::train(
-            &advised,
-            schema.initial_radius(),
-            |bits: &BitString, words: &mut Vec<u64>| bits.push_key_words(words),
-            |ball| schema.eval(ball),
-        )
-        .map_err(TrainError::Decode)?;
-        store.absorb_shard_memo(memo).map_err(TrainError::Store)?;
+        store
+            .train(
+                &advised,
+                |bits: &BitString, words: &mut Vec<u64>| bits.push_key_words(words),
+                |ball| schema.eval(ball),
+            )
+            .map_err(TrainError::Store)?;
     }
     Ok(store)
 }

@@ -140,7 +140,7 @@ impl AdviceSchema for SplittingSchema {
         // Recover the 2-coloring by parity to the nearest marked node.
         let advised = net.with_inputs(tracks[1].strings());
         let spacing = self.parity_spacing;
-        let (colors, stats_p) = run.uncached().try_nodes(&advised, |ctx| {
+        let (colors, stats_p) = run.try_nodes(&advised, |ctx| {
             let ball = ctx.ball(spacing);
             let mut nearest: Option<(usize, u64, bool)> = None;
             for w in ball.graph().nodes() {

@@ -573,7 +573,7 @@ impl AdviceSchema for ThreeColoringSchema {
         let small_limit = self.effective_small(delta);
         let extent = self.group_extent;
         let advised = net.with_inputs(bits);
-        let (colors, stats) = run.uncached().try_nodes(&advised, |ctx| {
+        let (colors, stats) = run.try_nodes(&advised, |ctx| {
             decode_color(&ctx.ball(radius), small_limit, extent)
         })?;
         Ok((colors, stats))

@@ -26,7 +26,7 @@ use proptest::prelude::*;
 const THREAD_GRID: [usize; 4] = [1, 2, 3, 8];
 
 /// The spec for one grid point: `threads` chunks.
-fn run_at(threads: usize) -> Run<'static> {
+fn run_at(threads: usize) -> Run {
     Run::default().threads(threads)
 }
 

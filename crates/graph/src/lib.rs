@@ -40,7 +40,6 @@
 
 pub mod builder;
 pub mod coloring;
-pub mod dot;
 pub mod generators;
 pub mod graph;
 pub mod growth;
@@ -60,4 +59,3 @@ pub use mutate::{Edit, EditReport, MutableGraph};
 pub use orientation::{EulerPartition, Orientation, Trail};
 pub use shard::{Partition, ShardView};
 pub use subgraph::InducedSubgraph;
-pub mod degeneracy;

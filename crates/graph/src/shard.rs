@@ -31,11 +31,6 @@
 //! recorded degree would silently undercount. The runtime driver
 //! therefore enforces `ladder radius ≤ halo_radius − 1` and fails
 //! loudly instead of truncating.
-//!
-//! Any member **superset** of `N_{≤T}[interior]` keeps both properties,
-//! which is what makes the single-pass streaming membership
-//! ([`halo_masks`]) sound: it may over-propagate within a pass, but it
-//! never under-approximates the halo.
 
 use crate::builder::from_sorted_edges;
 use crate::graph::{Graph, NodeId};
@@ -262,51 +257,6 @@ impl ShardView {
     }
 }
 
-/// Streaming shard membership for graphs too large to materialize:
-/// per-node `u64` masks whose bit `s` means "node is a member of shard
-/// `s`" (interior or halo), computed with `halo` passes over the edge
-/// stream and **no** adjacency structure.
-///
-/// `replay` must emit the same edge set on every call (any order). Each
-/// pass relaxes `mask[u] |= mask[v]` both ways; updates made earlier in a
-/// pass may cascade within it, so after `p` passes a node's mask covers
-/// *at least* `N_{≤p}` — a superset of the true halo, which the
-/// [soundness argument](self) shows is harmless. Passes stop early once a
-/// full sweep changes nothing.
-///
-/// # Panics
-///
-/// Panics if `part.k() > 64` (one mask bit per shard).
-pub fn halo_masks(
-    part: &Partition,
-    halo: usize,
-    mut replay: impl FnMut(&mut dyn FnMut(NodeId, NodeId)),
-) -> Vec<u64> {
-    assert!(
-        part.k() <= 64,
-        "streaming membership holds one bit per shard"
-    );
-    let n = part.n();
-    let mut mask: Vec<u64> = (0..n)
-        .map(|i| 1u64 << part.owner(NodeId::from_index(i)))
-        .collect();
-    for _ in 0..halo {
-        let mut changed = false;
-        replay(&mut |u: NodeId, v: NodeId| {
-            let joined = mask[u.index()] | mask[v.index()];
-            if mask[u.index()] != joined || mask[v.index()] != joined {
-                mask[u.index()] = joined;
-                mask[v.index()] = joined;
-                changed = true;
-            }
-        });
-        if !changed {
-            break;
-        }
-    }
-    mask
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,36 +402,6 @@ mod tests {
             }
         }
         assert!(owned.iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn halo_masks_superset_of_views() {
-        let g = generators::grid2d(7, 5, false);
-        let part = Partition::contiguous(g.n(), 4);
-        let halo = 2;
-        let masks = halo_masks(&part, halo, |emit| {
-            for (_, (u, v)) in g.edges() {
-                emit(u, v);
-            }
-        });
-        for shard in 0..4 {
-            let view = ShardView::build(&g, &part, shard, halo);
-            for &v in &view.members {
-                assert!(
-                    masks[v.index()] & (1 << shard) != 0,
-                    "mask misses member {v:?} of shard {shard}"
-                );
-            }
-        }
-        // And never a member of a shard it is farther than `halo` from.
-        for v in g.nodes() {
-            for shard in 0..4 {
-                if masks[v.index()] & (1 << shard) == 0 {
-                    let view = ShardView::build(&g, &part, shard, halo);
-                    assert!(view.local_of(v).is_none());
-                }
-            }
-        }
     }
 
     #[test]

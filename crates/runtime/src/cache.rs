@@ -103,8 +103,9 @@ impl CacheStats {
 
 /// A shared, thread-safe ball/view cache for one network.
 ///
-/// Create one per [`Network`] (sizes must match) and hand it to a run
-/// ([`crate::Run::cache`]) or query it directly with [`ViewCache::ball`].
+/// Create one per [`Network`] (sizes must match) and query it with
+/// [`ViewCache::ball`]; a [`crate::ChurnLocal`] session keeps one warm
+/// across edit batches.
 ///
 /// Memory grows with the number of distinct `(node, radius)` balls
 /// materialized; call [`ViewCache::clear`] between phases if that matters
@@ -151,7 +152,7 @@ impl<In: Clone> ViewCache<In> {
     }
 
     /// Like [`ViewCache::ball`] with caller-provided BFS scratch space
-    /// (reused across many requests by the executors).
+    /// (reused across a churn session's requests).
     pub(crate) fn ball_with_scratch(
         &self,
         net: &Network<In>,

@@ -97,9 +97,9 @@ pub struct ChurnLocal<In, Out, A> {
 }
 
 impl<In: Clone, Out: PartialEq, A: Fn(&NodeCtx<In>) -> Out> ChurnLocal<In, Out, A> {
-    /// Runs `algo` at every node of `net` (exactly like a sequential
-    /// [`crate::Run::nodes`] over a fresh cache) and opens a churn session
-    /// over the result.
+    /// Runs `algo` at every node of `net` in index order, its views served
+    /// from a fresh [`ViewCache`] (the same outputs and round statistics as
+    /// [`crate::run_local`]), and opens a churn session over the result.
     ///
     /// # Panics
     ///

@@ -11,7 +11,7 @@
 //! | call | runs | views |
 //! |---|---|---|
 //! | [`run_local`], [`run_local_fallible`] | a [`NodeCtx`] algorithm, sequentially (the reference) | fresh BFS per request |
-//! | [`Run::nodes`], [`Run::try_nodes`] | a [`NodeCtx`] algorithm over contiguous chunks across threads | chunk scratch, or the spec's [`ViewCache`] |
+//! | [`Run::nodes`], [`Run::try_nodes`] | a [`NodeCtx`] algorithm over contiguous chunks across threads | one BFS scratch per chunk |
 //! | [`Run::ladder`] | a [`MemoStep`] ladder per node, through [`Run::try_nodes`] | as [`Run::try_nodes`] |
 //! | [`Run::map`], [`Run::map_with`] | a closure per item, over contiguous chunks | — |
 //!
@@ -25,21 +25,18 @@
 //! scheduled, so every decode climbs each node's ladder on its own. The
 //! class memo — one step evaluation per canonical class of input-labeled
 //! balls, for *order-invariant* steps — lives where verdicts are kept:
-//! [`crate::ShardMemo::train`] seals one for the persistent class store,
-//! and [`crate::ChurnMemoLocal`] keeps one warm across edit batches. Both
-//! share this module's pass (`memo_run`), which keys one ball at a time
-//! with the same canonical form [`crate::canonicalize_tagged_with`]
-//! computes, and its [`NotOrderInvariant`] safety net.
+//! [`crate::ClassStore::train`] runs one pass for the persistent class
+//! store, and [`crate::ChurnMemoLocal`] keeps one warm across edit
+//! batches. Both share this module's pass (`memo_run`), which keys one
+//! ball at a time with the same canonical form
+//! [`crate::canonicalize_tagged_with`] computes, and its
+//! [`NotOrderInvariant`] safety net.
 //!
-//! Parallelism is gated behind the `parallel` cargo feature (on by
-//! default); with the feature off every run is sequential but keeps its
-//! signature. Thread count resolution is described at
-//! [`effective_parallelism`]. The differential harnesses in
-//! `crates/runtime/tests/` (`equivalence.rs`, `memo.rs`) pin down the
-//! equivalence of all paths bit for bit.
+//! Thread count resolution is described at [`effective_parallelism`]. The
+//! differential harnesses in `crates/runtime/tests/` (`equivalence.rs`,
+//! `memo.rs`) pin down the equivalence of all paths bit for bit.
 
 use crate::ball::{Ball, BallMembers, Scratch};
-use crate::cache::ViewCache;
 use crate::canonical::{key_of_members, CanonScratch, CanonicalKey};
 use crate::ctx::NodeCtx;
 use crate::lookup::NotOrderInvariant;
@@ -48,7 +45,6 @@ use lad_graph::{Graph, NodeId};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::convert::Infallible;
-use std::fmt;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -141,18 +137,14 @@ fn env_threads() -> Option<usize> {
 /// The number of chunks a [`Run`] that sets no thread count splits an
 /// `n`-node network into, resolved in order:
 ///
-/// 1. `1` when built without the `parallel` feature;
-/// 2. the `LAD_THREADS` environment variable, if a positive integer;
-/// 3. `1` when `n` is too small to amortize a fan-out;
-/// 4. [`std::thread::available_parallelism`].
+/// 1. the `LAD_THREADS` environment variable, if a positive integer;
+/// 2. `1` when `n` is too small to amortize a fan-out;
+/// 3. [`std::thread::available_parallelism`].
 ///
-/// [`Run::threads`] replaces steps 2–4. The chunks run on the
+/// [`Run::threads`] replaces all three. The chunks run on the
 /// process-wide worker pool (`host_threads − 1` workers plus the calling
 /// thread), so the count may exceed the pool.
 pub fn effective_parallelism(n: usize) -> usize {
-    if cfg!(not(feature = "parallel")) {
-        return 1;
-    }
     if let Some(t) = env_threads() {
         return t;
     }
@@ -170,33 +162,13 @@ fn chunk_ranges(n: usize, chunks: usize) -> Vec<Range<usize>> {
     (0..n).step_by(len).map(|s| s..(s + len).min(n)).collect()
 }
 
-/// Runs `f` on every task on the worker pool, results in task order.
-fn fan_out<T: Send, R: Send>(tasks: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
-    #[cfg(feature = "parallel")]
-    return crate::pool::map(tasks, f);
-    #[cfg(not(feature = "parallel"))]
-    tasks.into_iter().map(f).collect()
-}
-
-/// Whether `threads` workers actually beat a sequential pass over `n`
-/// nodes, given the feature gate.
-fn worth_fanning_out(n: usize, threads: usize) -> bool {
-    cfg!(feature = "parallel") && threads > 1 && n > 1
-}
-
 /// How to run a LOCAL algorithm: a per-call spec, and the one way to run
 /// anything but the [`run_local`] reference.
 ///
-/// Every setting is optional:
-///
-/// * [`Run::threads`] — the chunk count. Unset, per-node runs resolve it
-///   as [`effective_parallelism`] and [`Run::map`] from `LAD_THREADS` or
-///   the host.
-/// * [`Run::cache`] — a shared [`ViewCache`] the per-node views come
-///   from; unset, each chunk gathers through its own scratch.
-///
-/// No setting changes a result, only its cost, and none is global: runs
-/// in one process at once keep their own settings.
+/// Its one setting, [`Run::threads`], is the chunk count. Unset, per-node
+/// runs resolve it as [`effective_parallelism`] and [`Run::map`] from
+/// `LAD_THREADS` or the host. It changes a run's cost, never its result,
+/// and it is not global: runs in one process at once keep their own.
 ///
 /// # Example
 ///
@@ -208,68 +180,22 @@ fn worth_fanning_out(n: usize, threads: usize) -> bool {
 /// let sizes = |ctx: &lad_runtime::NodeCtx| ctx.ball(2).n();
 /// assert_eq!(Run::default().threads(3).nodes(&net, sizes), run_local(&net, sizes));
 /// ```
-pub struct Run<'c, In = ()> {
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Run {
     threads: Option<usize>,
-    cache: Option<&'c ViewCache<In>>,
 }
 
-impl<In> Default for Run<'_, In> {
-    fn default() -> Self {
-        Run {
-            threads: None,
-            cache: None,
-        }
-    }
-}
-
-impl<In> Clone for Run<'_, In> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<In> Copy for Run<'_, In> {}
-
-impl<In> fmt::Debug for Run<'_, In> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Run")
-            .field("threads", &self.threads)
-            .field("cached", &self.cache.is_some())
-            .finish()
-    }
-}
-
-impl<'c, In> Run<'c, In> {
+impl Run {
     /// Splits every run into `threads` chunks (`0` counts as 1; one chunk
-    /// is a sequential pass). Without the `parallel` feature every run is
-    /// sequential.
+    /// is a sequential pass).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
     }
 
-    /// Serves per-node views from `cache`, which must have been built for
-    /// the network the run executes on.
-    pub fn cache(mut self, cache: &'c ViewCache<In>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// This spec without its cache, for a run over another network (a
-    /// schema's advised network, say): a cache serves only the network it
-    /// was built for.
-    pub fn uncached<J>(&self) -> Run<'static, J> {
-        Run {
-            threads: self.threads,
-            cache: None,
-        }
-    }
-
     /// The number of chunks a per-node run over `n` nodes splits into.
     pub fn thread_count(&self, n: usize) -> usize {
-        self.threads
-            .filter(|_| cfg!(feature = "parallel"))
-            .unwrap_or_else(|| effective_parallelism(n))
+        self.threads.unwrap_or_else(|| effective_parallelism(n))
     }
 
     /// Applies `f` to each item across worker threads, returning outputs
@@ -315,21 +241,19 @@ impl<'c, In> Run<'c, In> {
             .or_else(env_threads)
             .unwrap_or_else(host_threads)
             .min(n.max(1));
-        if !worth_fanning_out(n, threads) {
+        if threads <= 1 {
             return map_range(0..n);
         }
-        fan_out(chunk_ranges(n, threads), map_range)
+        crate::pool::map(chunk_ranges(n, threads), map_range)
             .into_iter()
             .flatten()
             .collect()
     }
-}
 
-impl<In: Clone + Send + Sync> Run<'_, In> {
     /// Runs `algo` at every node: the same outputs and [`RoundStats`] as
     /// [`run_local`], bit for bit, over [`Run::thread_count`] contiguous
     /// node ranges on the worker pool.
-    pub fn nodes<Out: Send>(
+    pub fn nodes<In: Clone + Send + Sync, Out: Send>(
         &self,
         net: &Network<In>,
         algo: impl Fn(&NodeCtx<In>) -> Out + Sync,
@@ -351,26 +275,19 @@ impl<In: Clone + Send + Sync> Run<'_, In> {
     /// # Errors
     ///
     /// The first per-node error in node-index order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec's cache was built for a network of another size.
-    pub fn try_nodes<Out: Send, E: Send>(
+    pub fn try_nodes<In: Clone + Send + Sync, Out: Send, E: Send>(
         &self,
         net: &Network<In>,
         algo: impl Fn(&NodeCtx<In>) -> Result<Out, E> + Sync,
     ) -> Result<(Vec<Out>, RoundStats), E> {
         let n = net.graph().n();
-        if let Some(cache) = self.cache {
-            assert_eq!(cache.n(), n, "the run's view cache serves another network");
-        }
         let threads = self.thread_count(n);
-        if !worth_fanning_out(n, threads) {
-            let (outs, per_node) = run_range(net, 0..n, self.cache, &algo)?;
+        if threads <= 1 || n <= 1 {
+            let (outs, per_node) = run_range(net, 0..n, &algo)?;
             return Ok((outs, RoundStats { per_node }));
         }
-        let chunks = fan_out(chunk_ranges(n, threads), |range| {
-            run_range(net, range, self.cache, &algo)
+        let chunks = crate::pool::map(chunk_ranges(n, threads), |range| {
+            run_range(net, range, &algo)
         });
         let mut outs = Vec::with_capacity(n);
         let mut per_node = Vec::with_capacity(n);
@@ -397,7 +314,7 @@ impl<In: Clone + Send + Sync> Run<'_, In> {
     ///
     /// Panics if `step` requests [`MemoStep::Expand`] to a radius that
     /// does not strictly increase.
-    pub fn ladder<Out: Send, E: Send>(
+    pub fn ladder<In: Clone + Send + Sync, Out: Send, E: Send>(
         &self,
         net: &Network<In>,
         initial_radius: usize,
@@ -473,24 +390,19 @@ pub fn run_local_fallible<In: Clone, Out, E>(
     Ok((outs, RoundStats { per_node }))
 }
 
-/// Runs `algo` at the nodes of `range` in index order, backed by an
-/// optional shared cache, otherwise by a range-local scratch; stops at
-/// the range's first error. Returns the outputs and per-node radii.
+/// Runs `algo` at the nodes of `range` in index order, backed by a
+/// range-local scratch; stops at the range's first error. Returns the
+/// outputs and per-node radii.
 fn run_range<In: Clone, Out, E>(
     net: &Network<In>,
     range: Range<usize>,
-    cache: Option<&ViewCache<In>>,
     algo: &impl Fn(&NodeCtx<In>) -> Result<Out, E>,
 ) -> Result<(Vec<Out>, Vec<usize>), E> {
     let scratch = RefCell::new(Scratch::new(net.graph().n()));
     let mut outs = Vec::with_capacity(range.len());
     let mut per_node = Vec::with_capacity(range.len());
     for i in range {
-        let v = NodeId::from_index(i);
-        let ctx = match cache {
-            Some(c) => NodeCtx::with_cache(net, v, c, &scratch),
-            None => NodeCtx::with_scratch(net, v, &scratch),
-        };
+        let ctx = NodeCtx::with_scratch(net, NodeId::from_index(i), &scratch);
         outs.push(algo(&ctx)?);
         per_node.push(ctx.rounds_used());
     }
@@ -963,11 +875,6 @@ mod tests {
         for threads in [1, 2, 5] {
             assert_eq!(Run::default().threads(threads).nodes(&net, algo), seq);
         }
-        let cache = ViewCache::for_network(&net);
-        let cached = Run::default().cache(&cache);
-        assert_eq!(cached.threads(1).nodes(&net, algo), seq);
-        assert_eq!(cached.threads(3).nodes(&net, algo), seq);
-        assert!(cache.stats().hits > 0, "second run should hit the cache");
     }
 
     #[test]
@@ -999,18 +906,10 @@ mod tests {
 
     #[test]
     fn explicit_threads_take_precedence() {
-        let run: Run = Run::default().threads(3);
-        assert_eq!(
-            run.thread_count(1_000_000),
-            if cfg!(feature = "parallel") { 3 } else { 1 }
-        );
+        assert_eq!(Run::default().threads(3).thread_count(1_000_000), 3);
         // Below the small-n cutoff only an explicit `LAD_THREADS` applies.
-        let env = if cfg!(feature = "parallel") {
-            env_threads()
-        } else {
-            None
-        };
-        assert_eq!(Run::<()>::default().thread_count(4), env.unwrap_or(1));
+        let env = env_threads();
+        assert_eq!(Run::default().thread_count(4), env.unwrap_or(1));
         assert_eq!(effective_parallelism(4), env.unwrap_or(1));
     }
 
@@ -1018,7 +917,7 @@ mod tests {
     fn map_preserves_item_order() {
         let items: Vec<usize> = (0..97).collect();
         let expect: Vec<usize> = items.iter().map(|&x| x * x).collect();
-        let run: Run = Run::default();
+        let run = Run::default();
         assert_eq!(
             run.map(&items, |i, &x| {
                 assert_eq!(i, x);
@@ -1027,7 +926,7 @@ mod tests {
             expect
         );
         for threads in [1, 2, 3, 8] {
-            let run: Run = Run::default().threads(threads);
+            let run = Run::default().threads(threads);
             assert_eq!(run.map(&items, |_, &x| x * x), expect, "threads {threads}");
         }
         let empty: Vec<usize> = Vec::new();

@@ -40,21 +40,20 @@
 //! # Execution paths
 //!
 //! [`run_local`] is the sequential reference executor. Every other run
-//! goes through one per-call spec, [`Run`] — its thread count and an
-//! optional shared [`ViewCache`] — and computes the same outputs and
-//! [`RoundStats`] bit for bit: LOCAL algorithms are pure per-node
-//! functions of their views, so scheduling cannot change results, and
-//! `crates/runtime/tests/equivalence.rs` enforces this differentially.
-//! Threading sits behind the `parallel` cargo feature (default-on); see
-//! [`executor::effective_parallelism`] for how worker counts resolve when
-//! the spec sets none. Decode ladders ([`Run::ladder`]) climb every
-//! node's ladder on its own.
+//! goes through one per-call spec, [`Run`] — its thread count — and
+//! computes the same outputs and [`RoundStats`] bit for bit: LOCAL
+//! algorithms are pure per-node functions of their views, so scheduling
+//! cannot change results, and `crates/runtime/tests/equivalence.rs`
+//! enforces this differentially. Runs fan out on a process-wide worker
+//! pool; see [`executor::effective_parallelism`] for how worker counts
+//! resolve when the spec sets none (`LAD_THREADS=1` runs sequentially).
+//! Decode ladders ([`Run::ladder`]) climb every node's ladder on its own.
 //!
 //! For *order-invariant* algorithms, a class memo evaluates a step once
 //! per canonical isomorphism class of advice-labeled balls instead of
 //! once per node, with a built-in [`NotOrderInvariant`] safety net. It
-//! lives where verdicts are kept: [`ShardMemo::train`] seals one for the
-//! persistent [`ClassStore`], and [`ChurnMemoLocal`] keeps one warm
+//! lives where verdicts are kept: [`ClassStore::train`] runs one pass
+//! into the persistent store, and [`ChurnMemoLocal`] keeps one warm
 //! across edit batches, reporting its exact [`MemoStats`]. The planner
 //! ([`plan_decode`]) picks the family a [`PlannedChurnLocal`] opens. No
 //! knob or counter is process-wide.
@@ -81,7 +80,6 @@ pub mod lookup;
 pub mod messaging;
 pub mod network;
 pub mod plan;
-#[cfg(feature = "parallel")]
 mod pool;
 pub mod shard;
 pub mod store;
@@ -106,11 +104,11 @@ pub use messaging::{
 pub use network::Network;
 pub use plan::{plan_decode, probe_stride, ExecPath, PlanDecision};
 pub use shard::{
-    run_sharded_fallible, run_sharded_stream_fallible, HaloExceeded, ShardMemo, ShardOpts,
-    ShardSlice, ShardTrafficStats, ShardedTransport, Spillable,
+    run_sharded_fallible, run_sharded_stream_fallible, HaloExceeded, ShardOpts, ShardSlice,
+    ShardTrafficStats, ShardedTransport,
 };
 pub use store::{
-    ClassStore, ClassVerdict, SchemaId, StoreError, KEY_LAYOUT_VERSION, STORE_VERSION,
+    ClassStore, ClassVerdict, SchemaId, StoreError, StoreValue, KEY_LAYOUT_VERSION, STORE_VERSION,
 };
 pub use transport::{
     CopyFate, Corruptible, Fate, FaultPlan, FaultRun, FaultStats, PerfectLink, Transport,

@@ -68,31 +68,6 @@ impl<Out: Clone + PartialEq> LookupTable<Out> {
         self.table.is_empty()
     }
 
-    /// Iterates all `(canonical view, output)` pairs (unspecified order) —
-    /// how the persistent class store ([`crate::store`]) drains a trained
-    /// table for serialization.
-    pub fn entries(&self) -> impl Iterator<Item = (&CanonicalKey, &Out)> {
-        self.table.iter()
-    }
-
-    /// Rebuilds a table from stored `(view, output)` pairs, under the same
-    /// conflict discipline as [`LookupTable::observe`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NotOrderInvariant`] if two pairs map one view to
-    /// different outputs.
-    pub fn from_entries(
-        radius: usize,
-        entries: impl IntoIterator<Item = (CanonicalKey, Out)>,
-    ) -> Result<Self, NotOrderInvariant> {
-        let mut t = LookupTable::new(radius);
-        for (key, out) in entries {
-            t.observe(key, out)?;
-        }
-        Ok(t)
-    }
-
     /// Records an observation.
     ///
     /// # Errors

@@ -92,15 +92,6 @@ impl<In> Network<In> {
         &self.inputs
     }
 
-    /// An empty [`crate::ViewCache`] sized for this network, for the
-    /// cached executor entry points.
-    pub fn view_cache(&self) -> crate::ViewCache<In>
-    where
-        In: Clone,
-    {
-        crate::ViewCache::for_network(self)
-    }
-
     /// A network over the same graph and identifiers with new inputs.
     pub fn with_inputs<J>(&self, inputs: Vec<J>) -> Network<J>
     where

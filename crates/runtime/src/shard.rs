@@ -56,9 +56,7 @@
 //! cannot observe. Fault plans therefore compose unchanged.
 
 use crate::ball::{Ball, BallMembers, Scratch};
-use crate::executor::{
-    bfs_visit_order, memo_first_error, memo_run, ClassMemo, MemoStep, RoundStats, Run,
-};
+use crate::executor::{memo_first_error, MemoStep, RoundStats, Run};
 use crate::lookup::NotOrderInvariant;
 use crate::network::Network;
 use crate::transport::{FaultStats, Transport};
@@ -104,154 +102,6 @@ impl fmt::Display for HaloExceeded {
 }
 
 impl std::error::Error for HaloExceeded {}
-
-// ---------------------------------------------------------------------------
-// Word-serializable values
-// ---------------------------------------------------------------------------
-
-/// A value that round-trips as a self-delimiting `u64` word sequence.
-/// The persistent class store ([`crate::ClassStore`]) requires
-/// `Out: Spillable` to write and reload class verdicts.
-pub trait Spillable: Sized {
-    /// Appends a self-delimiting encoding of `self`.
-    fn spill(&self, words: &mut Vec<u64>);
-    /// Reads one value back; `None` on truncated or malformed input.
-    fn unspill(words: &mut std::slice::Iter<'_, u64>) -> Option<Self>;
-}
-
-macro_rules! spillable_uint {
-    ($($t:ty),*) => {$(
-        impl Spillable for $t {
-            fn spill(&self, words: &mut Vec<u64>) {
-                words.push(*self as u64);
-            }
-            fn unspill(words: &mut std::slice::Iter<'_, u64>) -> Option<Self> {
-                <$t>::try_from(*words.next()?).ok()
-            }
-        }
-    )*};
-}
-
-spillable_uint!(u8, u16, u32, u64, usize);
-
-impl Spillable for bool {
-    fn spill(&self, words: &mut Vec<u64>) {
-        words.push(u64::from(*self));
-    }
-    fn unspill(words: &mut std::slice::Iter<'_, u64>) -> Option<Self> {
-        match *words.next()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-}
-
-impl<A: Spillable, B: Spillable> Spillable for (A, B) {
-    fn spill(&self, words: &mut Vec<u64>) {
-        self.0.spill(words);
-        self.1.spill(words);
-    }
-    fn unspill(words: &mut std::slice::Iter<'_, u64>) -> Option<Self> {
-        Some((A::unspill(words)?, B::unspill(words)?))
-    }
-}
-
-impl<T: Spillable> Spillable for Vec<T> {
-    fn spill(&self, words: &mut Vec<u64>) {
-        words.push(self.len() as u64);
-        for x in self {
-            x.spill(words);
-        }
-    }
-    fn unspill(words: &mut std::slice::Iter<'_, u64>) -> Option<Self> {
-        let len = usize::try_from(*words.next()?).ok()?;
-        // Guard against a corrupt length word asking for more items than
-        // words remain (each item consumes ≥ 1 word).
-        if len > words.len() {
-            return None;
-        }
-        (0..len).map(|_| T::unspill(words)).collect()
-    }
-}
-
-impl<T: Spillable> Spillable for Option<T> {
-    fn spill(&self, words: &mut Vec<u64>) {
-        match self {
-            None => words.push(0),
-            Some(x) => {
-                words.push(1);
-                x.spill(words);
-            }
-        }
-    }
-    fn unspill(words: &mut std::slice::Iter<'_, u64>) -> Option<Self> {
-        match *words.next()? {
-            0 => Some(None),
-            1 => Some(Some(T::unspill(words)?)),
-            _ => None,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sealed memo tables
-// ---------------------------------------------------------------------------
-
-/// One sealed memo-class table, ready to store.
-pub struct ShardMemo<Out> {
-    pub(crate) memo: ClassMemo<Out>,
-}
-
-impl<Out> ShardMemo<Out> {
-    /// Distinct canonical classes this table holds.
-    pub fn class_count(&self) -> usize {
-        self.memo.class_count()
-    }
-
-    /// Unwraps the sealed class table (for the persistent class store).
-    pub(crate) fn into_memo(self) -> ClassMemo<Out> {
-        self.memo
-    }
-}
-
-impl<Out: Clone + PartialEq> ShardMemo<Out> {
-    /// Runs the memoized ladder over every node of `net` (in BFS order,
-    /// through one class memo) and seals the table — the input a
-    /// persistent dictionary is trained from
-    /// ([`ClassStore::absorb_shard_memo`](crate::ClassStore::absorb_shard_memo)).
-    /// Classes whose step failed are sealed as failures; no node's error
-    /// is replayed.
-    ///
-    /// # Errors
-    ///
-    /// [`NotOrderInvariant`] (through `E: From<NotOrderInvariant>`) if two
-    /// isomorphic views produced different step results.
-    pub fn train<In: Clone, E: From<NotOrderInvariant>>(
-        net: &Network<In>,
-        initial_radius: usize,
-        input_tag: impl Fn(&In, &mut Vec<u64>),
-        step: impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E>,
-    ) -> Result<ShardMemo<Out>, E> {
-        let g = net.graph();
-        let mut memo = ClassMemo::default();
-        memo_run(
-            net,
-            &bfs_visit_order(g),
-            initial_radius,
-            &input_tag,
-            &step,
-            &mut memo,
-            &mut Vec::new(),
-            &mut std::iter::repeat_with(|| None)
-                .take(g.n())
-                .collect::<Vec<_>>(),
-            &mut vec![0; g.n()],
-            None,
-        )?;
-        Ok(ShardMemo { memo })
-    }
-}
 
 // ---------------------------------------------------------------------------
 // The per-shard runner
@@ -526,8 +376,8 @@ impl<In: Clone> ShardSlice<In> {
 ///
 /// `slice_of` is called exactly once per shard, in schedule order, and at
 /// most `opts.resident` slices are alive at a time. Each wave decodes its
-/// slices in parallel (behind the `parallel` feature, sequentially
-/// otherwise) through the plain per-shard runner, and a truncated slice's
+/// slices in parallel through the plain per-shard runner ([`Run::map`];
+/// `LAD_THREADS=1` runs them in turn), and a truncated slice's
 /// ladder is capped at `opts.halo_radius − 1`. Outputs and
 /// [`RoundStats`] are bit-identical to the monolithic executors whenever
 /// the provider's slices match [`ShardView`]s of some partition.
@@ -590,7 +440,7 @@ where
                 slice
             })
             .collect();
-        let shard_runs = Run::<In>::default().map(&slices, |_, slice| {
+        let shard_runs = Run::default().map(&slices, |_, slice| {
             let cap = (!slice.complete).then(|| opts.halo_radius - 1);
             run_shard_plain_fallible(
                 &slice.net,

@@ -3,10 +3,10 @@
 //! The canonical-class insight makes decode work reusable *across runs and
 //! networks*: a class dictionary (canonical advice-labeled ball → verdict)
 //! trained on one graph serves any graph with the same local structure.
-//! This module persists sealed memo-class tables ([`ShardMemo`]) and
-//! [`LookupTable`]s to a compact on-disk format and reloads them with full
-//! validation, so a long-lived server can load a dictionary once and
-//! answer queries against a warm store.
+//! This module trains such dictionaries with the class-memo pass
+//! ([`ClassStore::train`]), persists them to a compact on-disk format and
+//! reloads them with full validation, so a long-lived server can load a
+//! dictionary once and answer queries against a warm store.
 //!
 //! # File layout
 //!
@@ -43,10 +43,11 @@
 //! so a stale or foreign dictionary can never be decoded into wrong
 //! answers.
 
+use crate::ball::Ball;
 use crate::canonical::CanonicalKey;
-use crate::executor::{KeyHashMap, MemoEntryKind};
-use crate::lookup::{LookupTable, NotOrderInvariant};
-use crate::shard::{ShardMemo, Spillable};
+use crate::executor::{bfs_visit_order, memo_run, ClassMemo, KeyHashMap, MemoEntryKind, MemoStep};
+use crate::lookup::NotOrderInvariant;
+use crate::network::Network;
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -111,6 +112,94 @@ fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
         let _ = std::fs::remove_file(&tmp);
     }
     res
+}
+
+// ---------------------------------------------------------------------------
+// Verdict words
+// ---------------------------------------------------------------------------
+
+/// A class verdict's output as the store writes it: a self-delimiting
+/// `u64` word sequence. [`ClassStore`] saves and loads `Out: StoreValue`.
+pub trait StoreValue: Sized {
+    /// Appends a self-delimiting encoding of `self`.
+    fn write_words(&self, words: &mut Vec<u64>);
+    /// Reads one value back; `None` on truncated or malformed input.
+    fn read_words(words: &mut std::slice::Iter<'_, u64>) -> Option<Self>;
+}
+
+macro_rules! store_value_uint {
+    ($($t:ty),*) => {$(
+        impl StoreValue for $t {
+            fn write_words(&self, words: &mut Vec<u64>) {
+                words.push(*self as u64);
+            }
+            fn read_words(words: &mut std::slice::Iter<'_, u64>) -> Option<Self> {
+                <$t>::try_from(*words.next()?).ok()
+            }
+        }
+    )*};
+}
+
+store_value_uint!(u8, u16, u32, u64, usize);
+
+impl StoreValue for bool {
+    fn write_words(&self, words: &mut Vec<u64>) {
+        words.push(u64::from(*self));
+    }
+    fn read_words(words: &mut std::slice::Iter<'_, u64>) -> Option<Self> {
+        match *words.next()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+}
+
+impl<A: StoreValue, B: StoreValue> StoreValue for (A, B) {
+    fn write_words(&self, words: &mut Vec<u64>) {
+        self.0.write_words(words);
+        self.1.write_words(words);
+    }
+    fn read_words(words: &mut std::slice::Iter<'_, u64>) -> Option<Self> {
+        Some((A::read_words(words)?, B::read_words(words)?))
+    }
+}
+
+impl<T: StoreValue> StoreValue for Vec<T> {
+    fn write_words(&self, words: &mut Vec<u64>) {
+        words.push(self.len() as u64);
+        for x in self {
+            x.write_words(words);
+        }
+    }
+    fn read_words(words: &mut std::slice::Iter<'_, u64>) -> Option<Self> {
+        let len = usize::try_from(*words.next()?).ok()?;
+        // Guard against a corrupt length word asking for more items than
+        // words remain (each item consumes ≥ 1 word).
+        if len > words.len() {
+            return None;
+        }
+        (0..len).map(|_| T::read_words(words)).collect()
+    }
+}
+
+impl<T: StoreValue> StoreValue for Option<T> {
+    fn write_words(&self, words: &mut Vec<u64>) {
+        match self {
+            None => words.push(0),
+            Some(x) => {
+                words.push(1);
+                x.write_words(words);
+            }
+        }
+    }
+    fn read_words(words: &mut std::slice::Iter<'_, u64>) -> Option<Self> {
+        match *words.next()? {
+            0 => Some(None),
+            1 => Some(Some(T::read_words(words)?)),
+            _ => None,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -290,9 +379,9 @@ pub enum ClassVerdict<Out> {
 }
 
 /// A persistent dictionary from canonical classes to verdicts, keyed by
-/// schema identity. Built from sealed [`ShardMemo`] tables or
-/// [`LookupTable`]s, saved/loaded through the checksummed `LADSTORE`
-/// format, and probed by [`CanonicalKey`].
+/// schema identity. Trained by class-memo passes ([`ClassStore::train`]),
+/// saved/loaded through the checksummed `LADSTORE` format, and probed by
+/// [`CanonicalKey`].
 #[derive(Debug, Clone)]
 pub struct ClassStore<Out> {
     schema: SchemaId,
@@ -387,22 +476,6 @@ impl<Out: PartialEq> ClassStore<Out> {
         }
     }
 
-    /// Folds one sealed memo table ([`ShardMemo::train`]) in, under
-    /// [`ClassStore::insert`]'s conflict discipline. Returns how many
-    /// classes were new.
-    pub fn absorb_shard_memo(&mut self, memo: ShardMemo<Out>) -> Result<usize, StoreError> {
-        let mut fresh = 0usize;
-        for (key, entry) in memo.into_memo().into_entries() {
-            let verdict = match entry.kind {
-                MemoEntryKind::Done(out) => ClassVerdict::Done(out),
-                MemoEntryKind::Expand(r) => ClassVerdict::Expand(r),
-                MemoEntryKind::Failed => ClassVerdict::Failed,
-            };
-            fresh += usize::from(self.insert(key, verdict)?);
-        }
-        Ok(fresh)
-    }
-
     /// Entries in canonical (key-word) order — the deterministic order
     /// every save writes, so identical dictionaries produce identical
     /// bytes.
@@ -414,30 +487,54 @@ impl<Out: PartialEq> ClassStore<Out> {
 }
 
 impl<Out: Clone + PartialEq> ClassStore<Out> {
-    /// A store holding a [`LookupTable`]'s observations (every entry a
-    /// [`ClassVerdict::Done`]).
-    pub fn from_lookup_table(schema: SchemaId, table: &LookupTable<Out>) -> Self {
-        let mut store = ClassStore::new(schema, table.radius());
-        for (key, out) in table.entries() {
-            store
-                .entries
-                .insert(key.clone(), ClassVerdict::Done(out.clone()));
-        }
-        store
-    }
-
-    /// The [`LookupTable`] view of this store: `Done` entries become
-    /// observations, ladder (`Expand`) and `Failed` classes are dropped
-    /// (a lookup table has no notion of either).
-    pub fn to_lookup_table(&self) -> LookupTable<Out> {
-        LookupTable::from_entries(
+    /// Trains the store on `net`: one class-memo pass over every node (in
+    /// BFS order, each ladder starting at the store's radius) evaluates
+    /// `step` once per canonical class, and the classes it found are
+    /// folded in under [`ClassStore::insert`]'s conflict discipline. A
+    /// class whose step failed is stored as [`ClassVerdict::Failed`]; no
+    /// node's error is replayed. Returns how many classes were new.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Conflict`] if two isomorphic views of `net` produced
+    /// different step results (the pass's re-evaluation safety net caught
+    /// an order-sensitive step), or if a class of `net` resolves
+    /// differently from the verdict the store already holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step` requests [`MemoStep::Expand`] to a radius that
+    /// does not strictly increase.
+    pub fn train<In: Clone, E>(
+        &mut self,
+        net: &Network<In>,
+        input_tag: impl Fn(&In, &mut Vec<u64>),
+        step: impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E>,
+    ) -> Result<usize, StoreError> {
+        let n = net.graph().n();
+        let mut memo = ClassMemo::default();
+        memo_run(
+            net,
+            &bfs_visit_order(net.graph()),
             self.radius,
-            self.entries.iter().filter_map(|(k, v)| match v {
-                ClassVerdict::Done(out) => Some((k.clone(), out.clone())),
-                _ => None,
-            }),
-        )
-        .expect("store entries are conflict-free by construction")
+            &input_tag,
+            &step,
+            &mut memo,
+            &mut Vec::new(),
+            &mut std::iter::repeat_with(|| None).take(n).collect::<Vec<_>>(),
+            &mut vec![0; n],
+            None,
+        )?;
+        let mut fresh = 0usize;
+        for (key, entry) in memo.into_entries() {
+            let verdict = match entry.kind {
+                MemoEntryKind::Done(out) => ClassVerdict::Done(out),
+                MemoEntryKind::Expand(r) => ClassVerdict::Expand(r),
+                MemoEntryKind::Failed => ClassVerdict::Failed,
+            };
+            fresh += usize::from(self.insert(key, verdict)?);
+        }
+        Ok(fresh)
     }
 }
 
@@ -511,7 +608,7 @@ fn read_string(it: &mut std::slice::Iter<'_, u64>) -> Result<String, StoreError>
     String::from_utf8(bytes).map_err(|_| malformed("string is not UTF-8"))
 }
 
-impl<Out: Spillable + Clone + PartialEq> ClassStore<Out> {
+impl<Out: StoreValue + Clone + PartialEq> ClassStore<Out> {
     /// Serializes the store to its on-disk byte form. Deterministic:
     /// entries are written in canonical key order, so two stores with the
     /// same content produce identical bytes (the golden-file CI check
@@ -547,7 +644,7 @@ impl<Out: Spillable + Clone + PartialEq> ClassStore<Out> {
                 match verdict {
                     ClassVerdict::Done(out) => {
                         classes.push(0);
-                        out.spill(classes);
+                        out.write_words(classes);
                     }
                     ClassVerdict::Expand(r) => {
                         classes.push(1);
@@ -728,7 +825,8 @@ impl<Out: Spillable + Clone + PartialEq> ClassStore<Out> {
             it = rest[klen..].iter();
             let verdict = match it.next().ok_or_else(|| malformed("classes truncated"))? {
                 0 => ClassVerdict::Done(
-                    Out::unspill(&mut it).ok_or_else(|| malformed("verdict payload truncated"))?,
+                    Out::read_words(&mut it)
+                        .ok_or_else(|| malformed("verdict payload truncated"))?,
                 ),
                 1 => ClassVerdict::Expand(
                     usize::try_from(*it.next().ok_or_else(|| malformed("classes truncated"))?)
@@ -762,9 +860,7 @@ impl<Out: Spillable + Clone + PartialEq> ClassStore<Out> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ball::Ball;
     use crate::canonical::canonicalize;
-    use crate::network::Network;
     use lad_graph::generators;
     use lad_graph::NodeId;
 
@@ -873,43 +969,5 @@ mod tests {
         ));
         // Identical re-insert is a no-op.
         assert!(!store.insert(key, ClassVerdict::Done(42)).expect("dup"));
-    }
-
-    #[test]
-    fn lookup_table_round_trips_through_store() {
-        let training: Vec<Network> = (0..6)
-            .map(|s| {
-                Network::with_ids(
-                    generators::cycle(12),
-                    lad_graph::IdAssignment::random_permutation(12, 100 + s),
-                )
-            })
-            .collect();
-        let table = LookupTable::train(
-            1,
-            &training,
-            |_| 0,
-            |ball: &Ball| {
-                let me = ball.uid(ball.center());
-                ball.graph().nodes().all(|v| ball.uid(v) >= me)
-            },
-            &crate::Run::default(),
-        )
-        .expect("order-invariant");
-        let store = ClassStore::from_lookup_table(SchemaId::new("local-min", 0), &table);
-        assert_eq!(store.len(), table.len());
-        let bytes = store.to_bytes();
-        let back: ClassStore<bool> = ClassStore::from_bytes(&bytes, None).expect("parses");
-        let table2 = back.to_lookup_table();
-        assert_eq!(table2.len(), table.len());
-        // Every training view answers identically through the round trip.
-        let probe = Network::with_ids(
-            generators::cycle(12),
-            lad_graph::IdAssignment::random_permutation(12, 999),
-        );
-        for v in probe.graph().nodes() {
-            let ball = Ball::collect(&probe, v, 1);
-            assert_eq!(table2.eval(&ball, |_| 0), table.eval(&ball, |_| 0));
-        }
     }
 }

@@ -13,8 +13,8 @@
 //! Determinism is structural, not incidental: fault decisions are computed
 //! by stateless hashing of `(seed, round, sender, port, salt)` rather than
 //! by a stream RNG, so they do not depend on iteration order, on how many
-//! random draws earlier rounds consumed, or on the `parallel` cargo
-//! feature. Every injected fault is tallied in [`FaultStats`].
+//! random draws earlier rounds consumed, or on the thread count. Every
+//! injected fault is tallied in [`FaultStats`].
 
 use lad_graph::{Graph, NodeId};
 use std::collections::BTreeMap;

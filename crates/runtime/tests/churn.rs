@@ -18,10 +18,6 @@
 //!   run (smallest failing node index, payload regenerated exactly);
 //! * proptest-driven random families and random edit scripts, so failures
 //!   shrink to a minimal script.
-//!
-//! Everything here runs under both feature configurations: with
-//! `--no-default-features` the `*_par*` reference paths degrade to the
-//! sequential executor and the assertions are unchanged.
 
 use lad_graph::mutate::{Edit, MutableGraph};
 use lad_graph::{builder::GraphBuilder, generators, Graph, NodeId};

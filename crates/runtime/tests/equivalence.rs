@@ -1,12 +1,13 @@
 //! Differential harness: every executor path computes the *same function*.
 //!
 //! The sequential reference [`run_local`] defines the LOCAL semantics.
-//! [`Run::nodes`] and [`Run::try_nodes`] — threaded, cached, or both — must
-//! reproduce its
-//! outputs and [`RoundStats`] **bit for bit** on every graph family and
-//! every thread count — algorithms here return entire [`Ball`] values so
-//! the comparison covers view subgraphs, identifier/input/degree tables,
-//! and global-name maps, not just summaries.
+//! [`Run::nodes`] and [`Run::try_nodes`] on every thread count, and a
+//! [`ChurnLocal`] session's opening run (views served from a fresh
+//! [`lad_runtime::ViewCache`]), must reproduce its outputs and
+//! [`RoundStats`] **bit for bit** on every graph family — algorithms here
+//! return entire [`Ball`] values so the comparison covers view subgraphs,
+//! identifier/input/degree tables, and global-name maps, not just
+//! summaries.
 //!
 //! Coverage:
 //! * a deterministic generator grid (paths, cycles, trees, grids, random
@@ -19,7 +20,7 @@
 //!   which must report the same first-in-node-order error everywhere.
 
 use lad_graph::{builder::GraphBuilder, generators, Graph};
-use lad_runtime::{run_local, run_local_fallible, Ball, Network, NodeCtx, Run};
+use lad_runtime::{run_local, run_local_fallible, Ball, ChurnLocal, Network, NodeCtx, Run};
 use proptest::prelude::*;
 
 const THREAD_GRID: [usize; 4] = [1, 2, 3, 8];
@@ -70,8 +71,8 @@ fn network_for(g: &Graph) -> Network<u32> {
 }
 
 /// Asserts that every executor path reproduces `run_local`'s outputs and
-/// round statistics exactly, across the thread grid, with cold and warm
-/// caches.
+/// round statistics exactly: across the thread grid, and through a view
+/// cache.
 fn assert_all_paths_equal<Out>(
     tag: &str,
     net: &Network<u32>,
@@ -86,36 +87,12 @@ fn assert_all_paths_equal<Out>(
             reference,
             "{tag}: par, {threads} threads"
         );
-        let cold = net.view_cache();
-        assert_eq!(
-            Run::default()
-                .threads(threads)
-                .cache(&cold)
-                .nodes(net, &algo),
-            reference,
-            "{tag}: par cold cache, {threads} threads"
-        );
-        // Warm pass over the same cache: answered from hits, still equal.
-        assert_eq!(
-            Run::default()
-                .threads(threads)
-                .cache(&cold)
-                .nodes(net, &algo),
-            reference,
-            "{tag}: par warm cache, {threads} threads"
-        );
     }
-    let cache = net.view_cache();
-    assert_eq!(
-        Run::default().threads(1).cache(&cache).nodes(net, &algo),
-        reference,
-        "{tag}: seq cache"
-    );
-    assert_eq!(
-        Run::default().threads(1).cache(&cache).nodes(net, &algo),
-        reference,
-        "{tag}: seq warm cache"
-    );
+    // A churn session's opening run serves every view from a fresh view
+    // cache, through its expansion and prefix paths.
+    let session = ChurnLocal::new(net.clone(), reference.1.rounds(), &algo);
+    assert_eq!(session.outputs(), &reference.0[..], "{tag}: cached");
+    assert_eq!(session.round_stats(), reference.1, "{tag}: cached rounds");
 }
 
 #[test]
@@ -201,25 +178,7 @@ fn fallible_success_and_failure_identical_everywhere() {
                 reference,
                 "{tag}: fallible par, {threads} threads"
             );
-            let cache = net.view_cache();
-            assert_eq!(
-                Run::default()
-                    .threads(threads)
-                    .cache(&cache)
-                    .try_nodes(&net, algo),
-                reference,
-                "{tag}: fallible par cached, {threads} threads"
-            );
         }
-        let cache = net.view_cache();
-        assert_eq!(
-            Run::default()
-                .threads(1)
-                .cache(&cache)
-                .try_nodes(&net, algo),
-            reference,
-            "{tag}: fallible seq cached"
-        );
     }
 }
 
@@ -248,16 +207,6 @@ fn simultaneous_failures_report_first_in_node_order() {
                 .unwrap_err(),
             expected,
             "threads = {threads}"
-        );
-        let cache = net.view_cache();
-        assert_eq!(
-            Run::default()
-                .threads(threads)
-                .cache(&cache)
-                .try_nodes(&net, algo)
-                .unwrap_err(),
-            expected,
-            "cached, threads = {threads}"
         );
     }
 }
@@ -305,9 +254,9 @@ proptest! {
         let algo = |ctx: &NodeCtx<u32>| ctx.ball(radius);
         let reference = run_local(&net, algo);
         prop_assert_eq!(&Run::default().threads(threads).nodes(&net, algo), &reference);
-        let cache = net.view_cache();
-        prop_assert_eq!(&Run::default().threads(threads).cache(&cache).nodes(&net, algo), &reference);
-        prop_assert_eq!(&Run::default().threads(1).cache(&cache).nodes(&net, algo), &reference);
+        let session = ChurnLocal::new(net.clone(), radius, algo);
+        prop_assert_eq!(session.outputs(), &reference.0[..]);
+        prop_assert_eq!(session.round_stats(), reference.1);
     }
 
     #[test]

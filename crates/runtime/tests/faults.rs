@@ -18,8 +18,7 @@
 //!
 //! Every cell is additionally replayed: the same seed and plan must
 //! reproduce identical outputs/errors and an identical [`FaultStats`]
-//! tally, regardless of the `parallel` feature (CI runs this file under
-//! both).
+//! tally, whatever the thread count.
 //!
 //! Part 2 (`tests/fault_schemas.rs` at the workspace root) runs the same
 //! discipline through the advice-schema decoders and their checkers.

@@ -17,15 +17,11 @@
 //! * first-error choice on fallible steps, which must match
 //!   [`run_local_fallible`]'s smallest-failing-node-index semantics, with
 //!   the error value regenerated exactly (node-specific payloads included).
-//!
-//! Everything here runs under both feature configurations: with
-//! `--no-default-features` every thread count degrades to the sequential
-//! pass, and the assertions are unchanged.
 
 use lad_graph::{builder::GraphBuilder, generators, Graph};
 use lad_runtime::{
-    plan_decode, run_local, run_local_fallible, Ball, ChurnMemoLocal, MemoStep, Network, NodeCtx,
-    NotOrderInvariant, RoundStats, Run, ShardMemo,
+    plan_decode, run_local, run_local_fallible, Ball, ChurnMemoLocal, ClassStore, MemoStep,
+    Network, NodeCtx, NotOrderInvariant, RoundStats, Run, SchemaId, StoreError,
 };
 use proptest::prelude::*;
 
@@ -235,9 +231,13 @@ fn hub_ball_memo_decode_matches_run_local() {
 }
 
 #[test]
-fn hub_ball_trains_a_shard_memo() {
-    let trained = ShardMemo::train(&hub_star(), 1, tag, hub_step).expect("order-invariant");
-    assert!(trained.class_count() > 1);
+fn hub_ball_trains_a_store() {
+    let mut store = ClassStore::new(SchemaId::new("hub", 0), 1);
+    let fresh = store
+        .train(&hub_star(), tag, hub_step)
+        .expect("order-invariant");
+    assert!(fresh > 1);
+    assert_eq!(store.len(), fresh);
 }
 
 #[test]
@@ -342,6 +342,12 @@ fn order_sensitive_step_is_refused_not_mis_shared() {
     assert!(matches!(
         memo_ladder(&net, 1, fallible),
         Err(TestErr::Oi(_))
+    ));
+    // Training a store runs the same pass, and refuses the same way.
+    let mut store = ClassStore::new(SchemaId::new("raw-uid", 0), 1);
+    assert!(matches!(
+        store.train(&net, tag, fallible),
+        Err(StoreError::Conflict(_))
     ));
 }
 

@@ -13,8 +13,7 @@
 //!   own counters.
 //!
 //! Every case passes its thread count in its own [`Run`], so the tests
-//! share no state and run in parallel. Without the `parallel` feature
-//! every entry point runs sequentially and the assertions are unchanged.
+//! share no state and run in parallel.
 
 use lad_graph::{generators, Graph};
 use lad_runtime::{

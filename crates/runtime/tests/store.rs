@@ -2,9 +2,8 @@
 //!
 //! Three contracts, each enforced differentially:
 //!
-//! * **Round trip.** A store built from *live* sealed memo tables
-//!   (produced by the real class-memo pass over a generator grid)
-//!   answers every query identically after save + reload, and
+//! * **Round trip.** A store trained by the real class-memo pass over a
+//!   generator grid answers every query identically after save + reload, and
 //!   re-serializing the reloaded store reproduces the file byte for byte
 //!   (serialization is deterministic: entries are written in canonical
 //!   key order).
@@ -19,19 +18,8 @@
 
 use lad_graph::{generators, IdAssignment};
 use lad_runtime::store::{ClassStore, ClassVerdict, SchemaId, StoreError};
-use lad_runtime::{Ball, MemoStep, Network, NotOrderInvariant, ShardMemo};
+use lad_runtime::{Ball, MemoStep, Network, NotOrderInvariant};
 use proptest::prelude::*;
-
-#[derive(Debug, PartialEq)]
-enum TestError {
-    Conflict(NotOrderInvariant),
-}
-
-impl From<NotOrderInvariant> for TestError {
-    fn from(c: NotOrderInvariant) -> Self {
-        TestError::Conflict(c)
-    }
-}
 
 fn tag(x: &u32, words: &mut Vec<u64>) {
     words.push(u64::from(*x));
@@ -41,7 +29,7 @@ fn tag(x: &u32, words: &mut Vec<u64>) {
 /// by three escalate once before answering, so trained tables contain
 /// `Done` entries at two radii plus `Expand` entries — every verdict
 /// variant the store serializes.
-fn step(ball: &Ball<u32>) -> Result<MemoStep<usize>, TestError> {
+fn step(ball: &Ball<u32>) -> Result<MemoStep<usize>, NotOrderInvariant> {
     if ball.input(ball.center()).is_multiple_of(3) && ball.radius() < 2 {
         return Ok(MemoStep::Expand(2));
     }
@@ -62,7 +50,7 @@ fn schema() -> SchemaId {
     SchemaId::new("store-test-step", 3)
 }
 
-/// Trains a store from live sealed memo tables across a small generator
+/// Trains a store with live class-memo passes across a small generator
 /// grid (cached — the corruption sweeps and proptest cases reuse one
 /// training run).
 fn trained_store() -> &'static ClassStore<usize> {
@@ -78,11 +66,9 @@ fn train() -> ClassStore<usize> {
         generators::grid2d(5, 6, false),
         generators::complete(5),
     ] {
-        let network = net(g, 0xC0FFEE);
-        let memo = ShardMemo::train(&network, 1, tag, step).expect("live memo run succeeds");
         store
-            .absorb_shard_memo(memo)
-            .expect("no cross-graph conflicts");
+            .train(&net(g, 0xC0FFEE), tag, step)
+            .expect("no conflicts");
     }
     assert!(store.len() > 4, "grid should produce a non-trivial table");
     store
@@ -135,9 +121,9 @@ fn store_survives_save_load_through_the_filesystem() {
 fn small_store_bytes() -> Vec<u8> {
     let mut store = ClassStore::new(schema(), 1);
     for g in [generators::cycle(12), generators::path(7)] {
-        let network = net(g, 0xBEEF);
-        let memo = ShardMemo::train(&network, 1, tag, step).expect("live memo run succeeds");
-        store.absorb_shard_memo(memo).expect("no conflicts");
+        store
+            .train(&net(g, 0xBEEF), tag, step)
+            .expect("no conflicts");
     }
     store.to_bytes()
 }

@@ -26,19 +26,18 @@
 //!   dictionary under the store's conflict discipline.
 //! * **Batching.** [`DecodeServer::handle_batch`] splits a batch into
 //!   contiguous chunks (one [`CanonScratch`] each) and runs them on the
-//!   runtime's process-wide worker pool behind the `parallel` feature.
-//!   The pool's threads are started once per process and the host's
-//!   parallelism is read once, so a batch costs a queue push and a
-//!   wake-up, not a thread spawn per chunk; the calling thread runs
-//!   chunks too and takes back any chunk no worker has claimed yet.
-//!   Without the feature the same entry point runs sequentially with
-//!   identical results.
+//!   runtime's process-wide worker pool. The pool's threads are started
+//!   once per process and the host's parallelism is read once, so a
+//!   batch costs a queue push and a wake-up, not a thread spawn per
+//!   chunk; the calling thread runs chunks too and takes back any chunk
+//!   no worker has claimed yet. With `LAD_THREADS=1` the same entry point
+//!   runs sequentially with identical results.
 
 pub mod protocol;
 
 use lad_core::{ball_from_words, query_key, ServedSchema};
 use lad_runtime::store::{ClassStore, ClassVerdict, SchemaId, StoreError};
-use lad_runtime::{CanonScratch, MemoStep, Run, Spillable};
+use lad_runtime::{CanonScratch, MemoStep, Run, StoreValue};
 use protocol::{
     decode_batch_response, push_string, read_frame, read_string, write_frame, BatchResult,
     ERR_BAD_REQUEST, ERR_DECODE, ERR_MALFORMED_QUERY, ERR_STALE_DICTIONARY, MAX_FRAME_WORDS,
@@ -158,13 +157,13 @@ impl PartialEq for Served {
     }
 }
 
-impl Spillable for Served {
-    fn spill(&self, words: &mut Vec<u64>) {
-        self.words.spill(words);
+impl StoreValue for Served {
+    fn write_words(&self, words: &mut Vec<u64>) {
+        self.words.write_words(words);
     }
 
-    fn unspill(words: &mut std::slice::Iter<'_, u64>) -> Option<Self> {
-        Vec::unspill(words).map(Served::new)
+    fn read_words(words: &mut std::slice::Iter<'_, u64>) -> Option<Self> {
+        Vec::read_words(words).map(Served::new)
     }
 }
 
@@ -350,12 +349,12 @@ impl DecodeServer {
         }
     }
 
-    /// Answers a batch. With the `parallel` feature the batch fans out in
-    /// contiguous chunks over the runtime's worker pool ([`Run::map_with`]
-    /// under the default spec), one [`CanonScratch`] per chunk; without it
-    /// the same call decodes sequentially with identical results.
+    /// Answers a batch. The batch fans out in contiguous chunks over the
+    /// runtime's worker pool ([`Run::map_with`] under the default spec),
+    /// one [`CanonScratch`] per chunk; a one-chunk spec decodes it
+    /// sequentially with identical results.
     pub fn handle_batch(&self, queries: &[&[u64]]) -> Vec<BatchResult> {
-        Run::<()>::default().map_with(queries, CanonScratch::new, |scratch, _i, q| {
+        Run::default().map_with(queries, CanonScratch::new, |scratch, _i, q| {
             self.answer_query(q, scratch)
         })
     }

@@ -20,11 +20,8 @@
 //!    one worker *is* the sequential composition, so invariance extends
 //!    the seed proof to every thread count.
 //!
-//! The suite runs under both feature configurations in CI (`parallel` on
-//! and off); with the feature off the thread counts are inert and the
-//! tests degenerate to seed-equality, which must still hold. Each encode
-//! carries its thread count in its own [`Run`], so the tests share no
-//! state.
+//! Each encode carries its thread count in its own [`Run`], so the tests
+//! share no state.
 
 use local_advice::core::advice::AdviceMap;
 use local_advice::core::balanced::{
@@ -43,7 +40,7 @@ use local_advice::graph::{
 use local_advice::runtime::{Ball, LookupTable, Network, Run};
 
 /// A run on exactly `threads` chunks, or on the automatic count.
-fn run_on(threads: Option<usize>) -> Run<'static> {
+fn run_on(threads: Option<usize>) -> Run {
     threads.map_or(Run::default(), |t| Run::default().threads(t))
 }
 

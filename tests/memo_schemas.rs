@@ -20,7 +20,7 @@ use local_advice::graph::{generators, Graph, IdAssignment};
 use local_advice::runtime::{Network, Run};
 
 /// A run on exactly `threads` chunks, or on the automatic count.
-fn run_on(threads: Option<usize>) -> Run<'static> {
+fn run_on(threads: Option<usize>) -> Run {
     threads.map_or(Run::default(), |t| Run::default().threads(t))
 }
 

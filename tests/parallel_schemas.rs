@@ -25,7 +25,7 @@ use local_advice::lcl::problems::ProperColoring;
 use local_advice::runtime::{Network, RoundStats, Run};
 
 /// A run on exactly `threads` chunks, or on the automatic count.
-fn run_on(threads: Option<usize>) -> Run<'static> {
+fn run_on(threads: Option<usize>) -> Run {
     threads.map_or(Run::default(), |t| Run::default().threads(t))
 }
 
