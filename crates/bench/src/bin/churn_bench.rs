@@ -71,23 +71,24 @@ fn batch_for(n: usize, seed: &mut u64, edits: usize) -> Vec<Edit> {
         .collect()
 }
 
-/// Order-invariant digest of a ball: structure, distances, uids folded
-/// with a commutative/associative mix so the value is independent of
-/// gather enumeration order.
-fn oi_digest(ball: &Ball<u32>) -> (usize, usize, u64, u64) {
-    let mut acc = 0u64;
-    let mut edges = 0usize;
-    for i in 0..ball.n() {
-        let v = NodeId(i as u32);
-        let h = ball
-            .uid(v)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((ball.dist(v) as u64) << 17)
-            .wrapping_add(ball.input(v).to_owned() as u64);
-        acc = acc.wrapping_add(h ^ (h >> 29));
-        edges += ball.graph().degree(v);
-    }
-    (ball.n(), edges / 2, acc, ball.uid(ball.center()))
+/// What [`oi_digest`] returns: size, edge count, inputs weighted by
+/// distance, and the center's uid rank.
+type Digest = (usize, usize, u64, usize);
+
+/// Order-invariant digest of a ball: its size, its edge count, its inputs
+/// weighted by distance, and the center's rank among the ball's uids. It
+/// reads uids only through their order, so the class memo may evaluate
+/// it once per class.
+fn oi_digest(ball: &Ball<u32>) -> Digest {
+    let c = ball.center();
+    let center_rank = ball.uids().iter().filter(|&&u| u < ball.uid(c)).count();
+    let weighted: u64 = (0..ball.n())
+        .map(|i| {
+            let v = NodeId(i as u32);
+            u64::from(*ball.input(v)) * (ball.dist(v) as u64 + 1)
+        })
+        .sum();
+    (ball.n(), ball.graph().m(), weighted, center_rank)
 }
 
 fn quantile(sorted: &[f64], q: f64) -> f64 {
@@ -230,7 +231,7 @@ fn bench_memo_repair(
     let ids = IdAssignment::random_permutation(n, 0xBEEF);
     let net = Network::with_ids(g.clone(), ids.clone()).with_inputs(inputs.clone());
     let tag = |input: &u32, words: &mut Vec<u64>| words.push(*input as u64);
-    let step = |ball: &Ball<u32>| -> Result<MemoStep<(usize, usize, u64, u64)>, NotOrderInvariant> {
+    let step = |ball: &Ball<u32>| -> Result<MemoStep<Digest>, NotOrderInvariant> {
         Ok(MemoStep::Done(oi_digest(ball)))
     };
     let mut session =
@@ -290,7 +291,7 @@ fn bench_planned_repair(
     let ids = IdAssignment::random_permutation(n, 0xBEEF);
     let net = Network::with_ids(g.clone(), ids.clone()).with_inputs(inputs.clone());
     let tag = |input: &u32, words: &mut Vec<u64>| words.push(*input as u64);
-    let step = |ball: &Ball<u32>| -> Result<MemoStep<(usize, usize, u64, u64)>, NotOrderInvariant> {
+    let step = |ball: &Ball<u32>| -> Result<MemoStep<Digest>, NotOrderInvariant> {
         Ok(MemoStep::Done(oi_digest(ball)))
     };
     let algo = |ctx: &NodeCtx<u32>| oi_digest(&ctx.ball(DIGEST_RADIUS));
@@ -475,5 +476,28 @@ fn main() {
     if failed {
         eprintln!("one or more rows failed differential verification");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn digest_reads_uids_only_through_their_order() {
+        let g = generators::grid2d(8, 8, true);
+        let n = g.n();
+        let ids = IdAssignment::random_permutation(n, 0xBEEF);
+        let doubled = IdAssignment::from_uids(ids.as_slice().iter().map(|&u| 2 * u).collect());
+        let inputs: Vec<u32> = (0..n).map(|i| (i % 13) as u32).collect();
+        let a = Network::with_ids(g.clone(), ids).with_inputs(inputs.clone());
+        let b = Network::with_ids(g, doubled).with_inputs(inputs);
+        for v in a.graph().nodes() {
+            assert_eq!(
+                oi_digest(&Ball::collect(&a, v, DIGEST_RADIUS)),
+                oi_digest(&Ball::collect(&b, v, DIGEST_RADIUS)),
+                "node {v:?}"
+            );
+        }
     }
 }

@@ -2,13 +2,15 @@
 //! as JSON.
 //!
 //! Each row runs the full cluster-coloring loop — encode → deliver →
-//! decode → verify — on a `rows × cols` torus, either:
+//! decode → verify — on a `rows × cols` torus with randomly permuted
+//! identifiers, either:
 //!
-//! * `mono` — the single-address-space reference: materialized
-//!   [`torus_net`], monolithic [`AdviceSchema::encode`]/`decode`; or
-//! * `shard` — the fully streamed path: [`torus_stream_encode`] and
-//!   [`torus_stream_decode`] over `k` row-band shards with at most
-//!   `resident` slices in memory.
+//! * `mono` — the monolithic reference: [`AdviceSchema::encode`] and
+//!   `decode`; or
+//! * `shard` — the sharded path: [`ClusterColoringSchema::encode_sharded`]
+//!   and [`ClusterColoringSchema::decode_sharded`] over `k` contiguous
+//!   shards (row bands of the row-major torus) with at most `resident`
+//!   slices alive at once.
 //!
 //! **Every row runs in its own subprocess** (the binary re-invokes
 //! itself with `--row`): Linux's `VmHWM` high-water mark is monotone per
@@ -26,10 +28,9 @@
 
 use lad_core::cluster_coloring::ClusterColoringSchema;
 use lad_core::schema::AdviceSchema;
-use lad_core::torus_stream::{torus_net, torus_stream_decode, torus_stream_encode};
 use lad_core::DecodeError;
-use lad_graph::coloring;
-use lad_runtime::ShardOpts;
+use lad_graph::{coloring, generators, IdAssignment, Partition};
+use lad_runtime::{Network, ShardOpts};
 use std::fmt::Write as _;
 use std::process::Command;
 use std::time::Instant;
@@ -41,9 +42,12 @@ fn run_row(mode: &str, rows: usize, cols: usize, k: usize, resident: usize, halo
     let schema = ClusterColoringSchema::default();
     let n = rows * cols;
     let start = Instant::now();
-    let (encode_s, decode_s, rounds, verified, halo_note) = match mode {
+    let net = Network::with_ids(
+        generators::grid2d(cols, rows, true),
+        IdAssignment::random_permutation(n, SEED),
+    );
+    let (encode_s, decode_s, rounds, verified) = match mode {
         "mono" => {
-            let net = torus_net(rows, cols, SEED);
             let t = Instant::now();
             let advice = schema.encode(&net).expect("monolithic encode");
             let encode_s = t.elapsed().as_secs_f64();
@@ -51,27 +55,28 @@ fn run_row(mode: &str, rows: usize, cols: usize, k: usize, resident: usize, halo
             let (colors, stats) = schema.decode(&net, &advice).expect("monolithic decode");
             let decode_s = t.elapsed().as_secs_f64();
             let verified = coloring::is_proper_coloring(net.graph(), &colors);
-            (encode_s, decode_s, stats.rounds(), verified, String::new())
+            (encode_s, decode_s, stats.rounds(), verified)
         }
         "shard" => {
-            let t = Instant::now();
-            let advice =
-                torus_stream_encode(&schema, rows, cols, k, SEED).expect("streamed encode");
-            let encode_s = t.elapsed().as_secs_f64();
+            let part = Partition::contiguous(n, k);
             let opts = ShardOpts::new(halo).resident(resident);
             let t = Instant::now();
-            match torus_stream_decode(&schema, &advice, k, &opts) {
-                // Properness is checked inside torus_stream_decode by
-                // streaming the edge list.
+            let advice = schema
+                .encode_sharded(&net, &part, &opts)
+                .expect("sharded encode");
+            let encode_s = t.elapsed().as_secs_f64();
+            let t = Instant::now();
+            match schema.decode_sharded(&net, &advice, &part, &opts) {
+                // decode_sharded checks properness itself.
                 Ok((_, stats)) => {
                     let decode_s = t.elapsed().as_secs_f64();
-                    (encode_s, decode_s, stats.rounds(), true, String::new())
+                    (encode_s, decode_s, stats.rounds(), true)
                 }
                 Err(DecodeError::Inconsistent(msg)) if msg.contains("halo") => {
                     eprintln!("halo {halo} too shallow: {msg}");
                     return 2; // orchestrator retries with a deeper halo
                 }
-                Err(e) => panic!("streamed decode failed: {e}"),
+                Err(e) => panic!("sharded decode failed: {e}"),
             }
         }
         other => panic!("unknown row mode {other}"),
@@ -86,7 +91,7 @@ fn run_row(mode: &str, rows: usize, cols: usize, k: usize, resident: usize, halo
          \"k\": {k}, \"resident\": {resident}, \"halo\": {halo}, \
          \"encode_s\": {encode_s:.6}, \"decode_s\": {decode_s:.6}, \"total_s\": {total_s:.6}, \
          \"nodes_per_s\": {nodes_per_s:.0}, \"rounds\": {rounds}, \
-         \"verified\": {verified}{halo_note}{rss_json}}}",
+         \"verified\": {verified}{rss_json}}}",
     );
     if verified {
         0
@@ -131,24 +136,20 @@ fn main() {
     let max_halo = schema.max_radius();
 
     // (rows, cols) grids: the small one always runs (and is the smoke
-    // grid the CI gate replays); the big ones only in full mode. The
-    // 10⁷-node torus runs sharded only — that is the point.
+    // grid the CI gate replays); the big one only in full mode.
     let mut specs: Vec<RowSpec> = Vec::new();
-    let mut grids: Vec<(usize, usize, bool)> = vec![(48, 48, true)];
+    let mut grids: Vec<(usize, usize)> = vec![(48, 48)];
     if !smoke {
-        grids.push((1000, 1000, true));
-        grids.push((2500, 4000, false));
+        grids.push((1000, 1000));
     }
-    for &(rows, cols, with_mono) in &grids {
-        if with_mono {
-            specs.push(RowSpec {
-                mode: "mono",
-                rows,
-                cols,
-                k: 1,
-                resident: usize::MAX,
-            });
-        }
+    for &(rows, cols) in &grids {
+        specs.push(RowSpec {
+            mode: "mono",
+            rows,
+            cols,
+            k: 1,
+            resident: usize::MAX,
+        });
         for k in [1usize, 2, 4, 8] {
             specs.push(RowSpec {
                 mode: "shard",

@@ -66,7 +66,6 @@ pub mod served;
 pub mod sharded;
 pub mod splitting;
 pub mod three_coloring;
-pub mod torus_stream;
 pub mod tracks;
 
 pub use advice::AdviceMap;

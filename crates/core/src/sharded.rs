@@ -1,16 +1,15 @@
 //! Shard-at-a-time encode/decode for the cluster-coloring schema.
 //!
-//! The sharded driver ([`lad_runtime::run_sharded_stream_fallible`]) is
+//! The sharded driver ([`lad_runtime::run_sharded_fallible`]) is
 //! schema-agnostic; this module binds it to the paper's Δ-coloring
-//! pipeline so instances too large for one address space can be encoded
-//! and decoded with a bounded resident set.
+//! pipeline. Both directions take a resident network, a [`Partition`] and
+//! [`ShardOpts`], and work on one halo-extended shard view at a time.
 //!
 //! # Decode
 //!
 //! [`ClusterColoringSchema::decode_sharded`] runs the exact ladder step of
 //! [`crate::AdviceSchema::decode`] (both call the shared
-//! `ClusterColoringSchema::memo_step`) through the driver's
-//! resident-network provider ([`lad_runtime::run_sharded_fallible`]), so
+//! `ClusterColoringSchema::memo_step`) through the sharded driver, so
 //! outputs, [`RoundStats`], and first-error payloads are bit-identical to
 //! the monolithic path whenever the halo is deep enough. Every shard
 //! climbs its nodes' ladders directly, with no class memo, and nothing is
@@ -162,7 +161,7 @@ impl ClusterColoringSchema {
 /// `d + 1` inherits the minimal candidate among its level-`d` neighbors,
 /// which equals the per-center minimum (any nearest center of `w` routes
 /// through a neighbor it is also nearest to).
-pub(crate) fn local_voronoi(
+fn local_voronoi(
     g: &Graph,
     uids: &[u64],
     centers: &[NodeId],

@@ -378,107 +378,6 @@ pub fn ladder(rungs: usize) -> Graph {
     b.build()
 }
 
-/// Streams the edges of [`cycle`] in lex-sorted `(min, max)` order
-/// without materializing the graph or an edge `Vec` — feed the callback
-/// into `builder::from_sorted_edges` (or a per-shard filter) to build
-/// instances too large for [`GraphBuilder`]'s edge set.
-///
-/// # Panics
-///
-/// Panics if `n < 3`.
-pub fn cycle_edges(n: usize, mut emit: impl FnMut(NodeId, NodeId)) {
-    assert!(n >= 3, "a cycle needs at least 3 nodes");
-    emit(NodeId(0), NodeId(1));
-    emit(NodeId(0), NodeId::from_index(n - 1));
-    for i in 1..n - 1 {
-        emit(NodeId::from_index(i), NodeId::from_index(i + 1));
-    }
-}
-
-/// Streams the edges of [`path`] in lex-sorted `(min, max)` order.
-pub fn path_edges(n: usize, mut emit: impl FnMut(NodeId, NodeId)) {
-    for i in 1..n {
-        emit(NodeId::from_index(i - 1), NodeId::from_index(i));
-    }
-}
-
-/// Streams the edges of [`grid2d`] in lex-sorted `(min, max)` order.
-///
-/// Every edge is emitted once, from its smaller endpoint: for node
-/// `(x, y)` the larger neighbors are, in ascending index order, the right
-/// neighbor `u + 1`, the row-wrap partner `u + w − 1` (at `x = 0`), the
-/// down neighbor `u + w`, and the column-wrap partner `u + (h − 1)·w`
-/// (at `y = 0`) — wrap requires both dimensions ≥ 3, so that order never
-/// inverts.
-///
-/// # Panics
-///
-/// Panics if `wrap` is set with a dimension smaller than 3.
-pub fn grid2d_edges(w: usize, h: usize, wrap: bool, mut emit: impl FnMut(NodeId, NodeId)) {
-    if wrap {
-        assert!(w >= 3 && h >= 3, "torus dimensions must be at least 3");
-    }
-    for y in 0..h {
-        for x in 0..w {
-            let u = y * w + x;
-            if x + 1 < w {
-                emit(NodeId::from_index(u), NodeId::from_index(u + 1));
-            }
-            if wrap && x == 0 {
-                emit(NodeId::from_index(u), NodeId::from_index(u + w - 1));
-            }
-            if y + 1 < h {
-                emit(NodeId::from_index(u), NodeId::from_index(u + w));
-            }
-            if wrap && y == 0 {
-                emit(NodeId::from_index(u), NodeId::from_index(u + (h - 1) * w));
-            }
-        }
-    }
-}
-
-/// Streams the edges of [`random_bounded_degree`] in lex-sorted
-/// `(min, max)` order, holding only compact per-node adjacency (at most
-/// `delta` entries per node) instead of [`GraphBuilder`]'s global edge
-/// set. The RNG draws and accept/reject decisions replay the
-/// materializing generator exactly — same `seed`, same graph.
-pub fn random_bounded_degree_edges(
-    n: usize,
-    delta: usize,
-    m_target: usize,
-    seed: u64,
-    mut emit: impl FnMut(NodeId, NodeId),
-) {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut m = 0usize;
-    let mut attempts = 0usize;
-    let max_attempts = m_target.saturating_mul(20) + 100;
-    while m < m_target && attempts < max_attempts {
-        attempts += 1;
-        let u = rng.random_range(0..n);
-        let v = rng.random_range(0..n);
-        if u == v || adj[u].len() >= delta || adj[v].len() >= delta {
-            continue;
-        }
-        if adj[u].contains(&(v as u32)) {
-            continue;
-        }
-        adj[u].push(v as u32);
-        adj[v].push(u as u32);
-        m += 1;
-    }
-    let mut larger: Vec<u32> = Vec::with_capacity(delta);
-    for (u, nbrs) in adj.iter().enumerate() {
-        larger.clear();
-        larger.extend(nbrs.iter().copied().filter(|&v| v as usize > u));
-        larger.sort_unstable();
-        for &v in &larger {
-            emit(NodeId::from_index(u), NodeId::from_index(v as usize));
-        }
-    }
-}
-
 /// A uniformly random labeled tree on `n` nodes via a Prüfer sequence —
 /// the canonical *exponential-growth-free but unbounded-degree-prone*
 /// family; degrees concentrate around O(log n / log log n).
@@ -692,56 +591,6 @@ mod tests {
         assert_eq!(g.m(), 5 + 2 * 4);
         assert_eq!(g.max_degree(), 3);
         assert!(traversal::is_connected(&g));
-    }
-
-    #[test]
-    fn streamed_edges_match_materializing_generators() {
-        use crate::builder::from_sorted_edges;
-        type EdgeSink<'a> = &'a mut dyn FnMut(NodeId, NodeId);
-        let collect = |f: &mut dyn FnMut(EdgeSink)| {
-            let mut edges = Vec::new();
-            f(&mut |u, v| edges.push((u, v)));
-            assert!(
-                edges.windows(2).all(|w| w[0] < w[1]),
-                "stream must be lex-sorted and deduplicated"
-            );
-            edges
-        };
-        for n in [3usize, 4, 5, 17, 30] {
-            let edges = collect(&mut |emit| cycle_edges(n, emit));
-            assert_eq!(from_sorted_edges(n, edges), cycle(n), "cycle {n}");
-        }
-        for n in [1usize, 2, 9, 24] {
-            let edges = collect(&mut |emit| path_edges(n, emit));
-            assert_eq!(from_sorted_edges(n, edges), path(n), "path {n}");
-        }
-        for (w, h, wrap) in [
-            (1, 5, false),
-            (5, 1, false),
-            (2, 2, false),
-            (4, 6, false),
-            (3, 3, true),
-            (3, 7, true),
-            (6, 4, true),
-            (5, 5, true),
-        ] {
-            let edges = collect(&mut |emit| grid2d_edges(w, h, wrap, emit));
-            assert_eq!(
-                from_sorted_edges(w * h, edges),
-                grid2d(w, h, wrap),
-                "grid {w}x{h} wrap={wrap}"
-            );
-        }
-        for seed in 0..5u64 {
-            let (n, delta, m_target) = (80, 4, 150);
-            let edges =
-                collect(&mut |emit| random_bounded_degree_edges(n, delta, m_target, seed, emit));
-            assert_eq!(
-                from_sorted_edges(n, edges),
-                random_bounded_degree(n, delta, m_target, seed),
-                "random_bounded_degree seed {seed}"
-            );
-        }
     }
 
     #[test]

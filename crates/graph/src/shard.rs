@@ -44,8 +44,7 @@ pub struct Partition {
 
 impl Partition {
     /// Contiguous index ranges: shard `s` owns nodes
-    /// `[s·⌈n/k⌉, (s+1)·⌈n/k⌉)`. The only rule that also works when the
-    /// graph is never materialized (the streaming builders use it).
+    /// `[s·⌈n/k⌉, (s+1)·⌈n/k⌉)`. On a row-major grid these are row bands.
     ///
     /// # Panics
     ///

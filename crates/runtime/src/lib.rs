@@ -102,11 +102,8 @@ pub use messaging::{
     RoundOutcome, Strict,
 };
 pub use network::Network;
-pub use plan::{plan_decode, probe_stride, ExecPath, PlanDecision};
-pub use shard::{
-    run_sharded_fallible, run_sharded_stream_fallible, HaloExceeded, ShardOpts, ShardSlice,
-    ShardTrafficStats, ShardedTransport,
-};
+pub use plan::{plan_decode, ExecPath, PlanDecision};
+pub use shard::{run_sharded_fallible, HaloExceeded, ShardOpts};
 pub use store::{
     ClassStore, ClassVerdict, SchemaId, StoreError, StoreValue, KEY_LAYOUT_VERSION, STORE_VERSION,
 };

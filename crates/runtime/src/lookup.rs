@@ -180,20 +180,6 @@ impl<Out: Clone + PartialEq> LookupTable<Out> {
     pub fn eval<In>(&self, ball: &Ball<In>, input_tag: impl Fn(&In) -> u64) -> Option<Out> {
         self.table.get(&canonicalize(ball, input_tag)).cloned()
     }
-
-    /// [`LookupTable::eval`] with a caller-provided keying workspace — for
-    /// callers evaluating many views in a loop, where the thread-local
-    /// fallback inside [`canonicalize`] would hide the reuse.
-    pub fn eval_with<In>(
-        &self,
-        ball: &Ball<In>,
-        input_tag: impl Fn(&In) -> u64,
-        scratch: &mut CanonScratch,
-    ) -> Option<Out> {
-        self.table
-            .get(&canonicalize_with(ball, input_tag, scratch))
-            .cloned()
-    }
 }
 
 #[cfg(test)]

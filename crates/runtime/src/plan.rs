@@ -116,7 +116,7 @@ fn gcd(mut a: usize, mut b: usize) -> usize {
 /// # Panics
 ///
 /// Panics if `n` is 0.
-pub fn probe_stride(n: usize) -> usize {
+fn probe_stride(n: usize) -> usize {
     assert!(n > 0, "probe_stride needs a nonempty instance");
     let mut s = ((n as f64) * 0.618_033_988_749_895) as usize % n;
     s = s.max(1);

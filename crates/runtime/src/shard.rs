@@ -1,21 +1,13 @@
-//! Shard-at-a-time execution on a bounded resident set.
+//! Shard-at-a-time execution of a resident network.
 //!
-//! Every other executor in this crate assumes the whole instance fits in
-//! one address space. This module removes that assumption: the nodes are
-//! split into `K` shards, each shard decodes from a [`ShardSlice`] (its
-//! interior nodes plus a radius-`T` halo, as a local network), and one
-//! driver, [`run_sharded_stream_fallible`], decodes the slices one wave
-//! at a time with at most `R` of them alive. Nothing outlives a wave but
-//! its interior nodes' outputs and radii, so peak memory is the largest
-//! wave of slices plus one output slot per node.
-//!
-//! The driver asks a provider closure for each slice, exactly once per
-//! shard and in schedule order. [`run_sharded_fallible`] is the provider
-//! for a resident [`Network`] cut by a [`Partition`]: it builds each
-//! shard's [`ShardView`] when the shard's wave starts, so a shard outside
-//! the current wave costs nothing. Instances too large to hold at all
-//! supply slices generated from the graph family instead
-//! (`lad_core::torus_stream`).
+//! [`run_sharded_fallible`] splits a [`Network`]'s nodes into the `K`
+//! shards of a [`Partition`] and decodes them in waves of at most `R`
+//! (`ShardOpts::resident`). Each shard decodes from a slice: its
+//! [`ShardView`] (interior nodes plus a radius-`T` halo) as a local
+//! network, built when the shard's wave starts and dropped when the wave
+//! ends. Nothing outlives a wave but its interior nodes' outputs and
+//! radii, so besides the network itself a run holds the largest wave of
+//! slices plus one output slot per node.
 //!
 //! # Why shard-local replay is sound
 //!
@@ -44,24 +36,12 @@
 //! schedule. Failed nodes are collected globally and the smallest-index
 //! one replays its ladder on the **full** network, so error payloads are
 //! bit-identical to the monolithic ladder's.
-//!
-//! # Messaging
-//!
-//! [`ShardedTransport`] adapts any [`Transport`] to the sharded regime:
-//! intra-shard messages are routed directly, cross-shard messages are
-//! queued in per-`(src_shard, dst_shard)` mailboxes and flushed when the
-//! schedule switches shards. Delivery is bit-identical to the inner
-//! transport — each inbox slot has exactly one sender, so re-routing is a
-//! permutation of the delivery order, which the round-synchronous model
-//! cannot observe. Fault plans therefore compose unchanged.
 
 use crate::ball::{Ball, BallMembers, Scratch};
 use crate::executor::{memo_first_error, MemoStep, RoundStats, Run};
 use crate::lookup::NotOrderInvariant;
 use crate::network::Network;
-use crate::transport::{FaultStats, Transport};
-use lad_graph::{Graph, IdAssignment, NodeId, Partition, ShardView};
-use std::borrow::Borrow;
+use lad_graph::{IdAssignment, NodeId, Partition, ShardView};
 use std::fmt;
 use std::path::PathBuf;
 
@@ -191,7 +171,7 @@ fn run_shard_plain_fallible<In: Clone, Out, E: From<HaloExceeded>>(
 }
 
 // ---------------------------------------------------------------------------
-// The sharded driver and its resident-network provider
+// The sharded driver
 // ---------------------------------------------------------------------------
 
 /// Configuration for the sharded driver.
@@ -200,10 +180,9 @@ pub struct ShardOpts {
     /// Halo depth `T` the views are built with; the decode ladder may use
     /// radii up to `T − 1` on truncated shards. Must be ≥ 1.
     pub halo_radius: usize,
-    /// Maximum shard slices alive at once (`R`): the driver asks its
-    /// provider for at most this many slices per wave and drops them
-    /// before the next wave starts, so peak memory is the largest wave,
-    /// not the instance. Clamped to ≥ 1. Defaults to "all resident".
+    /// Maximum shard slices alive at once (`R`): the driver builds at
+    /// most this many slices per wave and drops them before the next wave
+    /// starts. Clamped to ≥ 1. Defaults to "all resident".
     pub resident: usize,
     /// Shard processing order; `None` means `0..k`. Must be a permutation
     /// of the shard ids — outputs are schedule-invariant either way.
@@ -253,38 +232,37 @@ impl ShardOpts {
             Some(s) => s.clone(),
             None => (0..k).collect(),
         };
-        check_schedule(&schedule, k);
+        assert_eq!(schedule.len(), k, "schedule must list every shard once");
+        let mut seen = vec![false; k];
+        for &s in &schedule {
+            assert!(s < k, "schedule names shard {s} of {k}");
+            assert!(!seen[s], "schedule lists shard {s} twice");
+            seen[s] = true;
+        }
         schedule
     }
 }
 
-fn check_schedule(schedule: &[usize], k: usize) {
-    assert_eq!(schedule.len(), k, "schedule must list every shard once");
-    let mut seen = vec![false; k];
-    for &s in schedule {
-        assert!(s < k, "schedule names shard {s} of {k}");
-        assert!(!seen[s], "schedule lists shard {s} twice");
-        seen[s] = true;
-    }
-}
-
 /// Sharded execution of a resident network: decodes `net` shard-at-a-time
-/// under `part` with at most `opts.resident` shards in memory.
+/// under `part`, in waves of at most `opts.resident` shards.
 ///
-/// This is the resident-network provider for
-/// [`run_sharded_stream_fallible`]: each shard's [`ShardView`] is built
-/// when its wave starts and moved into a [`ShardSlice`], and first-error
-/// replay runs on `net` itself. Outputs, [`RoundStats`], and first-error
-/// choice are bit-identical to
-/// the monolithic ladder ([`Run::ladder`], and so to the same ladder
-/// under `run_local`) whenever the halo is deep enough; a
-/// ladder that outgrows the halo aborts with a typed [`HaloExceeded`]
-/// instead of decoding from truncated views. Outputs are
-/// schedule-invariant.
+/// Each shard's [`ShardView`] is built when its wave starts, and the
+/// wave's shards decode in parallel ([`Run::map`]; `LAD_THREADS=1` runs
+/// them in turn). Every interior node climbs its own ladder, capped at
+/// `opts.halo_radius − 1` when edges leave the shard's view. Outputs,
+/// [`RoundStats`], and first-error choice are bit-identical to the
+/// monolithic ladder ([`Run::ladder`], and so to the same ladder under
+/// `run_local`) whenever the halo is deep enough; a ladder that outgrows
+/// the halo aborts with a typed [`HaloExceeded`] instead of decoding from
+/// truncated views. Outputs are schedule-invariant.
 ///
 /// # Errors
 ///
-/// See [`run_sharded_stream_fallible`].
+/// The first failing node's own error (in node-index order), a
+/// [`HaloExceeded`] ladder, or a [`NotOrderInvariant`]. The failing node
+/// replays its ladder on `net`, so the payload addresses exact radii;
+/// `input_tag` only keys the [`NotOrderInvariant`] raised when that
+/// replay does not fail where the shard did.
 ///
 /// # Panics
 ///
@@ -310,40 +288,32 @@ where
         "partition does not match the network's graph"
     );
     run_sharded_stream_fallible(
-        g.n(),
+        net,
         part.k(),
         opts,
         initial_radius,
         |s| ShardSlice::from_view(net, ShardView::build(g, part, s, opts.halo_radius)),
-        || net,
         input_tag,
         step,
     )
 }
 
-/// One shard materialized by a provider: the local network plus
-/// membership metadata — everything the per-shard runner needs, with no
-/// global graph behind it.
-///
-/// [`run_sharded_stream_fallible`] asks its provider for one `ShardSlice`
-/// at a time: cut from a resident [`Network`] ([`ShardSlice::from_view`],
-/// as [`run_sharded_fallible`] does), or generated directly from a
-/// streaming graph family, so peak memory is the largest wave of slices,
-/// not the graph.
-pub struct ShardSlice<In> {
+/// One shard's slice: the local network plus membership metadata —
+/// everything the per-shard runner needs.
+struct ShardSlice<In> {
     /// The shard this slice serves.
-    pub shard: usize,
+    shard: usize,
     /// Global ids of the slice's nodes, ascending; local id = rank.
-    pub members: Vec<NodeId>,
+    members: Vec<NodeId>,
     /// Per local node: does this shard own it? Interior sets must
     /// partition the global node set across all `k` slices.
-    pub interior: Vec<bool>,
+    interior: Vec<bool>,
     /// The local network: the halo-closed induced subgraph with global
     /// uids and inputs.
-    pub net: Network<In>,
+    net: Network<In>,
     /// `true` when no edge leaves the slice (every member interior): balls
     /// are then exact at every radius and the ladder runs uncapped.
-    pub complete: bool,
+    complete: bool,
 }
 
 impl<In: Clone> ShardSlice<In> {
@@ -357,7 +327,7 @@ impl<In: Clone> ShardSlice<In> {
     /// # Panics
     ///
     /// Panics if the view was built with `halo_radius` 0.
-    pub fn from_view(net: &Network<In>, view: ShardView) -> ShardSlice<In> {
+    fn from_view(net: &Network<In>, view: ShardView) -> ShardSlice<In> {
         assert!(view.halo_radius >= 1, "a slice needs a halo of at least 1");
         let uids: Vec<u64> = view.members.iter().map(|&v| net.uid(v)).collect();
         let inputs: Vec<In> = view.members.iter().map(|&v| net.input(v).clone()).collect();
@@ -371,44 +341,25 @@ impl<In: Clone> ShardSlice<In> {
     }
 }
 
-/// Sharded execution over provider-materialized slices — the one sharded
-/// driver.
+/// The wave loop behind [`run_sharded_fallible`]: decodes the `k` slices
+/// `slice_of` returns and replays the first failing node on `net`.
 ///
 /// `slice_of` is called exactly once per shard, in schedule order, and at
-/// most `opts.resident` slices are alive at a time. Each wave decodes its
-/// slices in parallel through the plain per-shard runner ([`Run::map`];
-/// `LAD_THREADS=1` runs them in turn), and a truncated slice's
-/// ladder is capped at `opts.halo_radius − 1`. Outputs and
-/// [`RoundStats`] are bit-identical to the monolithic executors whenever
-/// the provider's slices match [`ShardView`]s of some partition.
-///
-/// `replay_net` is invoked only on the error path: first-error payloads
-/// address exact radii on the full graph, so the one failing node replays
-/// there. Providers for instances that cannot materialize the full
-/// network may panic in that closure; they then trade typed first-error
-/// payloads for boundedness. `input_tag` only keys the
-/// [`NotOrderInvariant`] error raised when that replay does not fail
-/// where the slice did.
-///
-/// # Errors
-///
-/// The first failing node's own error (in node-index order), a
-/// [`HaloExceeded`] ladder, or a [`NotOrderInvariant`] when the replay
-/// on the full network does not fail where the slice did.
+/// most `opts.resident` slices are alive at a time. Outputs and
+/// [`RoundStats`] are bit-identical to the monolithic ladder whenever the
+/// slices are [`ShardView`]s of one partition of `net`.
 ///
 /// # Panics
 ///
 /// Panics if `opts.halo_radius` is 0, the schedule is not a permutation
 /// of `0..k`, a slice's metadata is inconsistent, or the slices'
-/// interiors fail to partition `0..n`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sharded_stream_fallible<In, Out, E, N>(
-    n: usize,
+/// interiors fail to partition `net`'s nodes.
+fn run_sharded_stream_fallible<In, Out, E>(
+    net: &Network<In>,
     k: usize,
     opts: &ShardOpts,
     initial_radius: usize,
     mut slice_of: impl FnMut(usize) -> ShardSlice<In>,
-    replay_net: impl FnOnce() -> N,
     input_tag: impl Fn(&In, &mut Vec<u64>) + Sync,
     step: impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E> + Sync,
 ) -> Result<(Vec<Out>, RoundStats), E>
@@ -416,9 +367,9 @@ where
     In: Clone + Send + Sync,
     Out: Send,
     E: From<NotOrderInvariant> + From<HaloExceeded> + Send,
-    N: Borrow<Network<In>>,
 {
     assert!(opts.halo_radius >= 1, "halo_radius must be at least 1");
+    let n = net.graph().n();
     let schedule = opts.schedule_for(k);
     let resident = opts.resident.clamp(1, k.max(1));
     let mut run = ShardRun {
@@ -474,9 +425,6 @@ where
         panic!("slice interiors do not cover node {gv}: no shard claims it");
     }
     if let Some(&i) = run.failed.iter().min() {
-        let net = replay_net();
-        let net = net.borrow();
-        assert_eq!(net.graph().n(), n, "replay network covers the instance");
         return Err(memo_first_error(
             net,
             NodeId::from_index(i),
@@ -493,147 +441,17 @@ where
     Ok((outs, RoundStats::from_per_node(run.per_node)))
 }
 
-// ---------------------------------------------------------------------------
-// Sharded message routing
-// ---------------------------------------------------------------------------
-
-/// Traffic counters for a [`ShardedTransport`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardTrafficStats {
-    /// Messages delivered directly (sender and receiver in one shard).
-    pub intra_messages: u64,
-    /// Messages that crossed a shard boundary through a mailbox.
-    pub cross_messages: u64,
-    /// Non-empty `(src_shard, dst_shard)` mailboxes flushed.
-    pub flushes: u64,
-    /// Most messages queued in mailboxes at once (per-round high water).
-    pub mailbox_peak: u64,
-}
-
-/// Adapts any [`Transport`] to shard-at-a-time processing: messages whose
-/// sender and receiver share a shard are routed directly while the shard
-/// is current; cross-shard messages queue in per-`(src_shard, dst_shard)`
-/// mailboxes and are flushed when the schedule switches to the receiving
-/// shard.
-///
-/// Every inbox slot has exactly one sending edge, so the re-routing is a
-/// permutation of delivery order within the round — delivered inboxes are
-/// **bit-identical** to the inner transport's, and fault plans compose
-/// unchanged (drops, duplicates, delays, and crashes all happen inside
-/// the wrapped transport before routing).
-#[derive(Debug, Clone)]
-pub struct ShardedTransport<T> {
-    inner: T,
-    part: Partition,
-    schedule: Vec<usize>,
-    nodes_by_shard: Vec<Vec<NodeId>>,
-    stats: ShardTrafficStats,
-}
-
-impl<T> ShardedTransport<T> {
-    /// Wraps `inner`, processing shards in id order.
-    pub fn new(inner: T, part: Partition) -> Self {
-        let schedule = (0..part.k()).collect();
-        ShardedTransport::with_schedule(inner, part, schedule)
-    }
-
-    /// Wraps `inner` with an explicit shard schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `schedule` is not a permutation of `0..part.k()`.
-    pub fn with_schedule(inner: T, part: Partition, schedule: Vec<usize>) -> Self {
-        check_schedule(&schedule, part.k());
-        let nodes_by_shard = (0..part.k()).map(|s| part.shard_nodes(s)).collect();
-        ShardedTransport {
-            inner,
-            part,
-            schedule,
-            nodes_by_shard,
-            stats: ShardTrafficStats::default(),
-        }
-    }
-
-    /// Traffic counters accumulated so far.
-    pub fn traffic(&self) -> ShardTrafficStats {
-        self.stats
-    }
-
-    /// Unwraps the inner transport.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-}
-
-impl<Msg: Clone, T: Transport<Msg>> Transport<Msg> for ShardedTransport<T> {
-    fn exchange(&mut self, g: &Graph, round: usize, outboxes: &[Vec<Msg>]) -> Vec<Vec<Vec<Msg>>> {
-        assert_eq!(self.part.n(), g.n(), "partition does not match the graph");
-        let mut delivered = self.inner.exchange(g, round, outboxes);
-        let k = self.part.k();
-        let mut inboxes: Vec<Vec<Vec<Msg>>> = delivered
-            .iter()
-            .map(|slots| vec![Vec::new(); slots.len()])
-            .collect();
-        // Pass 1 — process shards in schedule order: deliver intra-shard
-        // slots directly, queue cross-shard slots in (src, dst) mailboxes.
-        let mut mailboxes: Vec<Vec<(NodeId, usize)>> = vec![Vec::new(); k * k];
-        let mut queued: u64 = 0;
-        for &dst in &self.schedule {
-            for &v in &self.nodes_by_shard[dst] {
-                for (port, &u) in g.neighbors(v).iter().enumerate() {
-                    let src = self.part.owner(u);
-                    if src == dst {
-                        let msgs = std::mem::take(&mut delivered[v.index()][port]);
-                        self.stats.intra_messages += msgs.len() as u64;
-                        inboxes[v.index()][port] = msgs;
-                    } else {
-                        queued += delivered[v.index()][port].len() as u64;
-                        mailboxes[src * k + dst].push((v, port));
-                    }
-                }
-            }
-        }
-        self.stats.mailbox_peak = self.stats.mailbox_peak.max(queued);
-        // Pass 2 — flush: when the schedule switches to shard `dst`, drain
-        // every mailbox addressed to it, in schedule order of the source.
-        for &dst in &self.schedule {
-            for &src in &self.schedule {
-                let slots = std::mem::take(&mut mailboxes[src * k + dst]);
-                if slots.is_empty() {
-                    continue;
-                }
-                self.stats.flushes += 1;
-                for (v, port) in slots {
-                    let msgs = std::mem::take(&mut delivered[v.index()][port]);
-                    self.stats.cross_messages += msgs.len() as u64;
-                    inboxes[v.index()][port] = msgs;
-                }
-            }
-        }
-        inboxes
-    }
-
-    fn is_crashed(&self, v: NodeId, round: usize) -> bool {
-        self.inner.is_crashed(v, round)
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        self.inner.fault_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::MemoStep;
-    use crate::transport::PerfectLink;
-    use lad_graph::generators;
+    use lad_graph::{generators, Graph};
 
     /// Error enum for tests exercising every failure mode.
     #[derive(Debug, PartialEq)]
     enum ShardDecodeError {
         Conflict(NotOrderInvariant),
         Halo(HaloExceeded),
+        Step(u64),
     }
 
     impl From<NotOrderInvariant> for ShardDecodeError {
@@ -648,13 +466,9 @@ mod tests {
         }
     }
 
-    /// An order-invariant ladder step: expand to radius 2, then output a
-    /// statistic of the ball's canonical content (sizes, degrees, inputs
+    /// A statistic of the ball's canonical content (sizes, degrees, inputs
     /// weighted by distance) — a pure function of the isomorphism class.
-    fn ball_stat_step(ball: &Ball<u32>) -> Result<MemoStep<u64>, ShardDecodeError> {
-        if ball.radius() < 2 {
-            return Ok(MemoStep::Expand(2));
-        }
+    fn ball_stat(ball: &Ball<u32>) -> u64 {
         let mut acc = ball.n() as u64;
         for i in 0..ball.n() {
             let v = NodeId::from_index(i);
@@ -662,7 +476,34 @@ mod tests {
                 + ball.global_degree(v) as u64 * 7
                 + ball.dist(v) as u64;
         }
-        Ok(MemoStep::Done(acc))
+        acc
+    }
+
+    /// An order-invariant ladder step: expand to radius 2, then output
+    /// [`ball_stat`].
+    fn ball_stat_step(ball: &Ball<u32>) -> Result<MemoStep<u64>, ShardDecodeError> {
+        if ball.radius() < 2 {
+            return Ok(MemoStep::Expand(2));
+        }
+        Ok(MemoStep::Done(ball_stat(ball)))
+    }
+
+    /// Like [`ball_stat_step`] but fails (with a class-invariant payload)
+    /// on balls whose statistic is divisible by 3.
+    fn failing_step(ball: &Ball<u32>) -> Result<MemoStep<u64>, ShardDecodeError> {
+        match ball_stat_step(ball)? {
+            MemoStep::Done(s) if s.is_multiple_of(3) => Err(ShardDecodeError::Step(s)),
+            other => Ok(other),
+        }
+    }
+
+    /// Order-invariant step that outputs at radius 3, the deepest a halo
+    /// of 4 serves.
+    fn radius3_step(ball: &Ball<u32>) -> Result<MemoStep<u64>, ShardDecodeError> {
+        if ball.radius() < 3 {
+            return Ok(MemoStep::Expand(3));
+        }
+        Ok(MemoStep::Done(ball_stat(ball)))
     }
 
     fn tag(x: &u32, words: &mut Vec<u64>) {
@@ -677,6 +518,11 @@ mod tests {
                 .collect(),
         );
         Network::new(g, ids, inputs)
+    }
+
+    /// The slice [`run_sharded_fallible`] builds for shard `s`.
+    fn slice(net: &Network<u32>, part: &Partition, s: usize, halo: usize) -> ShardSlice<u32> {
+        ShardSlice::from_view(net, ShardView::build(net.graph(), part, s, halo))
     }
 
     #[test]
@@ -713,25 +559,50 @@ mod tests {
     }
 
     #[test]
+    fn stream_driver_asks_for_each_slice_once_in_schedule_order() {
+        let network = net(generators::cycle(30));
+        let part = Partition::contiguous(30, 5);
+        for schedule in [
+            vec![0, 1, 2, 3, 4],
+            vec![4, 3, 2, 1, 0],
+            vec![0, 2, 4, 1, 3],
+        ] {
+            for resident in [1usize, 2, usize::MAX] {
+                let opts = ShardOpts::new(4)
+                    .schedule(schedule.clone())
+                    .resident(resident);
+                let mut requested = Vec::new();
+                run_sharded_stream_fallible(
+                    &network,
+                    5,
+                    &opts,
+                    1,
+                    |s| {
+                        requested.push(s);
+                        slice(&network, &part, s, 4)
+                    },
+                    tag,
+                    ball_stat_step,
+                )
+                .expect("decodes");
+                assert_eq!(requested, schedule, "resident={resident}");
+            }
+        }
+    }
+
+    #[test]
     fn stream_driver_halo_cap_still_bites() {
         let g = generators::cycle(24);
         let network = net(g);
         let part = Partition::contiguous(24, 4);
         // Ladder needs radius 2; halo 2 caps truncated slices at 1.
         let opts = ShardOpts::new(2);
-        let mut slices: Vec<Option<ShardSlice<u32>>> = (0..4)
-            .map(|s| {
-                let view = ShardView::build(network.graph(), &part, s, 2);
-                Some(ShardSlice::from_view(&network, view))
-            })
-            .collect();
         let got = run_sharded_stream_fallible(
-            24,
+            &network,
             4,
             &opts,
             1,
-            |s| slices[s].take().expect("each shard requested once"),
-            || -> Network<u32> { unreachable!("halo errors do not replay") },
+            |s| slice(&network, &part, s, 2),
             tag,
             ball_stat_step,
         );
@@ -742,6 +613,53 @@ mod tests {
             }
             other => panic!("expected a halo error, got {other:?}"),
         }
+    }
+
+    /// Decodes `path(40)` through the driver from two contiguous halo-4
+    /// slices, after `tamper` has edited slice 1's interior flags.
+    fn run_tampered_path(
+        tamper: impl Fn(&mut [bool]),
+        step: fn(&Ball<u32>) -> Result<MemoStep<u64>, ShardDecodeError>,
+    ) -> Result<(Vec<u64>, RoundStats), ShardDecodeError> {
+        let network = net(generators::path(40));
+        let part = Partition::contiguous(40, 2);
+        run_sharded_stream_fallible(
+            &network,
+            2,
+            &ShardOpts::new(4),
+            1,
+            |s| {
+                let mut slice = slice(&network, &part, s, 4);
+                if s == 1 {
+                    tamper(&mut slice.interior);
+                }
+                slice
+            },
+            tag,
+            step,
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "slice interiors overlap")]
+    fn overlapping_slice_interiors_are_rejected() {
+        // Slice 1 also claims shard 0's halo nodes 16..20, whose radius-3
+        // balls its view truncates; taking them would decode 4 nodes wrong.
+        let _ = run_tampered_path(|interior| interior.fill(true), radius3_step);
+    }
+
+    #[test]
+    #[should_panic(expected = "slice interiors do not cover node 20")]
+    fn unclaimed_nodes_are_rejected_even_when_a_node_failed() {
+        // Slice 1 claims nothing, so nodes 20..40 have no output. A failing
+        // node in shard 0 must not turn that into an ordinary first error.
+        let network = net(generators::path(40));
+        assert!(
+            (0..20)
+                .any(|i| failing_step(&Ball::collect(&network, NodeId::from_index(i), 2)).is_err()),
+            "a node of shard 0 must fail"
+        );
+        let _ = run_tampered_path(|interior| interior.fill(false), failing_step);
     }
 
     #[test]
@@ -761,33 +679,5 @@ mod tests {
             }
             other => panic!("expected HaloExceeded, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn sharded_transport_delivers_bit_identically() {
-        let g = generators::grid2d(5, 4, false);
-        let part = Partition::contiguous(g.n(), 3);
-        let outboxes: Vec<Vec<u64>> = g
-            .nodes()
-            .map(|v| {
-                (0..g.degree(v))
-                    .map(|p| (v.index() as u64) << 8 | p as u64)
-                    .collect()
-            })
-            .collect();
-        let want = PerfectLink.exchange(&g, 0, &outboxes);
-        let mut sharded = ShardedTransport::new(PerfectLink, part.clone());
-        let got = sharded.exchange(&g, 0, &outboxes);
-        assert_eq!(got, want);
-        let t = sharded.traffic();
-        assert!(t.cross_messages > 0, "a 3-shard grid must cross shards");
-        assert_eq!(
-            t.intra_messages + t.cross_messages,
-            2 * g.m() as u64,
-            "every directed edge carries one message"
-        );
-        // An alternate schedule delivers the same inboxes.
-        let mut reversed = ShardedTransport::with_schedule(PerfectLink, part, vec![2, 1, 0]);
-        assert_eq!(reversed.exchange(&g, 0, &outboxes), want);
     }
 }

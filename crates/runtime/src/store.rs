@@ -140,7 +140,7 @@ macro_rules! store_value_uint {
     )*};
 }
 
-store_value_uint!(u8, u16, u32, u64, usize);
+store_value_uint!(u64, usize);
 
 impl StoreValue for bool {
     fn write_words(&self, words: &mut Vec<u64>) {
@@ -152,16 +152,6 @@ impl StoreValue for bool {
             1 => Some(true),
             _ => None,
         }
-    }
-}
-
-impl<A: StoreValue, B: StoreValue> StoreValue for (A, B) {
-    fn write_words(&self, words: &mut Vec<u64>) {
-        self.0.write_words(words);
-        self.1.write_words(words);
-    }
-    fn read_words(words: &mut std::slice::Iter<'_, u64>) -> Option<Self> {
-        Some((A::read_words(words)?, B::read_words(words)?))
     }
 }
 
@@ -180,25 +170,6 @@ impl<T: StoreValue> StoreValue for Vec<T> {
             return None;
         }
         (0..len).map(|_| T::read_words(words)).collect()
-    }
-}
-
-impl<T: StoreValue> StoreValue for Option<T> {
-    fn write_words(&self, words: &mut Vec<u64>) {
-        match self {
-            None => words.push(0),
-            Some(x) => {
-                words.push(1);
-                x.write_words(words);
-            }
-        }
-    }
-    fn read_words(words: &mut std::slice::Iter<'_, u64>) -> Option<Self> {
-        match *words.next()? {
-            0 => Some(None),
-            1 => Some(Some(T::read_words(words)?)),
-            _ => None,
-        }
     }
 }
 
