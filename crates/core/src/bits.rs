@@ -120,12 +120,15 @@ impl BitString {
     }
 
     /// Appends a self-delimiting word encoding of this bit string — the
-    /// length, then the bits packed 64 per word (MSB-first, last word
-    /// zero-padded). Two bit strings append the same words iff they are
-    /// equal, and the length prefix keeps the stream prefix-free, which is
-    /// exactly the `input_tag` contract of the memoized decode executor
-    /// (`lad_runtime::Run::ladder`); a single-word fold would collide
-    /// for advice longer than 64 bits.
+    /// length, then the bits packed 64 per word, MSB-first. A last, partial
+    /// word of `k` bits is right-aligned, so it is below `2^k`: canonical
+    /// keys write each word as a varint, and a short advice string then
+    /// costs a byte or two instead of the ten a left-aligned word would.
+    /// Two bit strings append the same words iff they are equal, and the
+    /// length prefix keeps the stream prefix-free, which is exactly the
+    /// `input_tag` contract of the canonical keyers
+    /// (`lad_runtime::canonicalize_tagged_with`); a single-word fold would
+    /// collide for advice longer than 64 bits.
     pub fn push_key_words(&self, words: &mut Vec<u64>) {
         words.push(self.bits.len() as u64);
         let mut acc = 0u64;
@@ -140,7 +143,7 @@ impl BitString {
             }
         }
         if filled > 0 {
-            words.push(acc << (64 - filled));
+            words.push(acc);
         }
     }
 
@@ -437,6 +440,38 @@ mod tests {
         assert_eq!(decode_path_code(&BitString::parse("1111011011")), None);
         // Noise after the terminator.
         assert_eq!(decode_path_code(&BitString::parse("11110110001")), None);
+    }
+
+    #[test]
+    fn key_words_are_injective_and_right_aligned() {
+        let key_words = |b: &BitString| {
+            let mut words = Vec::new();
+            b.push_key_words(&mut words);
+            words
+        };
+        // Per length: all zeros, all ones, alternating, and every
+        // single-bit flip of all zeros.
+        let mut seen: std::collections::HashMap<Vec<u64>, BitString> = Default::default();
+        for len in [0usize, 1, 6, 63, 64, 65, 128] {
+            let mut strings: Vec<BitString> = vec![
+                (0..len).map(|_| false).collect(),
+                (0..len).map(|_| true).collect(),
+                (0..len).map(|i| i % 2 == 1).collect(),
+            ];
+            strings.extend((0..len).map(|j| (0..len).map(|i| i == j).collect()));
+            for b in strings {
+                let words = key_words(&b);
+                assert_eq!(words, key_words(&b.clone()), "len {len}: {b}");
+                assert_eq!(words.len(), 1 + len.div_ceil(64), "len {len}: {b}");
+                if len % 64 != 0 {
+                    let last = *words.last().expect("a payload word");
+                    assert!(last < 1 << (len % 64), "len {len}: {b} ends in {last:#x}");
+                }
+                if let Some(prev) = seen.insert(words, b.clone()) {
+                    assert_eq!(prev, b, "two strings share key words");
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,8 @@ use crate::bits::BitString;
 use crate::cluster_coloring::ClusterColoringSchema;
 use crate::error::{DecodeError, EncodeError};
 use crate::schema::AdviceSchema;
-use lad_graph::{GraphBuilder, NodeId};
+use lad_graph::builder::from_sorted_edges;
+use lad_graph::NodeId;
 use lad_runtime::store::{ClassStore, SchemaId, StoreError};
 use lad_runtime::{canonicalize_tagged_with, Ball, CanonScratch, CanonicalKey, MemoStep, Network};
 use std::fmt;
@@ -375,7 +376,10 @@ pub fn ball_from_words(words: &[u64]) -> Result<Ball<BitString>, WireError> {
     if dist[0] != 0 {
         return Err(bad("center (local index 0) is not at distance 0"));
     }
-    let mut builder = GraphBuilder::new(n);
+    // Strictly ascending, in-range `(min, max)` pairs are exactly what
+    // `from_sorted_edges` requires, so the checks below let it build the
+    // CSR directly, with no builder set or per-node sort.
+    let mut edges = Vec::with_capacity(m);
     let mut prev: Option<u64> = None;
     for _ in 0..m {
         let packed = next(&mut it, "edge")?;
@@ -388,12 +392,12 @@ pub fn ball_from_words(words: &[u64]) -> Result<Ball<BitString>, WireError> {
         if a >= b || b >= n {
             return Err(bad("edge endpoints out of range"));
         }
-        builder.add_edge(NodeId::from_index(a), NodeId::from_index(b));
+        edges.push((NodeId::from_index(a), NodeId::from_index(b)));
     }
     if it.next().is_some() {
         return Err(bad("trailing words"));
     }
-    let graph = builder.build();
+    let graph = from_sorted_edges(n, edges);
     for v in graph.nodes() {
         if graph.degree(v) > degrees[v.index()] {
             return Err(bad("local degree exceeds the claimed global degree"));

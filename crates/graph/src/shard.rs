@@ -99,20 +99,6 @@ impl Partition {
         Partition { owner, k }
     }
 
-    /// A partition from an explicit owner array.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0` or any owner is out of range.
-    pub fn from_owners(owner: Vec<u32>, k: usize) -> Self {
-        assert!(k >= 1, "a partition needs at least one shard");
-        assert!(
-            owner.iter().all(|&s| (s as usize) < k),
-            "owner out of range"
-        );
-        Partition { owner, k }
-    }
-
     /// Number of shards.
     pub fn k(&self) -> usize {
         self.k
@@ -127,23 +113,6 @@ impl Partition {
     #[inline]
     pub fn owner(&self, v: NodeId) -> usize {
         self.owner[v.index()] as usize
-    }
-
-    /// The nodes shard `s` owns, in ascending index order.
-    pub fn shard_nodes(&self, s: usize) -> Vec<NodeId> {
-        (0..self.owner.len())
-            .filter(|&i| self.owner[i] as usize == s)
-            .map(NodeId::from_index)
-            .collect()
-    }
-
-    /// Per-shard node counts.
-    pub fn sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.k];
-        for &s in &self.owner {
-            sizes[s as usize] += 1;
-        }
-        sizes
     }
 }
 
@@ -244,16 +213,6 @@ impl ShardView {
             graph,
         }
     }
-
-    /// The local id of global node `v`, if it is a member.
-    pub fn local_of(&self, v: NodeId) -> Option<usize> {
-        self.members.binary_search(&v).ok()
-    }
-
-    /// Number of interior (owned) members.
-    pub fn interior_count(&self) -> usize {
-        self.interior.iter().filter(|&&b| b).count()
-    }
 }
 
 #[cfg(test)]
@@ -263,29 +222,38 @@ mod tests {
     use crate::generators;
     use crate::traversal;
 
+    /// The nodes shard `s` owns, in ascending index order.
+    fn owned_by(p: &Partition, s: usize) -> Vec<NodeId> {
+        (0..p.n())
+            .map(NodeId::from_index)
+            .filter(|&v| p.owner(v) == s)
+            .collect()
+    }
+
     #[test]
     fn contiguous_covers_and_balances() {
         let p = Partition::contiguous(10, 3);
         assert_eq!(p.k(), 3);
-        assert_eq!(p.sizes(), vec![4, 4, 2]);
+        let sizes: Vec<usize> = (0..3).map(|s| owned_by(&p, s).len()).collect();
+        assert_eq!(sizes, vec![4, 4, 2]);
         assert_eq!(p.owner(NodeId(0)), 0);
         assert_eq!(p.owner(NodeId(9)), 2);
         // k > n still covers every node with in-range owners.
         let p = Partition::contiguous(2, 8);
-        assert_eq!(p.sizes().iter().sum::<usize>(), 2);
+        assert_eq!((0..8).map(|s| owned_by(&p, s).len()).sum::<usize>(), 2);
     }
 
     #[test]
     fn bfs_grown_is_a_partition_of_coherent_runs() {
         let g = generators::grid2d(8, 8, false);
         let p = Partition::bfs_grown(&g, 4);
-        assert_eq!(p.sizes().iter().sum::<usize>(), 64);
-        assert!(p.sizes().iter().all(|&s| s == 16));
-        // Each shard should be far more internally connected than a
-        // random 16-node subset of the grid: at least half its nodes have
-        // a same-shard neighbor.
+        assert_eq!(p.n(), 64);
+        // Each shard holds a quarter of the nodes and should be far more
+        // internally connected than a random 16-node subset of the grid:
+        // at least half its nodes have a same-shard neighbor.
         for s in 0..4 {
-            let nodes = p.shard_nodes(s);
+            let nodes = owned_by(&p, s);
+            assert_eq!(nodes.len(), 16, "shard {s}");
             let internal = nodes
                 .iter()
                 .filter(|&&v| g.neighbors(v).iter().any(|&u| p.owner(u) == s))
@@ -303,7 +271,7 @@ mod tests {
             let locals: Vec<NodeId> = g
                 .neighbors(v)
                 .iter()
-                .filter_map(|&u| view.local_of(u).map(NodeId::from_index))
+                .filter_map(|&u| view.members.binary_search(&u).ok().map(NodeId::from_index))
                 .collect();
             assert_eq!(
                 view.graph.neighbors(NodeId::from_index(li)),
@@ -327,7 +295,12 @@ mod tests {
             generators::grid2d(3, 3, false),
         ]);
         // Shard 1 owns nothing.
-        let owners = (0..union.n()).map(|i| if i % 3 == 0 { 0 } else { 2 });
+        let owners = Partition {
+            owner: (0..union.n())
+                .map(|i| if i % 3 == 0 { 0 } else { 2 })
+                .collect(),
+            k: 3,
+        };
         let cases: Vec<(&str, &Graph, Partition)> = vec![
             ("6x6 torus", &torus6, Partition::contiguous(torus6.n(), 3)),
             ("16x16 torus", &torus16, Partition::contiguous(256, 1)),
@@ -337,13 +310,13 @@ mod tests {
             ("random", &random, Partition::contiguous(random.n(), 3)),
             ("random", &random, Partition::bfs_grown(&random, 4)),
             ("union", &union, Partition::contiguous(union.n(), 4)),
-            ("union", &union, Partition::from_owners(owners.collect(), 3)),
+            ("union", &union, owners),
         ];
         for (name, g, part) in &cases {
             let k = part.k();
             for shard in 0..k {
                 // Oracle: BFS distance from every interior node, minimized.
-                let interior: Vec<NodeId> = part.shard_nodes(shard);
+                let interior = owned_by(part, shard);
                 let mut near: Vec<Option<usize>> = vec![None; g.n()];
                 for &c in &interior {
                     let dist = traversal::bfs_distances(g, c);
@@ -370,7 +343,8 @@ mod tests {
                         .map(|&v| part.owner(v) == shard)
                         .collect();
                     assert_eq!(view.interior, owned, "{at}");
-                    assert_eq!(view.interior_count(), interior.len(), "{at}");
+                    let interior_count = view.interior.iter().filter(|&&b| b).count();
+                    assert_eq!(interior_count, interior.len(), "{at}");
                     assert_induced(g, &view, &at);
                 }
             }
@@ -401,11 +375,5 @@ mod tests {
             }
         }
         assert!(owned.iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn from_owners_validates() {
-        Partition::from_owners(vec![0, 3], 3);
     }
 }

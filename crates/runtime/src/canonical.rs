@@ -17,7 +17,31 @@
 //! [`canonicalize_tagged_with`] from a built [`Ball`] (the reference, and
 //! the decode server's path for wire balls), and `key_of_members` from a
 //! BFS membership without building the ball (the class memo and the
-//! planner's probe, one ball at a time).
+//! planner's probe, one ball at a time). Both write through one private
+//! writer, so they share the layout by construction.
+//!
+//! # Key layout v2
+//!
+//! A key is a sequence of fields, each an LEB128 varint (seven value bits
+//! per byte, low group first, high bit set on every byte but the last):
+//!
+//! * the member count `n`, the radius, the center's canonical index;
+//! * per node in canonical `(distance, rank)` order: its distance, its
+//!   rank, its true degree, then each word its input tag writes;
+//! * the edge count, then per edge (in ascending order) its smaller
+//!   canonical index and the difference to the larger one.
+//!
+//! The bytes fill the key's `u64` words little-endian, and the last word is
+//! zero-padded. A served ball's fields fit in a byte or two, so it costs
+//! about a fifth of the one-word-per-field layout v1 it replaced
+//! ([`crate::store::KEY_LAYOUT_VERSION`] names the layout).
+//!
+//! **Distinct views keep distinct keys.** A varint is a prefix-free code,
+//! so the byte stream determines the field sequence. That sequence is
+//! self-delimiting: `n` fixes the number of node records, each input tag is
+//! prefix-free by the `input_tag` contract, and the edge count fixes the
+//! rest. So no valid stream is a proper prefix of another, and zero-padding
+//! the last word cannot make two streams' words equal either.
 
 use crate::ball::{Ball, BallMembers, Scratch};
 use crate::network::Network;
@@ -25,13 +49,14 @@ use lad_graph::NodeId;
 
 /// A canonical, hashable fingerprint of a ball view.
 ///
-/// The serialized words carry the identity. They are held exact-size: the
-/// keyers build them in a [`CanonScratch`] buffer and copy them out once,
-/// at their final length. A multiply–rotate fold of them is computed once
-/// at construction and replayed by `Hash`, so hash-map lookups mix a
-/// single word instead of re-hashing kilobytes per probe. Equality still
-/// compares the full word sequence (the cached fold only fast-rejects), so
-/// a fold collision costs a memcmp, never a wrong match.
+/// The serialized words carry the identity: the ball's fields as varints
+/// packed into `u64`s (layout v2, see the module docs). They are held
+/// exact-size: the keyers build them in a [`CanonScratch`] buffer and copy
+/// them out once, at their final length. A multiply–rotate fold of them is
+/// computed once at construction and replayed by `Hash`, so hash-map
+/// lookups mix a single word instead of re-hashing the key per probe.
+/// Equality still compares the full word sequence (the cached fold only
+/// fast-rejects), so a fold collision costs a memcmp, never a wrong match.
 #[derive(Debug, Clone)]
 pub struct CanonicalKey {
     fold: u64,
@@ -89,10 +114,10 @@ impl Ord for CanonicalKey {
 }
 
 /// Reusable workspace for [`canonicalize_with`]: the rank/order/index
-/// tables, the edge list and the key words themselves are kept and reused
-/// across calls, so repeated keying (cache keys, [`crate::LookupTable`]
-/// training, ETH simulation) allocates only the returned key, at its
-/// exact size.
+/// tables, the edge list, a node's tag words and the key words themselves
+/// are kept and reused across calls, so repeated keying (cache keys,
+/// [`crate::LookupTable`] training, ETH simulation) allocates only the
+/// returned key, at its exact size.
 #[derive(Debug, Default)]
 pub struct CanonScratch {
     by_uid: Vec<NodeId>,
@@ -104,6 +129,8 @@ pub struct CanonScratch {
     edges: Vec<u64>,
     /// The key words under construction; a key copies them out.
     words: Vec<u64>,
+    /// The input-tag words of the node being written.
+    tag: Vec<u64>,
     /// Per distance, the next free canonical slot of that shell
     /// (`key_of_members`).
     shell_next: Vec<usize>,
@@ -113,6 +140,98 @@ impl CanonScratch {
     /// An empty workspace; buffers grow to the largest ball seen.
     pub fn new() -> Self {
         CanonScratch::default()
+    }
+}
+
+/// Writes a key in layout v2 (see the module docs) straight into a word
+/// buffer: each field's varint bytes go into a one-word accumulator, and
+/// every full word is pushed as it fills.
+struct KeyWriter<'s> {
+    words: &'s mut Vec<u64>,
+    tag: &'s mut Vec<u64>,
+    acc: u64,
+    /// Bits of `acc` already written, a multiple of 8 below 64.
+    filled: u32,
+}
+
+impl<'s> KeyWriter<'s> {
+    /// A writer for the key of an `n`-member ball of `radius` whose center
+    /// has canonical index `center`; it clears `words` and writes the
+    /// header.
+    fn new(
+        words: &'s mut Vec<u64>,
+        tag: &'s mut Vec<u64>,
+        n: usize,
+        radius: usize,
+        center: u64,
+    ) -> Self {
+        words.clear();
+        let mut w = KeyWriter {
+            words,
+            tag,
+            acc: 0,
+            filled: 0,
+        };
+        w.varint(n as u64);
+        w.varint(radius as u64);
+        w.varint(center);
+        w
+    }
+
+    /// Appends `v` as an LEB128 varint.
+    #[inline]
+    fn varint(&mut self, mut v: u64) {
+        loop {
+            let last = v < 0x80;
+            let byte = if last { v } else { v & 0x7f | 0x80 };
+            self.acc |= byte << self.filled;
+            self.filled += 8;
+            if self.filled == 64 {
+                self.words.push(self.acc);
+                self.acc = 0;
+                self.filled = 0;
+            }
+            if last {
+                return;
+            }
+            v >>= 7;
+        }
+    }
+
+    /// One node record: distance and rank (packed in `order_key` as
+    /// `distance << 32 | rank`), true degree, then the input's tag words.
+    fn node<In>(
+        &mut self,
+        order_key: u64,
+        degree: usize,
+        input: &In,
+        input_tag: &impl Fn(&In, &mut Vec<u64>),
+    ) {
+        self.varint(order_key >> 32);
+        self.varint(order_key & 0xffff_ffff);
+        self.varint(degree as u64);
+        let mut tag = std::mem::take(self.tag);
+        tag.clear();
+        input_tag(input, &mut tag);
+        for &w in &tag {
+            self.varint(w);
+        }
+        *self.tag = tag;
+    }
+
+    /// The edge count, then each edge (packed `min << 32 | max`, ascending)
+    /// as its smaller index and the difference to the larger; then the key.
+    fn finish(mut self, edges: &[u64]) -> CanonicalKey {
+        self.varint(edges.len() as u64);
+        for &e in edges {
+            let (a, b) = (e >> 32, e & 0xffff_ffff);
+            self.varint(a);
+            self.varint(b - a);
+        }
+        if self.filled > 0 {
+            self.words.push(self.acc);
+        }
+        CanonicalKey::new(self.words)
     }
 }
 
@@ -146,6 +265,10 @@ pub fn canonicalize_with<In>(
 /// The writer must be *prefix-free*: either a fixed number of words per
 /// call, or self-delimiting (e.g. a length word followed by payload
 /// words). Otherwise distinct views could serialize identically.
+///
+/// The key is written in layout v2 (see the module docs): every field,
+/// each tag word included, is one varint, so small tag words make short
+/// keys.
 pub fn canonicalize_tagged_with<In>(
     ball: &Ball<In>,
     input_tag: impl Fn(&In, &mut Vec<u64>),
@@ -174,7 +297,7 @@ pub fn canonicalize_tagged_with<In>(
     // Canonical node order: by (distance from center, rank). Distances and
     // ranks are `< n ≤ u32::MAX`, so the pair packs into one word — the
     // sort runs on plain `u64`s, and rank `r` maps back to its node via
-    // `by_uid[r]`. The packed keys double as the per-node key words below.
+    // `by_uid[r]`. The writer unpacks each pair into its two fields.
     let order_keys = &mut scratch.order_keys;
     order_keys.clear();
     order_keys.extend(
@@ -195,19 +318,15 @@ pub fn canonicalize_tagged_with<In>(
     for (ci, &v) in order.iter().enumerate() {
         canon_index[v.index()] = ci as u64;
     }
-    // Word layout (shared with `key_of_members`, which must stay
-    // word-identical): (dist, rank) pairs and edge endpoint pairs are
-    // packed two-to-a-word — shorter keys mean cheaper equality checks and
-    // a cheaper construction-time fold.
-    let words = &mut scratch.words;
-    words.clear();
-    words.push(n as u64);
-    words.push(ball.radius() as u64);
-    words.push(canon_index[ball.center().index()]);
+    let mut key = KeyWriter::new(
+        &mut scratch.words,
+        &mut scratch.tag,
+        n,
+        ball.radius(),
+        canon_index[ball.center().index()],
+    );
     for (&k, &v) in order_keys.iter().zip(order.iter()) {
-        words.push(k);
-        words.push(ball.global_degree(v) as u64);
-        input_tag(ball.input(v), words);
+        key.node(k, ball.global_degree(v), ball.input(v), &input_tag);
     }
     let edges = &mut scratch.edges;
     edges.clear();
@@ -216,15 +335,14 @@ pub fn canonicalize_tagged_with<In>(
         a.min(b) << 32 | a.max(b)
     }));
     edges.sort_unstable();
-    words.push(edges.len() as u64);
-    words.extend_from_slice(edges);
-    CanonicalKey::new(words)
+    key.finish(edges)
 }
 
 /// Computes the [`CanonicalKey`] of the ball a BFS membership *would*
 /// materialize, without building it — word-identical to
-/// [`canonicalize_tagged_with`] on `membership.build(..)` (pinned by the
-/// differential tests below). This is the class memo's keyer (and the
+/// [`canonicalize_tagged_with`] on `membership.build(..)`: both write key
+/// layout v2 through one writer, and the differential tests below pin that
+/// they feed it the same fields. This is the class memo's keyer (and the
 /// planner's probe): a node whose class is already decoded pays only the
 /// gather and this keying pass, never CSR/uid/input assembly.
 ///
@@ -279,23 +397,23 @@ pub(crate) fn key_of_members<In>(
         order[ci] = NodeId(li);
         canon_index[li as usize] = ci as u64;
     }
-    let words = &mut scratch.words;
-    words.clear();
-    words.push(n as u64);
-    words.push(radius as u64);
     // The center is always local index 0 of its own membership.
-    words.push(canon_index[0]);
+    let mut key = KeyWriter::new(
+        &mut scratch.words,
+        &mut scratch.tag,
+        n,
+        radius,
+        canon_index[0],
+    );
     for (&k, &lv) in order_keys.iter().zip(order.iter()) {
         let (v, _) = members[lv.index()];
-        words.push(k);
-        words.push(g.degree(v) as u64);
-        input_tag(net.input(v), words);
+        key.node(k, g.degree(v), net.input(v), &input_tag);
     }
     // An edge is known exactly when an endpoint lies below the radius.
     // Canonical order is distance-major, so the smaller-canonical endpoint
     // of a known edge lies below the radius: emitting each edge from that
     // endpoint, walking members in canonical order, visits it once and
-    // leaves the words sorted once each member's own run is.
+    // leaves the list sorted once each member's own run is.
     let edges = &mut scratch.edges;
     edges.clear();
     for (ci, &lv) in order.iter().enumerate() {
@@ -314,9 +432,7 @@ pub(crate) fn key_of_members<In>(
         }
         edges[run..].sort_unstable();
     }
-    words.push(edges.len() as u64);
-    words.extend_from_slice(edges);
-    CanonicalKey::new(words)
+    key.finish(edges)
 }
 
 #[cfg(test)]
@@ -398,17 +514,25 @@ mod tests {
     fn key_of_members_matches_canonicalize() {
         // The class memo's build-free keying path must be word-identical
         // to canonicalizing the materialized ball, under identity and
-        // scrambled identifiers alike.
-        let tag = |&x: &u8, words: &mut Vec<u64>| words.push(x as u64);
-        for (g, scrambled) in [
-            generators::cycle(12),
-            generators::path(9),
-            generators::grid2d(4, 5, true),
-            generators::complete(5),
-            generators::star(6),
+        // scrambled identifiers alike. The star's 200-member balls, the
+        // path's radius 130 and the second tag's words of 2^63 and more
+        // push fields across varint byte boundaries.
+        let tags: [fn(&u8, &mut Vec<u64>); 2] = [
+            |&x, words| words.push(x as u64),
+            |&x, words| words.extend([u64::MAX - x as u64, 1 << 63 | x as u64]),
+        ];
+        let small = [0, 1, 2, 3];
+        for ((g, radii), scrambled) in [
+            (generators::cycle(12), &small[..]),
+            (generators::path(9), &small),
+            (generators::grid2d(4, 5, true), &small),
+            (generators::complete(5), &small),
+            (generators::star(6), &small),
+            (generators::star(200), &[1, 2]),
+            (generators::path(300), &[1, 130]),
         ]
         .into_iter()
-        .flat_map(|g| [(g.clone(), false), (g, true)])
+        .flat_map(|c| [(c.clone(), false), (c, true)])
         {
             let n = g.n();
             let base = if scrambled {
@@ -421,13 +545,15 @@ mod tests {
             let mut bfs = Scratch::new(n);
             let mut cs = CanonScratch::new();
             for v in net.graph().nodes() {
-                for r in 0..4 {
-                    let members = BallMembers::gather(net.graph(), v, r, &mut bfs);
-                    let key = key_of_members(&net, &members, &bfs, tag, &mut cs);
-                    let ball = Ball::collect(&net, v, r);
-                    let expect = canonicalize_tagged_with(&ball, tag, &mut cs);
-                    assert_eq!(key, expect, "node {v:?} radius {r}");
-                    members.recycle(&mut bfs);
+                for &r in radii {
+                    for tag in tags {
+                        let members = BallMembers::gather(net.graph(), v, r, &mut bfs);
+                        let key = key_of_members(&net, &members, &bfs, tag, &mut cs);
+                        let ball = Ball::collect(&net, v, r);
+                        let expect = canonicalize_tagged_with(&ball, tag, &mut cs);
+                        assert_eq!(key, expect, "node {v:?} radius {r}");
+                        members.recycle(&mut bfs);
+                    }
                 }
             }
         }

@@ -278,7 +278,11 @@ impl From<NotOrderInvariant> for StoreError {
 /// different layout are rejected at open (their keys would never match a
 /// live probe, which is indistinguishable from an empty dictionary — a
 /// silent performance cliff the version check turns into a typed error).
-pub const KEY_LAYOUT_VERSION: u32 = 1;
+///
+/// Version 2 writes each key field as an LEB128 varint packed into the
+/// words (see [`crate::canonical`]); version 1 spent a whole word on each
+/// field, with `(distance, rank)` and edge endpoints two to a word.
+pub const KEY_LAYOUT_VERSION: u32 = 2;
 
 /// Identity a class dictionary is valid for: schema name, a digest of the
 /// schema's parameters, and the canonical-key layout version it was

@@ -13,8 +13,10 @@
 //!   silently accepted.
 //! * **Format drift.** A golden store file is committed under
 //!   `tests/data/`; it must open cleanly and re-serialize bit-identically.
-//!   Any layout change fails this loudly, forcing a [`STORE_VERSION`]
-//!   bump (regenerate with `LAD_REGEN_GOLDEN=1 cargo test golden`).
+//!   Any layout change fails this loudly, forcing a [`STORE_VERSION`] or
+//!   [`KEY_LAYOUT_VERSION`] bump (regenerate with `LAD_REGEN_GOLDEN=1
+//!   cargo test golden`). A dictionary written under key layout v1 is kept
+//!   beside it and must be refused.
 
 use lad_graph::{generators, IdAssignment};
 use lad_runtime::store::{ClassStore, ClassVerdict, SchemaId, StoreError};
@@ -199,7 +201,8 @@ proptest! {
 
 /// The committed golden store must open cleanly and re-serialize
 /// bit-identically. If a (deliberate) format change lands, bump
-/// [`lad_runtime::STORE_VERSION`] and regenerate with
+/// [`lad_runtime::STORE_VERSION`] (the container) or
+/// [`lad_runtime::KEY_LAYOUT_VERSION`] (the key words) and regenerate with
 /// `LAD_REGEN_GOLDEN=1 cargo test -p lad-runtime --test store golden`.
 #[test]
 fn golden_store_file_round_trips_bit_identically() {
@@ -242,9 +245,30 @@ fn golden_store_file_round_trips_bit_identically() {
         golden.to_bytes(),
         bytes,
         "store serialization drifted from the committed golden file — \
-         bump STORE_VERSION and regenerate"
+         bump STORE_VERSION or KEY_LAYOUT_VERSION and regenerate"
     );
     assert_eq!(expected.to_bytes(), bytes);
+}
+
+/// The golden dictionary as written under key layout v1 (one word per key
+/// field) has valid checksums, but its keys would never match a layout-v2
+/// probe: opening it is a typed schema mismatch naming layout v1, with or
+/// without an expected identity.
+#[test]
+fn key_layout_v1_store_is_refused() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/golden-store-v1.lads"
+    );
+    let golden = SchemaId::new("golden-local-min", 0);
+    for expected in [None, Some(&golden)] {
+        match ClassStore::<bool>::open(path, expected) {
+            Err(StoreError::SchemaMismatch { found, .. }) => {
+                assert!(found.contains("key layout v1"), "found {found}");
+            }
+            other => panic!("v1 store with expected {expected:?} gave {other:?}"),
+        }
+    }
 }
 
 /// A truncated write can never impersonate a finished store: saves are

@@ -122,4 +122,15 @@ fn appended_classes_cost_their_key_words() {
         "{per_class:.0} heap bytes per appended class for {mean_key_words:.1} key words \
          ({classes} classes)"
     );
+    // Key layout v2 writes these balls' byte-sized fields as one-byte
+    // varints: about 17 words a key and 212 bytes a class (layout v1 spent
+    // a word a field: 92.4 words and 815 bytes).
+    assert!(
+        mean_key_words <= 20.0,
+        "{mean_key_words:.2} key words per appended class ({classes} classes)"
+    );
+    assert!(
+        per_class <= 320.0,
+        "{per_class:.1} heap bytes per appended class ({classes} classes)"
+    );
 }
