@@ -5,20 +5,22 @@
 //!
 //! The map is a *bit-packed arena*: all per-node strings live concatenated
 //! in one contiguous `u64` buffer, with an `n + 1`-entry offset table
-//! delimiting each node's range. Compared to one heap `Vec<bool>` per node
+//! delimiting each node's range. Compared to one heap string per node
 //! this removes `n` allocations per map, makes [`AdviceMap::total_bits`]
 //! O(1), and turns every statistic ([`AdviceMap::kind`],
 //! [`AdviceMap::holders`], [`AdviceMap::max_bits`]) into a streaming pass
 //! over the offset table with no intermediate buffers. Bit `i` of the
 //! arena is bit `i % 64` (LSB first) of word `i / 64`; trailing bits of
 //! the last word are kept zero so structural equality is derivable.
+//! [`BitString`] packs its bits the same way, so every copy between a
+//! string and the arena moves whole words with shifts and masks.
 //!
 //! Encoders that write nodes in increasing index order (all of ours)
 //! always append at the arena's end, so building a map is linear; an
 //! out-of-order [`AdviceMap::set`] splices, paying for the bits after the
 //! touched node.
 
-use crate::bits::BitString;
+use crate::bits::{append_bits, read_bits, write_bits, BitString};
 use lad_graph::{traversal, Graph, NodeId};
 use std::fmt;
 
@@ -77,15 +79,12 @@ pub struct AdviceMap {
     starts: Vec<usize>,
 }
 
-#[inline]
-fn push_bit(words: &mut Vec<u64>, len: &mut usize, b: bool) {
-    if (*len).is_multiple_of(64) {
-        words.push(0);
+/// Appends `s` to an arena of `len` bits, a word at a time.
+fn push_string(words: &mut Vec<u64>, len: &mut usize, s: &BitString) {
+    for (w, k) in s.chunks() {
+        append_bits(words, *len, w, k);
+        *len += k;
     }
-    if b {
-        words[*len / 64] |= 1u64 << (*len % 64);
-    }
-    *len += 1;
 }
 
 impl AdviceMap {
@@ -105,9 +104,7 @@ impl AdviceMap {
         starts.push(0);
         let mut len = 0usize;
         for s in &strings {
-            for &b in s.as_slice() {
-                push_bit(&mut words, &mut len, b);
-            }
+            push_string(&mut words, &mut len, s);
             starts.push(len);
         }
         AdviceMap { words, starts }
@@ -154,7 +151,17 @@ impl AdviceMap {
 
     /// The advice of node `v`, materialized.
     pub fn get(&self, v: NodeId) -> BitString {
-        self.bits_of(v).collect()
+        self.range(self.starts[v.index()], self.starts[v.index() + 1])
+    }
+
+    /// Arena bits `start..end` as a string, copied a word at a time.
+    fn range(&self, start: usize, end: usize) -> BitString {
+        let mut s = BitString::new();
+        for p in (start..end).step_by(64) {
+            let k = (end - p).min(64);
+            s.push_bits(read_bits(&self.words, p, k), k);
+        }
+        s
     }
 
     /// Truncates the arena to `new_len` bits, zeroing the freed tail of the
@@ -172,16 +179,11 @@ impl AdviceMap {
     fn splice(&mut self, v: NodeId, bits: &BitString) {
         let i = v.index();
         let (s, e) = (self.starts[i], self.starts[i + 1]);
-        let total = *self.starts.last().expect("starts nonempty");
-        let tail: Vec<bool> = (e..total).map(|j| self.bit(j)).collect();
+        let tail = self.range(e, self.total_bits());
         self.truncate_bits(s);
         let mut len = s;
-        for &b in bits.as_slice() {
-            push_bit(&mut self.words, &mut len, b);
-        }
-        for b in tail {
-            push_bit(&mut self.words, &mut len, b);
-        }
+        push_string(&mut self.words, &mut len, bits);
+        push_string(&mut self.words, &mut len, &tail);
         let delta = bits.len() as isize - (e - s) as isize;
         for st in self.starts[i + 1..].iter_mut() {
             *st = (*st as isize + delta) as usize;
@@ -194,14 +196,8 @@ impl AdviceMap {
         let s = self.starts[i];
         if bits.len() == self.starts[i + 1] - s {
             // Same length: overwrite in place, no shifting.
-            for (k, &b) in bits.as_slice().iter().enumerate() {
-                let mask = 1u64 << ((s + k) % 64);
-                let w = &mut self.words[(s + k) / 64];
-                if b {
-                    *w |= mask;
-                } else {
-                    *w &= !mask;
-                }
+            for (j, (w, k)) in bits.chunks().enumerate() {
+                write_bits(&mut self.words, s + 64 * j, w, k);
             }
         } else {
             self.splice(v, &bits);
@@ -213,21 +209,9 @@ impl AdviceMap {
         if bits.is_empty() {
             return;
         }
-        let i = v.index();
-        let e = self.starts[i + 1];
-        let total = *self.starts.last().expect("starts nonempty");
-        let tail: Vec<bool> = (e..total).map(|j| self.bit(j)).collect();
-        self.truncate_bits(e);
-        let mut len = e;
-        for &b in bits.as_slice() {
-            push_bit(&mut self.words, &mut len, b);
-        }
-        for b in tail {
-            push_bit(&mut self.words, &mut len, b);
-        }
-        for st in self.starts[i + 1..].iter_mut() {
-            *st += bits.len();
-        }
+        let mut joined = self.get(v);
+        joined.extend(bits);
+        self.splice(v, &joined);
     }
 
     /// All per-node strings, indexed by node, materialized from the arena.
@@ -420,7 +404,7 @@ mod tests {
 
     #[test]
     fn arena_round_trips_arbitrary_strings() {
-        let strings = vec![
+        let mut strings = vec![
             BitString::parse("101"),
             BitString::new(),
             BitString::parse("0"),
@@ -429,15 +413,51 @@ mod tests {
             BitString::new(),
             BitString::parse("1"),
         ];
+        // Strings around the word size, each behind a 5-bit string, so
+        // they start at unaligned arena offsets and straddle words.
+        for (j, len) in [63usize, 64, 65, 127, 128, 129].into_iter().enumerate() {
+            strings.push((0..len).map(|i| (i * 7 + j).is_multiple_of(3)).collect());
+            strings.push(BitString::parse("10110"));
+        }
         let a = AdviceMap::from_strings(strings.clone());
         assert_eq!(a.strings(), strings);
+        let node = NodeId::from_index;
         for (i, s) in strings.iter().enumerate() {
-            let v = NodeId::from_index(i);
+            let v = node(i);
             assert_eq!(a.get(v), *s, "node {i}");
             assert_eq!(a.len_of(v), s.len());
             assert_eq!(a.is_holder(v), !s.is_empty());
-            assert_eq!(a.bits_of(v).collect::<Vec<_>>(), s.as_slice());
+            assert!(a.bits_of(v).eq(s.iter()), "node {i}");
         }
+        // `set` in reverse index order splices every string in front of
+        // the ones already written.
+        let mut by_set = AdviceMap::empty(strings.len());
+        for (i, s) in strings.iter().enumerate().rev() {
+            by_set.set(node(i), s.clone());
+        }
+        assert_eq!(by_set, a);
+        // A prefix per node, then the rests appended in reverse order:
+        // each append shifts the arena tail behind it.
+        let mut by_append = AdviceMap::empty(strings.len());
+        for (i, s) in strings.iter().enumerate() {
+            by_append.set(node(i), s.iter().take(s.len() / 3).collect());
+        }
+        for (i, s) in strings.iter().enumerate().rev() {
+            let rest: BitString = s.iter().skip(s.len() / 3).collect();
+            by_append.append(node(i), &rest);
+        }
+        assert_eq!(by_append, a);
+        // Same-length `set` overwrites in place, across word boundaries.
+        let mut flipped = a.clone();
+        for (i, s) in strings.iter().enumerate() {
+            let inverse: BitString = s.iter().map(|b| !b).collect();
+            flipped.set(node(i), inverse.clone());
+            assert_eq!(flipped.get(node(i)), inverse, "node {i}");
+        }
+        for (i, s) in strings.iter().enumerate() {
+            flipped.set(node(i), s.clone());
+        }
+        assert_eq!(flipped, a);
     }
 
     #[test]

@@ -10,6 +10,14 @@ use std::fmt;
 
 /// A growable string of bits.
 ///
+/// Bits are packed LSB first into `u64` words (bit `i` is bit `i % 64` of
+/// word `i / 64`), the order of the [`AdviceMap`](crate::advice::AdviceMap)
+/// arena and of the wire form, so copies between them move whole words.
+/// The first word is stored inline: a string of at most 64 bits never
+/// touches the heap, so cloning one (every advice holder in every gathered
+/// ball) is a plain copy. Bits past the length are kept zero, so the
+/// derived equality and hash are structural.
+///
 /// # Example
 ///
 /// ```
@@ -19,26 +27,119 @@ use std::fmt;
 /// b.push_uint(5, 3);
 /// assert_eq!(b.to_string(), "1101");
 /// assert_eq!(b.len(), 4);
+/// assert_eq!(b.words(), &[0b1011]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitString {
-    bits: Vec<bool>,
+    len: usize,
+    words: Words,
+}
+
+/// The packed words of a [`BitString`]: inline while the string fits in
+/// one word, and all `len.div_ceil(64)` of them on the heap once it is
+/// longer. The variant is a function of the length alone, so equal
+/// strings are equal values.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Words {
+    Inline(u64),
+    Heap(Vec<u64>),
+}
+
+/// Appends the low `k` bits of `x` (LSB first) to a packed buffer holding
+/// `len` bits in exactly `len.div_ceil(64)` words, zero past `len`: the
+/// word-level append behind [`BitString`] and the advice arena.
+pub(crate) fn append_bits(words: &mut Vec<u64>, len: usize, x: u64, k: usize) {
+    debug_assert!(k <= 64 && (k == 64 || x >> k == 0));
+    if k == 0 {
+        return;
+    }
+    let off = len % 64;
+    if off == 0 {
+        words.push(x);
+        return;
+    }
+    *words.last_mut().expect("a partial last word") |= x << off;
+    if off + k > 64 {
+        words.push(x >> (64 - off));
+    }
+}
+
+/// The `k` bits (`1 ≤ k ≤ 64`) of a packed buffer starting at bit `pos`,
+/// LSB first.
+pub(crate) fn read_bits(words: &[u64], pos: usize, k: usize) -> u64 {
+    let (i, off) = (pos / 64, pos % 64);
+    let mut x = words[i] >> off;
+    if off + k > 64 {
+        x |= words[i + 1] << (64 - off);
+    }
+    if k < 64 {
+        x &= (1 << k) - 1;
+    }
+    x
+}
+
+/// Overwrites the `k` bits (`1 ≤ k ≤ 64`) of a packed buffer at bit `pos`
+/// with the low bits of `x`.
+pub(crate) fn write_bits(words: &mut [u64], pos: usize, x: u64, k: usize) {
+    let mask = if k == 64 { u64::MAX } else { (1 << k) - 1 };
+    let (i, off) = (pos / 64, pos % 64);
+    words[i] = words[i] & !(mask << off) | x << off;
+    if off + k > 64 {
+        let spill = 64 - off;
+        words[i + 1] = words[i + 1] & !(mask >> spill) | x >> spill;
+    }
+}
+
+impl Default for BitString {
+    fn default() -> Self {
+        BitString::new()
+    }
 }
 
 impl BitString {
     /// The empty bit string.
-    pub fn new() -> Self {
-        BitString::default()
+    pub const fn new() -> Self {
+        BitString {
+            len: 0,
+            words: Words::Inline(0),
+        }
     }
 
-    /// Builds from raw bits.
-    pub fn from_bits(bits: Vec<bool>) -> Self {
-        BitString { bits }
+    /// Builds from `len` bits packed LSB first in `words`, the layout
+    /// [`BitString::words`] returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `words` holds exactly `len.div_ceil(64)` words and
+    /// every bit past `len` is zero.
+    pub fn from_words(len: usize, words: &[u64]) -> Self {
+        assert_eq!(
+            words.len(),
+            len.div_ceil(64),
+            "{len} bits take {} words",
+            len.div_ceil(64)
+        );
+        let tail = len % 64;
+        if tail > 0 {
+            assert!(
+                words[words.len() - 1] >> tail == 0,
+                "bits past the length are not zero"
+            );
+        }
+        let words = match words {
+            [] => Words::Inline(0),
+            &[w] => Words::Inline(w),
+            _ => Words::Heap(words.to_vec()),
+        };
+        BitString { len, words }
     }
 
     /// A single-bit string.
     pub fn one_bit(b: bool) -> Self {
-        BitString { bits: vec![b] }
+        BitString {
+            len: 1,
+            words: Words::Inline(u64::from(b)),
+        }
     }
 
     /// Parses a `"0"`/`"1"` string.
@@ -47,26 +148,40 @@ impl BitString {
     ///
     /// Panics on characters other than `0` and `1`.
     pub fn parse(s: &str) -> Self {
-        BitString {
-            bits: s
-                .chars()
-                .map(|c| match c {
-                    '0' => false,
-                    '1' => true,
-                    other => panic!("invalid bit character {other:?}"),
-                })
-                .collect(),
-        }
+        s.chars()
+            .map(|c| match c {
+                '0' => false,
+                '1' => true,
+                other => panic!("invalid bit character {other:?}"),
+            })
+            .collect()
     }
 
     /// Number of bits.
     pub fn len(&self) -> usize {
-        self.bits.len()
+        self.len
     }
 
     /// Whether the string is empty.
     pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
+        self.len == 0
+    }
+
+    /// The packed bits, LSB first: `len().div_ceil(64)` words, with every
+    /// bit past the length zero.
+    pub fn words(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(w) => &std::slice::from_ref(w)[..self.len.div_ceil(64)],
+            Words::Heap(v) => v,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        let n = self.len.div_ceil(64);
+        match &mut self.words {
+            Words::Inline(w) => &mut std::slice::from_mut(w)[..n],
+            Words::Heap(v) => v,
+        }
     }
 
     /// The bit at `i`.
@@ -75,12 +190,54 @@ impl BitString {
     ///
     /// Panics if `i` is out of range.
     pub fn get(&self, i: usize) -> bool {
-        self.bits[i]
+        assert!(i < self.len, "bit {i} of a {}-bit string", self.len);
+        self.words()[i / 64] >> (i % 64) & 1 == 1
     }
 
     /// Appends one bit.
     pub fn push(&mut self, b: bool) {
-        self.bits.push(b);
+        self.push_bits(u64::from(b), 1);
+    }
+
+    /// Appends the low `k ≤ 64` bits of `x`, LSB first — one word-level
+    /// step of every packed copy.
+    pub(crate) fn push_bits(&mut self, x: u64, k: usize) {
+        let len = self.len;
+        match &mut self.words {
+            Words::Inline(w) if len + k <= 64 => {
+                if k > 0 {
+                    *w |= x << len;
+                }
+            }
+            Words::Inline(w) => {
+                let mut v = Vec::with_capacity(2);
+                v.push(*w);
+                append_bits(&mut v, len, x, k);
+                self.words = Words::Heap(v);
+            }
+            Words::Heap(v) => append_bits(v, len, x, k),
+        }
+        self.len += k;
+    }
+
+    /// Drops every bit from `new_len` on (`new_len ≤ len()`), keeping the
+    /// representation canonical.
+    fn truncate(&mut self, new_len: usize) {
+        debug_assert!(new_len <= self.len);
+        if new_len <= 64 {
+            let first = self.words().first().copied().unwrap_or(0);
+            self.words = Words::Inline(if new_len == 64 {
+                first
+            } else {
+                first & ((1 << new_len) - 1)
+            });
+        } else if let Words::Heap(v) = &mut self.words {
+            v.truncate(new_len.div_ceil(64));
+            if !new_len.is_multiple_of(64) {
+                *v.last_mut().expect("a partial last word") &= (1 << (new_len % 64)) - 1;
+            }
+        }
+        self.len = new_len;
     }
 
     /// Appends `width` bits of `value`, most significant first.
@@ -90,11 +247,12 @@ impl BitString {
     /// Panics if `value` does not fit in `width` bits.
     pub fn push_uint(&mut self, value: u64, width: usize) {
         assert!(
-            width == 64 || value < (1u64 << width),
+            width == 64 || (width < 64 && value < (1u64 << width)),
             "value {value} does not fit in {width} bits"
         );
-        for i in (0..width).rev() {
-            self.bits.push((value >> i) & 1 == 1);
+        if width > 0 {
+            // Reversed, the most significant of the `width` bits is bit 0.
+            self.push_bits(value.reverse_bits() >> (64 - width), width);
         }
     }
 
@@ -103,20 +261,31 @@ impl BitString {
     pub fn push_gamma(&mut self, value: u64) {
         let v = value + 1;
         let bits = 64 - v.leading_zeros() as usize; // position of MSB + 1
-        for _ in 0..bits - 1 {
-            self.bits.push(false);
-        }
+        self.push_bits(0, bits - 1);
         self.push_uint(v, bits);
     }
 
     /// Appends all bits of another string.
     pub fn extend(&mut self, other: &BitString) {
-        self.bits.extend_from_slice(&other.bits);
+        for (w, k) in other.chunks() {
+            self.push_bits(w, k);
+        }
+    }
+
+    /// Each packed word with the number of bits it holds: 64, except for
+    /// a last, partial word.
+    pub(crate) fn chunks(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        let len = self.len;
+        self.words()
+            .iter()
+            .enumerate()
+            .map(move |(j, &w)| (w, (len - 64 * j).min(64)))
     }
 
     /// Iterates over the bits.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
-        self.bits.iter().copied()
+        let words = self.words();
+        (0..self.len).map(move |i| words[i / 64] >> (i % 64) & 1 == 1)
     }
 
     /// Appends a self-delimiting word encoding of this bit string — the
@@ -129,32 +298,23 @@ impl BitString {
     /// `input_tag` contract of the canonical keyers
     /// (`lad_runtime::canonicalize_tagged_with`); a single-word fold would
     /// collide for advice longer than 64 bits.
+    ///
+    /// The packed words are LSB-first, so each full word is written
+    /// bit-reversed and the last one reversed and shifted right.
     pub fn push_key_words(&self, words: &mut Vec<u64>) {
-        words.push(self.bits.len() as u64);
-        let mut acc = 0u64;
-        let mut filled = 0u32;
-        for &b in &self.bits {
-            acc = (acc << 1) | u64::from(b);
-            filled += 1;
-            if filled == 64 {
-                words.push(acc);
-                acc = 0;
-                filled = 0;
-            }
+        words.push(self.len as u64);
+        let packed = self.words();
+        let full = self.len / 64;
+        words.extend(packed[..full].iter().map(|w| w.reverse_bits()));
+        let k = self.len % 64;
+        if k > 0 {
+            words.push(packed[full].reverse_bits() >> (64 - k));
         }
-        if filled > 0 {
-            words.push(acc);
-        }
-    }
-
-    /// The raw bits.
-    pub fn as_slice(&self) -> &[bool] {
-        &self.bits
     }
 
     /// Number of `1` bits.
     pub fn count_ones(&self) -> usize {
-        self.bits.iter().filter(|&&b| b).count()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
@@ -164,22 +324,20 @@ impl lad_runtime::Corruptible for BitString {
     /// menu `tests/tamper.rs` applies to advice at rest. Every mutation
     /// changes the string (decoders must be able to notice).
     fn corrupt(&mut self, entropy: u64) {
-        if self.bits.is_empty() {
+        if self.is_empty() {
             // The only plausible lie about an empty string is that it
             // was not empty.
-            self.bits.push(entropy & 1 == 1);
+            self.push(entropy & 1 == 1);
             return;
         }
         match entropy % 4 {
             0 => {
-                let i = ((entropy >> 2) % self.bits.len() as u64) as usize;
-                self.bits[i] = !self.bits[i];
+                let i = ((entropy >> 2) % self.len as u64) as usize;
+                self.words_mut()[i / 64] ^= 1 << (i % 64);
             }
-            1 => {
-                self.bits.pop();
-            }
-            2 => self.bits.push(entropy & 1 == 1),
-            _ => self.bits.clear(),
+            1 => self.truncate(self.len - 1),
+            2 => self.push(entropy & 1 == 1),
+            _ => *self = BitString::new(),
         }
     }
 }
@@ -192,10 +350,10 @@ impl fmt::Debug for BitString {
 
 impl fmt::Display for BitString {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.bits.is_empty() {
+        if self.is_empty() {
             return write!(f, "ε");
         }
-        for &b in &self.bits {
+        for b in self.iter() {
             write!(f, "{}", if b { '1' } else { '0' })?;
         }
         Ok(())
@@ -204,9 +362,18 @@ impl fmt::Display for BitString {
 
 impl FromIterator<bool> for BitString {
     fn from_iter<T: IntoIterator<Item = bool>>(iter: T) -> Self {
-        BitString {
-            bits: iter.into_iter().collect(),
+        let mut s = BitString::new();
+        let (mut acc, mut k) = (0u64, 0usize);
+        for b in iter {
+            acc |= u64::from(b) << k;
+            k += 1;
+            if k == 64 {
+                s.push_bits(acc, 64);
+                (acc, k) = (0, 0);
+            }
         }
+        s.push_bits(acc, k);
+        s
     }
 }
 
@@ -292,27 +459,33 @@ pub fn encode_path_code(payload: &BitString) -> BitString {
 /// `0`s (nodes beyond the encoding hold `0`). Returns `None` if the string
 /// does not start with the marker or is malformed.
 pub fn decode_path_code(bits: &BitString) -> Option<BitString> {
-    let s = bits.as_slice();
-    if s.len() < PATH_MARKER.len() || s[..PATH_MARKER.len()] != PATH_MARKER {
+    let len = bits.len();
+    if len < PATH_MARKER.len()
+        || PATH_MARKER
+            .iter()
+            .enumerate()
+            .any(|(i, &m)| bits.get(i) != m)
+    {
         return None;
     }
+    let at = |i: usize| (i < len).then(|| bits.get(i));
     let mut payload = BitString::new();
     let mut i = PATH_MARKER.len();
     loop {
         // Expect: terminator `0`, codeword `110`, or codeword `1110`.
-        match s.get(i)? {
+        match at(i)? {
             false => break, // terminator
             true => {
-                if !*s.get(i + 1)? {
+                if !at(i + 1)? {
                     return None; // "10..." is not a codeword
                 }
-                match s.get(i + 2)? {
+                match at(i + 2)? {
                     false => {
                         payload.push(false);
                         i += 3;
                     }
                     true => {
-                        if *s.get(i + 3)? {
+                        if at(i + 3)? {
                             return None; // four 1s cannot appear here
                         }
                         payload.push(true);
@@ -323,7 +496,7 @@ pub fn decode_path_code(bits: &BitString) -> Option<BitString> {
         }
     }
     // Everything after the terminator must be 0.
-    if s[i..].iter().any(|&b| b) {
+    if (i..len).any(|j| bits.get(j)) {
         return None;
     }
     Some(payload)
@@ -423,7 +596,7 @@ mod tests {
         // After the initial marker, no window of 4 consecutive 1s occurs.
         let p = BitString::parse("1111111100101");
         let coded = encode_path_code(&p);
-        let s = coded.as_slice();
+        let s: Vec<bool> = coded.iter().collect();
         for i in 1..s.len().saturating_sub(3) {
             assert!(
                 !(s[i] && s[i + 1] && s[i + 2] && s[i + 3]),
@@ -442,6 +615,27 @@ mod tests {
         assert_eq!(decode_path_code(&BitString::parse("11110110001")), None);
     }
 
+    /// The bit-at-a-time writer key layout v2 was defined with: the
+    /// packed `push_key_words` must write exactly its words.
+    fn reference_key_words(b: &BitString) -> Vec<u64> {
+        let mut words = vec![b.len() as u64];
+        let mut acc = 0u64;
+        let mut filled = 0u32;
+        for bit in b.iter() {
+            acc = (acc << 1) | u64::from(bit);
+            filled += 1;
+            if filled == 64 {
+                words.push(acc);
+                acc = 0;
+                filled = 0;
+            }
+        }
+        if filled > 0 {
+            words.push(acc);
+        }
+        words
+    }
+
     #[test]
     fn key_words_are_injective_and_right_aligned() {
         let key_words = |b: &BitString| {
@@ -452,7 +646,7 @@ mod tests {
         // Per length: all zeros, all ones, alternating, and every
         // single-bit flip of all zeros.
         let mut seen: std::collections::HashMap<Vec<u64>, BitString> = Default::default();
-        for len in [0usize, 1, 6, 63, 64, 65, 128] {
+        for len in 0usize..=130 {
             let mut strings: Vec<BitString> = vec![
                 (0..len).map(|_| false).collect(),
                 (0..len).map(|_| true).collect(),
@@ -461,6 +655,7 @@ mod tests {
             strings.extend((0..len).map(|j| (0..len).map(|i| i == j).collect()));
             for b in strings {
                 let words = key_words(&b);
+                assert_eq!(words, reference_key_words(&b), "len {len}: {b}");
                 assert_eq!(words, key_words(&b.clone()), "len {len}: {b}");
                 assert_eq!(words.len(), 1 + len.div_ceil(64), "len {len}: {b}");
                 if len % 64 != 0 {
@@ -486,9 +681,91 @@ mod tests {
         assert_eq!(bit_width(257), 9);
     }
 
+    /// Patterned bits of the word-boundary lengths the packed type must
+    /// get right: whether `i * 5 + seed` is a multiple of 3.
+    fn model(len: usize, seed: usize) -> Vec<bool> {
+        (0..len).map(|i| (i * 5 + seed).is_multiple_of(3)).collect()
+    }
+
+    const BOUNDARY_LENGTHS: [usize; 7] = [0, 1, 63, 64, 65, 128, 129];
+
     #[test]
     fn from_iterator_collects() {
         let b: BitString = [true, false, true].into_iter().collect();
         assert_eq!(b.to_string(), "101");
+        assert!(std::mem::size_of::<BitString>() <= 32);
+        for len in BOUNDARY_LENGTHS {
+            let bits = model(len, len);
+            let b: BitString = bits.iter().copied().collect();
+            assert_eq!(b.len(), len);
+            assert_eq!(b.words().len(), len.div_ceil(64), "len {len}");
+            assert_eq!(BitString::from_words(len, b.words()), b, "len {len}");
+            assert!(b.iter().eq(bits.iter().copied()), "len {len}");
+            assert!((0..len).all(|i| b.get(i) == bits[i]), "len {len}");
+            let ones = bits.iter().filter(|&&x| x).count();
+            assert_eq!(b.count_ones(), ones, "len {len}");
+            // Packed words against the model, LSB first.
+            for (i, &x) in bits.iter().enumerate() {
+                assert_eq!(
+                    b.words()[i / 64] >> (i % 64) & 1 == 1,
+                    x,
+                    "len {len} bit {i}"
+                );
+            }
+            // `extend` at every boundary offset equals the concatenation,
+            // and so do `push` and `push_uint` built strings.
+            for prefix_len in BOUNDARY_LENGTHS {
+                let prefix = model(prefix_len, 1);
+                let mut joined: BitString = prefix.iter().copied().collect();
+                joined.extend(&b);
+                let expect: BitString = prefix.iter().chain(&bits).copied().collect();
+                assert_eq!(joined, expect, "{prefix_len} + {len}");
+                let mut pushed = BitString::new();
+                for &x in prefix.iter().chain(&bits) {
+                    pushed.push(x);
+                }
+                assert_eq!(pushed, expect, "{prefix_len} + {len} pushed");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the length")]
+    fn from_words_rejects_padding() {
+        BitString::from_words(65, &[0, 0b10]);
+    }
+
+    #[test]
+    fn corruption_at_word_boundaries_matches_fresh_strings() {
+        use lad_runtime::Corruptible;
+        let fresh = |bits: &[bool]| bits.iter().copied().collect::<BitString>();
+        for len in BOUNDARY_LENGTHS.into_iter().filter(|&l| l > 0) {
+            let bits = model(len, 2);
+            let b = fresh(&bits);
+            // Flip (entropy ≡ 0 mod 4, bit index in the higher bits), at
+            // the first, last and each word-boundary bit.
+            for i in [0, 63, 64, len - 1].into_iter().filter(|&i| i < len) {
+                let mut flipped = b.clone();
+                flipped.corrupt((i as u64) << 2);
+                let mut expect = bits.clone();
+                expect[i] = !expect[i];
+                assert_eq!(flipped, fresh(&expect), "flip {i} of {len}");
+            }
+            // Pop: a pop across a word boundary must leave a canonical
+            // string, equal to one built fresh.
+            let mut popped = b.clone();
+            popped.corrupt(1);
+            assert_eq!(popped, fresh(&bits[..len - 1]), "pop of {len}");
+            // Push: the entropy is 2 mod 4, hence even, so the bit is 0.
+            let mut pushed = b.clone();
+            pushed.corrupt(2);
+            let mut expect = bits.clone();
+            expect.push(false);
+            assert_eq!(pushed, fresh(&expect), "push onto {len}");
+            // Clear.
+            let mut cleared = b.clone();
+            cleared.corrupt(3);
+            assert_eq!(cleared, BitString::new(), "clear of {len}");
+        }
     }
 }

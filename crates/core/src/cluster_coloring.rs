@@ -400,43 +400,53 @@ fn simulate_greedy(
     // candidate among its level-d neighbors, and that minimum equals the
     // per-center minimum of (distance, center uid) — any nearest center
     // of w routes through a neighbor it is also nearest to.
-    let mut nearest: Vec<Option<(usize, u64, usize)>> = vec![None; g.n()]; // (dist, center uid, cluster color)
+    //
+    // The per-node state is compact: a 16-byte `(distance, center slot,
+    // center uid)` record, where the slot indexes `centers` (and so names
+    // the cluster color) and `UNREACHED` marks a node no center reaches.
+    const UNREACHED: u32 = u32::MAX;
+    let mut nearest: Vec<(u32, u32, u64)> = vec![(UNREACHED, 0, 0); g.n()];
     let mut frontier: Vec<NodeId> = Vec::with_capacity(centers.len());
-    for &(c, color) in &centers {
-        nearest[c.index()] = Some((0, ball.uid(c), color));
+    for (slot, &(c, _)) in centers.iter().enumerate() {
+        nearest[c.index()] = (0, slot as u32, ball.uid(c));
         frontier.push(c);
     }
     let mut next: Vec<NodeId> = Vec::new();
     while !frontier.is_empty() {
         for &u in &frontier {
-            let (d, bu, bc) = nearest[u.index()].expect("frontier nodes are reached");
-            let cand = (d + 1, bu, bc);
+            let (d, slot, uid) = nearest[u.index()];
+            let cand = (d + 1, slot, uid);
             for &w in g.neighbors(u) {
-                match &mut nearest[w.index()] {
-                    slot @ None => {
-                        *slot = Some(cand);
-                        next.push(w);
-                    }
-                    Some((bd, bw, bcol)) => {
-                        if (cand.0, cand.1) < (*bd, *bw) {
-                            (*bd, *bw, *bcol) = cand;
-                        }
-                    }
+                let best = &mut nearest[w.index()];
+                if best.0 == UNREACHED {
+                    *best = cand;
+                    next.push(w);
+                } else if (cand.0, cand.2) < (best.0, best.2) {
+                    *best = cand;
                 }
             }
         }
         frontier.clear();
         std::mem::swap(&mut frontier, &mut next);
     }
-    let trusted = |w: NodeId| -> Option<(usize, u64)> {
-        if ball.dist(w) + spacing > r || !ball.knows_all_edges_of(w) {
-            return None;
-        }
-        match nearest[w.index()] {
-            Some((d, _, color)) if d < spacing => Some((color, ball.uid(w))),
-            _ => None,
-        }
-    };
+    // A trusted node's greedy order key `(cluster color, uid)`, packed
+    // into one `u128` as `color << 64 | uid`. Colors are below
+    // `max_colors ≤ usize::MAX`, so no trusted key reaches `UNTRUSTED`.
+    const UNTRUSTED: u128 = u128::MAX;
+    let order: Vec<u128> = g
+        .nodes()
+        .map(|w| {
+            if ball.dist(w) + spacing > r || !ball.knows_all_edges_of(w) {
+                return UNTRUSTED;
+            }
+            match nearest[w.index()] {
+                (d, slot, _) if d != UNREACHED && (d as usize) < spacing => {
+                    (centers[slot as usize].1 as u128) << 64 | u128::from(ball.uid(w))
+                }
+                _ => UNTRUSTED,
+            }
+        })
+        .collect();
     // 3. Greedy colors in dependency order: a trusted node takes the mex
     // of its lower-order neighbors' colors once all of them are decided.
     // An untrusted neighbor's order is unknowable — only a center-distance
@@ -445,25 +455,26 @@ fn simulate_greedy(
     // bottom-up fixpoint, so propagating readiness counts (each edge
     // visited O(1) times) colors exactly the nodes the round-based
     // fixpoint scan would, with the same colors.
-    let order: Vec<Option<(usize, u64)>> = g.nodes().map(trusted).collect();
-    let mut colors: Vec<Option<usize>> = vec![None; g.n()];
+    const UNCOLORED: u32 = u32::MAX;
+    let mut colors: Vec<u32> = vec![UNCOLORED; g.n()];
     const BLOCKED: u32 = u32::MAX;
     let mut pending: Vec<u32> = vec![BLOCKED; g.n()];
     let mut ready: Vec<NodeId> = Vec::new();
     for w in g.nodes() {
-        let Some(my_order) = order[w.index()] else {
+        let my_order = order[w.index()];
+        if my_order == UNTRUSTED {
             continue;
-        };
+        }
         let mut lower_undecided = 0u32;
         let mut blocked = false;
         for &u in g.neighbors(w) {
             match order[u.index()] {
-                None => {
+                UNTRUSTED => {
                     blocked = true;
                     break;
                 }
-                Some(o) if o < my_order => lower_undecided += 1,
-                Some(_) => {}
+                o if o < my_order => lower_undecided += 1,
+                _ => {}
             }
         }
         if blocked {
@@ -474,13 +485,17 @@ fn simulate_greedy(
             ready.push(w);
         }
     }
-    let mut used = Vec::new();
+    let mut used: Vec<u32> = Vec::new();
     while let Some(w) = ready.pop() {
-        let my_order = order[w.index()].expect("ready nodes are trusted");
+        let my_order = order[w.index()];
         used.clear();
         for &u in g.neighbors(w) {
-            if order[u.index()].is_some_and(|o| o < my_order) {
-                used.push(colors[u.index()].expect("lower neighbors are colored"));
+            // Ready nodes have no untrusted neighbor, so this is exactly
+            // the lower-order neighbors.
+            if order[u.index()] < my_order {
+                let c = colors[u.index()];
+                assert_ne!(c, UNCOLORED, "lower neighbors are colored");
+                used.push(c);
             }
         }
         used.sort_unstable();
@@ -493,9 +508,10 @@ fn simulate_greedy(
                 break;
             }
         }
-        colors[w.index()] = Some(c);
+        colors[w.index()] = c;
         for &u in g.neighbors(w) {
-            if pending[u.index()] != BLOCKED && order[u.index()].is_some_and(|o| o > my_order) {
+            // Only trusted, unblocked nodes have a pending count.
+            if pending[u.index()] != BLOCKED && order[u.index()] > my_order {
                 pending[u.index()] -= 1;
                 if pending[u.index()] == 0 {
                     ready.push(u);
@@ -503,7 +519,8 @@ fn simulate_greedy(
             }
         }
     }
-    Ok(colors[ball.center().index()])
+    let color = colors[ball.center().index()];
+    Ok((color != UNCOLORED).then_some(color as usize))
 }
 
 #[cfg(test)]

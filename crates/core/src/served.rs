@@ -287,15 +287,9 @@ pub fn ball_to_words(ball: &Ball<BitString>) -> Vec<u64> {
         words.push(ball.dist(v) as u64);
         words.push(ball.uid(v));
         words.push(ball.global_degree(v) as u64);
-        let bits = ball.input(v).as_slice();
+        let bits = ball.input(v);
         words.push(bits.len() as u64);
-        for chunk in bits.chunks(64) {
-            let mut w = 0u64;
-            for (i, &b) in chunk.iter().enumerate() {
-                w |= u64::from(b) << i;
-            }
-            words.push(w);
-        }
+        words.extend_from_slice(bits.words());
     }
     // Graph edge lists are sorted lexicographically by (min, max), so the
     // packed words come out strictly ascending — the canonical wire order
@@ -316,19 +310,20 @@ pub fn ball_to_words(ball: &Ball<BitString>) -> Vec<u64> {
 /// [`WireError`] on any structural violation.
 pub fn ball_from_words(words: &[u64]) -> Result<Ball<BitString>, WireError> {
     let bad = |msg: &str| WireError::new(msg);
-    fn next(
-        it: &mut std::iter::Copied<std::slice::Iter<'_, u64>>,
-        what: &'static str,
-    ) -> Result<u64, WireError> {
-        it.next()
-            .ok_or_else(|| WireError::new(format!("truncated at {what}")))
+    fn next(rest: &mut &[u64], what: &'static str) -> Result<u64, WireError> {
+        let (&word, tail) = rest
+            .split_first()
+            .ok_or_else(|| WireError::new(format!("truncated at {what}")))?;
+        *rest = tail;
+        Ok(word)
     }
-    let mut it = words.iter().copied();
-    let radius = usize::try_from(next(&mut it, "radius")?).map_err(|_| bad("radius overflows"))?;
+    let mut rest = words;
+    let radius =
+        usize::try_from(next(&mut rest, "radius")?).map_err(|_| bad("radius overflows"))?;
     let n =
-        usize::try_from(next(&mut it, "node count")?).map_err(|_| bad("node count overflows"))?;
+        usize::try_from(next(&mut rest, "node count")?).map_err(|_| bad("node count overflows"))?;
     let m =
-        usize::try_from(next(&mut it, "edge count")?).map_err(|_| bad("edge count overflows"))?;
+        usize::try_from(next(&mut rest, "edge count")?).map_err(|_| bad("edge count overflows"))?;
     if n == 0 || n > u32::MAX as usize {
         return Err(bad("node count out of range"));
     }
@@ -346,32 +341,30 @@ pub fn ball_from_words(words: &[u64]) -> Result<Ball<BitString>, WireError> {
     let mut degrees = Vec::with_capacity(n);
     let mut inputs = Vec::with_capacity(n);
     for _ in 0..n {
-        let d = usize::try_from(next(&mut it, "dist")?).map_err(|_| bad("dist overflows"))?;
+        let d = usize::try_from(next(&mut rest, "dist")?).map_err(|_| bad("dist overflows"))?;
         if d > radius {
             return Err(bad("node distance exceeds the radius"));
         }
         dist.push(d);
-        uids.push(next(&mut it, "uid")?);
-        degrees
-            .push(usize::try_from(next(&mut it, "degree")?).map_err(|_| bad("degree overflows"))?);
-        let bit_len = usize::try_from(next(&mut it, "advice length")?)
+        uids.push(next(&mut rest, "uid")?);
+        degrees.push(
+            usize::try_from(next(&mut rest, "degree")?).map_err(|_| bad("degree overflows"))?,
+        );
+        let bit_len = usize::try_from(next(&mut rest, "advice length")?)
             .map_err(|_| bad("advice length overflows"))?;
         // Bound the claimed length against the remaining payload *before*
-        // allocating, so a small hostile frame cannot request gigabytes.
+        // slicing its words: a hostile claim is a typed error, and the
+        // string allocates no more than the frame carries.
         let word_count = bit_len.div_ceil(64);
-        if word_count > it.len() {
+        if word_count > rest.len() {
             return Err(bad("advice length exceeds the payload"));
         }
-        let mut bits = Vec::with_capacity(bit_len);
-        for w in 0..word_count {
-            let packed = next(&mut it, "advice bits")?;
-            let take = (bit_len - w * 64).min(64);
-            if take < 64 && packed >> take != 0 {
-                return Err(bad("advice padding bits are not zero"));
-            }
-            bits.extend((0..take).map(|i| packed >> i & 1 == 1));
+        let packed = &rest[..word_count];
+        rest = &rest[word_count..];
+        if !bit_len.is_multiple_of(64) && packed[word_count - 1] >> (bit_len % 64) != 0 {
+            return Err(bad("advice padding bits are not zero"));
         }
-        inputs.push(BitString::from_bits(bits));
+        inputs.push(BitString::from_words(bit_len, packed));
     }
     if dist[0] != 0 {
         return Err(bad("center (local index 0) is not at distance 0"));
@@ -382,7 +375,7 @@ pub fn ball_from_words(words: &[u64]) -> Result<Ball<BitString>, WireError> {
     let mut edges = Vec::with_capacity(m);
     let mut prev: Option<u64> = None;
     for _ in 0..m {
-        let packed = next(&mut it, "edge")?;
+        let packed = next(&mut rest, "edge")?;
         if prev.is_some_and(|p| p >= packed) {
             return Err(bad("edges are not strictly ascending"));
         }
@@ -394,7 +387,7 @@ pub fn ball_from_words(words: &[u64]) -> Result<Ball<BitString>, WireError> {
         }
         edges.push((NodeId::from_index(a), NodeId::from_index(b)));
     }
-    if it.next().is_some() {
+    if !rest.is_empty() {
         return Err(bad("trailing words"));
     }
     let graph = from_sorted_edges(n, edges);
@@ -464,6 +457,16 @@ mod tests {
             // structurally, a uid/advice flip parses to a different key.
             let _ = ball_from_words(&corrupt);
         }
+        // One node (radius 0, uid 7, degree 0) and its advice: a node's
+        // last advice word must be zero past the string's length, whether
+        // the string fits in one word or spills into a second.
+        let frame = |advice: &[u64]| [&[0, 1, 0, 0, 7, 0][..], advice].concat();
+        let padding = Err(WireError::new("advice padding bits are not zero"));
+        assert!(ball_from_words(&frame(&[3, 0b101])).is_ok());
+        assert_eq!(ball_from_words(&frame(&[3, 0b1101])), padding);
+        assert!(ball_from_words(&frame(&[67, u64::MAX, 0b101])).is_ok());
+        assert_eq!(ball_from_words(&frame(&[67, u64::MAX, 0b1101])), padding);
+        assert!(ball_from_words(&frame(&[64, u64::MAX])).is_ok());
     }
 
     #[test]
@@ -515,6 +518,43 @@ mod tests {
                 assert_eq!(served, live, "served answer diverged at {v:?}");
             }
         }
+    }
+
+    /// FNV-1a, 64-bit.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The bytes of trained dictionaries, pinned: every advice string
+    /// reaches the key words through `push_key_words`, so any change to
+    /// its words (or to the advice, the ball or the key layout) moves
+    /// these digests.
+    #[test]
+    fn trained_store_bytes_are_pinned() {
+        let torus = Network::with_ids(
+            generators::grid2d(12, 12, true),
+            IdAssignment::random_permutation(144, 7),
+        );
+        let cycles = Network::with_ids(
+            generators::disjoint_union(&vec![generators::cycle(40); 3]),
+            IdAssignment::random_permutation(120, 1),
+        );
+        let pinned = |name: &str, training: &[Network]| {
+            let schema = by_name(name).expect("registered");
+            let store = train_store(&*schema, training).expect("training succeeds");
+            let bytes = store.to_bytes();
+            (store.len(), bytes.len(), fnv1a(&bytes))
+        };
+        assert_eq!(
+            pinned("cluster", &[cycles, torus.clone()]),
+            (280, 209_624, 0xd0d3_d170_ff5c_926c)
+        );
+        assert_eq!(
+            pinned("balanced", &[torus]),
+            (144, 184_400, 0x19a5_485b_c10f_becf)
+        );
     }
 
     #[test]

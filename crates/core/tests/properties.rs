@@ -12,7 +12,8 @@ use lad_runtime::Network;
 use proptest::prelude::*;
 
 fn arb_bitstring(max_len: usize) -> impl Strategy<Value = BitString> {
-    proptest::collection::vec(any::<bool>(), 0..=max_len).prop_map(BitString::from_bits)
+    proptest::collection::vec(any::<bool>(), 0..=max_len)
+        .prop_map(|bits| bits.into_iter().collect())
 }
 
 /// A connected-ish random graph with a random uid permutation.
@@ -74,7 +75,7 @@ proptest! {
     #[test]
     fn path_code_never_has_interior_marker(payload in arb_bitstring(40)) {
         let coded = encode_path_code(&payload);
-        let s = coded.as_slice();
+        let s: Vec<bool> = coded.iter().collect();
         for i in 1..s.len().saturating_sub(3) {
             prop_assert!(!(s[i] && s[i + 1] && s[i + 2] && s[i + 3]));
         }

@@ -303,12 +303,17 @@ pub(crate) fn build_from_members<In: Clone>(
     // enumerating from the smaller endpoint visits each edge exactly once,
     // with no dedup set. Either endpoint's adjacency slot names the same
     // global edge, so the recorded id matches the reference path's.
+    //
+    // Members emit their pairs in increasing local index, so the pair list
+    // is in `(min, max)` order once each member's own run (at most its
+    // degree) is sorted by the larger endpoint.
     pairs.clear();
     for (li, &(v, d)) in members.iter().enumerate() {
         if d == radius {
             break; // frontier suffix: edges among frontier nodes are unknown
         }
         let lv = NodeId::from_index(li);
+        let run = pairs.len();
         for (&u, &e) in g.neighbors(v).iter().zip(g.incident_edges(v)) {
             if let Some(lu) = local_of(u) {
                 if lv < lu {
@@ -316,8 +321,8 @@ pub(crate) fn build_from_members<In: Clone>(
                 }
             }
         }
+        pairs[run..].sort_unstable_by_key(|&(_, b, _)| b);
     }
-    pairs.sort_unstable_by_key(|&(a, b, _)| (a, b));
     let edges: Vec<(NodeId, NodeId)> = pairs.iter().map(|&(a, b, _)| (a, b)).collect();
     let to_global_edge: Vec<EdgeId> = pairs.iter().map(|&(_, _, e)| e).collect();
     let graph = lad_graph::builder::from_sorted_edges(members.len(), edges);
