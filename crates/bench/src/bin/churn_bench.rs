@@ -277,7 +277,7 @@ fn bench_memo_repair(
 }
 
 /// Same drive loop with the adaptive planner choosing the session family
-/// (plain cache vs persistent class memo) from its instance probe at open
+/// (plain session vs persistent class memo) from its instance probe at open
 /// time — the production entry for churn under planner control.
 fn bench_planned_repair(
     family: &str,

@@ -336,7 +336,7 @@ impl lad_runtime::Corruptible for BitString {
                 self.words_mut()[i / 64] ^= 1 << (i % 64);
             }
             1 => self.truncate(self.len - 1),
-            2 => self.push(entropy & 1 == 1),
+            2 => self.push((entropy >> 2) & 1 == 1),
             _ => *self = BitString::new(),
         }
     }
@@ -756,12 +756,15 @@ mod tests {
             let mut popped = b.clone();
             popped.corrupt(1);
             assert_eq!(popped, fresh(&bits[..len - 1]), "pop of {len}");
-            // Push: the entropy is 2 mod 4, hence even, so the bit is 0.
-            let mut pushed = b.clone();
-            pushed.corrupt(2);
-            let mut expect = bits.clone();
-            expect.push(false);
-            assert_eq!(pushed, fresh(&expect), "push onto {len}");
+            // Push (entropy ≡ 2 mod 4): the pushed bit is the one above
+            // the selector, so entropy 2 appends a 0 and entropy 6 a 1.
+            for (entropy, bit) in [(2, false), (6, true)] {
+                let mut pushed = b.clone();
+                pushed.corrupt(entropy);
+                let mut expect = bits.clone();
+                expect.push(bit);
+                assert_eq!(pushed, fresh(&expect), "push {bit} onto {len}");
+            }
             // Clear.
             let mut cleared = b.clone();
             cleared.corrupt(3);

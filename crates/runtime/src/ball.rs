@@ -40,9 +40,8 @@ pub struct Ball<In = ()> {
 }
 
 /// Per-node metadata (global name, BFS distance, true network degree) packed
-/// into one contiguous table. A [`crate::ViewCache`] pins roughly one ball
-/// per node, so one retained allocation here instead of three parallel
-/// `Vec`s is a measurable share of the cold-population cost.
+/// into one contiguous table: one allocation per ball instead of three
+/// parallel `Vec`s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct NodeMeta {
     global: NodeId,
@@ -124,8 +123,8 @@ impl Scratch {
 }
 
 /// The BFS *membership* of a ball: nodes in discovery order with their
-/// distances, complete up to `radius`. Separated from [`Ball`] so caches can
-/// keep it per node and grow it incrementally — expanding radius `r` to
+/// distances, complete up to `radius`. Separated from [`Ball`] so a node's
+/// context can keep it and grow it incrementally — expanding radius `r` to
 /// `r + 1` continues the frontier BFS instead of re-running it from the
 /// center.
 ///

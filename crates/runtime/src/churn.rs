@@ -6,16 +6,17 @@
 //! The sessions here exploit that: run once from scratch, then after each
 //! edit batch recompute **only** the nodes
 //! [`MutableGraph::dirty_within`]`(T)` reports, keeping everything else
-//! (outputs, cached balls, memoized classes) warm.
+//! (outputs, memoized classes) as it was.
 //!
 //! Two sessions, mirroring the two executor families:
 //!
-//! * [`ChurnLocal`] — the plain path. Keeps a [`ViewCache`]; a batch
-//!   evicts exactly the dirty slots ([`ViewCache::invalidate`]) and
-//!   re-runs the per-node algorithm there. Clean nodes' cached balls stay
-//!   valid across the rebuild because a ball at radius `≤ T` of a
-//!   non-dirty node is — by the same locality argument — identical in the
-//!   old and new graphs.
+//! * [`ChurnLocal`] — the plain path. A batch re-runs the per-node
+//!   algorithm at exactly the dirty nodes, gathering their views afresh
+//!   on the mutated graph through one BFS scratch the session keeps.
+//!   Clean nodes keep their outputs: a ball at radius `≤ T` of a
+//!   non-dirty node is — by the same locality argument — identical in
+//!   the old and new graphs, and a node's output is a function of its
+//!   own ball only.
 //! * [`ChurnMemoLocal`] — the memoized path. Keeps a persistent class
 //!   memo with **per-class membership counts**: every node logs the chain
 //!   of classes it confirmed (each `Expand` rung plus its final verdict),
@@ -47,7 +48,6 @@
 //! [`run_local`]: crate::run_local
 
 use crate::ball::Scratch;
-use crate::cache::{CacheStats, ViewCache};
 use crate::ctx::NodeCtx;
 use crate::executor::{
     bfs_visit_order, memo_first_error, memo_run, ClassMemo, ClassRef, MemoStats, MemoStep,
@@ -80,8 +80,7 @@ pub struct RepairReport {
 }
 
 /// Incremental plain-executor session: outputs kept current under edge
-/// churn by recomputing only invalidated nodes, against a warm
-/// [`ViewCache`].
+/// churn by recomputing only invalidated nodes.
 ///
 /// `radius` is the algorithm's locality bound `T`: the session asserts
 /// that no node ever requests a view beyond it (the invalidation argument
@@ -89,7 +88,8 @@ pub struct RepairReport {
 pub struct ChurnLocal<In, Out, A> {
     mg: MutableGraph,
     net: Network<In>,
-    cache: ViewCache<In>,
+    /// BFS scratch for every view the session gathers, sized once.
+    scratch: RefCell<Scratch>,
     algo: A,
     radius: usize,
     outs: Vec<Out>,
@@ -97,9 +97,9 @@ pub struct ChurnLocal<In, Out, A> {
 }
 
 impl<In: Clone, Out: PartialEq, A: Fn(&NodeCtx<In>) -> Out> ChurnLocal<In, Out, A> {
-    /// Runs `algo` at every node of `net` in index order, its views served
-    /// from a fresh [`ViewCache`] (the same outputs and round statistics as
-    /// [`crate::run_local`]), and opens a churn session over the result.
+    /// Runs `algo` at every node of `net` in index order (the same outputs
+    /// and round statistics as [`crate::run_local`]) and opens a churn
+    /// session over the result.
     ///
     /// # Panics
     ///
@@ -107,19 +107,17 @@ impl<In: Clone, Out: PartialEq, A: Fn(&NodeCtx<In>) -> Out> ChurnLocal<In, Out, 
     pub fn new(net: Network<In>, radius: usize, algo: A) -> Self {
         let n = net.graph().n();
         let mg = MutableGraph::new(net.graph().clone());
-        let cache = ViewCache::for_network(&net);
         let mut session = ChurnLocal {
             mg,
             net,
-            cache,
+            scratch: RefCell::new(Scratch::new(n)),
             algo,
             radius,
             outs: Vec::with_capacity(n),
             per_node: Vec::with_capacity(n),
         };
-        let scratch = RefCell::new(Scratch::new(n));
         for v in session.net.graph().nodes() {
-            let ctx = NodeCtx::with_cache(&session.net, v, &session.cache, &scratch);
+            let ctx = NodeCtx::with_scratch(&session.net, v, &session.scratch);
             let out = (session.algo)(&ctx);
             session.check_radius(v, ctx.rounds_used());
             session.outs.push(out);
@@ -149,11 +147,9 @@ impl<In: Clone, Out: PartialEq, A: Fn(&NodeCtx<In>) -> Out> ChurnLocal<In, Out, 
             self.net.ids().clone(),
             self.net.inputs().to_vec(),
         );
-        self.cache.invalidate(&dirty);
-        let scratch = RefCell::new(Scratch::new(self.net.graph().n()));
         let mut changed = 0usize;
         for &v in &dirty {
-            let ctx = NodeCtx::with_cache(&self.net, v, &self.cache, &scratch);
+            let ctx = NodeCtx::with_scratch(&self.net, v, &self.scratch);
             let out = (self.algo)(&ctx);
             self.check_radius(v, ctx.rounds_used());
             self.per_node[v.index()] = ctx.rounds_used();
@@ -187,12 +183,6 @@ impl<In: Clone, Out: PartialEq, A: Fn(&NodeCtx<In>) -> Out> ChurnLocal<In, Out, 
     /// Per-node view radii of the current outputs.
     pub fn round_stats(&self) -> RoundStats {
         RoundStats::from_per_node(self.per_node.clone())
-    }
-
-    /// The session cache's counters — `invalidations` tracks evicted warm
-    /// slots across batches.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 }
 
@@ -425,7 +415,7 @@ where
 /// batches, while a class-sparse one (small tori, distinct advice) skips
 /// canonical keying entirely.
 pub enum PlannedChurnLocal<In, Out, A, Tag, Step> {
-    /// The planner chose the plain cached session.
+    /// The planner chose the plain session.
     Plain(ChurnLocal<In, Out, A>),
     /// The planner chose the persistent class-memo session.
     Memo(ChurnMemoLocal<In, Out, Tag, Step>),

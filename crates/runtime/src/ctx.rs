@@ -1,15 +1,13 @@
 //! Per-node execution contexts with round accounting.
 
 use crate::ball::{Ball, BallMembers, Scratch};
-use crate::cache::ViewCache;
 use crate::network::Network;
 use lad_graph::NodeId;
 use std::cell::{Cell, RefCell};
-use std::sync::Arc;
 
-/// Where a context materializes its views from. All three sources produce
+/// Where a context materializes its views from. Both sources produce
 /// bit-identical balls; they differ only in what work is amortized.
-enum ViewSource<'a, In> {
+enum ViewSource<'a> {
     /// Fresh `Ball::collect_reference` per request — the independent
     /// `HashMap`-based implementation, kept as the differential baseline.
     Direct,
@@ -17,9 +15,6 @@ enum ViewSource<'a, In> {
     /// adaptive decoders growing `r` by one expand the previous BFS
     /// instead of restarting it.
     Scratch(&'a RefCell<Scratch>),
-    /// A shared [`ViewCache`], reusing balls across nodes, phases, and
-    /// threads.
-    Cached(&'a ViewCache<In>, &'a RefCell<Scratch>),
 }
 
 /// The handle a LOCAL algorithm runs against at one node.
@@ -32,7 +27,7 @@ pub struct NodeCtx<'a, In = ()> {
     net: &'a Network<In>,
     node: NodeId,
     max_radius: Cell<usize>,
-    source: ViewSource<'a, In>,
+    source: ViewSource<'a>,
     /// Membership memo for the `Scratch` source (grown, never shrunk).
     memo: RefCell<Option<BallMembers>>,
 }
@@ -50,16 +45,7 @@ impl<'a, In: Clone> NodeCtx<'a, In> {
         Self::with_source(net, node, ViewSource::Scratch(scratch))
     }
 
-    pub(crate) fn with_cache(
-        net: &'a Network<In>,
-        node: NodeId,
-        cache: &'a ViewCache<In>,
-        scratch: &'a RefCell<Scratch>,
-    ) -> Self {
-        Self::with_source(net, node, ViewSource::Cached(cache, scratch))
-    }
-
-    fn with_source(net: &'a Network<In>, node: NodeId, source: ViewSource<'a, In>) -> Self {
+    fn with_source(net: &'a Network<In>, node: NodeId, source: ViewSource<'a>) -> Self {
         NodeCtx {
             net,
             node,
@@ -98,7 +84,8 @@ impl<'a, In: Clone> NodeCtx<'a, In> {
     /// the algorithm to at least `r` rounds.
     ///
     /// The returned ball is identical regardless of which executor entry
-    /// point (sequential, parallel, cached) created this context.
+    /// point ([`crate::run_local`] or a [`crate::Run`]) created this
+    /// context.
     pub fn ball(&self, r: usize) -> Ball<In> {
         self.note_radius(r);
         match &self.source {
@@ -115,27 +102,6 @@ impl<'a, In: Clone> NodeCtx<'a, In> {
                 memo.as_ref()
                     .expect("memo just ensured")
                     .build(self.net, r, &mut scratch)
-            }
-            ViewSource::Cached(cache, scratch) => {
-                let arc =
-                    cache.ball_with_scratch(self.net, self.node, r, &mut scratch.borrow_mut());
-                (*arc).clone()
-            }
-        }
-    }
-
-    /// Like [`NodeCtx::ball`] but shares the allocation when a cache backs
-    /// this context; otherwise a freshly gathered ball is wrapped. Use for
-    /// zero-copy access on hot decoder paths.
-    pub fn view(&self, r: usize) -> Arc<Ball<In>> {
-        self.note_radius(r);
-        match &self.source {
-            ViewSource::Cached(cache, scratch) => {
-                cache.ball_with_scratch(self.net, self.node, r, &mut scratch.borrow_mut())
-            }
-            _ => {
-                // `ball` re-notes the radius; that is idempotent.
-                Arc::new(self.ball(r))
             }
         }
     }
@@ -189,30 +155,17 @@ mod tests {
     #[test]
     fn all_sources_agree_on_balls() {
         let net = Network::with_identity_ids(generators::grid2d(4, 4, true));
-        let cache = ViewCache::for_network(&net);
         let scratch = RefCell::new(Scratch::new(net.graph().n()));
         for v in net.graph().nodes() {
             let direct = NodeCtx::new(&net, v);
             let scratched = NodeCtx::with_scratch(&net, v, &scratch);
-            let cached = NodeCtx::with_cache(&net, v, &cache, &scratch);
             // Interleave radii to exercise memo expansion and prefixing.
             for r in [1usize, 3, 2, 0, 4] {
                 let reference = direct.ball(r);
                 assert_eq!(scratched.ball(r), reference, "scratch node {v:?} r {r}");
-                assert_eq!(cached.ball(r), reference, "cache node {v:?} r {r}");
-                assert_eq!(*cached.view(r), reference, "view node {v:?} r {r}");
             }
             assert_eq!(direct.rounds_used(), 4);
             assert_eq!(scratched.rounds_used(), 4);
-            assert_eq!(cached.rounds_used(), 4);
         }
-    }
-
-    #[test]
-    fn view_wraps_ball_for_direct_contexts() {
-        let net = Network::with_identity_ids(generators::path(5));
-        let ctx = NodeCtx::new(&net, NodeId(2));
-        assert_eq!(*ctx.view(2), ctx.ball(2));
-        assert_eq!(ctx.rounds_used(), 2);
     }
 }

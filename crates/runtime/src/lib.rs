@@ -70,7 +70,6 @@
 //! assembling a silently wrong view.
 
 pub mod ball;
-pub mod cache;
 pub mod canonical;
 pub mod churn;
 pub mod ctx;
@@ -86,7 +85,6 @@ pub mod store;
 pub mod transport;
 
 pub use ball::Ball;
-pub use cache::{CacheStats, ViewCache};
 pub use canonical::{
     canonicalize, canonicalize_tagged_with, canonicalize_with, CanonScratch, CanonicalKey,
 };

@@ -2,8 +2,7 @@
 //!
 //! The sequential reference [`run_local`] defines the LOCAL semantics.
 //! [`Run::nodes`] and [`Run::try_nodes`] on every thread count, and a
-//! [`ChurnLocal`] session's opening run (views served from a fresh
-//! [`lad_runtime::ViewCache`]), must reproduce its outputs and
+//! [`ChurnLocal`] session's opening run, must reproduce its outputs and
 //! [`RoundStats`] **bit for bit** on every graph family — algorithms here
 //! return entire [`Ball`] values so the comparison covers view subgraphs,
 //! identifier/input/degree tables, and global-name maps, not just
@@ -71,8 +70,8 @@ fn network_for(g: &Graph) -> Network<u32> {
 }
 
 /// Asserts that every executor path reproduces `run_local`'s outputs and
-/// round statistics exactly: across the thread grid, and through a view
-/// cache.
+/// round statistics exactly: across the thread grid, and through a churn
+/// session's opening run.
 fn assert_all_paths_equal<Out>(
     tag: &str,
     net: &Network<u32>,
@@ -88,11 +87,11 @@ fn assert_all_paths_equal<Out>(
             "{tag}: par, {threads} threads"
         );
     }
-    // A churn session's opening run serves every view from a fresh view
-    // cache, through its expansion and prefix paths.
+    // A churn session's opening run gathers every view through the one
+    // scratch it keeps for the whole session.
     let session = ChurnLocal::new(net.clone(), reference.1.rounds(), &algo);
-    assert_eq!(session.outputs(), &reference.0[..], "{tag}: cached");
-    assert_eq!(session.round_stats(), reference.1, "{tag}: cached rounds");
+    assert_eq!(session.outputs(), &reference.0[..], "{tag}: churn");
+    assert_eq!(session.round_stats(), reference.1, "{tag}: churn rounds");
 }
 
 #[test]
@@ -130,9 +129,8 @@ fn adaptive_radius_growth_identical_everywhere() {
 
 #[test]
 fn mixed_radii_identical_everywhere() {
-    // Different nodes request different radii (uid-dependent), so cache
-    // slots are materialized at heterogeneous radii and prefix reuse kicks
-    // in when a smaller radius is requested after a larger one.
+    // Different nodes request different radii (uid-dependent), so one
+    // worker's scratch gathers balls of heterogeneous radii back to back.
     for (tag, g) in generator_grid() {
         let net = network_for(&g);
         assert_all_paths_equal(tag, &net, |ctx: &NodeCtx<u32>| {
@@ -144,7 +142,7 @@ fn mixed_radii_identical_everywhere() {
 #[test]
 fn non_monotone_radius_sequences_identical_everywhere() {
     // One context asking 1, then 3, then 2, then 0: memo expansion followed
-    // by prefix slicing, plus shared-Arc views.
+    // by prefix slicing.
     for (tag, g) in generator_grid() {
         let net = network_for(&g);
         assert_all_paths_equal(tag, &net, |ctx: &NodeCtx<u32>| {
@@ -152,8 +150,6 @@ fn non_monotone_radius_sequences_identical_everywhere() {
             let b = ctx.ball(3);
             let c = ctx.ball(2);
             let d = ctx.ball(0);
-            let v = ctx.view(3);
-            assert_eq!(*v, b);
             (a, b, c, d)
         });
     }

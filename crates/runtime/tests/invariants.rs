@@ -1,40 +1,16 @@
-//! Property-based invariants of [`RoundStats`] and the ball cache.
+//! Property-based invariants of [`RoundStats`] and the scratch-backed
+//! ball source.
 //!
 //! * Sequential composition of round statistics is associative and has
 //!   [`RoundStats::zero`] as identity, `rounds()` is the max of the
 //!   per-node radii, and `mean_rounds()` is bracketed by the min and max.
-//! * A cached ball equals a fresh BFS ball at every radius, regardless of
-//!   the order radii are requested in (expansion and prefix paths).
-//! * Targeted invalidation ([`ViewCache::invalidate`]) evicts exactly the
-//!   named slots, counts only slots that actually held content, leaves
-//!   warm neighbors serving hits, and recomputes evicted slots correctly
-//!   against a re-keyed (mutated) network.
+//! * A [`Run`]'s balls equal [`run_local`]'s reference balls at every
+//!   radius, regardless of the order radii are requested in (the
+//!   per-node membership's expansion and prefix paths).
 
-use lad_graph::mutate::{Edit, MutableGraph};
 use lad_graph::{generators, NodeId};
-use lad_runtime::{Ball, Network, RoundStats, ViewCache};
+use lad_runtime::{run_local, Ball, Network, NodeCtx, RoundStats, Run};
 use proptest::prelude::*;
-
-/// A ball's LOCAL-view content: structure, center, distances, global
-/// names, degrees, uids. Excludes the global edge-id table, which is a
-/// CSR artifact that renumbers on any edit and is outside the cache
-/// invalidation contract (see `lad_runtime::churn` docs).
-type ViewFields = (
-    lad_graph::Graph,
-    NodeId,
-    usize,
-    Vec<(NodeId, usize, usize, u64)>,
-);
-
-fn view_fields(b: &Ball<()>) -> ViewFields {
-    let per_node = (0..b.n())
-        .map(|i| {
-            let v = NodeId(i as u32);
-            (b.global_node(v), b.dist(v), b.global_degree(v), b.uid(v))
-        })
-        .collect();
-    (b.graph().clone(), b.center(), b.radius(), per_node)
-}
 
 fn arb_stats(n: usize) -> impl Strategy<Value = RoundStats> {
     proptest::collection::vec(0usize..12, n..=n).prop_map(RoundStats::from_per_node)
@@ -76,14 +52,13 @@ proptest! {
     }
 
     #[test]
-    fn cached_ball_equals_fresh_bfs_at_every_radius(
+    fn scratch_balls_equal_reference_at_every_radius(
         family in 0usize..5,
         n in 4usize..28,
         seed in 0u64..500,
-        // Radii requested in arbitrary (possibly repeating, non-monotone)
-        // order at a random center.
+        // Radii every node requests, in arbitrary (possibly repeating,
+        // non-monotone) order.
         radii in proptest::collection::vec(0usize..5, 1..8),
-        center_pick in 0usize..1000,
     ) {
         let g = match family {
             0 => generators::path(n.max(2)),
@@ -97,130 +72,9 @@ proptest! {
         };
         let inputs: Vec<u16> = (0..g.n()).map(|i| (i % 7) as u16).collect();
         let net = Network::with_identity_ids(g).with_inputs(inputs);
-        let cache = ViewCache::for_network(&net);
-        let center = NodeId::from_index(center_pick % net.graph().n());
-        for &r in &radii {
-            let cached = cache.ball(&net, center, r);
-            let fresh = Ball::collect(&net, center, r);
-            prop_assert_eq!(&*cached, &fresh, "center {:?} radius {}", center, r);
-        }
-        // Every request was served, one miss at most.
-        let stats = cache.stats();
-        prop_assert_eq!(stats.requests(), radii.len() as u64);
-        prop_assert!(stats.misses <= 1);
-    }
-
-    #[test]
-    fn invalidated_slots_recompute_correctly_against_mutated_network(
-        n in 6usize..24,
-        seed in 0u64..200,
-        radius in 0usize..4,
-        edit_pick in 0usize..1000,
-    ) {
-        // Warm a cache on graph A, apply an edit, evict the dirty slots,
-        // then serve every node against the mutated network: evicted
-        // slots re-gather on the new graph, warm slots answer from the
-        // old materialization — and everything must equal a fresh BFS on
-        // the new graph (clean balls are provably identical, which is the
-        // whole invalidation argument).
-        let g = generators::random_bounded_degree(n, 4, 2 * n, seed);
-        let net_a = Network::with_identity_ids(g.clone());
-        let cache = ViewCache::for_network(&net_a);
-        for v in net_a.graph().nodes() {
-            cache.ball(&net_a, v, radius);
-        }
-        let mut mg = MutableGraph::new(g);
-        let u = NodeId::from_index(edit_pick % n);
-        let w = NodeId::from_index((edit_pick / n + 1 + u.index()) % n);
-        prop_assume!(u != w);
-        let edit = if mg.graph().has_edge(u, w) {
-            Edit::Remove(u, w)
-        } else {
-            Edit::Insert(u, w)
+        let algo = |ctx: &NodeCtx<u16>| -> Vec<Ball<u16>> {
+            radii.iter().map(|&r| ctx.ball(r)).collect()
         };
-        mg.apply(&[edit]);
-        let dirty = mg.dirty_within(radius);
-        cache.invalidate(&dirty);
-        prop_assert_eq!(cache.stats().invalidations, dirty.len() as u64);
-        let net_b = Network::with_identity_ids(mg.graph().clone());
-        let before = cache.stats();
-        for v in net_b.graph().nodes() {
-            let served = cache.ball(&net_b, v, radius);
-            prop_assert_eq!(
-                view_fields(&served),
-                view_fields(&Ball::collect(&net_b, v, radius))
-            );
-        }
-        let after = cache.stats();
-        // Exactly the evicted slots missed; every clean slot answered warm.
-        prop_assert_eq!(after.misses - before.misses, dirty.len() as u64);
-        prop_assert_eq!(after.hits - before.hits, (n - dirty.len()) as u64);
-    }
-
-    #[test]
-    fn cache_consistent_across_all_nodes_after_mixed_traffic(
-        n in 3usize..20,
-        seed in 0u64..200,
-    ) {
-        // Hammer one cache with every (node, radius) pair twice, in two
-        // different orders, then verify everything against fresh BFS.
-        let g = generators::random_bounded_degree(n, 3, 2 * n, seed);
-        let net = Network::with_identity_ids(g);
-        let cache = ViewCache::for_network(&net);
-        for v in net.graph().nodes() {
-            for r in (0..4).rev() {
-                cache.ball(&net, v, r);
-            }
-        }
-        for r in 0..4 {
-            for v in net.graph().nodes() {
-                let cached = cache.ball(&net, v, r);
-                prop_assert_eq!(&*cached, &Ball::collect(&net, v, r));
-            }
-        }
-    }
-}
-
-#[test]
-fn invalidating_cold_slots_is_free_and_uncounted() {
-    let net = Network::with_identity_ids(generators::cycle(10));
-    let cache = ViewCache::for_network(&net);
-    // Nothing materialized: eviction is a no-op and counts nothing.
-    cache.invalidate(&[NodeId(0), NodeId(3), NodeId(7)]);
-    assert_eq!(cache.stats().invalidations, 0);
-    // Warm two of the three, evict all three: only the warm pair counts.
-    cache.ball(&net, NodeId(0), 1);
-    cache.ball(&net, NodeId(3), 1);
-    cache.invalidate(&[NodeId(0), NodeId(3), NodeId(7)]);
-    assert_eq!(cache.stats().invalidations, 2);
-    // Double-evicting an already-cold slot stays uncounted.
-    cache.invalidate(&[NodeId(0)]);
-    assert_eq!(cache.stats().invalidations, 2);
-    // `requests()` is traffic only; invalidations never inflate it.
-    assert_eq!(cache.stats().requests(), 2);
-}
-
-#[test]
-fn warm_hit_ratio_is_exact_across_evict_cycles() {
-    let n = 12;
-    let net = Network::with_identity_ids(generators::cycle(n));
-    let cache = ViewCache::for_network(&net);
-    let evict: Vec<NodeId> = (0..n / 2).map(NodeId::from_index).collect();
-    let mut expected = lad_runtime::CacheStats::default();
-    // First sweep: all cold.
-    for v in net.graph().nodes() {
-        cache.ball(&net, v, 2);
-    }
-    expected.misses += n as u64;
-    assert_eq!(cache.stats(), expected);
-    for cycle in 0..3 {
-        cache.invalidate(&evict);
-        expected.invalidations += evict.len() as u64;
-        for v in net.graph().nodes() {
-            cache.ball(&net, v, 2);
-        }
-        expected.misses += evict.len() as u64;
-        expected.hits += (n - evict.len()) as u64;
-        assert_eq!(cache.stats(), expected, "cycle {cycle}");
+        prop_assert_eq!(Run::default().threads(1).nodes(&net, algo), run_local(&net, algo));
     }
 }
