@@ -22,7 +22,7 @@ use lad_core::AdviceMap;
 use lad_graph::{coloring, generators, Graph, IdAssignment, NodeId};
 use lad_lcl::problems::{AlmostBalancedOrientation, Mis, ProperColoring};
 use lad_lcl::{verify, Labeling};
-use lad_runtime::{Ball, LookupTable, Network, Run};
+use lad_runtime::{canonicalize, Ball, ClassStore, ClassVerdict, MemoStep, Network, SchemaId};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use std::time::Instant;
@@ -426,8 +426,10 @@ pub fn e7_eth_brute_force() -> Table {
     t
 }
 
-/// E8 — Contribution 2 ingredient: order-invariant lookup tables simulate
-/// local algorithms exactly, with `f(Δ, T)`-size tables.
+/// E8 — Contribution 2 ingredient: an order-invariant local algorithm is a
+/// finite table from canonical views to outputs (one [`ClassStore`]
+/// trained on every training network), which simulates it exactly with
+/// `f(Δ, T)` entries.
 pub fn e8_order_invariance() -> Table {
     let mut t = Table::new(
         "E8: order-invariant lookup-table simulation",
@@ -444,16 +446,20 @@ pub fn e8_order_invariance() -> Table {
         ball.graph().nodes().all(|v| ball.uid(v) >= me)
     };
     for radius in [1usize, 2] {
-        let training: Vec<Network> = (0..40)
-            .map(|s| {
-                Network::with_ids(
-                    generators::cycle(16),
-                    IdAssignment::random_permutation(16, 1000 + s),
+        let mut table = ClassStore::new(SchemaId::new("local-min", 0), radius);
+        for s in 0..40 {
+            let net = Network::with_ids(
+                generators::cycle(16),
+                IdAssignment::random_permutation(16, 1000 + s),
+            );
+            table
+                .train(
+                    &net,
+                    |_, words| words.push(0),
+                    |ball| Ok::<_, std::convert::Infallible>(MemoStep::Done(local_min(ball))),
                 )
-            })
-            .collect();
-        let table = LookupTable::train(radius, &training, |_| 0, local_min, &Run::default())
-            .expect("order-invariant");
+                .expect("order-invariant");
+        }
         // Agreement on fresh networks.
         let mut agree = 0usize;
         let mut total = 0usize;
@@ -464,9 +470,9 @@ pub fn e8_order_invariance() -> Table {
             );
             for v in fresh.graph().nodes() {
                 let ball = Ball::collect(&fresh, v, radius);
-                if let Some(ans) = table.eval(&ball, |_| 0) {
+                if let Some(verdict) = table.get(&canonicalize(&ball, |_| 0)) {
                     total += 1;
-                    if ans == local_min(&ball) {
+                    if *verdict == ClassVerdict::Done(local_min(&ball)) {
                         agree += 1;
                     }
                 }

@@ -12,11 +12,11 @@
 //!    itself. Its cost visibly explodes exponentially in `n` (the wall the
 //!    ETH argument leans on).
 //! 2. Cheap simulation via **order invariance**: an order-invariant local
-//!    algorithm on bounded-degree graphs is a finite lookup table
-//!    ([`lad_runtime::LookupTable`]); here we additionally memoize decoder
-//!    evaluations by canonical view, showing that across all `2^{βn}`
-//!    iterations only `f(Δ, T, β)` *distinct* views ever occur — the
-//!    "`s(n)` is constant" half of the argument.
+//!    algorithm on bounded-degree graphs is a finite table from canonical
+//!    views to outputs (a trained [`lad_runtime::ClassStore`]); here we
+//!    additionally memoize decoder evaluations by canonical view, showing
+//!    that across all `2^{βn}` iterations only `f(Δ, T, β)` *distinct*
+//!    views ever occur — the "`s(n)` is constant" half of the argument.
 
 use crate::bits::BitString;
 use lad_lcl::{verify, Labeling, Lcl};

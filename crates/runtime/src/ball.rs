@@ -123,14 +123,14 @@ impl Scratch {
 }
 
 /// The BFS *membership* of a ball: nodes in discovery order with their
-/// distances, complete up to `radius`. Separated from [`Ball`] so a node's
-/// context can keep it and grow it incrementally — expanding radius `r` to
-/// `r + 1` continues the frontier BFS instead of re-running it from the
-/// center.
+/// distances, complete up to `radius`. Separated from [`Ball`] so a ladder
+/// can key it without building the ball and grow it in place — expanding
+/// radius `r` to `r + 1` continues the frontier BFS instead of re-running
+/// it from the center.
 ///
 /// Invariant: `members` is exactly the sequence a from-scratch bounded BFS
-/// ([`Ball::collect`]) would produce at `radius` — distances are
-/// nondecreasing, so the radius-`r` membership (`r ≤ radius`) is a prefix.
+/// ([`Ball::collect`]) would produce at `radius`, so distances are
+/// nondecreasing.
 #[derive(Debug, Clone)]
 pub(crate) struct BallMembers {
     members: Vec<(NodeId, usize)>,
@@ -213,50 +213,10 @@ impl BallMembers {
         self.radius = new_radius;
     }
 
-    /// Number of members within distance `r`.
-    fn prefix_len(&self, r: usize) -> usize {
-        self.members.partition_point(|&(_, d)| d <= r)
-    }
-
-    /// Materializes the radius-`r` ball (`r ≤ self.radius`) from this
-    /// membership — bit-identical to `Ball::collect(net, center, r)`.
-    pub(crate) fn build<In: Clone>(
-        &self,
-        net: &Network<In>,
-        r: usize,
-        scratch: &mut Scratch,
-    ) -> Ball<In> {
-        assert!(
-            r <= self.radius,
-            "membership only complete to {}",
-            self.radius
-        );
-        let prefix = &self.members[..self.prefix_len(r)];
-        scratch.begin();
-        for (i, &(v, _)) in prefix.iter().enumerate() {
-            scratch.insert(v, i as u32);
-        }
-        let Scratch {
-            stamp,
-            local,
-            epoch,
-            pairs,
-            ..
-        } = scratch;
-        let epoch = *epoch;
-        build_from_members(
-            net,
-            prefix,
-            r,
-            |u| (stamp[u.index()] == epoch).then(|| NodeId(local[u.index()])),
-            pairs,
-        )
-    }
-
     /// Materializes the full-radius ball directly from the stamps a just-run
-    /// [`BallMembers::gather`] left in `scratch`, skipping the epoch bump and
-    /// re-stamping pass [`BallMembers::build`] pays. Only valid immediately
-    /// after `gather` with the same scratch (no intervening `begin`).
+    /// [`BallMembers::gather`] or [`BallMembers::expand`] left in `scratch`.
+    /// Only valid immediately after either with the same scratch (no
+    /// intervening `begin`).
     pub(crate) fn build_current<In: Clone>(
         &self,
         net: &Network<In>,
@@ -364,11 +324,22 @@ impl<In: Clone> Ball<In> {
         SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
             scratch.ensure(net.graph().n());
-            let members = BallMembers::gather(net.graph(), center, radius, &mut scratch);
-            let ball = members.build_current(net, &mut scratch);
-            members.recycle(&mut scratch);
-            ball
+            Self::collect_with(net, center, radius, &mut scratch)
         })
+    }
+
+    /// [`Ball::collect`] on a caller-owned scratch sized for `net`: the
+    /// per-chunk view source of every [`crate::Run`].
+    pub(crate) fn collect_with(
+        net: &Network<In>,
+        center: NodeId,
+        radius: usize,
+        scratch: &mut Scratch,
+    ) -> Self {
+        let members = BallMembers::gather(net.graph(), center, radius, scratch);
+        let ball = members.build_current(net, scratch);
+        members.recycle(scratch);
+        ball
     }
 
     /// The original per-call `HashMap` bounded BFS, kept as a fully

@@ -4,10 +4,11 @@
 //! algorithm by an *order-invariant* one — an algorithm whose output
 //! depends only on the *relative order* of the identifiers in its view, not
 //! their numerical values — because an order-invariant algorithm on
-//! bounded-degree graphs is a finite lookup table and therefore cheap to
-//! simulate.
+//! bounded-degree graphs is a finite table from views to outputs and
+//! therefore cheap to simulate.
 //!
-//! [`CanonicalKey`] is that lookup key: a serialization of a ball in which
+//! [`CanonicalKey`] is that table's key (a [`crate::ClassStore`] holds the
+//! table, one verdict per key): a serialization of a ball in which
 //! identifiers are replaced by their ranks and node order is normalized to
 //! `(distance, rank)` order. Two views receive the same key exactly when
 //! they are isomorphic via a mapping that preserves distances, inputs, true
@@ -115,9 +116,8 @@ impl Ord for CanonicalKey {
 
 /// Reusable workspace for [`canonicalize_with`]: the rank/order/index
 /// tables, the edge list, a node's tag words and the key words themselves
-/// are kept and reused across calls, so repeated keying (cache keys,
-/// [`crate::LookupTable`] training, ETH simulation) allocates only the
-/// returned key, at its exact size.
+/// are kept and reused across calls, so repeated keying (server queries,
+/// ETH simulation) allocates only the returned key, at its exact size.
 #[derive(Debug, Default)]
 pub struct CanonScratch {
     by_uid: Vec<NodeId>,

@@ -51,9 +51,8 @@ use crate::ball::Scratch;
 use crate::ctx::NodeCtx;
 use crate::executor::{
     bfs_visit_order, memo_first_error, memo_run, ClassMemo, ClassRef, MemoStats, MemoStep,
-    RoundStats,
+    NotOrderInvariant, RoundStats,
 };
-use crate::lookup::NotOrderInvariant;
 use crate::network::Network;
 use crate::plan::{plan_decode, ExecPath, PlanDecision};
 use lad_graph::mutate::{Edit, MutableGraph};

@@ -1,6 +1,6 @@
 //! Per-node execution contexts with round accounting.
 
-use crate::ball::{Ball, BallMembers, Scratch};
+use crate::ball::{Ball, Scratch};
 use crate::network::Network;
 use lad_graph::NodeId;
 use std::cell::{Cell, RefCell};
@@ -11,9 +11,8 @@ enum ViewSource<'a> {
     /// Fresh `Ball::collect_reference` per request — the independent
     /// `HashMap`-based implementation, kept as the differential baseline.
     Direct,
-    /// Worker-local BFS scratch plus a per-node membership memo, so
-    /// adaptive decoders growing `r` by one expand the previous BFS
-    /// instead of restarting it.
+    /// The chunk's BFS scratch, reused for every view its nodes request
+    /// (the body of [`Ball::collect`] on a scratch the caller owns).
     Scratch(&'a RefCell<Scratch>),
 }
 
@@ -28,8 +27,6 @@ pub struct NodeCtx<'a, In = ()> {
     node: NodeId,
     max_radius: Cell<usize>,
     source: ViewSource<'a>,
-    /// Membership memo for the `Scratch` source (grown, never shrunk).
-    memo: RefCell<Option<BallMembers>>,
 }
 
 impl<'a, In: Clone> NodeCtx<'a, In> {
@@ -51,7 +48,6 @@ impl<'a, In: Clone> NodeCtx<'a, In> {
             node,
             max_radius: Cell::new(0),
             source,
-            memo: RefCell::new(None),
         }
     }
 
@@ -91,17 +87,7 @@ impl<'a, In: Clone> NodeCtx<'a, In> {
         match &self.source {
             ViewSource::Direct => Ball::collect_reference(self.net, self.node, r),
             ViewSource::Scratch(scratch) => {
-                let mut scratch = scratch.borrow_mut();
-                let mut memo = self.memo.borrow_mut();
-                let g = self.net.graph();
-                match memo.as_mut() {
-                    None => *memo = Some(BallMembers::gather(g, self.node, r, &mut scratch)),
-                    Some(m) if m.radius() < r => m.expand(g, r, &mut scratch),
-                    Some(_) => {}
-                }
-                memo.as_ref()
-                    .expect("memo just ensured")
-                    .build(self.net, r, &mut scratch)
+                Ball::collect_with(self.net, self.node, r, &mut scratch.borrow_mut())
             }
         }
     }
@@ -159,7 +145,9 @@ mod tests {
         for v in net.graph().nodes() {
             let direct = NodeCtx::new(&net, v);
             let scratched = NodeCtx::with_scratch(&net, v, &scratch);
-            // Interleave radii to exercise memo expansion and prefixing.
+            // Interleave radii: every request gathers afresh on the shared
+            // scratch, so a smaller radius after a larger one must not see
+            // the earlier membership.
             for r in [1usize, 3, 2, 0, 4] {
                 let reference = direct.ball(r);
                 assert_eq!(scratched.ball(r), reference, "scratch node {v:?} r {r}");

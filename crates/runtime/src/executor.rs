@@ -39,12 +39,13 @@
 use crate::ball::{Ball, BallMembers, Scratch};
 use crate::canonical::{key_of_members, CanonScratch, CanonicalKey};
 use crate::ctx::NodeCtx;
-use crate::lookup::NotOrderInvariant;
 use crate::network::Network;
+use crate::store::ClassVerdict;
 use lad_graph::{Graph, NodeId};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::convert::Infallible;
+use std::fmt;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -484,23 +485,13 @@ impl std::hash::Hasher for KeyHasher {
 
 pub(crate) type KeyHashMap<V> = HashMap<CanonicalKey, V, std::hash::BuildHasherDefault<KeyHasher>>;
 
-/// What the memo records for one canonical class at one rung.
-#[derive(Clone)]
-pub(crate) enum MemoEntryKind<Out> {
-    /// The class decodes to this output.
-    Done(Out),
-    /// The class asks for a larger radius.
-    Expand(usize),
-    /// The step failed on this class. Error payloads address specific
-    /// nodes, so only the *fact* of failure is shared; the actual error is
-    /// regenerated for the smallest-index failing node at the end
-    /// ([`memo_first_error`]), matching [`run_local_fallible`]'s
-    /// first-error-in-node-order contract.
-    Failed,
-}
-
 pub(crate) struct MemoEntry<Out> {
-    pub(crate) kind: MemoEntryKind<Out>,
+    /// The class's verdict at its rung. A [`ClassVerdict::Failed`] class
+    /// shares only the *fact* of failure (error payloads address specific
+    /// nodes); the actual error is regenerated for the smallest-index
+    /// failing node at the end ([`memo_first_error`]), matching
+    /// [`run_local_fallible`]'s first-error-in-node-order contract.
+    pub(crate) kind: ClassVerdict<Out>,
     /// Reuse count; drives the geometric verification schedule.
     pub(crate) hits: u32,
     /// Identity stable across bucket changes, so long-lived sessions can
@@ -641,6 +632,25 @@ impl<Out> ClassMemo<Out> {
     }
 }
 
+/// A conflict the class memo's safety net found: one canonical view, two
+/// step results. The step is not order-invariant.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NotOrderInvariant {
+    /// The offending canonical view.
+    pub key: CanonicalKey,
+}
+
+impl fmt::Display for NotOrderInvariant {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "base algorithm is not order-invariant: one canonical view produced two outputs"
+        )
+    }
+}
+
+impl std::error::Error for NotOrderInvariant {}
+
 /// Runs the decode ladders of `centers`, one center at a time and in
 /// order, against a class memo. Each rung gathers the center's BFS
 /// membership (growing it in place on `Expand`) and keys it with
@@ -698,9 +708,9 @@ pub(crate) fn memo_run<In: Clone, Out: Clone + PartialEq, E>(
                 if entry.hits.is_power_of_two() {
                     stats.verifications += 1;
                     let agrees = match (step(&members.build_current(net, &mut scratch)), &kind) {
-                        (Ok(MemoStep::Done(a)), MemoEntryKind::Done(b)) => a == *b,
-                        (Ok(MemoStep::Expand(ra)), MemoEntryKind::Expand(rb)) => ra == *rb,
-                        (Err(_), MemoEntryKind::Failed) => true,
+                        (Ok(MemoStep::Done(a)), ClassVerdict::Done(b)) => a == *b,
+                        (Ok(MemoStep::Expand(ra)), ClassVerdict::Expand(rb)) => ra == *rb,
+                        (Err(_), ClassVerdict::Failed) => true,
                         _ => false,
                     };
                     if !agrees {
@@ -711,9 +721,9 @@ pub(crate) fn memo_run<In: Clone, Out: Clone + PartialEq, E>(
             } else {
                 stats.classes += 1;
                 let kind = match step(&members.build_current(net, &mut scratch)) {
-                    Ok(MemoStep::Done(out)) => MemoEntryKind::Done(out),
-                    Ok(MemoStep::Expand(r2)) => MemoEntryKind::Expand(r2),
-                    Err(_) => MemoEntryKind::Failed,
+                    Ok(MemoStep::Done(out)) => ClassVerdict::Done(out),
+                    Ok(MemoStep::Expand(r2)) => ClassVerdict::Expand(r2),
+                    Err(_) => ClassVerdict::Failed,
                 };
                 // The inserting node is the class's first member.
                 let entry = MemoEntry {
@@ -729,16 +739,16 @@ pub(crate) fn memo_run<In: Clone, Out: Clone + PartialEq, E>(
                 kind
             };
             match kind {
-                MemoEntryKind::Done(out) => {
+                ClassVerdict::Done(out) => {
                     outs[v.index()] = Some(out);
                     per_node[v.index()] = r;
                     break;
                 }
-                MemoEntryKind::Expand(r2) => {
+                ClassVerdict::Expand(r2) => {
                     assert!(r2 > r, "MemoStep::Expand must strictly increase the radius");
                     members.expand(g, r2, &mut scratch);
                 }
-                MemoEntryKind::Failed => {
+                ClassVerdict::Failed => {
                     failed.push(v.index());
                     per_node[v.index()] = r;
                     break;

@@ -3,28 +3,23 @@
 //! The ball-view executor ([`crate::run_local`]) materializes radius-`r`
 //! views directly from the graph — fast, but an abstraction. This module
 //! grounds that abstraction: nodes flood their local records
-//! (identifier, degree, neighbor identifiers, input) for `r` synchronous
-//! rounds over [`crate::messaging`], and each node *assembles* its view
-//! from what it actually heard. [`run_gathered`] then applies any
-//! ball-function to the assembled views.
+//! (identifier, degree, neighbor identifiers, input) over
+//! [`crate::messaging`], and each node *assembles* its view from what it
+//! actually heard. [`run_gathered_robust`] then applies any ball-function
+//! to the assembled views.
 //!
-//! The integration tests assert that the assembled views are canonically
+//! The flooding runs over an arbitrary [`Transport`] with a retry budget
+//! of extra rounds (flooding re-announces *everything* every round, so
+//! dropped records are healed by later rounds), each node *validates* what
+//! it heard before assembling a view, and irrecoverable executions degrade
+//! to a typed [`GatherError`] instead of a silently wrong ball. On a
+//! [`crate::PerfectLink`] with `budget = radius` it takes exactly `radius`
+//! rounds, and the tests assert that the assembled views are canonically
 //! identical to [`Ball::collect`]'s — the equivalence "`T`-round LOCAL
 //! algorithm = function of the radius-`T` view" made executable.
 
-//!
-//! [`run_gathered`] assumes perfect delivery. [`run_gathered_robust`] is
-//! the fault-tolerant variant: the same flooding runs over an arbitrary
-//! [`Transport`] with a retry budget of extra rounds (flooding re-announces
-//! *everything* every round, so dropped records are healed by later
-//! rounds), each node *validates* what it heard before assembling a view,
-//! and irrecoverable executions degrade to a typed [`GatherError`] instead
-//! of a silently wrong ball.
-
 use crate::ball::Ball;
-use crate::messaging::{
-    run_rounds, run_rounds_on, LocalInfo, LossyRoundAlgorithm, RoundAlgorithm, RoundLimitExceeded,
-};
+use crate::messaging::{run_rounds_on, LocalInfo, LossyRoundAlgorithm};
 use crate::network::Network;
 use crate::transport::{Corruptible, FaultStats, Transport};
 use lad_graph::{GraphBuilder, NodeId};
@@ -43,105 +38,11 @@ pub struct NodeRecord<In> {
     pub input: In,
 }
 
-/// Per-node gathering state: every record heard so far, with the round it
-/// was first heard in (= its distance from this node).
-struct GatherState<In> {
-    records: BTreeMap<u64, (NodeRecord<In>, usize)>,
-    rounds_done: usize,
-    target: usize,
-}
-
-/// The flooding algorithm: each round, send everything you know.
-struct GatherAlgorithm<In> {
-    radius: usize,
-    _marker: std::marker::PhantomData<In>,
-}
-
-impl<In: Clone> RoundAlgorithm<(In, Vec<u64>)> for GatherAlgorithm<In> {
-    type State = GatherState<In>;
-    type Msg = Vec<NodeRecord<In>>;
-    type Out = GatherState<In>;
-
-    fn init(&self, info: &LocalInfo<(In, Vec<u64>)>) -> GatherState<In> {
-        let (input, neighbors) = info.input.clone();
-        let mut records = BTreeMap::new();
-        records.insert(
-            info.uid,
-            (
-                NodeRecord {
-                    uid: info.uid,
-                    degree: info.degree,
-                    neighbors,
-                    input,
-                },
-                0,
-            ),
-        );
-        GatherState {
-            records,
-            rounds_done: 0,
-            target: self.radius,
-        }
-    }
-
-    fn send(
-        &self,
-        st: &GatherState<In>,
-        info: &LocalInfo<(In, Vec<u64>)>,
-    ) -> Vec<Vec<NodeRecord<In>>> {
-        let all: Vec<NodeRecord<In>> = st.records.values().map(|(r, _)| r.clone()).collect();
-        vec![all; info.degree]
-    }
-
-    fn receive(
-        &self,
-        st: &mut GatherState<In>,
-        _info: &LocalInfo<(In, Vec<u64>)>,
-        inbox: &[Vec<NodeRecord<In>>],
-    ) {
-        st.rounds_done += 1;
-        let round = st.rounds_done;
-        for msgs in inbox {
-            for rec in msgs {
-                st.records
-                    .entry(rec.uid)
-                    .or_insert_with(|| (rec.clone(), round));
-            }
-        }
-    }
-
-    fn output(&self, st: &GatherState<In>) -> Option<GatherState<In>> {
-        (st.rounds_done >= st.target).then(|| GatherState {
-            records: st.records.clone(),
-            rounds_done: st.rounds_done,
-            target: st.target,
-        })
-    }
-}
-
-/// Assembles a [`Ball`] from a gather state, reproducing
-/// [`Ball::collect`]'s semantics exactly: nodes at distance ≤ `r` (their
-/// distance = the round their record first arrived), edges only where one
-/// endpoint is at distance < `r`.
-fn assemble<In: Clone>(st: &GatherState<In>, center_uid: u64) -> Ball<In> {
-    let r = st.target;
-    // Local indexing: BFS-like order (distance, uid) with the center first.
-    let mut members: Vec<(&NodeRecord<In>, usize)> = st
-        .records
-        .values()
-        .filter(|(_, d)| *d <= r)
-        .map(|(rec, d)| (rec, *d))
-        .collect();
-    members.sort_by_key(|(rec, d)| (*d, rec.uid));
-    debug_assert_eq!(members[0].0.uid, center_uid);
-    build_ball(&members, r)
-}
-
-/// Shared ball constructor: `members` are `(record, distance)` pairs sorted
-/// by `(distance, uid)` with the center first. Reproduces
+/// Builds a view from its validated members: `(record, distance)` pairs
+/// sorted by `(distance, uid)` with the center first. Reproduces
 /// [`Ball::collect`]'s semantics exactly: edges only where one endpoint is
 /// at distance < `r`.
-fn build_ball<In: Clone>(members: &[(&NodeRecord<In>, usize)], r: usize) -> Ball<In> {
+fn build_ball<In: Clone>(members: &[(NodeRecord<In>, usize)], r: usize) -> Ball<In> {
     let index_of: BTreeMap<u64, usize> = members
         .iter()
         .enumerate()
@@ -169,47 +70,6 @@ fn build_ball<In: Clone>(members: &[(&NodeRecord<In>, usize)], r: usize) -> Ball
         members.iter().map(|(rec, _)| rec.degree).collect(),
     )
 }
-
-/// Runs `f` on radius-`radius` views assembled over real message passing.
-/// Returns the per-node outputs and the number of rounds executed
-/// (= `radius`).
-///
-/// # Errors
-///
-/// Propagates the simulator's round limit (cannot trigger for
-/// `radius ≥ 0` budgets, but kept honest).
-pub fn run_gathered<In: Clone, Out>(
-    net: &Network<In>,
-    radius: usize,
-    f: impl Fn(&Ball<In>) -> Out,
-) -> Result<(Vec<Out>, usize), RoundLimitExceeded> {
-    let g = net.graph();
-    // Package each node's static record pieces as its input.
-    let inputs: Vec<(In, Vec<u64>)> = g
-        .nodes()
-        .map(|v| {
-            let mut nbrs: Vec<u64> = g.neighbors(v).iter().map(|&u| net.uid(u)).collect();
-            nbrs.sort_unstable();
-            (net.input(v).clone(), nbrs)
-        })
-        .collect();
-    let msg_net = Network::new(g.clone(), net.ids().clone(), inputs);
-    let algo = GatherAlgorithm {
-        radius,
-        _marker: std::marker::PhantomData,
-    };
-    let (states, rounds) = run_rounds(&msg_net, &algo, radius)?;
-    let outs = g
-        .nodes()
-        .zip(states)
-        .map(|(v, st)| f(&assemble(&st, net.uid(v))))
-        .collect();
-    Ok((outs, rounds))
-}
-
-// ---------------------------------------------------------------------------
-// Fault-tolerant gathering.
-// ---------------------------------------------------------------------------
 
 impl<In: Corruptible> Corruptible for NodeRecord<In> {
     /// Garbles one field: the degree claim, one neighbor identifier, the
@@ -318,8 +178,8 @@ fn resolve_members<In>(
     Ok(members)
 }
 
-/// Per-node robust gathering state. Unlike [`GatherState`], arrival rounds
-/// are *not* trusted as distances.
+/// Per-node gathering state. Arrival rounds are *not* trusted as distances
+/// (duplication and delays break that); [`resolve_members`] derives them.
 struct RobustGatherState<In> {
     records: BTreeMap<u64, NodeRecord<In>>,
     center: u64,
@@ -391,8 +251,8 @@ impl<In: Clone> LossyRoundAlgorithm<(In, Vec<u64>)> for RobustGatherAlgorithm<In
     ) -> Option<Result<Vec<(NodeRecord<In>, usize)>, (u64, String)>> {
         // Never before round `radius`: even on a small graph where the view
         // completes early, a LOCAL node cannot *know* it has (there could
-        // always be more graph beyond the silence) — and this keeps the
-        // fault-free round count bit-identical to `run_gathered`.
+        // always be more graph beyond the silence) — and this makes a
+        // fault-free run take exactly `radius` rounds.
         if st.rounds_done < self.radius {
             return None;
         }
@@ -471,10 +331,11 @@ pub struct GatherReport {
     pub faults: FaultStats,
 }
 
-/// Fault-tolerant [`run_gathered`]: floods for up to `budget ≥ radius`
-/// rounds over an arbitrary transport, validates every view before
-/// assembly, and degrades to a typed [`GatherError`] instead of returning
-/// a silently wrong ball.
+/// Runs `f` on radius-`radius` views assembled over real message passing:
+/// floods for up to `budget ≥ radius` rounds over an arbitrary transport,
+/// validates every view before assembly, and degrades to a typed
+/// [`GatherError`] instead of returning a silently wrong ball. On a
+/// fault-free transport it takes exactly `radius` rounds.
 ///
 /// Flooding is self-healing under message loss — every round re-announces
 /// every known record, so a record dropped once is re-offered as long as
@@ -544,12 +405,8 @@ pub fn run_gathered_robust<In: Clone, Out>(
         });
     }
     let outs = views
-        .into_iter()
-        .map(|members| {
-            let refs: Vec<(&NodeRecord<In>, usize)> =
-                members.iter().map(|(rec, d)| (rec, *d)).collect();
-            f(&build_ball(&refs, radius))
-        })
+        .iter()
+        .map(|members| f(&build_ball(members, radius)))
         .collect();
     Ok((outs, report))
 }
@@ -559,7 +416,22 @@ mod tests {
     use super::*;
     use crate::canonical::canonicalize;
     use crate::executor::run_local;
+    use crate::transport::{FaultPlan, PerfectLink};
     use lad_graph::{generators, IdAssignment};
+
+    /// Gathers on a [`PerfectLink`] with `budget = radius`, asserting the
+    /// run took exactly `radius` rounds and tallied no fault.
+    fn gather_perfect<In: Clone, Out>(
+        net: &Network<In>,
+        radius: usize,
+        f: impl Fn(&Ball<In>) -> Out,
+    ) -> Vec<Out> {
+        let (outs, report) = run_gathered_robust(net, radius, radius, &mut PerfectLink, f)
+            .expect("a perfect link cannot fail");
+        assert_eq!(report.rounds_used, radius, "fault-free rounds");
+        assert_eq!(report.faults.total_faults(), 0, "phantom faults");
+        outs
+    }
 
     #[test]
     fn gathered_views_match_collected_views() {
@@ -571,11 +443,17 @@ mod tests {
         ] {
             let n = g.n();
             let net = Network::with_ids(g, IdAssignment::random_permutation(n, 9));
-            let (gathered, rounds) =
-                run_gathered(&net, r, |ball| canonicalize(ball, |_| 0)).unwrap();
-            assert_eq!(rounds, r);
+            let gathered = gather_perfect(&net, r, |ball| canonicalize(ball, |_| 0));
             let (collected, _) = run_local(&net, |ctx| canonicalize(&ctx.ball(r), |_| 0));
             assert_eq!(gathered, collected, "radius {r}");
+            // Spare budget costs no round on a fault-free transport.
+            let (slack, report) = run_gathered_robust(&net, r, r + 5, &mut PerfectLink, |ball| {
+                canonicalize(ball, |_| 0)
+            })
+            .unwrap();
+            assert_eq!(slack, collected, "radius {r}, budget {}", r + 5);
+            assert_eq!(report.rounds_used, r, "no faults, no extra rounds");
+            assert_eq!(report.faults.total_faults(), 0);
         }
     }
 
@@ -583,45 +461,11 @@ mod tests {
     fn gathered_views_carry_inputs() {
         let g = generators::path(6);
         let net = Network::with_identity_ids(g).with_inputs(vec![10, 20, 30, 40, 50, 60]);
-        let (sums, _) = run_gathered(&net, 1, |ball| {
+        let sums = gather_perfect(&net, 1, |ball| {
             ball.graph().nodes().map(|v| *ball.input(v)).sum::<i32>()
-        })
-        .unwrap();
+        });
         assert_eq!(sums[0], 30); // self + one neighbor
         assert_eq!(sums[2], 90); // 20 + 30 + 40
-    }
-
-    #[test]
-    fn radius_zero_gather() {
-        let net = Network::with_identity_ids(generators::cycle(5));
-        let (outs, rounds) = run_gathered(&net, 0, |ball| ball.n()).unwrap();
-        assert_eq!(rounds, 0);
-        assert!(outs.iter().all(|&k| k == 1));
-    }
-
-    // -- robust path ------------------------------------------------------
-
-    use crate::transport::{FaultPlan, PerfectLink};
-
-    #[test]
-    fn robust_gather_on_perfect_link_matches_run_gathered_exactly() {
-        for (g, r) in [
-            (generators::cycle(14), 3),
-            (generators::grid2d(5, 5, false), 2),
-            (generators::star(6), 1),
-            (generators::random_bounded_degree(30, 5, 60, 1), 2),
-        ] {
-            let n = g.n();
-            let net = Network::with_ids(g, IdAssignment::random_permutation(n, 9));
-            let (plain, rounds) = run_gathered(&net, r, |ball| canonicalize(ball, |_| 0)).unwrap();
-            let (robust, report) = run_gathered_robust(&net, r, r + 5, &mut PerfectLink, |ball| {
-                canonicalize(ball, |_| 0)
-            })
-            .unwrap();
-            assert_eq!(robust, plain, "radius {r}");
-            assert_eq!(report.rounds_used, rounds, "no faults, no extra rounds");
-            assert_eq!(report.faults.total_faults(), 0);
-        }
     }
 
     #[test]
@@ -637,9 +481,7 @@ mod tests {
     fn drops_heal_within_budget() {
         let g = generators::cycle(12);
         let net = Network::with_identity_ids(g);
-        let truth = run_gathered(&net, 2, |ball| canonicalize(ball, |_| 0))
-            .unwrap()
-            .0;
+        let truth = gather_perfect(&net, 2, |ball| canonicalize(ball, |_| 0));
         let plan = FaultPlan::new(21).drop_rate(0.3);
         let (outs, report) = run_gathered_robust(&net, 2, 40, &mut plan.start(), |ball| {
             canonicalize(ball, |_| 0)

@@ -1,8 +1,9 @@
 #![warn(missing_docs)]
 
 //! LOCAL-model runtime: networks, ball views, round accounting, an explicit
-//! synchronous message-passing simulator, and order-invariant lookup-table
-//! algorithms.
+//! synchronous message-passing simulator, and class tables that turn an
+//! order-invariant algorithm into a finite map from canonical views to
+//! outputs ([`ClassStore`]).
 //!
 //! # The model
 //!
@@ -54,7 +55,9 @@
 //! once per node, with a built-in [`NotOrderInvariant`] safety net. It
 //! lives where verdicts are kept: [`ClassStore::train`] runs one pass
 //! into the persistent store, and [`ChurnMemoLocal`] keeps one warm
-//! across edit batches, reporting its exact [`MemoStats`]. The planner
+//! across edit batches, reporting its exact [`MemoStats`]. A trained
+//! store is Section 8's finite table: [`ClassStore::get`] answers any
+//! view whose class it holds, on any network. The planner
 //! ([`plan_decode`]) picks the family a [`PlannedChurnLocal`] opens. No
 //! knob or counter is process-wide.
 
@@ -75,7 +78,6 @@ pub mod churn;
 pub mod ctx;
 pub mod executor;
 pub mod gather;
-pub mod lookup;
 pub mod messaging;
 pub mod network;
 pub mod plan;
@@ -91,10 +93,10 @@ pub use canonical::{
 pub use churn::{ChurnLocal, ChurnMemoLocal, PlannedChurnLocal, RepairReport};
 pub use ctx::NodeCtx;
 pub use executor::{
-    effective_parallelism, run_local, run_local_fallible, MemoStats, MemoStep, RoundStats, Run,
+    effective_parallelism, run_local, run_local_fallible, MemoStats, MemoStep, NotOrderInvariant,
+    RoundStats, Run,
 };
-pub use gather::{run_gathered, run_gathered_robust, GatherError, GatherReport, NodeRecord};
-pub use lookup::{LookupTable, NotOrderInvariant};
+pub use gather::{run_gathered_robust, GatherError, GatherReport, NodeRecord};
 pub use messaging::{
     run_rounds, run_rounds_on, LocalInfo, LossyRoundAlgorithm, RoundAlgorithm, RoundLimitExceeded,
     RoundOutcome, Strict,

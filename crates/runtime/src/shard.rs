@@ -38,8 +38,7 @@
 //! bit-identical to the monolithic ladder's.
 
 use crate::ball::{Ball, BallMembers, Scratch};
-use crate::executor::{memo_first_error, MemoStep, RoundStats, Run};
-use crate::lookup::NotOrderInvariant;
+use crate::executor::{memo_first_error, MemoStep, NotOrderInvariant, RoundStats, Run};
 use crate::network::Network;
 use lad_graph::{IdAssignment, NodeId, Partition, ShardView};
 use std::fmt;

@@ -45,8 +45,9 @@
 
 use crate::ball::Ball;
 use crate::canonical::CanonicalKey;
-use crate::executor::{bfs_visit_order, memo_run, ClassMemo, KeyHashMap, MemoEntryKind, MemoStep};
-use crate::lookup::NotOrderInvariant;
+use crate::executor::{
+    bfs_visit_order, memo_run, ClassMemo, KeyHashMap, MemoStep, NotOrderInvariant,
+};
 use crate::network::Network;
 use std::fmt;
 use std::io;
@@ -341,8 +342,8 @@ impl fmt::Display for SchemaId {
 // The in-memory store
 // ---------------------------------------------------------------------------
 
-/// What a store knows about one canonical class — the public mirror of the
-/// memo executor's entry kinds.
+/// What is known about one canonical class: the verdict a class-memo pass
+/// records for it and a store keeps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClassVerdict<Out> {
     /// The class decodes to this output.
@@ -502,12 +503,7 @@ impl<Out: Clone + PartialEq> ClassStore<Out> {
         )?;
         let mut fresh = 0usize;
         for (key, entry) in memo.into_entries() {
-            let verdict = match entry.kind {
-                MemoEntryKind::Done(out) => ClassVerdict::Done(out),
-                MemoEntryKind::Expand(r) => ClassVerdict::Expand(r),
-                MemoEntryKind::Failed => ClassVerdict::Failed,
-            };
-            fresh += usize::from(self.insert(key, verdict)?);
+            fresh += usize::from(self.insert(key, entry.kind)?);
         }
         Ok(fresh)
     }

@@ -108,8 +108,8 @@ fn fixed_radius_balls_identical_everywhere() {
 
 #[test]
 fn adaptive_radius_growth_identical_everywhere() {
-    // Grow until the ball covers ≥ 12 nodes or stops growing: exercises
-    // incremental expansion of the per-node membership memo.
+    // Grow until the ball covers ≥ 12 nodes or stops growing: every
+    // request of a node regathers on its chunk's shared scratch.
     for (tag, g) in generator_grid() {
         let net = network_for(&g);
         assert_all_paths_equal(tag, &net, |ctx: &NodeCtx<u32>| -> (usize, Ball<u32>) {

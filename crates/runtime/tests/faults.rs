@@ -5,9 +5,9 @@
 //! three invariants are pinned for every cell:
 //!
 //! 1. **Fault-free ⇒ bit-identical.** On a fault-free transport,
-//!    [`run_gathered_robust`] matches both [`run_gathered`] and the direct
-//!    executor ([`run_local`] + ball collection) — outputs *and* round
-//!    counts — with a zero fault tally.
+//!    [`run_gathered_robust`] matches the direct executor ([`run_local`] +
+//!    ball collection) in exactly `radius` rounds, whatever the spare
+//!    budget, with a zero fault tally.
 //! 2. **Recoverable ⇒ heals exactly.** Under content-preserving plans
 //!    (drops, duplication, delays — no corruption, no crashes) with enough
 //!    round budget, the output is still bit-identical and
@@ -26,8 +26,8 @@
 use lad_graph::{generators, Graph, IdAssignment, NodeId};
 use lad_runtime::canonical::canonicalize;
 use lad_runtime::{
-    run_gathered, run_gathered_robust, run_local, CanonicalKey, FaultPlan, FaultStats, GatherError,
-    Network, PerfectLink,
+    run_gathered_robust, run_local, CanonicalKey, FaultPlan, FaultStats, GatherError, Network,
+    PerfectLink,
 };
 
 /// The graph × radius grid every plan is run against.
@@ -68,7 +68,7 @@ fn run_cell(
 }
 
 // ---------------------------------------------------------------------------
-// Invariant 1: fault-free runs are bit-identical to the perfect paths.
+// Invariant 1: fault-free runs are bit-identical to the direct executor.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -76,18 +76,24 @@ fn invariant1_fault_free_matrix_is_bit_identical() {
     for (name, g, radius) in arenas() {
         let net = network(&g, 11);
         let expected = truth(&net, radius);
-        let (plain, plain_rounds) =
-            run_gathered(&net, radius, |ball| canonicalize(ball, |_| 0)).unwrap();
-        assert_eq!(plain, expected, "{name}: run_gathered vs executor");
+        // A bare PerfectLink with no spare round.
+        let (plain, report) = run_gathered_robust(&net, radius, radius, &mut PerfectLink, |ball| {
+            canonicalize(ball, |_| 0)
+        })
+        .expect("a perfect link cannot fail");
+        assert_eq!(plain, expected, "{name}: PerfectLink vs executor");
+        assert_eq!(report.rounds_used, radius, "{name}: fault-free rounds");
+        assert_eq!(report.faults.total_faults(), 0, "{name}: phantom faults");
 
-        // A fault-free FaultRun and a bare PerfectLink must both match.
+        // A fault-free FaultRun and a PerfectLink with spare budget must
+        // match too, spending none of it.
         for seed in [0u64, 7, 99] {
             let plan = FaultPlan::new(seed);
             assert!(plan.is_fault_free());
             let (res, stats) = run_cell(&net, radius, radius + 5, &plan);
             let (outs, rounds_used) = res.expect("fault-free plan cannot fail");
             assert_eq!(outs, expected, "{name} seed {seed}");
-            assert_eq!(rounds_used, plain_rounds, "{name}: extra rounds spent");
+            assert_eq!(rounds_used, radius, "{name}: extra rounds spent");
             assert_eq!(stats.total_faults(), 0, "{name}: phantom faults");
         }
         let (robust, report) =
@@ -96,7 +102,8 @@ fn invariant1_fault_free_matrix_is_bit_identical() {
             })
             .unwrap();
         assert_eq!(robust, expected, "{name}: PerfectLink");
-        assert_eq!(report.rounds_used, plain_rounds);
+        assert_eq!(report.rounds_used, radius);
+        assert_eq!(report.faults.total_faults(), 0);
     }
 }
 

@@ -10,7 +10,8 @@
 //! - [`graph`] — graph substrate: CSR graphs, generators, traversals,
 //!   ruling sets, Euler partitions, growth measurement.
 //! - [`runtime`] — the LOCAL-model runtime: per-node ball views with round
-//!   accounting, and order-invariant lookup-table algorithms.
+//!   accounting, and class tables that hold an order-invariant algorithm
+//!   as a finite map from canonical views to outputs.
 //! - [`lcl`] — locally checkable labelings: problem trait, concrete LCLs,
 //!   distributed checkers, brute-force completion.
 //! - [`core`] — the paper's contributions: advice schemas for balanced

@@ -1,7 +1,7 @@
 //! Encoder-level differential equivalence: the parallel encoders
-//! (balanced orientation, cluster coloring, Δ-coloring, lookup-table
-//! training) must be **bit-identical** to the sequential algorithms they
-//! replaced, under every worker-thread count.
+//! (balanced orientation, cluster coloring, Δ-coloring) must be
+//! **bit-identical** to the sequential algorithms they replaced, under
+//! every worker-thread count.
 //!
 //! Two independent oracles are used:
 //!
@@ -37,7 +37,7 @@ use local_advice::graph::{
     coloring, generators, ruling, traversal, EdgeId, EulerPartition, Graph, GraphBuilder,
     IdAssignment, NodeId,
 };
-use local_advice::runtime::{Ball, LookupTable, Network, Run};
+use local_advice::runtime::{Network, Run};
 
 /// A run on exactly `threads` chunks, or on the automatic count.
 fn run_on(threads: Option<usize>) -> Run {
@@ -334,37 +334,6 @@ fn delta_encoder_is_thread_invariant_and_decodes_properly() {
                 coloring::is_proper_k_coloring(net.graph(), &chi, delta),
                 "delta/{name}/{seed}: decoded coloring is not a proper Δ-coloring"
             );
-        }
-    }
-}
-
-#[test]
-fn lookup_training_is_thread_invariant() {
-    let radius = 1usize;
-    let training: Vec<Network> = vec![
-        sparse_ids(generators::cycle(24), 1),
-        sparse_ids(generators::cycle(30), 2),
-        sparse_ids(generators::path(25), 3),
-    ];
-    let algo = |ball: &Ball| ball.global_degree(ball.center()) % 2;
-    let probe = sparse_ids(generators::cycle(36), 9);
-    let mut reference: Option<(usize, Vec<Option<usize>>)> = None;
-    for threads in THREAD_GRID {
-        let table: LookupTable<usize> =
-            LookupTable::train(radius, &training, |_| 0, algo, &run_on(threads))
-                .expect("order-invariant algo");
-        let evals: Vec<Option<usize>> = probe
-            .graph()
-            .nodes()
-            .map(|v| table.eval(&Ball::collect(&probe, v, radius), |_| 0))
-            .collect();
-        let snapshot = (table.len(), evals);
-        match &reference {
-            None => reference = Some(snapshot),
-            Some(r) => assert_eq!(
-                r, &snapshot,
-                "lookup training differs at {threads:?} threads"
-            ),
         }
     }
 }

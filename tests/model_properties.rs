@@ -1,6 +1,7 @@
 //! Cross-crate property tests: the LOCAL-model contract (outputs are
-//! functions of views), locality of the decoders, and the advice/no-advice
-//! separation.
+//! functions of views), locality of the decoders, the advice/no-advice
+//! separation, and Section 8's finite table of an order-invariant
+//! algorithm.
 
 use local_advice::baselines::no_advice;
 use local_advice::core::balanced::BalancedOrientationSchema;
@@ -9,9 +10,11 @@ use local_advice::graph::{generators, GraphBuilder, IdAssignment, NodeId};
 use local_advice::runtime::canonical::canonicalize;
 use local_advice::runtime::messaging::{run_rounds, FloodDistance};
 use local_advice::runtime::{
-    run_gathered, run_gathered_robust, run_local, Ball, FaultPlan, GatherError, Network,
+    run_gathered_robust, run_local, Ball, ClassStore, ClassVerdict, FaultPlan, GatherError,
+    MemoStep, Network, PerfectLink, SchemaId,
 };
 use proptest::prelude::*;
+use std::convert::Infallible;
 
 fn arb_connected_network() -> impl Strategy<Value = Network> {
     (5usize..35, 0u64..300).prop_flat_map(|(n, seed)| {
@@ -72,16 +75,20 @@ proptest! {
         prop_assert!(stats.rounds() <= schema.decode_radius());
     }
 
-    /// Gathering views by message flooding ([`run_gathered`]) equals direct
-    /// ball collection ([`Ball::collect`]) — for any connected topology,
-    /// any permuted identifier assignment, any radius. The two paths share
-    /// no code above the graph layer, so agreement pins the LOCAL-model
-    /// contract from both sides.
+    /// Gathering views by message flooding ([`run_gathered_robust`] on a
+    /// [`PerfectLink`], with no spare round) equals direct ball collection
+    /// ([`Ball::collect`]) — for any connected topology, any permuted
+    /// identifier assignment, any radius. The two paths share no code above
+    /// the graph layer, so agreement pins the LOCAL-model contract from
+    /// both sides.
     #[test]
     fn gathered_views_equal_collected_balls(net in arb_connected_network(), r in 0usize..4) {
-        let (gathered, rounds) =
-            run_gathered(&net, r, |ball| canonicalize(ball, |_| 0)).expect("terminates");
-        prop_assert_eq!(rounds, r);
+        let (gathered, report) = run_gathered_robust(&net, r, r, &mut PerfectLink, |ball| {
+            canonicalize(ball, |_| 0)
+        })
+        .expect("a perfect link cannot fail");
+        prop_assert_eq!(report.rounds_used, r);
+        prop_assert_eq!(report.faults.total_faults(), 0);
         for v in net.graph().nodes() {
             let direct = canonicalize(&Ball::collect(&net, v, r), |_| 0);
             prop_assert_eq!(&gathered[v.index()], &direct, "node {:?} radius {}", v, r);
@@ -135,4 +142,88 @@ proptest! {
         prop_assert!(stats.rounds() <= schema.decode_radius());
         prop_assert!(stats.rounds() < base_stats.rounds());
     }
+}
+
+/// Every ordering of the identifiers `1..=n`.
+fn orderings(n: usize) -> Vec<Vec<u64>> {
+    if n == 0 {
+        return vec![Vec::new()];
+    }
+    let mut out = Vec::new();
+    for shorter in orderings(n - 1) {
+        for at in 0..n {
+            let mut uids = shorter.clone();
+            uids.insert(at, n as u64);
+            out.push(uids);
+        }
+    }
+    out
+}
+
+/// Section 8: an order-invariant local algorithm is a finite table from
+/// canonical views to outputs. A radius-`r` view in a graph of maximum
+/// degree 2 is a path segment of at most `2r + 1` nodes or a whole cycle,
+/// so one class store trained on every path of at most `2r + 2` nodes and
+/// every cycle of at most `max(3, 2r + 1)` nodes, under every identifier
+/// order, must answer every node of any such network exactly as the
+/// algorithm does — here fresh sparse-ID cycles, paths and their disjoint
+/// unions. Training on those networks adds no class, so the store's size
+/// depends on `r` alone.
+#[test]
+fn order_invariant_algorithm_is_a_finite_class_table() {
+    let local_min = |ball: &Ball| {
+        let me = ball.uid(ball.center());
+        ball.graph().nodes().all(|v| ball.uid(v) >= me)
+    };
+    let step = |ball: &Ball| Ok::<_, Infallible>(MemoStep::Done(local_min(ball)));
+    let tag = |_: &(), words: &mut Vec<u64>| words.push(0);
+    let mut sizes = Vec::new();
+    for r in 0..=2usize {
+        let mut store = ClassStore::new(SchemaId::new("local-min", 0), r);
+        let witnesses = (1..=2 * r + 2)
+            .map(generators::path)
+            .chain((3..=(2 * r + 1).max(3)).map(generators::cycle));
+        for g in witnesses {
+            for uids in orderings(g.n()) {
+                let net = Network::with_ids(g.clone(), IdAssignment::from_uids(uids));
+                store
+                    .train(&net, tag, step)
+                    .expect("local-min is order-invariant");
+            }
+        }
+        for seed in 0..5 {
+            for g in [
+                generators::cycle(40),
+                generators::path(23),
+                generators::disjoint_union(&[
+                    generators::cycle(4),
+                    generators::cycle(5),
+                    generators::path(1),
+                    generators::path(9),
+                ]),
+            ] {
+                let n = g.n();
+                let net = Network::with_ids(g, IdAssignment::random_sparse(n, 10_000, seed));
+                for v in net.graph().nodes() {
+                    let ball = Ball::collect(&net, v, r);
+                    assert_eq!(
+                        store.get(&canonicalize(&ball, |_| 0)),
+                        Some(&ClassVerdict::Done(local_min(&ball))),
+                        "radius {r}, seed {seed}, node {v:?}"
+                    );
+                }
+                let fresh = store.train(&net, tag, step).expect("order-invariant");
+                assert_eq!(
+                    fresh, 0,
+                    "radius {r}, seed {seed}: a fresh network added classes"
+                );
+            }
+        }
+        sizes.push(store.len());
+    }
+    assert!(
+        sizes.windows(2).all(|w| w[0] < w[1]),
+        "table sizes grow with the radius: {sizes:?}"
+    );
+    assert!(sizes[2] < 1000, "table stays small: {sizes:?}");
 }
