@@ -33,11 +33,9 @@ use crate::advice::AdviceMap;
 use crate::bits::{bit_width, BitReader, BitString};
 use crate::error::{DecodeError, EncodeError};
 use crate::schema::AdviceSchema;
-use lad_graph::orientation::{
-    pair_partner, slot_edges, slot_of, slot_pairs, sorted_incident_by_uid,
-};
+use lad_graph::orientation::{slot_edges, slot_of, slot_pairs, sorted_incident_by_uid};
 use lad_graph::{EdgeId, Graph, NodeId, Orientation, Trail};
-use lad_runtime::{MemoStep, Network, RoundStats, Run};
+use lad_runtime::{LocalView, MemoStep, Network, RoundStats, Run};
 
 /// The almost-balanced-orientation schema (Contribution 3).
 ///
@@ -538,7 +536,7 @@ impl AdviceSchema for BalancedOrientationSchema {
             ));
         }
         let advised = net.with_inputs(advice.strings());
-        // Each node decides its slot-indexed directions from its ball; uid
+        // Each node decides its slot-indexed directions from its view; uid
         // claims name specific identifiers, so the slots are re-bound to
         // concrete edges per node on the real graph.
         let budget = self.walk_budget();
@@ -598,7 +596,8 @@ impl BalancedOrientationSchema {
 }
 
 // ---------------------------------------------------------------------------
-// Decoding (runs inside a ball view).
+// Decoding (runs inside a view: the ladder's borrowed `BallView`, or a
+// collected `Ball` on the reference, serving and gathered paths).
 // ---------------------------------------------------------------------------
 
 /// Outcome of walking a trail inside a ball view.
@@ -624,7 +623,7 @@ struct WalkResult {
 /// Checks the advice of local node `w` for an anchor record covering
 /// `slot`. Returns `Err` on malformed advice.
 fn anchor_at(
-    ball: &lad_runtime::Ball<BitString>,
+    ball: &impl LocalView<BitString>,
     w: NodeId,
     slot: usize,
 ) -> Result<Option<AnchorRecord>, DecodeError> {
@@ -634,21 +633,33 @@ fn anchor_at(
     Ok(records.into_iter().find(|r| r.slot == slot))
 }
 
-/// Walks from `start` leaving via `first_edge`, for at most `budget` steps,
-/// checking each arrived node for an anchor covering the traversed slot.
+/// Writes the neighbours of `v` into `out`, sorted by identifier: the
+/// canonical local edge order of [`sorted_incident_by_uid`], with each
+/// incident edge named by its other endpoint (graphs are simple). As in
+/// [`lad_graph::orientation::pair_partner`], slot `s` pairs positions `2s`
+/// and `2s + 1`, and with odd degree the last edge is unpaired.
+fn neighbors_by_uid(ball: &impl LocalView<BitString>, v: NodeId, out: &mut Vec<NodeId>) {
+    out.clear();
+    out.extend(ball.neighbors(v));
+    out.sort_unstable_by_key(|&u| ball.uid(u));
+}
+
+/// Walks from `start` over its edge to `first`, for at most `budget`
+/// steps, checking each arrived node for an anchor covering the traversed
+/// slot. `order` is a buffer the walk reuses for each node's edge order.
 fn walk(
-    ball: &lad_runtime::Ball<BitString>,
+    ball: &impl LocalView<BitString>,
     start: NodeId,
-    first_edge: EdgeId,
+    first: NodeId,
     budget: usize,
+    order: &mut Vec<NodeId>,
 ) -> Result<WalkResult, DecodeError> {
-    let g = ball.graph();
-    let uids = ball.uids();
     let mut nodes = Vec::new();
-    let mut v = start;
-    let mut e = first_edge;
+    // The walk traverses the edge {from, to}.
+    let mut from = start;
+    let mut to = first;
     for _ in 0..budget {
-        let u = g.other_endpoint(e, v);
+        let u = to;
         nodes.push(u);
         if !ball.knows_all_edges_of(u) {
             // Should not happen within the budget; treat as exhaustion.
@@ -657,37 +668,37 @@ fn walk(
                 outcome: WalkOutcome::Exhausted,
             });
         }
+        neighbors_by_uid(ball, u, order);
+        let pos = order
+            .iter()
+            .position(|&x| x == from)
+            .expect("the walk arrives over an edge of the arrived node");
+        if pos >= order.len() - order.len() % 2 {
+            // Entered through the unpaired edge: the trail ends here.
+            return Ok(WalkResult {
+                nodes,
+                outcome: WalkOutcome::End,
+            });
+        }
         // Anchor check at the arrived node.
-        if let Some(s) = slot_of(g, uids, u, e) {
-            if let Some(rec) = anchor_at(ball, u, s)? {
-                let (first, _) = slot_edges(g, uids, u, s);
-                // The walk enters u via e; the record says the chosen
-                // orientation enters via `first`.
-                let along_walk = (e == first) == rec.enters_first;
-                return Ok(WalkResult {
-                    nodes,
-                    outcome: WalkOutcome::Anchor(along_walk),
-                });
-            }
+        if let Some(rec) = anchor_at(ball, u, pos / 2)? {
+            // The walk enters u through the slot's first edge iff `pos` is
+            // even; the record says the chosen orientation enters there.
+            let along_walk = pos.is_multiple_of(2) == rec.enters_first;
+            return Ok(WalkResult {
+                nodes,
+                outcome: WalkOutcome::Anchor(along_walk),
+            });
         }
-        match pair_partner(g, uids, u, e) {
-            None => {
-                return Ok(WalkResult {
-                    nodes,
-                    outcome: WalkOutcome::End,
-                })
-            }
-            Some(next) => {
-                if next == first_edge && u == start {
-                    return Ok(WalkResult {
-                        nodes,
-                        outcome: WalkOutcome::Closure,
-                    });
-                }
-                v = u;
-                e = next;
-            }
+        let next = order[pos ^ 1];
+        if u == start && next == first {
+            return Ok(WalkResult {
+                nodes,
+                outcome: WalkOutcome::Closure,
+            });
         }
+        from = u;
+        to = next;
     }
     Ok(WalkResult {
         nodes,
@@ -765,29 +776,35 @@ impl SlotDirections {
 /// Computes the center's trail decisions. This is the order-invariant core
 /// of the decoder: identifiers are consumed exclusively through order
 /// comparisons (slot sorting, pairing, canonical direction rules), so the
-/// result is a function of the canonical advice-labeled view.
+/// result is a function of the canonical advice-labeled view. It is
+/// written once over [`LocalView`]: [`AdviceSchema::decode`] runs it on the
+/// ladder's borrowed views, which answer a walk's reads from the network in
+/// place, and the reference, serving and gathered paths on collected
+/// balls.
 pub(crate) fn slot_directions(
-    ball: &lad_runtime::Ball<BitString>,
+    ball: &impl LocalView<BitString>,
     budget: usize,
 ) -> Result<SlotDirections, DecodeError> {
-    let g = ball.graph();
-    let uids = ball.uids();
     let c = ball.center();
     let me = ball.global_node(c);
     if !ball.knows_all_edges_of(c) && ball.global_degree(c) > 0 {
         return Err(DecodeError::malformed(me, "view too small for own degree"));
     }
-    let mut forward = Vec::with_capacity(slot_pairs(g, c));
-    for s in 0..slot_pairs(g, c) {
-        let (p, q) = slot_edges(g, uids, c, s);
-        // "Forward at this slot" = the trail enters via p and exits via q.
-        forward.push(decide_slot(ball, budget, c, s, p, q)?);
+    let mut own = Vec::new();
+    neighbors_by_uid(ball, c, &mut own);
+    let mut order = Vec::new();
+    let mut forward = Vec::with_capacity(own.len() / 2);
+    for (s, slot) in own.chunks_exact(2).enumerate() {
+        // "Forward at this slot" = the trail enters from slot[0] and exits
+        // toward slot[1].
+        forward.push(decide_slot(
+            ball, budget, c, s, slot[0], slot[1], &mut order,
+        )?);
     }
-    let endpoint_away = if g.degree(c) % 2 == 1 {
-        let order = sorted_incident_by_uid(g, uids, c);
-        let e = *order.last().expect("odd degree implies an edge");
+    let endpoint_away = if own.len() % 2 == 1 {
+        let last = *own.last().expect("odd degree implies an edge");
         // `true` = orientation points away from the center.
-        Some(decide_from_endpoint(ball, budget, c, e)?)
+        Some(decide_from_endpoint(ball, budget, c, last, &mut order)?)
     } else {
         None
     };
@@ -879,27 +896,27 @@ pub(crate) fn bind_slots(
     out
 }
 
-/// Decides the orientation of the trail through slot `s` at the center:
-/// returns whether the trail is oriented "forward at this slot" (entering
-/// via `p`, exiting via `q`).
+/// Decides the orientation of the trail through slot `s` at the center,
+/// whose edges lead to `p` and `q`: returns whether the trail is oriented
+/// "forward at this slot" (entering from `p`, exiting toward `q`).
 fn decide_slot(
-    ball: &lad_runtime::Ball<BitString>,
+    ball: &impl LocalView<BitString>,
     budget: usize,
     c: NodeId,
     s: usize,
-    p: EdgeId,
-    q: EdgeId,
+    p: NodeId,
+    q: NodeId,
+    order: &mut Vec<NodeId>,
 ) -> Result<bool, DecodeError> {
-    let uids = ball.uids();
     let me = ball.global_node(c);
     // Own anchor record wins immediately.
     if let Some(rec) = anchor_at(ball, c, s)? {
         return Ok(rec.enters_first);
     }
-    // Walk A: forward direction (leave via q). Walk B: backward (leave via p).
-    let a = walk(ball, c, q, budget)?;
-    let b = walk(ball, c, p, budget)?;
-    let uid_of = |v: NodeId| uids[v.index()];
+    // Walk A: forward direction (leave toward q). Walk B: backward (toward p).
+    let a = walk(ball, c, q, budget, order)?;
+    let b = walk(ball, c, p, budget, order)?;
+    let uid_of = |v: NodeId| ball.uid(v);
     match (&a.outcome, &b.outcome) {
         (WalkOutcome::Anchor(along), _) => Ok(*along),
         (_, WalkOutcome::Anchor(along)) => Ok(!*along),
@@ -935,18 +952,19 @@ fn decide_slot(
     }
 }
 
-/// Decides the orientation of the unpaired edge `e` at a trail endpoint:
-/// returns whether the orientation points *away* from the center.
+/// Decides the orientation of the center's unpaired edge, to `last`, at a
+/// trail endpoint: returns whether the orientation points *away* from the
+/// center.
 fn decide_from_endpoint(
-    ball: &lad_runtime::Ball<BitString>,
+    ball: &impl LocalView<BitString>,
     budget: usize,
     c: NodeId,
-    e: EdgeId,
+    last: NodeId,
+    order: &mut Vec<NodeId>,
 ) -> Result<bool, DecodeError> {
-    let uids = ball.uids();
     let me = ball.global_node(c);
-    let a = walk(ball, c, e, budget)?;
-    let uid_of = |v: NodeId| uids[v.index()];
+    let a = walk(ball, c, last, budget, order)?;
+    let uid_of = |v: NodeId| ball.uid(v);
     match a.outcome {
         WalkOutcome::Anchor(along) => Ok(along),
         WalkOutcome::End => {

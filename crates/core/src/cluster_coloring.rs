@@ -25,7 +25,7 @@ use crate::bits::{bit_width, BitReader, BitString};
 use crate::error::{DecodeError, EncodeError};
 use crate::schema::AdviceSchema;
 use lad_graph::{coloring, ruling, Graph, NodeId};
-use lad_runtime::{Ball, MemoStep, Network, RoundStats, Run};
+use lad_runtime::{LocalView, MemoStep, Network, RoundStats, Run};
 
 /// The fused cluster-coloring schema producing a proper `(Δ+1)`-coloring.
 ///
@@ -96,13 +96,18 @@ impl ClusterColoringSchema {
         2 * self.cluster_spacing + 2
     }
 
-    /// One rung of the decode ladder as a [`MemoStep`] — the exact step
-    /// both [`AdviceSchema::decode`] and the sharded drivers run, factored
-    /// out so the two paths cannot drift. `simulate_greedy` reads
-    /// identifiers only through order comparisons (nearest-center
+    /// One rung of the decode ladder as a [`MemoStep`], written once over
+    /// [`LocalView`]: [`AdviceSchema::decode`] runs it on the ladder's
+    /// borrowed [`lad_runtime::BallView`]s, and the sharded driver, the
+    /// class-memo pass and the decode server on collected
+    /// [`lad_runtime::Ball`]s, so the paths cannot drift. `simulate_greedy`
+    /// reads identifiers only through order comparisons (nearest-center
     /// tie-breaks, greedy order), so a rung is a function of the canonical
     /// advice-labeled view, which a class memo needs.
-    pub(crate) fn memo_step(&self, ball: &Ball<BitString>) -> Result<MemoStep<usize>, DecodeError> {
+    pub(crate) fn memo_step(
+        &self,
+        ball: &impl LocalView<BitString>,
+    ) -> Result<MemoStep<usize>, DecodeError> {
         let r = ball.radius();
         let max_radius = self.max_radius();
         match simulate_greedy(
@@ -359,18 +364,23 @@ impl ClusterColoringSchema {
 }
 
 /// One adaptive step: simulate the `(cluster color, uid)`-greedy coloring
-/// inside the ball; `Ok(Some(color))` once the center's color is forced.
+/// inside the view; `Ok(Some(color))` once the center's color is forced.
+/// Every pass reads the view's members by local index and their
+/// neighbours as a set, so a [`lad_runtime::Ball`] and a
+/// [`lad_runtime::BallView`] of the same node and radius give the same
+/// answer.
 fn simulate_greedy(
-    ball: &Ball<BitString>,
+    ball: &impl LocalView<BitString>,
     spacing: usize,
     width: usize,
     max_colors: usize,
 ) -> Result<Option<usize>, DecodeError> {
-    let g = ball.graph();
+    let n = ball.n();
+    let nodes = || (0..n).map(NodeId::from_index);
     let r = ball.radius();
     // 1. Centers: nodes with non-empty advice.
     let mut centers = Vec::new();
-    for w in g.nodes() {
+    for w in nodes() {
         let bits = ball.input(w);
         if bits.is_empty() {
             continue;
@@ -405,7 +415,7 @@ fn simulate_greedy(
     // center uid)` record, where the slot indexes `centers` (and so names
     // the cluster color) and `UNREACHED` marks a node no center reaches.
     const UNREACHED: u32 = u32::MAX;
-    let mut nearest: Vec<(u32, u32, u64)> = vec![(UNREACHED, 0, 0); g.n()];
+    let mut nearest: Vec<(u32, u32, u64)> = vec![(UNREACHED, 0, 0); n];
     let mut frontier: Vec<NodeId> = Vec::with_capacity(centers.len());
     for (slot, &(c, _)) in centers.iter().enumerate() {
         nearest[c.index()] = (0, slot as u32, ball.uid(c));
@@ -416,7 +426,7 @@ fn simulate_greedy(
         for &u in &frontier {
             let (d, slot, uid) = nearest[u.index()];
             let cand = (d + 1, slot, uid);
-            for &w in g.neighbors(u) {
+            for w in ball.neighbors(u) {
                 let best = &mut nearest[w.index()];
                 if best.0 == UNREACHED {
                     *best = cand;
@@ -433,8 +443,7 @@ fn simulate_greedy(
     // into one `u128` as `color << 64 | uid`. Colors are below
     // `max_colors ≤ usize::MAX`, so no trusted key reaches `UNTRUSTED`.
     const UNTRUSTED: u128 = u128::MAX;
-    let order: Vec<u128> = g
-        .nodes()
+    let order: Vec<u128> = nodes()
         .map(|w| {
             if ball.dist(w) + spacing > r || !ball.knows_all_edges_of(w) {
                 return UNTRUSTED;
@@ -456,18 +465,18 @@ fn simulate_greedy(
     // visited O(1) times) colors exactly the nodes the round-based
     // fixpoint scan would, with the same colors.
     const UNCOLORED: u32 = u32::MAX;
-    let mut colors: Vec<u32> = vec![UNCOLORED; g.n()];
+    let mut colors: Vec<u32> = vec![UNCOLORED; n];
     const BLOCKED: u32 = u32::MAX;
-    let mut pending: Vec<u32> = vec![BLOCKED; g.n()];
+    let mut pending: Vec<u32> = vec![BLOCKED; n];
     let mut ready: Vec<NodeId> = Vec::new();
-    for w in g.nodes() {
+    for w in nodes() {
         let my_order = order[w.index()];
         if my_order == UNTRUSTED {
             continue;
         }
         let mut lower_undecided = 0u32;
         let mut blocked = false;
-        for &u in g.neighbors(w) {
+        for u in ball.neighbors(w) {
             match order[u.index()] {
                 UNTRUSTED => {
                     blocked = true;
@@ -489,7 +498,7 @@ fn simulate_greedy(
     while let Some(w) = ready.pop() {
         let my_order = order[w.index()];
         used.clear();
-        for &u in g.neighbors(w) {
+        for u in ball.neighbors(w) {
             // Ready nodes have no untrusted neighbor, so this is exactly
             // the lower-order neighbors.
             if order[u.index()] < my_order {
@@ -509,7 +518,7 @@ fn simulate_greedy(
             }
         }
         colors[w.index()] = c;
-        for &u in g.neighbors(w) {
+        for u in ball.neighbors(w) {
             // Only trusted, unblocked nodes have a pending count.
             if pending[u.index()] != BLOCKED && order[u.index()] > my_order {
                 pending[u.index()] -= 1;

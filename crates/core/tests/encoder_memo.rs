@@ -280,7 +280,8 @@ proptest! {
 
     /// Scheduling is a pure performance decision: the thread count never
     /// changes an encode or a decode on arbitrary graphs, not just the
-    /// curated grid, and the cluster decode matches its reference oracle.
+    /// curated grid, and the balanced and cluster decodes match their
+    /// reference oracles.
     #[test]
     fn thread_count_never_changes_outputs(net in arb_network()) {
         let balanced = BalancedOrientationSchema::default();
@@ -292,6 +293,16 @@ proptest! {
             base,
             "balanced encode changed with the thread count"
         );
+        if let Ok(advice) = balanced.encode(&net) {
+            let reference = match balanced.decode_reference(&net, &advice) {
+                Ok((out, stats)) => format!("ok:{out:?}|{stats:?}"),
+                Err(e) => format!("err:{e}"),
+            };
+            let one = decode_fingerprint(&balanced, &net, &advice, &run_at(1));
+            let three = decode_fingerprint(&balanced, &net, &advice, &run_at(3));
+            prop_assert_eq!(&one, &reference, "balanced decode != reference");
+            prop_assert_eq!(&one, &three, "balanced decode changed with the thread count");
+        }
         if let Ok(advice) = cluster.encode(&net) {
             let reference = match cluster.decode_reference(&net, &advice) {
                 Ok((out, stats)) => format!("ok:{out:?}|{stats:?}"),

@@ -12,8 +12,9 @@
 //! Everything here is **purely local**: the pairing at a node depends only
 //! on the node's incident edges sorted by the unique identifiers of its
 //! neighbors. A LOCAL decoder with a radius-`r` view can therefore walk a
-//! trail for up to `r` hops using exactly the same code as the centralized
-//! encoder ([`next_along_trail`]).
+//! trail for up to `r` hops by the same rule the centralized encoder
+//! follows ([`next_along_trail`]); `lad-core`'s balanced decoder replays it
+//! over its view's neighbour lists.
 
 use crate::graph::{EdgeId, Graph, NodeId};
 

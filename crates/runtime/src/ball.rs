@@ -1,7 +1,63 @@
 //! Radius-`r` views — what a node knows after `r` rounds in the LOCAL model.
+//!
+//! A view comes in two forms that answer every read alike. A [`Ball`] owns
+//! its subgraph and tables: [`crate::NodeCtx::ball`], the class memo, the
+//! decode server and the wire form build one. A [`BallView`] borrows the
+//! network and the BFS membership of its chunk's scratch: it is what
+//! [`crate::Run::ladder`] hands each rung, and it assembles nothing.
+//! [`LocalView`] is the read interface both implement, so a ladder step is
+//! written once and runs on either.
 
 use crate::network::Network;
 use lad_graph::{EdgeId, Graph, GraphBuilder, NodeId};
+
+/// What a LOCAL step reads of a node's radius-`r` view.
+///
+/// Nodes are named by **local** index, with the center at 0. A view
+/// gathered from a network numbers the others in BFS discovery order, so
+/// local indices are the same in the [`Ball`] that [`Ball::collect`] builds
+/// and in the [`BallView`] of the same node and radius, and every read
+/// below answers the same in both. A local index at or past
+/// [`LocalView::n`] is outside the view: every read of one panics, in
+/// debug and release builds alike, so a step cannot see past its radius.
+pub trait LocalView<In> {
+    /// Number of nodes in the view.
+    fn n(&self) -> usize;
+
+    /// The view radius `r`.
+    fn radius(&self) -> usize;
+
+    /// The center node (always local index 0).
+    fn center(&self) -> NodeId {
+        NodeId(0)
+    }
+
+    /// Distance from the center to a local node.
+    fn dist(&self, local: NodeId) -> usize;
+
+    /// The unique identifier of a local node.
+    fn uid(&self, local: NodeId) -> u64;
+
+    /// The input of a local node.
+    fn input(&self, local: NodeId) -> &In;
+
+    /// The *true* degree of a local node in the underlying network.
+    fn global_degree(&self, local: NodeId) -> usize;
+
+    /// Whether the view holds *all* edges of `local` (for a gathered view:
+    /// exactly when `dist(local) < radius`).
+    fn knows_all_edges_of(&self, local: NodeId) -> bool;
+
+    /// The global name of a local node (for addressing outputs only).
+    fn global_node(&self, local: NodeId) -> NodeId;
+
+    /// The neighbours of `local` over the edges the view knows: every edge
+    /// with an endpoint at distance below the radius, so edges between two
+    /// frontier nodes are absent. The order is the view's own (a [`Ball`]
+    /// lists them by local index, a [`BallView`] in the network's
+    /// adjacency order); steps must treat them as a set.
+    fn neighbors(&self, local: NodeId) -> impl Iterator<Item = NodeId> + '_;
+}
 
 /// The radius-`r` view of a node: the subgraph induced by `N_{≤r}(v)`
 /// *minus* edges between two nodes at distance exactly `r` (those are only
@@ -12,6 +68,10 @@ use lad_graph::{EdgeId, Graph, GraphBuilder, NodeId};
 /// [`Ball::global_node`] / [`Ball::global_edge`]. Decoders should base all
 /// decisions on unique identifiers (as LOCAL algorithms must), using global
 /// indices only to *address* their outputs.
+///
+/// A `Ball` owns what it holds. Decode ladders read a borrowed
+/// [`BallView`] of the same view instead; a step written against
+/// [`LocalView`] runs on both.
 ///
 /// # Example
 ///
@@ -53,12 +113,14 @@ struct NodeMeta {
 /// array sized to the *network*, amortized over every ball a worker gathers,
 /// plus reusable assembly buffers (edge enumeration, spare membership
 /// storage). Replaces the per-ball `HashMap` on the executor hot paths —
-/// membership tests become two array reads and gathering/assembly allocates
+/// a membership test is one array read and gathering/assembly allocates
 /// nothing beyond the ball's own retained storage.
 #[derive(Debug)]
 pub(crate) struct Scratch {
-    stamp: Vec<u32>,
-    local: Vec<u32>,
+    /// Per network node, `(epoch stamp, local index)`: the node is a
+    /// member of the current set exactly when its stamp equals `epoch`.
+    /// The pair shares one cache line, so a lookup costs one miss.
+    slot: Vec<(u32, u32)>,
     epoch: u32,
     /// Edge-enumeration buffer for [`build_from_members`]: local `(min,
     /// max)` endpoints plus the global edge id, reused across balls.
@@ -74,8 +136,7 @@ impl Scratch {
     /// Scratch for an `n`-node network.
     pub(crate) fn new(n: usize) -> Self {
         Scratch {
-            stamp: vec![0; n],
-            local: vec![0; n],
+            slot: vec![(0, 0); n],
             epoch: 0,
             pairs: Vec::new(),
             members_spare: Vec::new(),
@@ -86,16 +147,15 @@ impl Scratch {
     /// stamp 0, which never equals a live epoch, so growing cannot create
     /// phantom memberships.
     pub(crate) fn ensure(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.local.resize(n, 0);
+        if self.slot.len() < n {
+            self.slot.resize(n, (0, 0));
         }
     }
 
     /// Starts a fresh membership set (O(1) amortized).
     fn begin(&mut self) {
         if self.epoch == u32::MAX {
-            self.stamp.fill(0);
+            self.slot.fill((0, 0));
             self.epoch = 0;
         }
         self.epoch += 1;
@@ -103,22 +163,119 @@ impl Scratch {
 
     #[inline]
     fn insert(&mut self, v: NodeId, local: u32) {
-        self.stamp[v.index()] = self.epoch;
-        self.local[v.index()] = local;
+        self.slot[v.index()] = (self.epoch, local);
     }
 
     #[inline]
     fn get(&self, v: NodeId) -> Option<NodeId> {
-        (self.stamp[v.index()] == self.epoch).then(|| NodeId(self.local[v.index()]))
+        let (stamp, local) = self.slot[v.index()];
+        (stamp == self.epoch).then_some(NodeId(local))
     }
 
     /// The local index of `v` under the *current* epoch — the membership a
     /// just-run [`BallMembers::gather`] / [`BallMembers::expand`] stamped.
-    /// Lets the memo executor key a membership without rebuilding a
-    /// global-to-local map.
+    /// Lets the memo executor key a membership, and a [`BallView`] name a
+    /// network neighbour, without rebuilding a global-to-local map.
     #[inline]
     pub(crate) fn current_local(&self, v: NodeId) -> Option<NodeId> {
         self.get(v)
+    }
+}
+
+/// A node's radius-`r` view, read in place: the BFS membership its chunk's
+/// scratch just gathered, over the network it was gathered from.
+///
+/// It answers every [`LocalView`] read exactly as the [`Ball`] that
+/// [`Ball::collect`] builds for the same node and radius, but copies
+/// nothing: identifiers, inputs and true degrees are read from the
+/// [`Network`], and a neighbour list maps the network's adjacency through
+/// the scratch's membership stamps, dropping edges between two frontier
+/// nodes. A rung of [`crate::Run::ladder`] therefore allocates nothing and
+/// builds no subgraph.
+///
+/// A view lives for one rung. The ladder creates it; no other entry point
+/// hands one out.
+pub struct BallView<'a, In = ()> {
+    net: &'a Network<In>,
+    members: &'a [(NodeId, usize)],
+    radius: usize,
+    scratch: &'a Scratch,
+}
+
+impl<'a, In> BallView<'a, In> {
+    /// The view of `members`, read through the stamps that gathered them.
+    /// Only valid immediately after [`BallMembers::gather`] or
+    /// [`BallMembers::expand`] with the same scratch (no intervening
+    /// `begin`), like [`BallMembers::build_current`].
+    pub(crate) fn new(
+        net: &'a Network<In>,
+        members: &'a BallMembers,
+        scratch: &'a Scratch,
+    ) -> Self {
+        BallView {
+            net,
+            members: members.members(),
+            radius: members.radius(),
+            scratch,
+        }
+    }
+}
+
+impl<In> std::fmt::Debug for BallView<'_, In> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BallView")
+            .field("center", &self.members[0].0)
+            .field("radius", &self.radius)
+            .field("n", &self.members.len())
+            .finish()
+    }
+}
+
+impl<In> LocalView<In> for BallView<'_, In> {
+    fn n(&self) -> usize {
+        self.members.len()
+    }
+
+    fn radius(&self) -> usize {
+        self.radius
+    }
+
+    fn dist(&self, local: NodeId) -> usize {
+        self.members[local.index()].1
+    }
+
+    fn uid(&self, local: NodeId) -> u64 {
+        self.net.uid(self.members[local.index()].0)
+    }
+
+    fn input(&self, local: NodeId) -> &In {
+        self.net.input(self.members[local.index()].0)
+    }
+
+    fn global_degree(&self, local: NodeId) -> usize {
+        self.net.graph().degree(self.members[local.index()].0)
+    }
+
+    fn knows_all_edges_of(&self, local: NodeId) -> bool {
+        self.members[local.index()].1 < self.radius
+    }
+
+    fn global_node(&self, local: NodeId) -> NodeId {
+        self.members[local.index()].0
+    }
+
+    fn neighbors(&self, local: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let (global, d) = self.members[local.index()];
+        // An edge is known exactly when an endpoint lies below the radius.
+        let inner = d < self.radius;
+        self.net
+            .graph()
+            .neighbors(global)
+            .iter()
+            .filter_map(move |&u| {
+                let lu = self.scratch.current_local(u)?;
+                (inner || self.members[lu.index()].1 < self.radius).then_some(lu)
+            })
     }
 }
 
@@ -223,18 +380,17 @@ impl BallMembers {
         scratch: &mut Scratch,
     ) -> Ball<In> {
         let Scratch {
-            stamp,
-            local,
-            epoch,
-            pairs,
-            ..
+            slot, epoch, pairs, ..
         } = scratch;
         let epoch = *epoch;
         build_from_members(
             net,
             &self.members,
             self.radius,
-            |u| (stamp[u.index()] == epoch).then(|| NodeId(local[u.index()])),
+            |u| {
+                let (stamp, local) = slot[u.index()];
+                (stamp == epoch).then_some(NodeId(local))
+            },
             pairs,
         )
     }
@@ -540,6 +696,48 @@ impl<In> Ball<In> {
             .iter()
             .position(|m| m.global == global)
             .map(NodeId::from_index)
+    }
+}
+
+impl<In> LocalView<In> for Ball<In> {
+    fn n(&self) -> usize {
+        Ball::n(self)
+    }
+
+    fn radius(&self) -> usize {
+        Ball::radius(self)
+    }
+
+    fn center(&self) -> NodeId {
+        Ball::center(self)
+    }
+
+    fn dist(&self, local: NodeId) -> usize {
+        Ball::dist(self, local)
+    }
+
+    fn uid(&self, local: NodeId) -> u64 {
+        Ball::uid(self, local)
+    }
+
+    fn input(&self, local: NodeId) -> &In {
+        Ball::input(self, local)
+    }
+
+    fn global_degree(&self, local: NodeId) -> usize {
+        Ball::global_degree(self, local)
+    }
+
+    fn knows_all_edges_of(&self, local: NodeId) -> bool {
+        Ball::knows_all_edges_of(self, local)
+    }
+
+    fn global_node(&self, local: NodeId) -> NodeId {
+        Ball::global_node(self, local)
+    }
+
+    fn neighbors(&self, local: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.graph.neighbors(local).iter().copied()
     }
 }
 

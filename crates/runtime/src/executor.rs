@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | [`run_local`], [`run_local_fallible`] | a [`NodeCtx`] algorithm, sequentially (the reference) | fresh BFS per request |
 //! | [`Run::nodes`], [`Run::try_nodes`] | a [`NodeCtx`] algorithm over contiguous chunks across threads | one BFS scratch per chunk |
-//! | [`Run::ladder`] | a [`MemoStep`] ladder per node, through [`Run::try_nodes`] | as [`Run::try_nodes`] |
+//! | [`Run::ladder`] | a [`MemoStep`] ladder per node, over the same chunks | one BFS scratch per chunk, read in place as a [`BallView`] per rung |
 //! | [`Run::map`], [`Run::map_with`] | a closure per item, over contiguous chunks | — |
 //!
 //! Fallible runs propagate the first per-node error in node-index order —
@@ -36,7 +36,7 @@
 //! differential harnesses in `crates/runtime/tests/` (`equivalence.rs`,
 //! `memo.rs`) pin down the equivalence of all paths bit for bit.
 
-use crate::ball::{Ball, BallMembers, Scratch};
+use crate::ball::{Ball, BallMembers, BallView, Scratch};
 use crate::canonical::{key_of_members, CanonScratch, CanonicalKey};
 use crate::ctx::NodeCtx;
 use crate::network::Network;
@@ -281,31 +281,24 @@ impl Run {
         net: &Network<In>,
         algo: impl Fn(&NodeCtx<In>) -> Result<Out, E> + Sync,
     ) -> Result<(Vec<Out>, RoundStats), E> {
-        let n = net.graph().n();
-        let threads = self.thread_count(n);
-        if threads <= 1 || n <= 1 {
-            let (outs, per_node) = run_range(net, 0..n, &algo)?;
-            return Ok((outs, RoundStats { per_node }));
-        }
-        let chunks = crate::pool::map(chunk_ranges(n, threads), |range| {
-            run_range(net, range, &algo)
-        });
-        let mut outs = Vec::with_capacity(n);
-        let mut per_node = Vec::with_capacity(n);
-        for chunk in chunks {
-            let (chunk_outs, chunk_radii) = chunk?;
-            outs.extend(chunk_outs);
-            per_node.extend(chunk_radii);
-        }
-        Ok((outs, RoundStats { per_node }))
+        self.each_node(net, |scratch, v| {
+            let ctx = NodeCtx::with_scratch(net, v, scratch);
+            let out = algo(&ctx)?;
+            Ok((out, ctx.rounds_used()))
+        })
     }
 
     /// Climbs an adaptive-radius ladder at every node: `step` sees the
-    /// ball at `initial_radius` and either finishes ([`MemoStep::Done`])
+    /// view at `initial_radius` and either finishes ([`MemoStep::Done`])
     /// or asks for a strictly larger view ([`MemoStep::Expand`]). Each
     /// node climbs on its own, like [`Run::try_nodes`], so outputs,
     /// per-node radii and error choice equal those of the same ladder
-    /// climbed under [`run_local_fallible`].
+    /// climbed on [`Ball`]s under [`run_local_fallible`].
+    ///
+    /// Every rung reads its view in place: `step` gets a [`BallView`] of
+    /// the membership the chunk's scratch just gathered (an `Expand`
+    /// continues that BFS from its frontier), not a collected [`Ball`].
+    /// A step written against [`crate::LocalView`] runs on both.
     ///
     /// # Errors
     ///
@@ -315,28 +308,86 @@ impl Run {
     ///
     /// Panics if `step` requests [`MemoStep::Expand`] to a radius that
     /// does not strictly increase.
-    pub fn ladder<In: Clone + Send + Sync, Out: Send, E: Send>(
+    pub fn ladder<In: Send + Sync, Out: Send, E: Send>(
         &self,
         net: &Network<In>,
         initial_radius: usize,
-        step: impl Fn(&Ball<In>) -> Result<MemoStep<Out>, E> + Sync,
+        step: impl Fn(&BallView<In>) -> Result<MemoStep<Out>, E> + Sync,
     ) -> Result<(Vec<Out>, RoundStats), E> {
-        self.try_nodes(net, |ctx| {
-            let mut r = initial_radius;
-            loop {
-                match step(&ctx.ball(r))? {
-                    MemoStep::Done(out) => return Ok(out),
-                    MemoStep::Expand(next) => {
-                        assert!(
-                            next > r,
-                            "MemoStep::Expand must strictly increase the radius"
-                        );
-                        r = next;
-                    }
-                }
-            }
+        self.each_node(net, |scratch, v| {
+            climb(net, v, initial_radius, &step, &mut scratch.borrow_mut())
         })
     }
+
+    /// The per-node core of [`Run::try_nodes`] and [`Run::ladder`]: runs
+    /// `node` at every node over [`Run::thread_count`] contiguous ranges,
+    /// each with one BFS scratch, and collects the outputs and view radii
+    /// in node order. Each range stops at its first error and the first
+    /// erroring range wins, so the error is the smallest erroring node
+    /// index's — exactly the error a sequential pass returns.
+    fn each_node<In: Sync, Out: Send, E: Send>(
+        &self,
+        net: &Network<In>,
+        node: impl Fn(&RefCell<Scratch>, NodeId) -> Result<(Out, usize), E> + Sync,
+    ) -> Result<(Vec<Out>, RoundStats), E> {
+        let n = net.graph().n();
+        let run_range = |range: Range<usize>| -> Result<(Vec<Out>, Vec<usize>), E> {
+            let scratch = RefCell::new(Scratch::new(n));
+            let mut outs = Vec::with_capacity(range.len());
+            let mut per_node = Vec::with_capacity(range.len());
+            for i in range {
+                let (out, radius) = node(&scratch, NodeId::from_index(i))?;
+                outs.push(out);
+                per_node.push(radius);
+            }
+            Ok((outs, per_node))
+        };
+        let threads = self.thread_count(n);
+        if threads <= 1 || n <= 1 {
+            let (outs, per_node) = run_range(0..n)?;
+            return Ok((outs, RoundStats { per_node }));
+        }
+        let chunks = crate::pool::map(chunk_ranges(n, threads), run_range);
+        let mut outs = Vec::with_capacity(n);
+        let mut per_node = Vec::with_capacity(n);
+        for chunk in chunks {
+            let (chunk_outs, chunk_radii) = chunk?;
+            outs.extend(chunk_outs);
+            per_node.extend(chunk_radii);
+        }
+        Ok((outs, RoundStats { per_node }))
+    }
+}
+
+/// Climbs `v`'s ladder on `scratch`: gathers the membership at
+/// `initial_radius`, hands each rung's [`BallView`] to `step`, and grows
+/// the membership in place on every `Expand`. Returns the output and the
+/// final rung's radius, or the step's error.
+fn climb<In, Out, E>(
+    net: &Network<In>,
+    v: NodeId,
+    initial_radius: usize,
+    step: &impl Fn(&BallView<In>) -> Result<MemoStep<Out>, E>,
+    scratch: &mut Scratch,
+) -> Result<(Out, usize), E> {
+    let g = net.graph();
+    let mut members = BallMembers::gather(g, v, initial_radius, scratch);
+    let climbed = loop {
+        let r = members.radius();
+        match step(&BallView::new(net, &members, scratch)) {
+            Err(e) => break Err(e),
+            Ok(MemoStep::Done(out)) => break Ok((out, r)),
+            Ok(MemoStep::Expand(next)) => {
+                assert!(
+                    next > r,
+                    "MemoStep::Expand must strictly increase the radius"
+                );
+                members.expand(g, next, scratch);
+            }
+        }
+    };
+    members.recycle(scratch);
+    climbed
 }
 
 /// Runs `algo` independently at every node, returning per-node outputs and
@@ -389,25 +440,6 @@ pub fn run_local_fallible<In: Clone, Out, E>(
         per_node.push(ctx.rounds_used());
     }
     Ok((outs, RoundStats { per_node }))
-}
-
-/// Runs `algo` at the nodes of `range` in index order, backed by a
-/// range-local scratch; stops at the range's first error. Returns the
-/// outputs and per-node radii.
-fn run_range<In: Clone, Out, E>(
-    net: &Network<In>,
-    range: Range<usize>,
-    algo: &impl Fn(&NodeCtx<In>) -> Result<Out, E>,
-) -> Result<(Vec<Out>, Vec<usize>), E> {
-    let scratch = RefCell::new(Scratch::new(net.graph().n()));
-    let mut outs = Vec::with_capacity(range.len());
-    let mut per_node = Vec::with_capacity(range.len());
-    for i in range {
-        let ctx = NodeCtx::with_scratch(net, NodeId::from_index(i), &scratch);
-        outs.push(algo(&ctx)?);
-        per_node.push(ctx.rounds_used());
-    }
-    Ok((outs, per_node))
 }
 
 // ---------------------------------------------------------------------------

@@ -17,9 +17,12 @@
 //!
 //! This crate realizes that equivalence directly: a decoder receives a
 //! [`NodeCtx`] whose [`NodeCtx::ball`] calls materialize views of requested
-//! radii. The maximum radius requested over all nodes **is** the measured
-//! round complexity ([`RoundStats`]); decoders physically cannot read
-//! anything outside the views they paid for.
+//! radii, or, climbing a decode ladder ([`Run::ladder`]), a [`BallView`]
+//! per rung that reads the same view in place. The maximum radius requested
+//! over all nodes **is** the measured round complexity ([`RoundStats`]);
+//! decoders physically cannot read anything outside the views they paid
+//! for. [`LocalView`] is what a step reads of a view; a [`Ball`] and a
+//! [`BallView`] answer it alike, so a step is written once for both.
 //!
 //! For completeness (and tests that want the "real" round-by-round
 //! mechanics), [`messaging`] provides an explicit synchronous
@@ -48,7 +51,9 @@
 //! enforces this differentially. Runs fan out on a process-wide worker
 //! pool; see [`executor::effective_parallelism`] for how worker counts
 //! resolve when the spec sets none (`LAD_THREADS=1` runs sequentially).
-//! Decode ladders ([`Run::ladder`]) climb every node's ladder on its own.
+//! Decode ladders ([`Run::ladder`]) climb every node's ladder on its own,
+//! reading each rung's view in place on the chunk's BFS scratch: a rung
+//! allocates nothing and assembles no subgraph.
 //!
 //! For *order-invariant* algorithms, a class memo evaluates a step once
 //! per canonical isomorphism class of advice-labeled balls instead of
@@ -86,7 +91,7 @@ pub mod shard;
 pub mod store;
 pub mod transport;
 
-pub use ball::Ball;
+pub use ball::{Ball, BallView, LocalView};
 pub use canonical::{
     canonicalize, canonicalize_tagged_with, canonicalize_with, CanonScratch, CanonicalKey,
 };

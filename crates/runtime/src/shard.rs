@@ -443,6 +443,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ball::LocalView;
     use lad_graph::{generators, Graph};
 
     /// Error enum for tests exercising every failure mode.
@@ -467,7 +468,7 @@ mod tests {
 
     /// A statistic of the ball's canonical content (sizes, degrees, inputs
     /// weighted by distance) — a pure function of the isomorphism class.
-    fn ball_stat(ball: &Ball<u32>) -> u64 {
+    fn ball_stat(ball: &impl LocalView<u32>) -> u64 {
         let mut acc = ball.n() as u64;
         for i in 0..ball.n() {
             let v = NodeId::from_index(i);
@@ -480,7 +481,7 @@ mod tests {
 
     /// An order-invariant ladder step: expand to radius 2, then output
     /// [`ball_stat`].
-    fn ball_stat_step(ball: &Ball<u32>) -> Result<MemoStep<u64>, ShardDecodeError> {
+    fn ball_stat_step(ball: &impl LocalView<u32>) -> Result<MemoStep<u64>, ShardDecodeError> {
         if ball.radius() < 2 {
             return Ok(MemoStep::Expand(2));
         }
@@ -530,7 +531,7 @@ mod tests {
         let net = net(g);
         let reference = Run::default()
             .threads(1)
-            .ladder(&net, 1, ball_stat_step)
+            .ladder(&net, 1, |view| ball_stat_step(view))
             .expect("reference decodes");
         for k in [1usize, 2, 3, 5] {
             for resident in [1usize, 2, usize::MAX] {

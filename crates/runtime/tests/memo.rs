@@ -20,8 +20,9 @@
 
 use lad_graph::{builder::GraphBuilder, generators, Graph};
 use lad_runtime::{
-    plan_decode, run_local, run_local_fallible, Ball, ChurnMemoLocal, ClassStore, MemoStep,
-    Network, NodeCtx, NotOrderInvariant, RoundStats, Run, SchemaId, StoreError,
+    plan_decode, run_local, run_local_fallible, Ball, BallView, ChurnMemoLocal, ClassStore,
+    LocalView, MemoStep, Network, NodeCtx, NotOrderInvariant, RoundStats, Run, SchemaId,
+    StoreError,
 };
 use proptest::prelude::*;
 
@@ -99,19 +100,36 @@ fn memo<Out: Clone + PartialEq>(
     memo_ladder(net, initial_radius, |ball| Ok(step(ball)))
 }
 
-/// An order-invariant digest of a ball: structure, inputs, distances, and
-/// the center's *rank* among ball uids (order information is fine — the
-/// numerical uid values are not).
-fn oi_digest(ball: &Ball<u32>) -> (usize, usize, u64, usize) {
+/// An order-invariant digest of a view: structure, inputs, distances, and
+/// the center's *rank* among the view's uids (order information is fine —
+/// the numerical uid values are not). Read through [`LocalView`], so it
+/// digests a collected [`Ball`] and a ladder's [`BallView`] alike.
+fn oi_digest(ball: &impl LocalView<u32>) -> (usize, usize, u64, usize) {
     let c = ball.center();
-    let center_rank = ball.uids().iter().filter(|&&u| u < ball.uid(c)).count();
-    let weighted: u64 = (0..ball.n())
-        .map(|i| {
-            let v = lad_graph::NodeId(i as u32);
-            u64::from(*ball.input(v)) * (ball.dist(v) as u64 + 1)
-        })
+    let nodes = || (0..ball.n()).map(lad_graph::NodeId::from_index);
+    let center_rank = nodes().filter(|&v| ball.uid(v) < ball.uid(c)).count();
+    let weighted: u64 = nodes()
+        .map(|v| u64::from(*ball.input(v)) * (ball.dist(v) as u64 + 1))
         .sum();
-    (ball.n(), ball.graph().m(), weighted, center_rank)
+    let edges = nodes().map(|v| ball.neighbors(v).count()).sum::<usize>() / 2;
+    (ball.n(), edges, weighted, center_rank)
+}
+
+/// One step body written once, as a closure over collected [`Ball`]s (the
+/// class memo's rungs) and one over [`BallView`]s (the plain ladder's).
+macro_rules! both {
+    (|$b:ident| -> $ret:ty $body:block) => {
+        (
+            move |$b: &Ball<u32>| -> $ret { $body },
+            move |$b: &BallView<'_, u32>| -> $ret { $body },
+        )
+    };
+    (|$b:ident| $body:expr) => {
+        (
+            move |$b: &Ball<u32>| $body,
+            move |$b: &BallView<'_, u32>| $body,
+        )
+    };
 }
 
 /// Asserts the memo and the plain ladder on every thread count reproduce
@@ -120,7 +138,10 @@ fn assert_memo_equals_reference<Out>(
     tag_: &str,
     net: &Network<u32>,
     initial_radius: usize,
-    step: impl Fn(&Ball<u32>) -> MemoStep<Out> + Sync,
+    (step, view_step): (
+        impl Fn(&Ball<u32>) -> MemoStep<Out>,
+        impl Fn(&BallView<u32>) -> MemoStep<Out> + Sync,
+    ),
     reference: impl Fn(&NodeCtx<u32>) -> Out + Sync,
 ) where
     Out: Clone + PartialEq + std::fmt::Debug + Send,
@@ -132,8 +153,8 @@ fn assert_memo_equals_reference<Out>(
     for threads in THREAD_GRID {
         let plain = Run::default()
             .threads(threads)
-            .ladder(net, initial_radius, |ball| {
-                Ok::<_, NotOrderInvariant>(step(ball))
+            .ladder(net, initial_radius, |view| {
+                Ok::<_, NotOrderInvariant>(view_step(view))
             })
             .expect("infallible step");
         assert_eq!(plain, expected, "{tag_}: plain ladder, {threads} threads");
@@ -149,7 +170,7 @@ fn fixed_radius_digests_identical_everywhere() {
                 &format!("{tag_}/r{radius}"),
                 &net,
                 radius,
-                |ball| MemoStep::Done(oi_digest(ball)),
+                both!(|ball| MemoStep::Done(oi_digest(ball))),
                 |ctx| oi_digest(&ctx.ball(radius)),
             );
         }
@@ -167,14 +188,14 @@ fn adaptive_expand_ladders_identical_everywhere() {
             tag_,
             &net,
             0,
-            |ball| {
+            both!(|ball| {
                 let r = ball.radius();
                 if ball.n() >= 12 || r >= 6 {
                     MemoStep::Done((r, oi_digest(ball)))
                 } else {
                     MemoStep::Expand(r + 1)
                 }
-            },
+            }),
             |ctx| {
                 let mut r = 0;
                 loop {
@@ -199,11 +220,11 @@ fn jump_expand_ladders_identical_everywhere() {
             tag_,
             &net,
             0,
-            |ball| match ball.radius() {
+            both!(|ball| match ball.radius() {
                 0 => MemoStep::Expand(1),
                 1 => MemoStep::Expand(3),
                 _ => MemoStep::Done(oi_digest(ball)),
-            },
+            }),
             |ctx| {
                 ctx.ball(0);
                 ctx.ball(1);
@@ -286,8 +307,8 @@ fn fallible_first_error_choice_matches_sequential() {
         let net = network_for(&g);
         for radius in 0..=2 {
             let fails = |ball: &Ball<u32>| *ball.input(ball.center()) % 5 == 3;
-            let step = |ball: &Ball<u32>| -> Result<MemoStep<(usize, usize, u64, usize)>, TestErr> {
-                if fails(ball) {
+            let (step, view_step) = both!(|ball| -> Result<MemoStep<_>, TestErr> {
+                if *ball.input(ball.center()) % 5 == 3 {
                     Err(TestErr::Algo(format!(
                         "uid {} refused",
                         ball.uid(ball.center())
@@ -295,7 +316,7 @@ fn fallible_first_error_choice_matches_sequential() {
                 } else {
                     Ok(MemoStep::Done(oi_digest(ball)))
                 }
-            };
+            });
             let reference = run_local_fallible(&net, |ctx: &NodeCtx<u32>| -> Result<_, TestErr> {
                 let ball = ctx.ball(radius);
                 if fails(&ball) {
@@ -310,7 +331,9 @@ fn fallible_first_error_choice_matches_sequential() {
             let memoized = memo_ladder(&net, radius, step);
             assert_eq!(memoized, reference, "{tag_}/r{radius}: fallible memo");
             for threads in THREAD_GRID {
-                let plain = Run::default().threads(threads).ladder(&net, radius, step);
+                let plain = Run::default()
+                    .threads(threads)
+                    .ladder(&net, radius, view_step);
                 assert_eq!(
                     plain, reference,
                     "{tag_}/r{radius}: fallible plain ladder, {threads} threads"
@@ -416,14 +439,14 @@ proptest! {
     ) {
         let net = network_for(&arb_family(family, n, seed));
         let expected = run_local(&net, |ctx: &NodeCtx<u32>| oi_digest(&ctx.ball(radius)));
-        let step = |ball: &Ball<u32>| MemoStep::Done(oi_digest(ball));
+        let (step, view_step) = both!(|ball| MemoStep::Done(oi_digest(ball)));
         prop_assert_eq!(
             memo(&net, radius, step).expect("order-invariant"),
             expected.clone()
         );
         let plain = Run::default()
             .threads(threads)
-            .ladder(&net, radius, |ball| Ok::<_, NotOrderInvariant>(step(ball)));
+            .ladder(&net, radius, |view| Ok::<_, NotOrderInvariant>(view_step(view)));
         prop_assert_eq!(plain.expect("infallible step"), expected);
     }
 
@@ -445,14 +468,14 @@ proptest! {
                 Ok(oi_digest(&ball))
             }
         });
-        let step = |ball: &Ball<u32>| -> Result<MemoStep<(usize, usize, u64, usize)>, TestErr> {
-            if fails(ball) {
+        let (step, view_step) = both!(|ball| -> Result<MemoStep<_>, TestErr> {
+            if (*ball.input(ball.center())).is_multiple_of(modulus) {
                 Err(TestErr::Algo(format!("uid {}", ball.uid(ball.center()))))
             } else {
                 Ok(MemoStep::Done(oi_digest(ball)))
             }
-        };
+        });
         prop_assert_eq!(memo_ladder(&net, 1, step), reference.clone());
-        prop_assert_eq!(Run::default().threads(threads).ladder(&net, 1, step), reference);
+        prop_assert_eq!(Run::default().threads(threads).ladder(&net, 1, view_step), reference);
     }
 }

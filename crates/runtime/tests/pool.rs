@@ -17,7 +17,7 @@
 
 use lad_graph::{generators, Graph};
 use lad_runtime::{
-    Ball, ChurnMemoLocal, MemoStats, MemoStep, Network, NotOrderInvariant, RoundStats, Run,
+    ChurnMemoLocal, LocalView, MemoStats, MemoStep, Network, NotOrderInvariant, RoundStats, Run,
 };
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Barrier;
@@ -25,8 +25,8 @@ use std::sync::Barrier;
 const THREAD_GRID: [usize; 4] = [1, 2, 3, 8];
 
 /// An order-invariant two-rung ladder: expand to radius 2, then report
-/// the ball size.
-fn ladder(ball: &Ball<()>) -> Result<MemoStep<usize>, NotOrderInvariant> {
+/// the view's size.
+fn ladder(ball: &impl LocalView<()>) -> Result<MemoStep<usize>, NotOrderInvariant> {
     Ok(if ball.radius() < 2 {
         MemoStep::Expand(2)
     } else {
@@ -90,7 +90,7 @@ fn nested_ladder_decode_matches_memo() {
         let got = run.map(&nets, |_, net| {
             Run::default()
                 .threads(t)
-                .ladder(net, 1, ladder)
+                .ladder(net, 1, |view| ladder(view))
                 .expect("order-invariant")
         });
         assert_eq!(got, expect, "threads {t}");

@@ -1,17 +1,19 @@
-//! A `Run` allocates per node what `Ball::collect` allocates per ball.
-//! Every [`Run::nodes`] chunk gathers its views on one reusable BFS
-//! scratch, the same body `Ball::collect` runs on its thread's scratch, so
-//! a node that asks for one ball costs one ball's allocations, and a node
-//! that climbs a two-rung ladder ([`Run::ladder`]) costs two. Nothing else
-//! is paid per node: a membership that is grown from empty, or kept past
-//! its node, shows up as extra allocations per node.
+//! A `Run` allocates per node what its views allocate, and a decode
+//! ladder's views allocate nothing. Every [`Run::nodes`] chunk gathers its
+//! views on one reusable BFS scratch, the same body `Ball::collect` runs
+//! on its thread's scratch, so a node that asks for one ball costs one
+//! ball's allocations. A [`Run::ladder`] rung reads its view in place (a
+//! [`lad_runtime::BallView`] over the chunk's scratch), so a node that
+//! climbs one rung or two costs no allocation at all. Nothing else is paid
+//! per node: a membership that is grown from empty, kept past its node, or
+//! assembled into a ball shows up as allocations per node.
 //!
 //! This binary holds one test, and the allocator counts per thread, so
 //! the counts are the test's own. Every run takes one chunk, on this
 //! thread.
 
 use lad_graph::{generators, IdAssignment, NodeId};
-use lad_runtime::{Ball, MemoStep, Network, Run};
+use lad_runtime::{Ball, LocalView, MemoStep, Network, Run};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::convert::Infallible;
@@ -67,12 +69,12 @@ fn collect_allocs(net: &Network, radius: usize) -> f64 {
     })
 }
 
-/// What a chunk may allocate beyond its balls, per node: the outputs, the
+/// What a chunk may allocate beyond its views, per node: the outputs, the
 /// radii and the chunk's scratch, once per run.
 const RUN_SLACK: f64 = 0.1;
 
 #[test]
-fn runs_allocate_per_node_what_collect_allocates_per_ball() {
+fn runs_allocate_per_node_what_their_views_allocate() {
     // A 32² random-ID torus: 1,024 nodes, balls of 13 to 613 nodes.
     let side = 32;
     let net = Network::with_ids(
@@ -82,7 +84,6 @@ fn runs_allocate_per_node_what_collect_allocates_per_ball() {
     let run = Run::default().threads(1);
     for radius in [2, 10, 17] {
         let collect = collect_allocs(&net, radius);
-        let collect_next = collect_allocs(&net, radius + 1);
 
         let nodes = per_node(&net, || {
             let (sizes, stats) = run.nodes(&net, |ctx| ctx.ball(radius).n());
@@ -99,29 +100,40 @@ fn runs_allocate_per_node_what_collect_allocates_per_ball() {
              {collect:.2} per Ball::collect"
         );
 
-        // Two rungs: every node expands once, from `radius` to `radius + 1`.
-        let ladder = per_node(&net, || {
+        // One rung: every node finishes on its first view.
+        let one_rung = per_node(&net, || {
             let (sizes, stats) = run
-                .ladder(&net, radius, |ball| {
-                    Ok::<_, Infallible>(if ball.radius() == radius {
+                .ladder(&net, radius, |view| {
+                    Ok::<_, Infallible>(MemoStep::Done(view.n()))
+                })
+                .expect("infallible");
+            assert!(sizes.iter().all(|&k| k > 1));
+            assert_eq!(stats.rounds(), radius);
+        });
+        // Two rungs: every node expands once, from `radius` to `radius + 1`.
+        let two_rungs = per_node(&net, || {
+            let (sizes, stats) = run
+                .ladder(&net, radius, |view| {
+                    Ok::<_, Infallible>(if view.radius() == radius {
                         MemoStep::Expand(radius + 1)
                     } else {
-                        MemoStep::Done(ball.n())
+                        MemoStep::Done(view.n())
                     })
                 })
                 .expect("infallible");
             assert!(sizes.iter().all(|&k| k > 1));
             assert_eq!(stats.rounds(), radius + 1);
         });
-        let rungs = collect + collect_next;
         eprintln!(
-            "radius {radius}: two-rung Run::ladder {ladder:.2} allocations per node, \
-             its two Ball::collect calls {rungs:.2}"
+            "radius {radius}: Run::ladder {one_rung:.2} allocations per node with one rung, \
+             {two_rungs:.2} with two"
         );
-        assert!(
-            ladder <= rungs + RUN_SLACK,
-            "two-rung ladder from radius {radius}: {ladder:.2} allocations per node against \
-             {rungs:.2} for its two Ball::collect calls"
-        );
+        for (rungs, allocs) in [(1, one_rung), (2, two_rungs)] {
+            assert!(
+                allocs <= RUN_SLACK,
+                "{rungs}-rung ladder from radius {radius}: {allocs:.2} allocations per node; \
+                 its views should allocate none"
+            );
+        }
     }
 }

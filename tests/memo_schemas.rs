@@ -10,13 +10,14 @@
 //! Each decode carries its thread count in its own [`Run`], so the tests
 //! share no state.
 
+use local_advice::core::advice::AdviceMap;
 use local_advice::core::balanced::BalancedOrientationSchema;
-use local_advice::core::bits::BitString;
+use local_advice::core::bits::{bit_width, BitString};
 use local_advice::core::cluster_coloring::ClusterColoringSchema;
 use local_advice::core::decompress::EdgeSubsetCodec;
 use local_advice::core::delta_coloring::DeltaColoringSchema;
 use local_advice::core::schema::AdviceSchema;
-use local_advice::graph::{generators, Graph, IdAssignment};
+use local_advice::graph::{generators, Graph, IdAssignment, NodeId};
 use local_advice::runtime::{Network, Run};
 
 /// A run on exactly `threads` chunks, or on the automatic count.
@@ -98,6 +99,69 @@ fn tampered_advice_rejected_identically_on_both_paths() {
 
 fn lad_runtime_node(i: usize) -> local_advice::graph::NodeId {
     local_advice::graph::NodeId(u32::try_from(i).expect("test sizes fit u32"))
+}
+
+/// Three ways to corrupt balanced-orientation advice, each where the
+/// network has a node it applies to: a holder's records with one bit too
+/// many (no longer a whole number of records), a record naming a slot past
+/// the node's last pair, and bits at a degree-1 path end (which has no
+/// slot at all).
+fn balanced_corruptions(net: &Network, advice: &AdviceMap) -> Vec<(&'static str, AdviceMap)> {
+    let g = net.graph();
+    let mut out = Vec::new();
+    if let Some(holder) = advice.holders().next() {
+        let mut bits = advice.get(holder);
+        bits.push(true);
+        let mut tampered = advice.clone();
+        tampered.set(holder, bits);
+        out.push(("wrong record length", tampered));
+    }
+    // A slot field is `bit_width(pairs)` wide, so slot `pairs` is writable
+    // only where `pairs` is not a power of two.
+    let overflows = |v: &NodeId| {
+        let pairs = g.degree(*v) / 2;
+        pairs >= 1 && 1usize << bit_width(pairs) > pairs
+    };
+    let victim = advice
+        .holders()
+        .find(overflows)
+        .or_else(|| g.nodes().find(overflows));
+    if let Some(v) = victim {
+        let pairs = g.degree(v) / 2;
+        let mut bits = BitString::new();
+        bits.push_uint(pairs as u64, bit_width(pairs));
+        bits.push(true);
+        let mut tampered = advice.clone();
+        tampered.set(v, bits);
+        out.push(("out-of-range slot", tampered));
+    }
+    if let Some(end) = g.nodes().find(|&v| g.degree(v) == 1) {
+        let mut tampered = advice.clone();
+        tampered.set(end, BitString::parse("10"));
+        out.push(("bits at a path end", tampered));
+    }
+    out
+}
+
+#[test]
+fn tampered_balanced_advice_rejected_identically_on_both_paths() {
+    // Each corruption must leave the ladder decode and the reference
+    // decode in agreement: the same orientation and round statistics, or
+    // the same error (variant, node and message).
+    let schema = BalancedOrientationSchema::default();
+    let mut kinds = std::collections::BTreeSet::new();
+    for net in family_grid() {
+        let advice = schema.encode(&net).expect("encode");
+        for (kind, tampered) in balanced_corruptions(&net, &advice) {
+            kinds.insert(kind);
+            let want = schema.decode_reference(&net, &tampered);
+            for threads in [Some(1), Some(2), None] {
+                let got = schema.decode_with(&net, &tampered, &run_on(threads));
+                assert_eq!(got, want, "{kind}, {threads:?} threads");
+            }
+        }
+    }
+    assert_eq!(kinds.len(), 3, "every corruption ran somewhere: {kinds:?}");
 }
 
 #[test]
